@@ -14,7 +14,7 @@ Subpackage layout:
 - ``grid``          meridional collocation grid, derivatives, quadrature
 - ``state``         parameters, profiles, mode states, checkpoints
 - ``stokes``        implicit coupled mode Stokes solver and its checks
-- ``nonlinear``     triad convolution forces and flux-identity checks
+- ``nonlinear``     quadratic term by convolution over harmonics, its checks
 - ``stepper``       IMEX time integration, CFL, energy budgets
 - ``functionals``   energy/dissipation functionals, decay reports
 - ``inequalities``  disk-grid interpolation inequality checkers
@@ -37,7 +37,7 @@ from .functionals import (
     write_report_csv,
     write_report_json,
 )
-from .grid import CylGrid, ScalarField, build_grid, d_r, d_z, integrate, norm_lp_h_lq_v
+from .grid import CylGrid, build_grid
 from .inequalities import (
     DiskGrid,
     TestFunction2D,
@@ -95,12 +95,7 @@ from .stokes import (
 
 __all__ = [
     "CylGrid",
-    "ScalarField",
     "build_grid",
-    "d_r",
-    "d_z",
-    "integrate",
-    "norm_lp_h_lq_v",
     "Params",
     "InitProfile",
     "ModeVelocity",

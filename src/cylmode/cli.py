@@ -3,8 +3,7 @@
 Experiments are described by a flat INI file (``key = value`` under
 sections) so that a run is reproducible from its config alone; the resolved
 configuration and a content hash of the package sources are embedded in
-every JSON report.  One process runs one experiment; intra-run parallelism
-(mode solves, scan trials) is controlled by ``--threads``.
+every JSON report.  One process runs one experiment.
 
 Exit status: 0 when the command completed and its hard invariants held,
 1 when a hard invariant failed, 2 for configuration or input-file errors.
@@ -20,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -458,8 +456,8 @@ def _decay_json_dict(rep: DecayReport, cfg: ExperimentConfig) -> dict:
 
 # -- simulate ------------------------------------------------------------------
 
-def _simulate_core(cfg: ExperimentConfig, params: Params, out_dir: Path | None,
-                   threads: int) -> dict:
+def _simulate_core(cfg: ExperimentConfig, params: Params,
+                   out_dir: Path | None) -> dict:
     """One full run; artifacts are written only when out_dir is given."""
     grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z, cfg.radial_scheme)
     profile = _build_profile(cfg, grid)
@@ -490,12 +488,7 @@ def _simulate_core(cfg: ExperimentConfig, params: Params, out_dir: Path | None,
     )
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    executor = ThreadPoolExecutor(threads) if threads > 1 else None
-    try:
-        result = run(state, step_cfg, sinks, executor=executor)
-    finally:
-        if executor:
-            executor.shutdown()
+    result = run(state, step_cfg, sinks)
 
     div = float(np.max(divergence_residual(result.state)))
     invariants = {
@@ -550,17 +543,16 @@ def _invariants_held(invariants: dict) -> bool:
     return all(flags)
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int,
-                 quiet: bool) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     if cfg.mode == "linear_flow":
-        return cmd_linear_flow(cfg, out_dir, threads, quiet)
+        return cmd_linear_flow(cfg, out_dir, quiet)
     params = cfg.params()
-    core = _simulate_core(cfg, params, out_dir, threads)
+    core = _simulate_core(cfg, params, out_dir)
     report = {**_report_base("simulate", cfg), **core}
 
     if cfg.compare_N:
         alt = dataclasses.replace(cfg, N=cfg.compare_N, compare_N=0)
-        alt_core = _simulate_core(alt, alt.params(), None, threads)
+        alt_core = _simulate_core(alt, alt.params(), None)
         rows = []
         base_rows = {(r["k"], r["j"]): r for r in core["decay"]["per_mode"]}
         for r in alt_core["decay"]["per_mode"]:
@@ -599,8 +591,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int,
 
 # -- stokes-test ---------------------------------------------------------------
 
-def cmd_stokes_test(cfg: ExperimentConfig, out_dir: Path, threads: int,
-                    quiet: bool) -> int:
+def cmd_stokes_test(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z, cfg.radial_scheme)
     checks: dict[str, dict] = {}
 
@@ -678,8 +669,7 @@ def cmd_stokes_test(cfg: ExperimentConfig, out_dir: Path, threads: int,
 
 # -- linear-flow ---------------------------------------------------------------
 
-def cmd_linear_flow(cfg: ExperimentConfig, out_dir: Path, threads: int,
-                    quiet: bool) -> int:
+def cmd_linear_flow(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z, cfg.radial_scheme)
     profile = _build_profile(cfg, grid)
     params = cfg.params()
@@ -714,18 +704,12 @@ def cmd_linear_flow(cfg: ExperimentConfig, out_dir: Path, threads: int,
 
 # -- inequality-scan -----------------------------------------------------------
 
-def cmd_inequality_scan(cfg: ExperimentConfig, out_dir: Path, threads: int,
+def cmd_inequality_scan(cfg: ExperimentConfig, out_dir: Path,
                         quiet: bool) -> int:
-    executor = ThreadPoolExecutor(threads) if threads > 1 else None
-    try:
-        scan = constant_scan(cfg.scan_family or None, cfg.scan_check,
-                             cfg.scan_trials, cfg.scan_seed, p=cfg.scan_p,
-                             n_r=cfg.scan_n_r, n_theta=cfg.scan_n_theta,
-                             n_z=cfg.scan_n_z, period=cfg.scan_period,
-                             executor=executor)
-    finally:
-        if executor:
-            executor.shutdown()
+    scan = constant_scan(cfg.scan_family or None, cfg.scan_check,
+                         cfg.scan_trials, cfg.scan_seed, p=cfg.scan_p,
+                         n_r=cfg.scan_n_r, n_theta=cfg.scan_n_theta,
+                         n_z=cfg.scan_n_z, period=cfg.scan_period)
     ok = scan["refinement_delta"] <= 0.10
     if "pointwise_weight_ok" in scan:
         ok = ok and scan["pointwise_weight_ok"]
@@ -744,7 +728,7 @@ def cmd_inequality_scan(cfg: ExperimentConfig, out_dir: Path, threads: int,
 
 # -- oracle-compare ------------------------------------------------------------
 
-def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path, threads: int,
+def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
                        quiet: bool) -> int:
     grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z, cfg.radial_scheme)
     params = cfg.params()
@@ -761,12 +745,7 @@ def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path, threads: int,
                           t_end=cfg.oracle_steps * cfg.oracle_dt,
                           scheme=SCHEME_EULER, cfl_safety=cfg.cfl_safety,
                           div_tol=cfg.div_tol, nonlinear=True)
-    executor = ThreadPoolExecutor(threads) if threads > 1 else None
-    try:
-        result = run(state, step_cfg, executor=executor)
-    finally:
-        if executor:
-            executor.shutdown()
+    result = run(state, step_cfg)
     ref = reconstruct_to_full(result.state, cfg.oracle_n_theta)
     disc = relative_l2(full, ref)
     ok = disc <= cfg.oracle_tol
@@ -783,8 +762,7 @@ def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path, threads: int,
 
 # -- decay-report --------------------------------------------------------------
 
-def cmd_decay_report(cfg: ExperimentConfig, out_dir: Path, threads: int,
-                     quiet: bool) -> int:
+def cmd_decay_report(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     try:
         history = load_history(cfg.history_path)
     except (OSError, ValueError, KeyError) as exc:
@@ -817,8 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (overrides config and "
                              f"${OUT_DIR_ENV})")
-    common.add_argument("--threads", type=int, default=1, metavar="INT",
-                        help="worker threads for mode solves / scan trials")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress lines (reports still written)")
     parser = argparse.ArgumentParser(
@@ -848,9 +824,8 @@ def main(argv=None) -> int:
         return 2
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = max(1, args.threads)
     try:
-        return _COMMANDS[args.command](cfg, out_dir, threads, args.quiet)
+        return _COMMANDS[args.command](cfg, out_dir, args.quiet)
     except ConfigError as exc:
         for line in exc.problems:
             print(f"input error: {line}", file=sys.stderr)

@@ -12,7 +12,7 @@ Conventions used throughout the package:
   periodic-in-z surrogate of the infinite cylinder.
 - Scalar coefficient fields are arrays of shape ``(n_r, n_z)`` with axis 0
   radial and axis 1 vertical.
-- ``integrate`` is the plain meridional measure ``\\int\\int f r dr dz``.
+- ``CylGrid.quad`` is the plain meridional measure ``\\int\\int f r dr dz``.
   Norms over the solid cylinder add the azimuthal measure explicitly: an
   axisymmetric field integrated over theta picks up ``2*pi``
   (``THETA_FULL``) while a single ``cos``/``sin`` harmonic picks up ``pi``
@@ -232,21 +232,6 @@ class CylGrid:
         return self.interp_z(self.interp_r(a, r_pt), z_pt)
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """A scalar coefficient field bound to its grid."""
-
-    grid: CylGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.n_r, self.grid.n_z):
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid "
-                f"({self.grid.n_r}, {self.grid.n_z})"
-            )
-
-
 def build_grid(n_r: int, n_z: int, L_z: float, scheme: str = SCHEME_CHEBYSHEV) -> CylGrid:
     """Construct a :class:`CylGrid`.
 
@@ -282,34 +267,3 @@ def build_grid(n_r: int, n_z: int, L_z: float, scheme: str = SCHEME_CHEBYSHEV) -
     return CylGrid(n_r=n_r, n_z=n_z, L_z=float(L_z), scheme=scheme,
                    r=r, z=z, D_r=D, w_r=w, bary_w=bw)
 
-
-# -- thin operation wrappers -------------------------------------------------
-# Accept either a raw (n_r, n_z) array together with the grid, or a
-# ScalarField; the latter keeps the grid attached for pipeline-style code.
-
-def _unwrap(grid_or_field, f):
-    if isinstance(grid_or_field, CylGrid):
-        return grid_or_field, np.asarray(f)
-    if isinstance(grid_or_field, ScalarField) and f is None:
-        return grid_or_field.grid, grid_or_field.values
-    raise TypeError("pass (grid, values) or a single ScalarField")
-
-
-def d_r(grid_or_field, f=None) -> np.ndarray:
-    g, vals = _unwrap(grid_or_field, f)
-    return g.dr(vals)
-
-
-def d_z(grid_or_field, f=None) -> np.ndarray:
-    g, vals = _unwrap(grid_or_field, f)
-    return g.dz(vals)
-
-
-def integrate(grid_or_field, f=None) -> float:
-    g, vals = _unwrap(grid_or_field, f)
-    return g.quad(vals)
-
-
-def norm_lp_h_lq_v(grid_or_field, f=None, p: float = 2, q: float = 2) -> float:
-    g, vals = _unwrap(grid_or_field, f)
-    return g.norm_mixed(vals, p, q)

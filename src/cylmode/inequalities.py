@@ -440,8 +440,7 @@ def _eval_z_coeffs(coeffs: np.ndarray, n_z: int, period: float) -> np.ndarray:
 
 def constant_scan(family: str | None, check: str, trials: int, seed: int, *,
                   p: float | None = None, n_r: int = 48, n_theta: int = 64,
-                  n_z: int = 128, period: float = 2.0 * math.pi,
-                  executor=None) -> dict:
+                  n_z: int = 128, period: float = 2.0 * math.pi) -> dict:
     """Randomized empirical-constant scan for one inequality checker.
 
     Draws ``trials`` trial functions from per-trial RNG streams derived
@@ -453,9 +452,6 @@ def constant_scan(family: str | None, check: str, trials: int, seed: int, *,
     the quadrature error to be negligible against the 10 percent stability
     budget.  On every generated disk function the node-wise weight bound
     |f| <= |f / r| is verified exactly.
-
-    Trials are independent; pass a concurrent.futures executor to map them
-    in parallel (results are reduced in trial order either way).
     """
     if check not in SCAN_CHECKS:
         raise ValueError(f"unknown check {check!r}; expected one of {SCAN_CHECKS}")
@@ -517,9 +513,7 @@ def constant_scan(family: str | None, check: str, trials: int, seed: int, *,
                     ratios.append(angular_poincare_ratio(fn))
         return ratios[0], ratios[1], weight_ok
 
-    mapper = map(run_trial, range(trials)) if executor is None \
-        else executor.map(run_trial, range(trials))
-    results = list(mapper)
+    results = [run_trial(i) for i in range(trials)]
 
     coarse = np.array([r[0] for r in results])
     fine = np.array([r[1] for r in results])

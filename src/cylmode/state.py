@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import CylGrid, ScalarField, build_grid, SCHEME_CHEBYSHEV, THETA_FULL, THETA_HALF
+from .grid import CylGrid, build_grid, SCHEME_CHEBYSHEV, THETA_FULL, THETA_HALF
 
 CHECKPOINT_MAGIC = b"CYLMODE1"
 

@@ -135,25 +135,15 @@ def _check_cfl(state: ModeState, cfg: StepConfig) -> None:
 # -- single step ---------------------------------------------------------------
 
 def _solve_modes(state: ModeState, rhs_modes, dt_eff: float,
-                 session: StepSession, work_states, executor=None):
+                 session: StepSession, work_states):
     """Implicit per-harmonic solves; ``work_states`` carries the w of the
     scheme (u^n for Euler, the BDF2 combination otherwise)."""
     p = state.params
     new = ModeState.zeros(state.grid, p, t=state.t)
-
-    def solve_one(k: int):
-        k_eff = k * p.N
-        return k, stokes_step(session.cache, work_states[k],
-                              rhs_modes.get(k) if rhs_modes else None,
-                              dt_eff, k_eff)
-
-    if executor is None:
-        results = map(solve_one, range(p.K + 1))
-    else:
-        results = executor.map(solve_one, range(p.K + 1))
-    for k, (vel, press) in results:
-        new.modes[k] = vel
-        new.pressures[k] = press
+    for k in range(p.K + 1):
+        new.modes[k], new.pressures[k] = stokes_step(
+            session.cache, work_states[k],
+            rhs_modes.get(k) if rhs_modes else None, dt_eff, k * p.N)
     return new
 
 
@@ -177,8 +167,7 @@ def _add_forcing(rhs: dict | None, extra: dict | None) -> dict | None:
 
 
 def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
-         forcing: Callable[[float], dict] | None = None,
-         executor=None) -> ModeState:
+         forcing: Callable[[float], dict] | None = None) -> ModeState:
     """Advance one time step.
 
     ``forcing``, if given, is called with the time the step lands on and
@@ -205,8 +194,7 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
 
     if not use_bdf2:
         rhs = _add_forcing(quad, ext)
-        new = _solve_modes(state, rhs, cfg.dt, session,
-                           state.modes, executor)
+        new = _solve_modes(state, rhs, cfg.dt, session, state.modes)
     else:
         # second-order: w = (4 u^n - u^{n-1}) / 3 stepped with 2 dt / 3,
         # quadratic terms extrapolated as 2 S^n - S^{n-1}
@@ -229,8 +217,7 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
                     extrap[k] = tuple(2.0 * a - b
                                       for a, b in zip(quad[k], prev))
         rhs = _add_forcing(extrap, ext)
-        new = _solve_modes(state, rhs, 2.0 * cfg.dt / 3.0, session, work,
-                           executor)
+        new = _solve_modes(state, rhs, 2.0 * cfg.dt / 3.0, session, work)
     new.t = t_new
 
     res = divergence_residual(new)
@@ -358,8 +345,7 @@ class RunResult:
 
 
 def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
-        forcing: Callable[[float], dict] | None = None,
-        executor=None) -> RunResult:
+        forcing: Callable[[float], dict] | None = None) -> RunResult:
     """Integrate to ``cfg.t_end``, feeding diagnostics to the sinks.
 
     Checkpoints are written on schedule (and never deleted on failure, so
@@ -377,7 +363,7 @@ def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
         sinks.on_snapshot(state)
     e0 = state.total_l2_sq()
     for n in range(1, n_steps + 1):
-        new = step(state, cfg, session, forcing=forcing, executor=executor)
+        new = step(state, cfg, session, forcing=forcing)
         if n % cfg.budget_every == 0:
             # step() stashes the quadratic rhs it evaluated at the pre-step
             # state, which is exactly the transfer integrand

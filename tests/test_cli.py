@@ -268,19 +268,6 @@ class TestInequalityScanCommand:
         assert rc == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_threads_do_not_change_the_report(self, tmp_path):
-        sections = {"scan": {"check": "isotropic", "trials": 6, "seed": 11,
-                             "n_r": 24, "n_theta": 16}}
-        path = _write(tmp_path, sections)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert cli.main(["inequality-scan", "--config", path, "--out",
-                         str(out1), "--quiet"]) == 0
-        assert cli.main(["inequality-scan", "--config", path, "--out",
-                         str(out2), "--threads", "3", "--quiet"]) == 0
-        a = json.loads((out1 / "inequality_scan.json").read_text())
-        b = json.loads((out2 / "inequality_scan.json").read_text())
-        assert a == b
-
 
 class TestOracleCompareCommand:
     def test_mode_solver_tracks_reference(self, tmp_path):

@@ -10,7 +10,7 @@ the measure convention ``r dr dz`` and the theta factor of the mixed norm.
 import numpy as np
 import pytest
 
-from cylmode import build_grid, d_r, d_z, integrate, norm_lp_h_lq_v
+from cylmode import build_grid
 
 INT_WEIGHTED_EXP = 1.3258210868354742124
 MIXED_L4_L2 = 1.5780468891595669142
@@ -33,7 +33,7 @@ class TestQuadrature:
     def test_weighted_exponential_integral_frozen(self, grid_cheb):
         r, z = _fields(grid_cheb)
         f = (1.0 - r**2) ** 2 * np.exp(np.cos(z))
-        assert integrate(grid_cheb, f) == pytest.approx(INT_WEIGHTED_EXP, rel=1e-14)
+        assert grid_cheb.quad(f) == pytest.approx(INT_WEIGHTED_EXP, rel=1e-14)
 
     def test_high_degree_radial_moments(self, grid_cheb):
         # Clenshaw-Curtis with the r weight stays exact well past degree n
@@ -58,31 +58,31 @@ class TestDerivatives:
         r, _ = _fields(grid_cheb)
         f = r**7 - 3.0 * r**3 + r
         want = 7.0 * r**6 - 9.0 * r**2 + 1.0
-        assert np.abs(d_r(grid_cheb, f * np.ones((1, grid_cheb.n_z))) -
+        assert np.abs(grid_cheb.dr(f * np.ones((1, grid_cheb.n_z))) -
                       want * np.ones((1, grid_cheb.n_z))).max() < 1e-11
 
     def test_radial_second_derivative(self, grid_cheb):
         r, _ = _fields(grid_cheb)
         f = (r**4 * np.ones((1, grid_cheb.n_z)))
-        assert np.abs(d_r(grid_cheb, d_r(grid_cheb, f)) - 12.0 * r**2).max() < 1e-9
+        assert np.abs(grid_cheb.dr(grid_cheb.dr(f)) - 12.0 * r**2).max() < 1e-9
 
     def test_fd2_radial_derivative_quadratic_exact(self, grid_fd2):
         r, _ = _fields(grid_fd2)
         f = r**2 * np.ones((1, grid_fd2.n_z))
-        assert np.abs(d_r(grid_fd2, f) - 2.0 * r).max() < 1e-11
+        assert np.abs(grid_fd2.dr(f) - 2.0 * r).max() < 1e-11
 
     def test_vertical_derivative_spectral(self, grid_cheb):
         r, z = _fields(grid_cheb)
         f = (1.0 - r**2) * np.sin(3.0 * z) * np.exp(np.cos(z))
         want = (1.0 - r**2) * np.exp(np.cos(z)) * (3.0 * np.cos(3.0 * z)
                                                    - np.sin(z) * np.sin(3.0 * z))
-        assert np.abs(d_z(grid_cheb, f) - want).max() < 1e-12
+        assert np.abs(grid_cheb.dz(f) - want).max() < 1e-12
 
     def test_nyquist_odd_derivative_vanishes(self, grid_cheb):
         g = grid_cheb
         _, z = _fields(g)
         f = np.cos((g.n_z // 2) * 2.0 * np.pi * z / g.L_z) * np.ones((g.n_r, 1))
-        assert np.abs(d_z(g, f)).max() == 0.0
+        assert np.abs(g.dz(f)).max() == 0.0
         # even order keeps the true symbol
         zeta = (g.n_z // 2) * 2.0 * np.pi / g.L_z
         assert np.abs(g.dz_pow(f, 2) + zeta**2 * f).max() < 1e-9
@@ -91,8 +91,8 @@ class TestDerivatives:
         g = grid_cheb
         r, z = _fields(g)
         f = (1.0 - r**2) * r * np.cos(2.0 * z) + r**3 * np.sin(z)
-        a = d_r(g, d_z(g, f))
-        b = d_z(g, d_r(g, f))
+        a = g.dr(g.dz(f))
+        b = g.dz(g.dr(f))
         assert np.abs(a - b).max() < 1e-10
 
 
@@ -100,20 +100,20 @@ class TestNorms:
     def test_mixed_norm_frozen(self, grid_cheb):
         r, z = _fields(grid_cheb)
         f = (1.0 - r**2) * np.sin(z)
-        assert norm_lp_h_lq_v(grid_cheb, f, 4, 2) == pytest.approx(
+        assert grid_cheb.norm_mixed(f, 4, 2) == pytest.approx(
             MIXED_L4_L2, rel=1e-13)
 
     def test_l2_consistency(self, grid_cheb):
         r, z = _fields(grid_cheb)
         f = r * (1.0 - r**2) * np.cos(z)
         direct = np.sqrt(2.0 * np.pi * grid_cheb.quad(f * f))
-        assert norm_lp_h_lq_v(grid_cheb, f, 2, 2) == pytest.approx(direct, rel=1e-14)
+        assert grid_cheb.norm_mixed(f, 2, 2) == pytest.approx(direct, rel=1e-14)
         assert grid_cheb.l2(f) == pytest.approx(direct, rel=1e-14)
 
     def test_sup_norms(self, grid_cheb):
         r, z = _fields(grid_cheb)
         f = (1.0 - r**2) * np.cos(z)
-        got = norm_lp_h_lq_v(grid_cheb, f, np.inf, np.inf)
+        got = grid_cheb.norm_mixed(f, np.inf, np.inf)
         assert got == pytest.approx(np.abs(f).max(), rel=1e-12)
 
 

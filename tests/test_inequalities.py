@@ -2,7 +2,6 @@
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -349,13 +348,6 @@ class TestConstantScan:
         c = ineq.constant_scan(None, "radial", 10, 12, p=4.0)
         assert a == b
         assert a["max_ratio"] != c["max_ratio"]
-
-    def test_parallel_map_matches_serial(self):
-        serial = ineq.constant_scan(None, "anisotropic", 12, 5, p=4.0)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            parallel = ineq.constant_scan(None, "anisotropic", 12, 5, p=4.0,
-                                          executor=pool)
-        assert serial == parallel
 
     def test_vertical_scan_carries_surrogate_label(self):
         rep = ineq.constant_scan(None, "vertical", 20, 9)

@@ -13,13 +13,10 @@ from cylmode.state import (
 )
 from cylmode.nonlinear import (
     assemble_quadratic_rhs,
-    compute_mean_source,
-    compute_triad_force,
-    compute_u0_coupling,
     flux_identity_residual,
-    mean_transport,
     triad_bound_check,
 )
+from quadratic_reference import reference_quadratic_rhs
 
 # unit constant of the bilinear work estimate; measured max lhs/rhs over
 # random divergence-free states was 0.013, so this has two decades of slack
@@ -88,12 +85,12 @@ class TestTriadHandValues:
         r = g.r
         phi = r * (1 - r**2) ** 2
         st = _swirl_state(g, p, {1: phi})
-        tri = compute_triad_force(st, 2)
-        np.testing.assert_allclose(tri.ur, _ztile(g, phi**2 / (2 * r)),
+        ur, vth, uz, vr, uth, vz = assemble_quadratic_rhs(st)[2]
+        np.testing.assert_allclose(ur, _ztile(g, phi**2 / (2 * r)),
                                    rtol=1e-13, atol=1e-16)
-        np.testing.assert_allclose(tri.vth, _ztile(g, p.N * phi**2 / (2 * r)),
+        np.testing.assert_allclose(vth, _ztile(g, p.N * phi**2 / (2 * r)),
                                    rtol=1e-13, atol=1e-16)
-        for f in (tri.uz, tri.vr, tri.uth, tri.vz):
+        for f in (uz, vr, uth, vz):
             assert np.all(f == 0.0)
 
     def test_only_fundamental_is_silent_elsewhere(self, grid_cheb):
@@ -102,9 +99,9 @@ class TestTriadHandValues:
         p = _params()
         phi = g.r * (1 - g.r**2) ** 2
         st = _swirl_state(g, p, {1: phi})
+        rhs = assemble_quadratic_rhs(st)
         for k in (1, 3, 4):
-            tri = compute_triad_force(st, k)
-            for f in tri.fields():
+            for f in rhs[k]:
                 assert np.all(f == 0.0)
 
     def test_two_swirls_feed_sum_and_difference(self, grid_cheb):
@@ -121,13 +118,14 @@ class TestTriadHandValues:
             3: (phi1 * phi2 / r, 3 * N * phi1 * phi2 / (2 * r)),
             4: (phi2**2 / (2 * r), N * phi2**2 / r),
         }
+        rhs = assemble_quadratic_rhs(st)
         for k, (want_ur, want_vth) in cases.items():
-            tri = compute_triad_force(st, k)
-            np.testing.assert_allclose(tri.ur, _ztile(g, want_ur),
+            ur, vth, uz, vr, uth, vz = rhs[k]
+            np.testing.assert_allclose(ur, _ztile(g, want_ur),
                                        rtol=1e-13, atol=1e-16)
-            np.testing.assert_allclose(tri.vth, _ztile(g, want_vth),
+            np.testing.assert_allclose(vth, _ztile(g, want_vth),
                                        rtol=1e-13, atol=1e-16)
-            for f in (tri.uz, tri.vr, tri.uth, tri.vz):
+            for f in (uz, vr, uth, vz):
                 assert np.all(f == 0.0)
 
     def test_mean_source_from_single_swirl(self, grid_cheb):
@@ -136,7 +134,7 @@ class TestTriadHandValues:
         r = g.r
         phi = r * (1 - r**2) ** 2
         st = _swirl_state(g, p, {1: phi})
-        s_r, s_th, s_z = compute_mean_source(st)
+        s_r, s_th, s_z = assemble_quadratic_rhs(st)[0]
         np.testing.assert_allclose(s_r, _ztile(g, phi**2 / (2 * r)),
                                    rtol=1e-13, atol=1e-16)
         assert np.all(s_th == 0.0)
@@ -149,18 +147,18 @@ class TestTriadHandValues:
         phi = r * (1 - r**2) ** 2
         swirl0 = (1 - r**2) ** 2
         st = _swirl_state(g, p, {1: phi}, mean_swirl=swirl0)
-        cpl = compute_u0_coupling(st, 1)
-        np.testing.assert_allclose(cpl.ur, _ztile(g, 2 * swirl0 * phi / r),
+        rhs = assemble_quadratic_rhs(st)
+        # no meridional mean flow and no harmonic 2 partner, so harmonic 1
+        # receives only the coupling against the mean swirl
+        ur, vth, uz, vr, uth, vz = rhs[1]
+        np.testing.assert_allclose(ur, _ztile(g, 2 * swirl0 * phi / r),
                                    rtol=1e-13, atol=1e-16)
-        np.testing.assert_allclose(cpl.vth, _ztile(g, p.N * swirl0 * phi / r),
+        np.testing.assert_allclose(vth, _ztile(g, p.N * swirl0 * phi / r),
                                    rtol=1e-13, atol=1e-16)
-        for f in (cpl.uz, cpl.vr, cpl.uth, cpl.vz):
-            assert np.all(f == 0.0)
-        # no meridional mean flow, so transport vanishes
-        for f in mean_transport(st, 1):
+        for f in (uz, vr, uth, vz):
             assert np.all(f == 0.0)
         # mean swirl adds its own centripetal source on top of the harmonic's
-        s_r, _, _ = compute_mean_source(st)
+        s_r, _, _ = rhs[0]
         np.testing.assert_allclose(
             s_r, _ztile(g, swirl0**2 / r + phi**2 / (2 * r)),
             rtol=1e-13, atol=1e-16)
@@ -176,31 +174,23 @@ class TestStructure:
         v = make_random_divfree_state(g, p, seed=12)
         upv = _combine(u, v, 1.0, 1.0)
         umv = _combine(u, v, 1.0, -1.0)
-        for k in range(1, p.K + 1):
-            lhs = [a + b for a, b in zip(compute_triad_force(upv, k).fields(),
-                                         compute_triad_force(umv, k).fields())]
-            rhs = [2 * a + 2 * b for a, b in
-                   zip(compute_triad_force(u, k).fields(),
-                       compute_triad_force(v, k).fields())]
+        q_upv, q_umv, q_u, q_v = (assemble_quadratic_rhs(s)
+                                  for s in (upv, umv, u, v))
+        for k in range(p.K + 1):
+            lhs = [a + b for a, b in zip(q_upv[k], q_umv[k])]
+            rhs = [2 * a + 2 * b for a, b in zip(q_u[k], q_v[k])]
             for a, b in zip(lhs, rhs):
                 scale = max(np.abs(b).max(), 1e-30)
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * scale)
-        lhs0 = [a + b for a, b in zip(compute_mean_source(upv),
-                                      compute_mean_source(umv))]
-        rhs0 = [2 * a + 2 * b for a, b in zip(compute_mean_source(u),
-                                              compute_mean_source(v))]
-        for a, b in zip(lhs0, rhs0):
-            scale = max(np.abs(b).max(), 1e-30)
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * scale)
 
     def test_quadratic_scaling(self, grid_cheb):
         g = grid_cheb
         p = _params()
         u = make_random_divfree_state(g, p, seed=21)
         u3 = _combine(u, u, 3.0, 0.0)
-        for k in range(1, p.K + 1):
-            for a, b in zip(compute_triad_force(u3, k).fields(),
-                            compute_triad_force(u, k).fields()):
+        q3, q1 = assemble_quadratic_rhs(u3), assemble_quadratic_rhs(u)
+        for k in range(p.K + 1):
+            for a, b in zip(q3[k], q1[k]):
                 scale = max(np.abs(b).max(), 1e-30)
                 np.testing.assert_allclose(a, 9.0 * b, rtol=0,
                                            atol=1e-12 * scale)
@@ -216,32 +206,38 @@ class TestStructure:
         for k in range(5):
             u8.modes[k].set_fields(tuple(f.copy()
                                          for f in u4.modes[k].fields()))
-        for k in range(1, 5):
-            for a, b in zip(compute_triad_force(u8, k).fields(),
-                            compute_triad_force(u4, k).fields()):
+        q8, q4 = assemble_quadratic_rhs(u8), assemble_quadratic_rhs(u4)
+        for k in range(5):
+            for a, b in zip(q8[k], q4[k]):
                 np.testing.assert_array_equal(a, b)
-            for a, b in zip(compute_u0_coupling(u8, k).fields(),
-                            compute_u0_coupling(u4, k).fields()):
-                np.testing.assert_array_equal(a, b)
-        for a, b in zip(compute_mean_source(u8), compute_mean_source(u4)):
-            np.testing.assert_array_equal(a, b)
 
     def test_rhs_assembly_composition(self, grid_cheb):
-        g = grid_cheb
-        p = _params()
-        u = make_random_divfree_state(g, p, seed=41)
-        rhs = assemble_quadratic_rhs(u)
-        want0 = tuple(a + b for a, b in zip(compute_mean_source(u),
-                                            mean_transport(u, 0)))
-        for a, b in zip(rhs[0], want0):
-            np.testing.assert_array_equal(a, b)
-        for k in range(1, p.K + 1):
-            tri = compute_triad_force(u, k)
-            cpl = compute_u0_coupling(u, k)
-            trans = mean_transport(u, k)
-            for a, t1, t2, t3 in zip(rhs[k], tri.fields(), cpl.fields(),
-                                     trans):
-                np.testing.assert_array_equal(a, t1 + t2 + t3)
+        # the kernel against the hand-expanded mean source, mean couplings,
+        # mean transport and triads, harmonic by harmonic: cascading states
+        # span 1e-4**K, so a global tolerance would hide a wrong harmonic
+        for K in (4, 12):
+            p = _params(K=K)
+            for cascade in (1.0, 1e-4):
+                u = make_random_divfree_state(grid_cheb, p, seed=41)
+                for k in range(K + 1):
+                    u.modes[k].set_fields(
+                        tuple(cascade**k * f for f in u.modes[k].fields()))
+                got = assemble_quadratic_rhs(u)
+                want = reference_quadratic_rhs(u)
+                for k in range(K + 1):
+                    scale = max(np.abs(f).max() for f in want[k])
+                    assert scale > 0.0
+                    for a, b in zip(got[k], want[k]):
+                        np.testing.assert_allclose(a, b, rtol=0,
+                                                   atol=1e-13 * scale)
+            # a lone fundamental feeds the mean and its double, nothing else
+            lone = ModeState.zeros(grid_cheb, p)
+            lone.modes[1] = make_random_divfree_state(grid_cheb, p,
+                                                      seed=51).modes[1]
+            rhs = assemble_quadratic_rhs(lone)
+            for k in range(K + 1):
+                live = any(np.any(f) for f in rhs[k])
+                assert live == (k in (0, 2)), (K, k)
 
 
 class TestFluxIdentity:

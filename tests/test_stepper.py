@@ -4,7 +4,6 @@ import os
 
 import numpy as np
 import pytest
-from concurrent.futures import ThreadPoolExecutor
 
 from cylmode.grid import build_grid, THETA_FULL, THETA_HALF
 from cylmode.state import (
@@ -285,15 +284,6 @@ class TestRestartAndParallel:
         final = run(resumed, StepConfig(dt=dt, t_end=4 * dt)).state
         assert final.t == pytest.approx(straight.t)
         assert _max_diff(final, straight) == 0.0
-
-    def test_executor_parity(self, grid):
-        p = _params()
-        st = _rand_state(grid, p, seed=11)
-        cfg = StepConfig(dt=1e-3, t_end=5e-3)
-        serial = run(st, cfg).state
-        with ThreadPoolExecutor(max_workers=3) as ex:
-            parallel = run(st, cfg, executor=ex).state
-        assert _max_diff(serial, parallel) == 0.0
 
 
 class TestGuards:
