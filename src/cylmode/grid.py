@@ -128,6 +128,14 @@ def _fd2_diff_matrix(r: np.ndarray) -> np.ndarray:
     return D
 
 
+class CFLViolationError(RuntimeError):
+    """Explicit advection would outrun the grid at the current dt.
+
+    Raised by the harmonic stepper and the full-grid oracle alike; defined
+    here because the grid is the only module both routes import.
+    """
+
+
 @dataclass(frozen=True)
 class CylGrid:
     """Meridional collocation grid (see module docstring for conventions)."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .grid import CylGrid, THETA_FULL
+from .grid import CFLViolationError, CylGrid, THETA_FULL
 from .state import ModeState, Params
 
 #: hard cap on the azimuthal grid; the solver is a verification tool only
@@ -30,10 +30,6 @@ ORACLE_MAX_NTHETA = 128
 
 class UnresolvedWavenumberError(ValueError):
     """The azimuthal grid cannot represent a requested harmonic."""
-
-
-class CFLViolationError(RuntimeError):
-    """Explicit advection would outrun the grid in one step."""
 
 
 class SingularBinError(RuntimeError):
@@ -254,70 +250,49 @@ def nonlinear_term_projection(full: FullField, params: Params,
 
 # -- implicit Fourier-bin solver -----------------------------------------------
 
-def _probe(lu_piv, A: np.ndarray, label: str) -> None:
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
-    b = A @ x
-    y = lu_solve(lu_piv, b)
-    scale = np.abs(x).max() or 1.0
-    if np.abs(y - x).max() > 1e-6 * scale:
-        raise SingularBinError(f"oracle bin operator {label} is singular")
+def _velocity_columns(n: int) -> np.ndarray:
+    """``W``: the 4n x 3n map placing the three velocity right-hand sides in
+    the momentum rows of a bin block, with the no-slip wall rows zeroed."""
+    W = np.eye(4 * n, 3 * n)
+    W[:, n - 1::n] = 0.0
+    return W
 
 
-@dataclass
-class _BinFactor:
-    """LU of one coupled (m, zeta) momentum/pressure block."""
+def _bin_operator(A: np.ndarray, W: np.ndarray, rng, label: str) -> np.ndarray:
+    """LU-factor one bin block, probe it and return its map ``A^{-1} W``.
 
-    lu_piv: tuple
-    n: int
-
-    def solve(self, rhs_r, rhs_th, rhs_z):
-        n = self.n
-        rhs = np.concatenate([rhs_r, rhs_th, rhs_z,
-                              np.zeros(n, dtype=complex)])
-        rhs[n - 1] = 0.0          # wall rows are no-slip identities
-        rhs[2 * n - 1] = 0.0
-        rhs[3 * n - 1] = 0.0
-        sol = lu_solve(self.lu_piv, rhs)
-        return sol[:n], sol[n:2 * n], sol[2 * n:3 * n], sol[3 * n:]
-
-
-@dataclass
-class _BinFactorDecoupled:
-    """Degenerate bin (no first-order azimuthal or vertical symbol).
-
-    The divergence constraint and the wall condition force the radial
-    component to vanish, the pressure balances the radial right-hand side
-    through a gauge-fixed primitive, and the other two components reduce
-    to well-posed Helmholtz solves.
+    Two random probes share the map's triangular solves: a solution on all
+    4n unknowns must be recovered from its image, and a velocity
+    right-hand side ``b`` pushed through the formed map must leave a small
+    residual ``A (op b) - W b``.
     """
-
-    lu_th: tuple
-    lu_z: tuple
-    lu_p: tuple
-    n: int
-
-    def solve(self, rhs_r, rhs_th, rhs_z):
-        n = self.n
-        br = rhs_th.copy()
-        br[-1] = 0.0
-        bz = rhs_z.copy()
-        bz[-1] = 0.0
-        uth = lu_solve(self.lu_th, br)
-        uz = lu_solve(self.lu_z, bz)
-        bp = rhs_r.copy()
-        bp[-1] = 0.0
-        p = lu_solve(self.lu_p, bp)
-        return np.zeros(n, dtype=complex), uth, uz, p
+    lu_piv = lu_factor(A, check_finite=False)
+    x = rng.standard_normal(A.shape[0])
+    sol = lu_solve(lu_piv, np.column_stack([W, A @ x]), check_finite=False)
+    op = sol[:, :-1]
+    b = rng.standard_normal(W.shape[1])
+    err = max(np.abs(sol[:, -1] - x).max() / np.abs(x).max(),
+              np.abs(A @ (op @ b) - W @ b).max() / np.abs(W @ b).max())
+    if not err <= 1e-6:
+        raise SingularBinError(f"oracle bin operator {label} is singular")
+    return op
 
 
 class OracleOpCache:
-    """Factorizations of the per-bin implicit operators, reused across steps.
+    """Real operator stacks of the per-bin implicit solves, reused across steps.
 
     Bins run over the azimuthal half-spectrum (real transform) crossed with
     the full vertical spectrum; first-order symbols vanish on Nyquist bins
     while the even-order viscous symbols keep their true magnitude, matching
     the derivative conventions of the grid module.
+
+    Every bin block is exactly real under the diagonal similarity
+    ``(u_th, u_z) = i (u_th', u_z')`` with the azimuthal and axial momentum
+    rows scaled by ``-i``, so the blocks are assembled in that real form.
+    Each is LU-factored and probed once, turned into its real ``4n x 3n``
+    map from the velocity right-hand sides to ``(u_r, u_th', u_z', p)``,
+    and the factorization is dropped: a table is one
+    ``(n_theta/2 + 1) n_z x 4n x 3n`` stack per ``(dt, diffusion)``.
     """
 
     def __init__(self, grid: CylGrid, n_theta: int, nu: float):
@@ -337,103 +312,120 @@ class OracleOpCache:
         if n_z % 2 == 0:
             self._zeta1[n_z // 2] = 0.0
         self._zeta2 = zeta**2
+        self._lap0 = grid.D_r @ grid.D_r + (1.0 / grid.r)[:, None] * grid.D_r
 
-    def factors(self, dt: float, diffusion: bool = True) -> list:
+    def factors(self, dt: float, diffusion: bool = True) -> np.ndarray:
         key = (float(dt), bool(diffusion))
         if key not in self._tables:
             self._tables[key] = self._build(float(dt), bool(diffusion))
         return self._tables[key]
 
-    def _build(self, dt: float, diffusion: bool) -> list:
+    def _helmholtz(self, m2: float, z2: float, s: float,
+                   idt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Axial and perpendicular Helmholtz blocks ``I/dt - s lap``."""
         g = self.grid
-        n = g.n_r
-        D = g.D_r
-        r = g.r
-        eye = np.eye(n)
-        rinv = np.diag(1.0 / r)
-        rinv2 = np.diag(1.0 / r**2)
-        lap_base = D @ D + rinv @ D
-        s = 1.0 if diffusion else 0.0
-        idt = 1.0 / dt
-        table = []
-        for mi, m in enumerate(self._m):
-            m1 = self._m1[mi]
-            m2 = float(m) ** 2
-            row = []
-            for zi in range(g.n_z):
-                z1 = self._zeta1[zi]
-                z2 = self._zeta2[zi]
-                lap = (lap_base - m2 * rinv2
-                       - self.nu**2 * z2 * eye)
-                if m1 == 0.0 and z1 == 0.0:
-                    row.append(self._build_decoupled(lap, rinv2, s, idt))
-                    continue
-                A = np.zeros((4 * n, 4 * n), dtype=complex)
-                h_perp = idt * eye - s * (lap - rinv2)
-                A[:n, :n] = h_perp
-                A[n:2 * n, n:2 * n] = h_perp
-                A[:n, n:2 * n] = 2j * m1 * s * rinv2
-                A[n:2 * n, :n] = -2j * m1 * s * rinv2
-                A[2 * n:3 * n, 2 * n:3 * n] = idt * eye - s * lap
-                A[:n, 3 * n:] = D
-                A[n:2 * n, 3 * n:] = 1j * m1 * rinv
-                A[2 * n:3 * n, 3 * n:] = 1j * z1 * eye
-                A[3 * n:, :n] = D + rinv
-                A[3 * n:, n:2 * n] = 1j * m1 * rinv
-                A[3 * n:, 2 * n:3 * n] = 1j * z1 * eye
-                for blk in range(3):
-                    i = blk * n + n - 1
-                    A[i, :] = 0.0
-                    A[i, i] = 1.0
-                lu_piv = lu_factor(A)
-                _probe(lu_piv, A, f"(m={m}, zbin={zi})")
-                row.append(_BinFactor(lu_piv, n))
-            table.append(row)
-        return table
+        lap = (self._lap0 - np.diag(m2 / g.r**2)
+               - self.nu**2 * z2 * np.eye(g.n_r))
+        h_z = idt * np.eye(g.n_r) - s * lap
+        return h_z, h_z + np.diag(s / g.r**2)
 
-    def _build_decoupled(self, lap: np.ndarray, rinv2: np.ndarray,
-                         s: float, idt: float) -> _BinFactorDecoupled:
+    def _coupled_block(self, m1: float, m2: float, z1: float, z2: float,
+                       s: float, idt: float) -> np.ndarray:
         g = self.grid
         n = g.n_r
-        h_th = idt * np.eye(n) - s * (lap - rinv2)
-        h_z = idt * np.eye(n) - s * lap
+        rinv = np.diag(1.0 / g.r)
+        couple = -2.0 * m1 * s * np.diag(1.0 / g.r**2)
+        h_z, h_perp = self._helmholtz(m2, z2, s, idt)
+        A = np.zeros((4 * n, 4 * n))
+        A[:n, :n] = h_perp
+        A[n:2 * n, n:2 * n] = h_perp
+        A[:n, n:2 * n] = couple
+        A[n:2 * n, :n] = couple
+        A[2 * n:3 * n, 2 * n:3 * n] = h_z
+        A[:n, 3 * n:] = g.D_r
+        A[n:2 * n, 3 * n:] = m1 * rinv
+        A[2 * n:3 * n, 3 * n:] = z1 * np.eye(n)
+        A[3 * n:, :n] = g.D_r + rinv
+        A[3 * n:, n:2 * n] = -m1 * rinv
+        A[3 * n:, 2 * n:3 * n] = -z1 * np.eye(n)
+        for blk in range(3):
+            i = blk * n + n - 1
+            A[i, :] = 0.0
+            A[i, i] = 1.0
+        return A
+
+    def _decoupled_block(self, m2: float, z2: float, s: float,
+                         idt: float) -> np.ndarray:
+        """Degenerate bin (no first-order azimuthal or vertical symbol).
+
+        The divergence constraint and the wall condition force the radial
+        component to vanish, the pressure balances the radial right-hand
+        side through a gauge-fixed primitive, and the other two components
+        reduce to well-posed Helmholtz solves.  In the coupled layout the
+        radial momentum rows act on the pressure and the divergence rows
+        pin the radial component to zero.
+        """
+        g = self.grid
+        n = g.n_r
+        h_z, h_th = self._helmholtz(m2, z2, s, idt)
         for h in (h_th, h_z):
             h[-1, :] = 0.0
             h[-1, -1] = 1.0
         # pressure primitive: radial momentum rows except at the wall,
         # where a quadrature-weight gauge row pins the additive constant
-        P = g.D_r.astype(complex).copy()
+        P = g.D_r.copy()
         P[-1, :] = g.w_r
-        lu_th = lu_factor(h_th.astype(complex))
-        lu_z = lu_factor(h_z.astype(complex))
-        lu_p = lu_factor(P)
-        return _BinFactorDecoupled(lu_th, lu_z, lu_p, n)
+        A = np.zeros((4 * n, 4 * n))
+        A[:n, 3 * n:] = P
+        A[n:2 * n, n:2 * n] = h_th
+        A[2 * n:3 * n, 2 * n:3 * n] = h_z
+        A[3 * n:, :n] = np.eye(n)
+        return A
+
+    def _build(self, dt: float, diffusion: bool) -> np.ndarray:
+        """Operators of the bins with ``zeta >= 0``; the block at ``-zeta``
+        is the one at ``zeta`` with the signs of the ``u_z'`` row and column
+        flipped, and so is its operator."""
+        n = self.grid.n_r
+        n_z = self._zeta1.size
+        W = _velocity_columns(n)
+        rng = np.random.default_rng(1)
+        s = 1.0 if diffusion else 0.0
+        idt = 1.0 / dt
+        ops = np.empty((self._m.size, n_z, 4 * n, 3 * n))
+        for mi, m in enumerate(self._m):
+            m1 = self._m1[mi]
+            m2 = float(m) ** 2
+            for zi in range(n_z // 2 + 1):
+                z1, z2 = self._zeta1[zi], self._zeta2[zi]
+                if m1 == 0.0 and z1 == 0.0:
+                    A = self._decoupled_block(m2, z2, s, idt)
+                else:
+                    A = self._coupled_block(m1, m2, z1, z2, s, idt)
+                ops[mi, zi] = _bin_operator(A, W, rng, f"(m={m}, zbin={zi})")
+        flip = np.ones(4 * n)
+        flip[2 * n:3 * n] = -1.0
+        mirror = np.arange(n_z // 2 + 1, n_z)
+        ops[:, mirror] = ops[:, n_z - mirror] * np.outer(flip, flip[:3 * n])
+        return ops.reshape(-1, 4 * n, 3 * n)
 
 
-def _to_bins(f: np.ndarray) -> np.ndarray:
-    """Real (n_r, n_theta, n_z) field to (n_r, n_theta/2+1, n_z) bins."""
-    return np.fft.fft(np.fft.rfft(f, axis=1), axis=2)
+def _solve_all_bins(table: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Implicit solve of every Fourier bin at once.
 
-
-def _from_bins(c: np.ndarray, n_theta: int, n_z: int) -> np.ndarray:
-    return np.fft.irfft(np.fft.ifft(c, axis=2), n=n_theta, axis=1)
-
-
-def _solve_all_bins(cache: OracleOpCache, table: list, cr: np.ndarray,
-                    cth: np.ndarray, cz: np.ndarray):
-    out_r = np.zeros_like(cr)
-    out_th = np.zeros_like(cr)
-    out_z = np.zeros_like(cr)
-    out_p = np.zeros_like(cr)
-    for mi in range(cr.shape[1]):
-        for zi in range(cr.shape[2]):
-            fr, fth, fz, fp = table[mi][zi].solve(
-                cr[:, mi, zi], cth[:, mi, zi], cz[:, mi, zi])
-            out_r[:, mi, zi] = fr
-            out_th[:, mi, zi] = fth
-            out_z[:, mi, zi] = fz
-            out_p[:, mi, zi] = fp
-    return out_r, out_th, out_z, out_p
+    ``rhs`` stacks the physical velocity right-hand sides as
+    ``(3, n_r, n_theta, n_z)``; the return value stacks the physical
+    ``(u_r, u_th, u_z, p)`` as ``(4, n_r, n_theta, n_z)``.
+    """
+    _, n, n_theta, n_z = rhs.shape
+    c = np.fft.fft(np.fft.rfft(rhs, axis=2), axis=3)
+    c[1:] *= -1j  # azimuthal and axial momentum rows of the real form
+    n_m = c.shape[2]
+    cols = np.ascontiguousarray(c.transpose(2, 3, 0, 1)).reshape(-1, 3 * n, 1)
+    x = (table @ cols.view(np.float64)).view(complex).reshape(n_m, n_z, 4, n)
+    x = np.ascontiguousarray(x.transpose(2, 3, 0, 1))
+    x[1:3] *= 1j  # (u_th, u_z) = i (u_th', u_z')
+    return np.fft.irfft(np.fft.ifft(x, axis=3), n=n_theta, axis=2)
 
 
 def check_cfl(full: FullField, dt: float, safety: float = 0.9) -> float:
@@ -473,30 +465,13 @@ def oracle_step(full: FullField, params: Params, dt: float,
     idt = 1.0 / dt
 
     # implicit viscous solve with pressure
-    cr = _to_bins(full.ur) * idt
-    cth = _to_bins(full.uth) * idt
-    cz = _to_bins(full.uz) * idt
-    vr, vth, vz, vp = _solve_all_bins(cache, step_table, cr, cth, cz)
-    n_theta, n_z = full.n_theta, g.n_z
-    mid = full.copy()
-    mid.ur = _from_bins(vr, n_theta, n_z)
-    mid.uth = _from_bins(vth, n_theta, n_z)
-    mid.uz = _from_bins(vz, n_theta, n_z)
+    mid_v = _solve_all_bins(step_table, np.stack(full.velocity()) * idt)
+    mid = FullField(g, full.theta, *mid_v[:3], full.P, full.t)
 
-    # explicit advection
-    n_r, n_th, n_zc = nonlinear_term(mid)
-    star_r = mid.ur + dt * n_r
-    star_th = mid.uth + dt * n_th
-    star_z = mid.uz + dt * n_zc
-
-    # projection back to the divergence-free constraint
-    pr, pth, pz, pphi = _solve_all_bins(
-        cache, proj_table, _to_bins(star_r), _to_bins(star_th),
-        _to_bins(star_z))
-    out = full.copy()
-    out.ur = _from_bins(pr, n_theta, n_z)
-    out.uth = _from_bins(pth, n_theta, n_z)
-    out.uz = _from_bins(pz, n_theta, n_z)
-    out.P = _from_bins(vp + pphi * idt, n_theta, n_z)
-    out.t = full.t + dt
+    # explicit advection, then projection back to the divergence-free
+    # constraint
+    star = mid_v[:3] + dt * np.stack(nonlinear_term(mid))
+    proj = _solve_all_bins(proj_table, star)
+    out = FullField(g, full.theta, *proj[:3], mid_v[3] + idt * proj[3],
+                    full.t + dt)
     return out

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -428,14 +429,27 @@ def _state_field_sequence(state: ModeState):
 
 
 def save_checkpoint(state: ModeState, path: str) -> None:
+    """Write a checkpoint atomically.
+
+    The bytes go to ``path + ".tmp"`` in the same directory, which then
+    replaces ``path``; a write that fails partway leaves the previous
+    checkpoint as it was.
+    """
     g = state.grid
     p = state.params
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<4I", g.n_r, g.n_z, p.K, p.N))
-        fh.write(struct.pack("<5d", g.L_z, state.t, p.nu, p.delta, p.eta))
-        for arr in _state_field_sequence(state):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<4I", g.n_r, g.n_z, p.K, p.N))
+            fh.write(struct.pack("<5d", g.L_z, state.t, p.nu, p.delta, p.eta))
+            for arr in _state_field_sequence(state):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str, params: Params | None = None,

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import CylGrid, THETA_FULL, THETA_HALF
+from .grid import CFLViolationError, CylGrid, THETA_FULL, THETA_HALF
 from .state import ModeState, ModeVelocity, divergence_residual, save_checkpoint
 from .stokes import (
     StokesOpCache,
@@ -35,10 +35,6 @@ SCHEME_BDF2 = "imex_bdf2"
 
 BUDGET_COLUMNS = ("t", "k", "energy", "dissipation_r", "dissipation_z",
                   "weighted_r", "transfer", "pressure_work", "imbalance")
-
-
-class CFLViolationError(RuntimeError):
-    """The explicit advective terms outrun the grid at the current dt."""
 
 
 class DivergenceCleanupError(RuntimeError):

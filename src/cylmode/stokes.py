@@ -13,18 +13,28 @@ with ``kap`` the effective azimuthal wavenumber (``k N`` inside the
 nonlinear solver, plain ``k`` for single-wavenumber verification runs).
 The sine family ``(v_r, u_th, v_z, Q)`` satisfies the same system under
 ``(a, b, c, p) = (v_r, -u_th, v_z, Q)`` with forcing ``(g_r, -f_th, g_z)``,
-so one assembly serves both.  The mean mode is the ``kap = 0`` case, where
-the azimuthal block decouples.
+so one operator serves both.  The mean mode is the ``kap = 0`` case, where
+the azimuthal block decouples.  The per-mode, per-wavenumber decoupling is
+that of Lopez, Marques & Shen, J. Comput. Phys. 176 (2002).
 
 Momentum equations are collocated at interior nodes, the wall rows impose
 the no-slip condition, and the divergence is collocated at every node; at
 ``kap = zeta = 0`` the wall divergence row is replaced by a zero-mean
-pressure gauge.  Each block is row-equilibrated, dense-LU factored once
-per ``(kap, zeta, dt)`` and probed with a random solve at build time so a
-singular operator fails loudly instead of being regularized.  First-order
-``i zeta`` terms use the same zeroed-Nyquist convention as the grid's
-spectral derivative, so the solver and the explicit operators see one and
-the same discretization.
+pressure gauge.  First-order ``i zeta`` terms use the same zeroed-Nyquist
+convention as the grid's spectral derivative, so the solver and the
+explicit operators see one and the same discretization.
+
+Every block is exactly real under the diagonal similarity ``c = i c'``
+with the axial momentum row scaled by ``-i``: ``i zeta`` becomes ``zeta``
+in that row and ``-zeta`` in the divergence row.  The blocks are assembled
+in that real form, row-equilibrated, LU-factored and probed with a random
+solve at build time, so a singular operator fails loudly instead of being
+regularized.  The factorization then forms the bin's real ``4n x 3n`` map
+from the three velocity right-hand sides (wall rows dropped) to
+``(a, b, c', p)`` and is discarded: the cache keeps one
+``(bins, 4n, 3n)`` stack per ``(kap, dt, diffusion)``, and a solve is one
+vertical FFT, one batched ``matmul`` with real and imaginary parts (and
+the cosine and sine families) as columns, and one inverse FFT.
 """
 
 from __future__ import annotations
@@ -57,21 +67,24 @@ def _zeta_tables(grid: CylGrid) -> tuple[np.ndarray, np.ndarray]:
     return zeta1, zeta**2
 
 
-def assemble_block(grid: CylGrid, kappa: int, nu: float, zeta1: float,
-                   zeta2: float, dt: float, diffusion: bool = True) -> np.ndarray:
-    """Dense complex matrix of one (harmonic, vertical wavenumber) block."""
+def _helmholtz(grid: CylGrid, pot: np.ndarray, dt: float, s: float) -> np.ndarray:
+    """``I/dt - s (D^2 + D/r) + diag(s pot)`` on the radial nodes."""
+    D = grid.D_r
+    lap = D @ D + (1.0 / grid.r)[:, None] * D
+    return np.eye(grid.n_r) / dt - s * lap + np.diag(s * pot)
+
+
+def _real_block(grid: CylGrid, kappa: int, nu: float, zeta1: float,
+                zeta2: float, dt: float, diffusion: bool) -> np.ndarray:
+    """One (harmonic, vertical wavenumber) block in its real form."""
     n = grid.n_r
     r = grid.r
     D = grid.D_r
     ib = n - 1  # wall node r = 1
-    A = np.zeros((4 * n, 4 * n), dtype=complex)
+    A = np.zeros((4 * n, 4 * n))
     eye = np.eye(n)
     s = 1.0 if diffusion else 0.0
-    lap = D @ D + (1.0 / r)[:, None] * D
-    pot_rth = s * ((1.0 + kappa**2) / r**2 + nu**2 * zeta2)
-    pot_z = s * (kappa**2 / r**2 + nu**2 * zeta2)
-    blk_a = eye / dt - s * lap + np.diag(pot_rth)
-    blk_c = eye / dt - s * lap + np.diag(pot_z)
+    blk_a = _helmholtz(grid, (1.0 + kappa**2) / r**2 + nu**2 * zeta2, dt, s)
     couple = np.diag(s * 2.0 * kappa / r**2)
 
     sl_a, sl_b, sl_c, sl_p = (slice(0, n), slice(n, 2 * n),
@@ -82,8 +95,8 @@ def assemble_block(grid: CylGrid, kappa: int, nu: float, zeta1: float,
     A[sl_b, sl_b] = blk_a
     A[sl_b, sl_a] = couple
     A[sl_b, sl_p] = -np.diag(kappa / r)
-    A[sl_c, sl_c] = blk_c
-    A[sl_c, sl_p] = 1j * zeta1 * eye
+    A[sl_c, sl_c] = _helmholtz(grid, kappa**2 / r**2 + nu**2 * zeta2, dt, s)
+    A[sl_c, sl_p] = zeta1 * eye
     # wall rows: no-slip
     for sl in (sl_a, sl_b, sl_c):
         A[sl, :][ib, :] = 0.0
@@ -91,7 +104,7 @@ def assemble_block(grid: CylGrid, kappa: int, nu: float, zeta1: float,
     # divergence rows
     A[sl_p, sl_a] = D + np.diag(1.0 / r)
     A[sl_p, sl_b] = np.diag(kappa / r)
-    A[sl_p, sl_c] = 1j * zeta1 * eye
+    A[sl_p, sl_c] = -zeta1 * eye
     if kappa == 0 and zeta1 == 0.0:
         # pressure defined up to a constant: zero-mean gauge at the wall row
         A[sl_p, :][ib, :] = 0.0
@@ -99,39 +112,25 @@ def assemble_block(grid: CylGrid, kappa: int, nu: float, zeta1: float,
     return A
 
 
-def _factor_checked(A: np.ndarray, rng, label: str):
-    """Row-equilibrate, LU-factor and probe one dense block."""
-    scale = 1.0 / np.abs(A).max(axis=1)
-    if not np.all(np.isfinite(scale)):
-        raise SingularOperatorError(f"zero row in Stokes block {label}")
-    As = scale[:, None] * A
-    lu = lu_factor(As, check_finite=False)
-    probe = rng.standard_normal(As.shape[0]) + 1j * rng.standard_normal(As.shape[0])
-    x = lu_solve(lu, probe, check_finite=False)
-    res = np.abs(As @ x - probe).max() / np.abs(probe).max()
-    if not np.isfinite(res) or res > 1e-6:
-        raise SingularOperatorError(
-            f"singular Stokes block {label}: probe residual {res:.2e}")
-    return _Factored(lu=lu, row_scale=scale)
+def assemble_block(grid: CylGrid, kappa: int, nu: float, zeta1: float,
+                   zeta2: float, dt: float, diffusion: bool = True) -> np.ndarray:
+    """Dense complex matrix of one (harmonic, vertical wavenumber) block.
+
+    The physical form of the real block the solver factors: the axial
+    momentum row is scaled back by ``i`` and the axial column by ``-i``.
+    """
+    n = grid.n_r
+    A = _real_block(grid, kappa, nu, zeta1, zeta2, dt, diffusion).astype(complex)
+    A[2 * n:3 * n, :] *= 1j
+    A[:, 2 * n:3 * n] *= -1j
+    return A
 
 
-@dataclass
-class _Factored:
-    """One equilibrated LU; solves the full coupled 4n block."""
-    lu: tuple
-    row_scale: np.ndarray
-
-    def solve(self, n: int, ib: int, rhs_a, rhs_b, rhs_c):
-        rhs = np.concatenate([rhs_a, rhs_b, rhs_c, np.zeros(n, dtype=complex)])
-        rhs[ib] = rhs[n + ib] = rhs[2 * n + ib] = 0.0  # no-slip rows
-        x = lu_solve(self.lu, self.row_scale * rhs, check_finite=False)
-        return x[0:n], x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n]
-
-
-@dataclass
-class _FactoredMeanDC:
-    """Decoupled solver for the doubly degenerate bin (kappa = 0 and no
-    first-order vertical coupling).
+def _mean_dc_block(grid: CylGrid, nu: float, zeta2: float, dt: float,
+                   diffusion: bool) -> np.ndarray:
+    """Decoupled block of the doubly degenerate bin (kappa = 0 and no
+    first-order vertical coupling), in the coupled block's row and column
+    layout.
 
     The coupled collocation block is numerically singular there: with the
     pressure on the full velocity node set, a near-checkerboard pressure
@@ -140,101 +139,115 @@ class _FactoredMeanDC:
     divergence rows plus the wall condition force the radial component to
     vanish identically, the pressure follows from the radial momentum
     balance (gauge-fixed to zero quadrature mean), and the remaining two
-    components are plain Dirichlet Helmholtz solves.
+    components are plain Dirichlet Helmholtz solves.  The radial momentum
+    rows therefore act on the pressure and the divergence rows pin the
+    radial component to zero.
     """
-    lu_b: _Factored
-    lu_c: _Factored
-    lu_p: tuple
-    p_scale: np.ndarray
+    n = grid.n_r
+    ib = n - 1
+    r = grid.r
+    s = 1.0 if diffusion else 0.0
+    hb = _helmholtz(grid, 1.0 / r**2 + nu**2 * zeta2, dt, s)
+    hc = _helmholtz(grid, np.full(n, nu**2 * zeta2), dt, s)
+    for H in (hb, hc):
+        H[ib, :] = 0.0
+        H[ib, ib] = 1.0
+    P = grid.D_r.copy()
+    P[ib, :] = grid.w_r  # zero-mean pressure gauge
+    A = np.zeros((4 * n, 4 * n))
+    A[:n, 3 * n:] = P
+    A[n:2 * n, n:2 * n] = hb
+    A[2 * n:3 * n, 2 * n:3 * n] = hc
+    A[3 * n:, :n] = np.eye(n)
+    return A
 
-    def solve(self, n: int, ib: int, rhs_a, rhs_b, rhs_c):
-        b = self._helm(self.lu_b, n, ib, rhs_b)
-        c = self._helm(self.lu_c, n, ib, rhs_c)
-        rp = rhs_a.astype(complex).copy()
-        rp[ib] = 0.0  # gauge row
-        p = lu_solve(self.lu_p, self.p_scale * rp, check_finite=False)
-        return np.zeros(n, dtype=complex), b, c, p
 
-    @staticmethod
-    def _helm(fac: _Factored, n: int, ib: int, rhs):
-        r = rhs.astype(complex).copy()
-        r[ib] = 0.0
-        return lu_solve(fac.lu, fac.row_scale * r, check_finite=False)
+def _velocity_columns(n: int) -> np.ndarray:
+    """``W``: the 4n x 3n map placing three velocity right-hand sides in the
+    momentum rows of a block, with the no-slip wall rows zeroed."""
+    W = np.eye(4 * n, 3 * n)
+    W[:, n - 1::n] = 0.0
+    return W
+
+
+def _factor_checked(A: np.ndarray, rng, label: str) -> np.ndarray:
+    """Row-equilibrate, LU-factor and probe one dense block; return its
+    velocity-to-solution map ``A^{-1} W`` (4n x 3n).
+
+    Two random probes share the map's triangular solves: a right-hand
+    side on all 4n rows, which exposes a singular block whose velocity
+    rows are still consistent, and a velocity right-hand side ``b`` pushed
+    through the formed map, whose equilibrated residual ``A (op b) - W b``
+    checks the map itself.
+    """
+    scale = 1.0 / np.abs(A).max(axis=1)
+    if not np.all(np.isfinite(scale)):
+        raise SingularOperatorError(f"zero row in Stokes block {label}")
+    As = scale[:, None] * A
+    lu = lu_factor(As, check_finite=False)
+    W = _velocity_columns(A.shape[0] // 4)
+    probe = rng.standard_normal(A.shape[0])
+    sol = lu_solve(lu, np.column_stack([scale[:, None] * W, probe]),
+                   check_finite=False)
+    op = sol[:, :-1]
+    b = rng.standard_normal(W.shape[1])
+    res = max(np.abs(As @ sol[:, -1] - probe).max() / np.abs(probe).max(),
+              np.abs(As @ (op @ b) - scale * (W @ b)).max()
+              / np.abs(scale * (W @ b)).max())
+    if not np.isfinite(res) or res > 1e-6:
+        raise SingularOperatorError(
+            f"singular Stokes block {label}: probe residual {res:.2e}")
+    return op
 
 
 class StokesOpCache:
-    """Factored implicit blocks, keyed by (kappa, dt, diffusion)."""
+    """Real bin operator stacks ``(bins, 4n, 3n)``, keyed by
+    (kappa, dt, diffusion)."""
 
     def __init__(self, grid: CylGrid, nu: float):
         self.grid = grid
         self.nu = float(nu)
-        self._table: dict[tuple, list] = {}
+        self._table: dict[tuple, np.ndarray] = {}
         self._rng = np.random.default_rng(1234)
 
-    def _mean_dc_factor(self, zeta2: float, dt: float, diffusion: bool):
-        g = self.grid
-        n = g.n_r
-        ib = n - 1
-        r = g.r
-        D = g.D_r
-        s = 1.0 if diffusion else 0.0
-        lap = D @ D + (1.0 / r)[:, None] * D
-        hb = np.eye(n) / dt - s * lap + np.diag(s * (1.0 / r**2 + self.nu**2 * zeta2))
-        hc = np.eye(n) / dt - s * lap + s * self.nu**2 * zeta2 * np.eye(n)
-        for H in (hb, hc):
-            H[ib, :] = 0.0
-            H[ib, ib] = 1.0
-        P = D.astype(complex).copy()
-        P[ib, :] = g.w_r  # zero-mean pressure gauge
-        ps = 1.0 / np.abs(P).max(axis=1)
-        lu_p = lu_factor(ps[:, None] * P, check_finite=False)
-        return _FactoredMeanDC(
-            lu_b=_factor_checked(hb.astype(complex), self._rng, "mean-dc b"),
-            lu_c=_factor_checked(hc.astype(complex), self._rng, "mean-dc c"),
-            lu_p=lu_p, p_scale=ps)
-
-    def factors(self, kappa: int, dt: float, diffusion: bool = True) -> list:
+    def factors(self, kappa: int, dt: float, diffusion: bool = True) -> np.ndarray:
         key = (int(kappa), float(dt), bool(diffusion))
         if key in self._table:
             return self._table[key]
         zeta1, zeta2 = _zeta_tables(self.grid)
-        out = []
+        ops = []
         for z1, z2 in zip(zeta1, zeta2):
             if kappa == 0 and z1 == 0.0:
-                out.append(self._mean_dc_factor(z2, dt, diffusion))
-                continue
-            A = assemble_block(self.grid, kappa, self.nu, z1, z2, dt, diffusion)
-            out.append(_factor_checked(A, self._rng, f"kappa={kappa}, zeta={z1}"))
-        self._table[key] = out
+                A = _mean_dc_block(self.grid, self.nu, z2, dt, diffusion)
+                label = f"mean-dc, zeta^2={z2}"
+            else:
+                A = _real_block(self.grid, kappa, self.nu, z1, z2, dt, diffusion)
+                label = f"kappa={kappa}, zeta={z1}"
+            ops.append(_factor_checked(A, self._rng, label))
+        self._table[key] = out = np.stack(ops)
         return out
 
 
 def _solve_family(cache: StokesOpCache, kappa: int, dt: float, diffusion: bool,
-                  rhs_a: np.ndarray, rhs_b: np.ndarray, rhs_c: np.ndarray):
-    """Solve the canonical family for all vertical wavenumbers at once.
+                  rhs: np.ndarray) -> np.ndarray:
+    """Solve F families for all vertical wavenumbers at once.
 
-    The rhs arrays are physical-space fields (already ``w/dt + f``); the
-    return values are physical-space updated fields and pressure.
+    ``rhs`` holds the physical-space right-hand sides (already ``w/dt + f``)
+    as ``(F, 3, n_r, n_z)`` in the canonical ``(a, b, c)`` order; the
+    return value holds the updated ``(a, b, c, p)`` as ``(F, 4, n_r, n_z)``.
     """
     g = cache.grid
     n = g.n_r
-    ib = n - 1
-    fac = cache.factors(kappa, dt, diffusion)
-    ah = np.fft.rfft(rhs_a, axis=1)
-    bh = np.fft.rfft(rhs_b, axis=1)
-    ch = np.fft.rfft(rhs_c, axis=1)
-    out = np.zeros((4, n, ah.shape[1]), dtype=complex)
-    for mz in range(ah.shape[1]):
-        a, b, c, p = fac[mz].solve(n, ib, ah[:, mz], bh[:, mz], ch[:, mz])
-        out[0, :, mz] = a
-        out[1, :, mz] = b
-        out[2, :, mz] = c
-        out[3, :, mz] = p
-    a = np.fft.irfft(out[0], n=g.n_z, axis=1)
-    b = np.fft.irfft(out[1], n=g.n_z, axis=1)
-    c = np.fft.irfft(out[2], n=g.n_z, axis=1)
-    p = np.fft.irfft(out[3], n=g.n_z, axis=1)
-    return a, b, c, p
+    ops = cache.factors(kappa, dt, diffusion)
+    fam = rhs.shape[0]
+    h = np.fft.rfft(rhs, axis=-1)
+    h[:, 2] *= -1j  # axial momentum row of the real form
+    nb = h.shape[-1]
+    cols = np.ascontiguousarray(h.transpose(3, 1, 2, 0)).reshape(nb, 3 * n, fam)
+    x = (ops @ cols.view(np.float64)).view(complex).reshape(nb, 4, n, fam)
+    x = np.ascontiguousarray(x.transpose(3, 1, 2, 0))
+    x[:, 2] *= 1j  # c = i c'
+    return np.fft.irfft(x, n=g.n_z, axis=-1)
 
 
 def _normalize_forcing(mode_k: int, forcing, shape) -> tuple[np.ndarray, ...]:
@@ -265,25 +278,20 @@ def stokes_step(cache: StokesOpCache, mode: ModeVelocity, forcing, dt: float,
     """
     shape = mode.ur.shape
     f = _normalize_forcing(mode.k, forcing, shape)
-    new = ModeVelocity.zeros(mode.k, shape)
-    # cosine family (u_r, v_th, u_z, P); for k = 0 the slot b = u_th
-    b_old = mode.vth if mode.k > 0 else mode.uth
-    f_b = f[1] if mode.k > 0 else f[4]
-    a, b, c, p = _solve_family(
-        cache, k_eff, dt, diffusion,
-        mode.ur / dt + f[0], b_old / dt + f_b, mode.uz / dt + f[2])
-    press = ModePressure.zeros(mode.k, shape)
-    new.ur, new.uz, press.P = a, c, p
     if mode.k == 0:
-        new.uth = b
-        return new, press
-    new.vth = b
-    # sine family via (v_r, -u_th, v_z, Q) with forcing (g_r, -f_th, g_z)
-    a2, b2, c2, q = _solve_family(
-        cache, k_eff, dt, diffusion,
-        mode.vr / dt + f[3], -(mode.uth / dt + f[4]), mode.vz / dt + f[5])
-    new.vr, new.uth, new.vz, press.Q = a2, -b2, c2, q
-    return new, press
+        # one family (u_r, u_th, u_z, P): for k = 0 the slot b = u_th
+        rhs = np.array([[mode.ur / dt + f[0], mode.uth / dt + f[4],
+                         mode.uz / dt + f[2]]])
+        (a, b, c, p), = _solve_family(cache, k_eff, dt, diffusion, rhs)
+        new = ModeVelocity.zeros(0, shape)
+        new.ur, new.uth, new.uz = a, b, c
+        return new, ModePressure(0, p, np.zeros(shape))
+    # cosine family (u_r, v_th, u_z, P) and sine family via
+    # (v_r, -u_th, v_z, Q) with forcing (g_r, -f_th, g_z): one solve
+    rhs = np.array([[mode.ur / dt + f[0], mode.vth / dt + f[1], mode.uz / dt + f[2]],
+                    [mode.vr / dt + f[3], -(mode.uth / dt + f[4]), mode.vz / dt + f[5]]])
+    (a, b, c, p), (a2, b2, c2, q) = _solve_family(cache, k_eff, dt, diffusion, rhs)
+    return ModeVelocity(mode.k, a, b, c, a2, -b2, c2), ModePressure(mode.k, p, q)
 
 
 def project_divfree(cache: StokesOpCache, mode: ModeVelocity,

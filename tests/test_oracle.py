@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cylmode.grid import build_grid
 from cylmode.state import ModeState, Params, make_random_divfree_state
@@ -13,6 +14,7 @@ from cylmode.oracle import (
     CFLViolationError,
     ORACLE_MAX_NTHETA,
     OracleOpCache,
+    SingularBinError,
     UnresolvedWavenumberError,
     build_full_field,
     check_cfl,
@@ -24,6 +26,9 @@ from cylmode.oracle import (
     quad3,
     reconstruct_to_full,
     relative_l2,
+    _bin_operator,
+    _solve_all_bins,
+    _velocity_columns,
 )
 
 N_THETA = 36  # multiple of 2 K N = 18, alias-free for quadratic products
@@ -176,6 +181,95 @@ class TestOracleStep:
                 for eps in (2e-2, 1e-2, 5e-3)]
         for a, b in zip(gaps, gaps[1:]):
             assert 3.0 <= a / b <= 4.8, gaps
+
+
+def _complex_bin_solve(grid, nu, m, m1, z1, z2, s, idt, fr, fth, fz):
+    """Dense complex solve of one (m, zeta) bin in physical variables."""
+    n = grid.n_r
+    D = grid.D_r
+    eye = np.eye(n)
+    rinv = np.diag(1.0 / grid.r)
+    rinv2 = np.diag(1.0 / grid.r**2)
+    lap = D @ D + rinv @ D - m**2 * rinv2 - nu**2 * z2 * eye
+    h_perp = idt * eye - s * (lap - rinv2)
+    h_z = idt * eye - s * lap
+    if m1 == 0.0 and z1 == 0.0:
+        h_th = h_perp.copy()
+        P = D.copy()
+        P[-1, :] = grid.w_r
+        for h in (h_th, h_z):
+            h[-1, :] = 0.0
+            h[-1, -1] = 1.0
+        wall = np.r_[np.ones(n - 1), 0.0]
+        return (np.zeros(n), scipy.linalg.solve(h_th, wall * fth),
+                scipy.linalg.solve(h_z, wall * fz),
+                scipy.linalg.solve(P, wall * fr))
+    A = np.zeros((4 * n, 4 * n), dtype=complex)
+    A[:n, :n] = h_perp
+    A[n:2 * n, n:2 * n] = h_perp
+    A[:n, n:2 * n] = 2j * m1 * s * rinv2
+    A[n:2 * n, :n] = -2j * m1 * s * rinv2
+    A[2 * n:3 * n, 2 * n:3 * n] = h_z
+    A[:n, 3 * n:] = D
+    A[n:2 * n, 3 * n:] = 1j * m1 * rinv
+    A[2 * n:3 * n, 3 * n:] = 1j * z1 * eye
+    A[3 * n:, :n] = D + rinv
+    A[3 * n:, n:2 * n] = 1j * m1 * rinv
+    A[3 * n:, 2 * n:3 * n] = 1j * z1 * eye
+    for i in range(n - 1, 3 * n, n):
+        A[i, :] = 0.0
+        A[i, i] = 1.0
+    b = np.concatenate([fr, fth, fz, np.zeros(n)])
+    b[n - 1::n] = 0.0
+    return scipy.linalg.solve(A, b).reshape(4, n)
+
+
+class TestBinOperators:
+    @pytest.mark.parametrize("diffusion", [True, False])
+    def test_matches_dense_complex_solve(self, diffusion):
+        # every bin of the real stacked route, mirrored -zeta bins and the
+        # decoupled bins included, against a dense complex solve
+        grid = build_grid(n_r=10, n_z=8, L_z=2.0 * np.pi)
+        n_theta, nu = 8, 0.7
+        dt = 1e-3 if diffusion else 1.0
+        cache = OracleOpCache(grid, n_theta, nu)
+        rhs = np.random.default_rng(7).standard_normal(
+            (3, grid.n_r, n_theta, grid.n_z))
+        got = _solve_all_bins(cache.factors(dt, diffusion), rhs)
+        c = np.fft.fft(np.fft.rfft(rhs, axis=2), axis=3)
+        m = np.arange(n_theta // 2 + 1)
+        m1 = np.where(m == n_theta // 2, 0.0, m)
+        zeta = 2.0 * np.pi / grid.L_z * np.fft.fftfreq(grid.n_z) * grid.n_z
+        zeta1 = np.where(np.arange(grid.n_z) == grid.n_z // 2, 0.0, zeta)
+        want = np.zeros((4,) + c.shape[1:], dtype=complex)
+        for mi in range(m.size):
+            for zi in range(grid.n_z):
+                want[:, :, mi, zi] = _complex_bin_solve(
+                    grid, nu, m[mi], m1[mi], zeta1[zi], zeta[zi] ** 2,
+                    1.0 if diffusion else 0.0, 1.0 / dt, *c[:, :, mi, zi])
+        want = np.fft.irfft(np.fft.ifft(want, axis=3), n=n_theta, axis=2)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_table_is_one_real_stack(self, grid, cache):
+        ops = cache.factors(1e-3)
+        n = grid.n_r
+        assert ops.dtype == np.float64
+        assert ops.shape == ((N_THETA // 2 + 1) * grid.n_z, 4 * n, 3 * n)
+        assert cache.factors(1e-3) is ops
+
+    def test_singular_bin_rejected(self, grid, cache):
+        # the coupled form of the (m, zeta) = (0, 0) bin leaves the pressure
+        # constant free; the build uses the decoupled form there instead
+        n = grid.n_r
+        A = cache._coupled_block(0.0, 0.0, 0.0, 0.0, 1.0, 1e3)
+        with pytest.raises(SingularBinError):
+            _bin_operator(A, _velocity_columns(n), np.random.default_rng(0),
+                          "probe")
+        A = cache._decoupled_block(0.0, 0.0, 1.0, 1e3)
+        op = _bin_operator(A, _velocity_columns(n), np.random.default_rng(0),
+                           "probe")
+        assert np.abs(op[:n]).max() == 0.0  # radial velocity pinned to zero
 
 
 class TestGuards:

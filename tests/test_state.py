@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import cylmode.state
 from cylmode import build_grid
 from cylmode.state import (
     Params,
@@ -13,6 +14,7 @@ from cylmode.state import (
     ModeState,
     make_profile_divfree,
     make_initial_state,
+    make_random_divfree_state,
     divergence_residual,
     reconstruct_point,
     save_checkpoint,
@@ -222,3 +224,30 @@ class TestCheckpoint:
             fh.write(b"\x00" * 8)
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, grid_cheb, tmp_path,
+                                                   monkeypatch):
+        g = grid_cheb
+        p = Params(nu=1.0, N=4, delta=0.0, eta=0.25, K=2)
+        old = make_random_divfree_state(g, p, seed=1, amplitude=1e-2)
+        path = os.path.join(tmp_path, "state.ckpt")
+        save_checkpoint(old, path)
+        before = open(path, "rb").read()
+
+        fields = cylmode.state._state_field_sequence
+
+        def failing(state):
+            it = fields(state)
+            yield next(it)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cylmode.state, "_state_field_sequence", failing)
+        new = make_random_divfree_state(g, p, seed=2, amplitude=1e-2)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(new, path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["state.ckpt"]
+        back = load_checkpoint(path)
+        for k in range(p.K + 1):
+            for f0, f1 in zip(old.modes[k].fields(), back.modes[k].fields()):
+                assert f0.tobytes() == f1.tobytes()

@@ -8,7 +8,10 @@ loop between the assembled blocks and the grid's derivative convention.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import j0, j1, jn_zeros
+
+import cylmode.stokes
 
 from cylmode import build_grid
 from cylmode.state import ModeVelocity, Params
@@ -17,6 +20,9 @@ from cylmode.stokes import (
     StokesOpCache,
     assemble_block,
     _factor_checked,
+    _mean_dc_block,
+    _solve_family,
+    _zeta_tables,
     stokes_step,
     stokes_evolve,
     project_divfree,
@@ -60,6 +66,78 @@ class TestBlockAssembly:
         f1 = cache.factors(4, 1e-3)
         f2 = cache.factors(4, 1e-3)
         assert f1 is f2
+
+
+class TestStackedOperators:
+    @pytest.mark.parametrize("kappa", [0, 4])
+    @pytest.mark.parametrize("diffusion", [True, False])
+    def test_matches_dense_complex_solve(self, grid_cheb, rng, kappa,
+                                         diffusion):
+        # every bin of the real stacked route against a dense solve of the
+        # physical complex block (the decoupled block on mean-DC bins)
+        g = grid_cheb
+        n = g.n_r
+        nu, dt = 1.0, (1e-3 if diffusion else 1.0)
+        cache = StokesOpCache(g, nu)
+        rhs = rng.standard_normal((1, 3, n, g.n_z))
+        got = _solve_family(cache, kappa, dt, diffusion, rhs)[0]
+        rh = np.fft.rfft(rhs[0], axis=-1)
+        zeta1, zeta2 = _zeta_tables(g)
+        want = np.zeros((4, n, zeta1.size), dtype=complex)
+        dc_bins = 0
+        for mz, (z1, z2) in enumerate(zip(zeta1, zeta2)):
+            if kappa == 0 and z1 == 0.0:
+                A = _mean_dc_block(g, nu, z2, dt, diffusion)
+                dc_bins += 1
+            else:
+                A = assemble_block(g, kappa, nu, z1, z2, dt, diffusion)
+            b = np.concatenate([rh[:, :, mz].ravel(), np.zeros(n)])
+            b[n - 1::n] = 0.0  # no-slip rows
+            want[:, :, mz] = scipy.linalg.solve(A, b).reshape(4, n)
+        assert dc_bins == (2 if kappa == 0 else 0)
+        want = np.fft.irfft(want, n=g.n_z, axis=-1)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_joint_families_match_separate_solves(self, grid_cheb, rng):
+        g = grid_cheb
+        r = g.r[:, None]
+        dt, keff = 1e-3, 4
+        cache = StokesOpCache(g, 1.0)
+        m = _rand_mode(g, 2, rng)
+        f = tuple(rng.standard_normal((g.n_r, g.n_z)) * r * (1.0 - r**2)
+                  for _ in range(6))
+        new, press = stokes_step(cache, m, f, dt, keff)
+        cos = _solve_family(cache, keff, dt, True, np.array(
+            [[m.ur / dt + f[0], m.vth / dt + f[1], m.uz / dt + f[2]]]))[0]
+        sin = _solve_family(cache, keff, dt, True, np.array(
+            [[m.vr / dt + f[3], -(m.uth / dt + f[4]), m.vz / dt + f[5]]]))[0]
+        joint = (new.ur, new.vth, new.uz, press.P,
+                 new.vr, -new.uth, new.vz, press.Q)
+        for a, b in zip(joint, (*cos, *sin)):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+    def test_probe_checks_the_formed_operator(self, grid_cheb, monkeypatch):
+        # a map that solves the full-row probe but is off by one part in
+        # 1e5 on the velocity columns must be rejected
+        def skewed(lu, b, **kw):
+            x = scipy.linalg.lu_solve(lu, b, **kw)
+            x[:, :-1] *= 1.0 + 1e-5
+            return x
+
+        A = assemble_block(grid_cheb, 4, 1.0, 1.0, 1.0, 1e-3, True)
+        _factor_checked(A, np.random.default_rng(0), "probe")
+        monkeypatch.setattr(cylmode.stokes, "lu_solve", skewed)
+        with pytest.raises(SingularOperatorError, match="probe residual"):
+            _factor_checked(A, np.random.default_rng(0), "probe")
+
+    def test_stack_is_real_and_shaped(self, grid_cheb):
+        cache = StokesOpCache(grid_cheb, 1.0)
+        n = grid_cheb.n_r
+        for kappa in (0, 4):
+            ops = cache.factors(kappa, 1e-3)
+            assert ops.dtype == np.float64
+            assert ops.shape == (grid_cheb.n_z // 2 + 1, 4 * n, 3 * n)
 
 
 class TestAxisymmetricEigenmodes:
