@@ -65,8 +65,8 @@ def main():
     cfg = StepConfig(dt=args.dt, t_end=args.t_end, budget_every=1,
                      nonlinear=True)
     result = run(state, cfg,
-                 sinks=RunSinks(on_snapshot=lambda st:
-                                accumulate(history, st)))
+                 sinks=RunSinks(on_snapshot=lambda st, ms:
+                                accumulate(history, st, ms)))
     print(f"ran {result.n_steps} steps to t = {result.state.t:.3f} "
           f"(aborted: {result.aborted})")
 

@@ -13,6 +13,7 @@ Subpackage layout:
 
 - ``grid``          meridional collocation grid, derivatives, quadrature
 - ``state``         parameters, profiles, mode states, checkpoints
+- ``diagnostics``   one derivative-and-quadrature pass per state
 - ``stokes``        implicit coupled mode Stokes solver and its checks
 - ``nonlinear``     quadratic term by convolution over harmonics, its checks
 - ``stepper``       IMEX time integration, CFL, energy budgets

@@ -468,11 +468,11 @@ def _simulate_core(cfg: ExperimentConfig, params: Params,
     energies: list[float] = []
     count = 0
 
-    def on_snapshot(st):
+    def on_snapshot(st, measures):
         nonlocal count
         if count % cfg.snapshot_every == 0:
-            accumulate(history, st)
-            energies.append(st.total_l2_sq())
+            accumulate(history, st, measures)
+            energies.append(measures.total_l2_sq())
         count += 1
 
     nonlinear = cfg.mode in ("ns", "ans")

@@ -1,0 +1,241 @@
+"""One derivative-and-quadrature pass over the harmonics of a mode state.
+
+Every run diagnostic is a per-harmonic sum of quadratic forms of the
+coefficient fields and their first derivatives: energies and vertical
+Sobolev norms, the dissipation channels, the ``1/r`` potential and swirl
+cross terms, the divergence residual and the pressure work.  The pass
+stacks the harmonics once as ``(M, slots, n_r, n_z)`` in the slot order
+``(ur, vth, uz, vr, uth, vz)``, followed by ``(P, Q)`` when pressures are
+given; the mean mode's sine slots and its ``Q`` are held at zero, so one
+formula serves every harmonic.  All vertical derivatives come from one
+broadcast product with the grid's spectral differentiation matrices, all
+radial ones from one broadcast ``D_r`` product, and each form is one
+weighted contraction over ``r`` and ``z``.  No reduction sums across
+harmonics, so a harmonic far below the leading one keeps its own relative
+accuracy.
+
+The vertical matrices are ``CylGrid.dz_pow`` and ``CylGrid.dz`` applied to
+the identity: order j multiplies by ``(i zeta)^j`` with the Nyquist bin
+zeroed for odd j, and the ``dz`` of an order-j field zeroes it always.  At
+the grid sizes used here a product with a dense ``n_z x n_z`` matrix is
+several times faster than an rfft / irfft round trip over the stack.
+
+``ModeMeasures`` stores the forms as plain meridional quadratures; its
+readers that report norms over the solid cylinder fold in the azimuthal
+measure ``theta`` (``2 pi`` for the mean, ``pi`` for a harmonic).
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+
+import numpy as np
+
+from .grid import CylGrid, THETA_FULL, THETA_HALF
+
+#: slot indices of the six velocity fields and the two pressures
+UR, VTH, UZ, VR, UTH, VZ, P, Q = range(8)
+
+
+def stack_modes(modes, pressures=None) -> np.ndarray:
+    """Copy harmonics into one ``(M, 6 or 8, n_r, n_z)`` array.
+
+    Mean modes contribute ``(ur, 0, uz, 0, uth, 0)`` and pressure
+    ``(P, 0)``: their sine slots do not enter any diagnostic.
+    """
+    zero = np.zeros_like(modes[0].ur)
+    rows = []
+    for i, m in enumerate(modes):
+        row = [m.ur, zero, m.uz, zero, m.uth, zero] if m.k == 0 \
+            else list(m.fields())
+        if pressures is not None:
+            row += [pressures[i].P, zero if m.k == 0 else pressures[i].Q]
+        rows.append(row)
+    return np.array(rows)
+
+
+def stack_forces(forces: dict, shape: tuple) -> np.ndarray:
+    """``{k: fields}`` (3 for the mean, 6 otherwise) as ``(K+1, 6, ...)``;
+    a missing harmonic is zero."""
+    out = np.zeros(shape)
+    for k, f in forces.items():
+        if len(f) == 3:
+            out[k, UR], out[k, UTH], out[k, UZ] = f
+        else:
+            out[k] = f
+    return out
+
+
+def inner_quad(grid: CylGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_s quad(a_s b_s)`` per harmonic of two ``(M, S, n_r, n_z)``
+    stacks."""
+    return np.einsum("msrz,msrz->mr", a, b) @ grid.w_r * grid.dz_weight
+
+
+@functools.lru_cache(maxsize=8)
+def _vertical_operators(n: int, L_z: float, j_max: int) -> np.ndarray:
+    """Matrices that right-multiply a field on ``n`` vertical nodes to give
+    ``dz^j`` for j = 0..j_max, then ``dz dz^j`` for j = 0..j_max: the
+    grid's spectral derivatives applied to the identity (read-only)."""
+    ik = 1j * (2.0 * np.pi / L_z) * np.arange(n // 2 + 1)
+    orders = list(range(j_max + 1)) + list(range(1, j_max + 2))
+    mult = np.array([ik**o for o in orders])
+    # n_z is even: odd orders of dz_pow, and every dz, drop the Nyquist bin
+    drop = [o % 2 == 1 for o in orders[:j_max + 1]] + [True] * (j_max + 1)
+    mult[np.array(drop), -1] = 0.0
+    ops = np.fft.irfft(np.fft.rfft(np.eye(n)) * mult[:, None], n=n)
+    ops[0] = np.eye(n)
+    ops.flags.writeable = False
+    return ops
+
+
+@dataclass(frozen=True)
+class ModeMeasures:
+    """Quadratic forms of M harmonics from one derivative pass.
+
+    Arrays indexed ``[j, i]`` hold vertical derivative order
+    ``j = 0..j_max`` of harmonic row i; the others are order 0.  With
+    ``f_j = dz^j f`` and sums over the velocity slots of a row:
+
+    - ``inst``: ``sum quad(f_j^2)``; ``dr_sq``/``dz_sq``: the same of
+      ``dr f_j``/``dz f_j``; ``over_r``: ``quad((f_j / r)^2)`` per slot;
+    - ``l2v_sq``: the radial profile ``sum int f_j^2 dz``;
+    - ``sup_sq``, ``sup_grad_sq``, ``sup_pair_sq``: radial profiles of the
+      vertical maxima of ``sum f^2``, ``sum (dr f)^2 + (dz f)^2`` and
+      ``(ur^2 + uth^2) / r^2``;
+    - ``cross``: ``quad((vr uth - ur vth) / r^2)``; ``div_sq``: ``quad`` of
+      the squared divergence of both families; ``press``: the pressure
+      work ``quad(dr P ur + dz P uz - kap P vth / r + dr Q vr + dz Q vz
+      + kap Q uth / r)``, zero when the pass had no pressures.
+    """
+
+    j_max: int
+    mean: np.ndarray
+    k_eff: np.ndarray
+    inst: np.ndarray
+    dr_sq: np.ndarray
+    dz_sq: np.ndarray
+    over_r: np.ndarray
+    l2v_sq: np.ndarray
+    sup_sq: np.ndarray
+    sup_grad_sq: np.ndarray
+    sup_pair_sq: np.ndarray
+    cross: np.ndarray
+    div_sq: np.ndarray
+    press: np.ndarray
+
+    @property
+    def theta(self) -> np.ndarray:
+        return np.where(self.mean, THETA_FULL, THETA_HALF)
+
+    def energy(self, j: int = 0) -> np.ndarray:
+        """Squared L2 norms over the solid cylinder of ``dz^j`` per row."""
+        return self.theta * self.inst[j]
+
+    def total_l2_sq(self) -> float:
+        return float(sum(self.energy()))
+
+    def pressure_work(self) -> np.ndarray:
+        return self.theta * self.press
+
+    def divergence_residual(self) -> np.ndarray:
+        """Divergence norm over ``||u|| + ||grad u|| + max(kap, 1) ||u/r||``
+        per row, in plain meridional norms; a zero harmonic reports 0."""
+        scale = (np.sqrt(self.inst[0]) + np.sqrt(self.dr_sq[0] + self.dz_sq[0])
+                 + np.maximum(self.k_eff, 1)
+                 * np.sqrt(self.over_r[0].sum(axis=-1)))
+        res = np.sqrt(np.maximum(self.div_sq, 0.0))
+        nonzero = self.inst[0] != 0.0
+        return np.divide(res, scale, out=np.zeros_like(res), where=nonzero)
+
+    def quadform_terms(self, nu: float) -> dict[str, np.ndarray]:
+        """Pieces of the discrete mode energy identity, theta folded in.
+
+        ``grad`` is ``||dr u||^2 + nu^2 ||dz u||^2``; ``pot`` the weighted
+        ``1/r`` terms (``(ur, uth) / r`` for the mean, ``kap^2 ||u/r||^2``
+        plus the four swirl-coupled slots otherwise); ``cross`` is
+        ``4 kap (<vr/r, uth/r> - <ur/r, vth/r>)``; ``dissipation`` the
+        coercive part ``grad`` plus the mean's ``pot`` or
+        ``(kap - 1)^2 ||u/r||^2``.  The identity reads
+        ``grad + pot - cross``.
+        """
+        over = self.over_r[0]
+        total = over.sum(axis=-1)
+        pair = over[:, UR] + over[:, UTH]
+        kap = self.k_eff
+        grad = self.dr_sq[0] + nu**2 * self.dz_sq[0]
+        pot = np.where(self.mean, pair,
+                       kap**2 * total + pair + over[:, VTH] + over[:, VR])
+        cross = np.where(self.mean, 0.0, 4.0 * kap * self.cross)
+        diss = grad + np.where(self.mean, pair, (kap - 1.0) ** 2 * total)
+        theta = self.theta
+        return {"grad": theta * grad, "pot": theta * pot,
+                "cross": theta * cross, "dissipation": theta * diss}
+
+
+def measure_modes(grid: CylGrid, modes, k_eff, pressures=None,
+                  j_max: int = 1) -> ModeMeasures:
+    """One pass over ``modes`` (each a ``ModeVelocity``) with effective
+    azimuthal wavenumbers ``k_eff`` and, optionally, their pressures."""
+    a = stack_modes(modes, pressures)
+    kap = np.asarray(k_eff, dtype=float)
+    inv_r = 1.0 / grid.r[:, None]
+    wq = grid.w_r * grid.dz_weight
+    wq_r, wq_r2 = wq / grid.r, wq / grid.r**2
+
+    zd = a @ _vertical_operators(grid.n_z, grid.L_z, j_max)[:, None, None]
+    vals, dzs = zd[:j_max + 1], zd[j_max + 1:]
+    drs = grid.D_r @ vals
+    u, du_r, du_z = vals[:, :, :P], drs[:, :, :P], dzs[:, :, :P]
+    slot_sq = np.einsum("jmsrz,jmsrz->jmsr", u, u)
+    l2v = slot_sq.sum(axis=2) * grid.dz_weight
+
+    u0, r0, z0 = u[0], du_r[0], du_z[0]
+    grad_pt = (np.einsum("msrz,msrz->mrz", r0, r0)
+               + np.einsum("msrz,msrz->mrz", z0, z0))
+    kv = kap[:, None, None] * inv_r
+    div_a = r0[:, UR] + u0[:, UR] * inv_r + z0[:, UZ] + kv * u0[:, VTH]
+    div_b = r0[:, VR] + u0[:, VR] * inv_r + z0[:, VZ] - kv * u0[:, UTH]
+
+    def dot(x, y):
+        return np.einsum("mrz,mrz->mr", x, y)
+
+    press = np.zeros(len(modes))
+    if pressures is not None:
+        p, pr, pz = vals[0, :, P:], drs[0, :, P:], dzs[0, :, P:]
+        press = ((dot(pr[:, 0], u0[:, UR]) + dot(pz[:, 0], u0[:, UZ])
+                  + dot(pr[:, 1], u0[:, VR]) + dot(pz[:, 1], u0[:, VZ])) @ wq
+                 + kap * ((dot(p[:, 1], u0[:, UTH]) - dot(p[:, 0], u0[:, VTH]))
+                          @ wq_r))
+    return ModeMeasures(
+        j_max=j_max,
+        mean=np.array([md.k == 0 for md in modes]),
+        k_eff=kap,
+        inst=l2v @ grid.w_r,
+        dr_sq=np.einsum("jmsrz,jmsrz->jmr", du_r, du_r) @ wq,
+        dz_sq=np.einsum("jmsrz,jmsrz->jmr", du_z, du_z) @ wq,
+        over_r=slot_sq @ wq_r2,
+        l2v_sq=l2v,
+        sup_sq=np.einsum("msrz,msrz->mrz", u0, u0).max(axis=-1),
+        sup_grad_sq=grad_pt.max(axis=-1),
+        sup_pair_sq=((u0[:, UR] ** 2 + u0[:, UTH] ** 2).max(axis=-1)
+                     * inv_r[:, 0] ** 2),
+        cross=(dot(u0[:, VR], u0[:, UTH]) - dot(u0[:, UR], u0[:, VTH])) @ wq_r2,
+        div_sq=(dot(div_a, div_a) + dot(div_b, div_b)) @ wq,
+        press=press,
+    )
+
+
+def measure_state(state, j_max: int = 1) -> ModeMeasures:
+    """The pass over every harmonic of a ``ModeState``, pressures included;
+    row k is harmonic k with ``kap = k N``."""
+    N = state.params.N
+    return measure_modes(state.grid, state.modes,
+                         [k * N for k in range(len(state.modes))],
+                         state.pressures, j_max)
+
+
+def mode_energy(grid: CylGrid, mode, j: int = 0) -> float:
+    """Squared L2 norm over the solid cylinder of ``dz^j`` of one harmonic."""
+    return float(measure_modes(grid, [mode], [0], j_max=j).energy(j)[0])

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .diagnostics import UR, UTH, ModeMeasures, measure_state
 from .grid import CylGrid
 from .state import InitProfile, ModeState, Params
 
@@ -25,11 +26,6 @@ REPORT_SCHEMA = "cylmode-report-v1"
 
 
 # -- history accumulation ------------------------------------------------------
-
-def _mode_fields(state: ModeState, k: int):
-    m = state.modes[k]
-    return (m.ur, m.uth, m.uz) if k == 0 else m.fields()
-
 
 @dataclass
 class _Channel:
@@ -109,8 +105,13 @@ class EnergyHistory:
         return len(self.times)
 
 
-def accumulate(history: EnergyHistory, state: ModeState) -> EnergyHistory:
-    """Append one snapshot; advances every running integral."""
+def accumulate(history: EnergyHistory, state: ModeState,
+               measures: ModeMeasures | None = None) -> EnergyHistory:
+    """Append one snapshot; advances every running integral.
+
+    ``measures`` is the state's diagnostics pass when the caller has one
+    covering ``history.j_max``; otherwise it is taken here.
+    """
     if history.times and state.t <= history.times[-1]:
         raise ValueError(
             f"snapshot time {state.t} does not advance past {history.times[-1]}")
@@ -120,64 +121,47 @@ def accumulate(history: EnergyHistory, state: ModeState) -> EnergyHistory:
         history.grid, history.K, history.N = g, p.K, p.N
     elif history.grid is not g or history.K != p.K:
         raise ValueError("history bound to a different grid or truncation")
+    ms = measures
+    if ms is None or ms.j_max < history.j_max:
+        ms = measure_state(state, history.j_max)
     history.times.append(float(state.t))
     times = history.times
     err = 0.0
-    r = g.r[:, None]
     for k in range(p.K + 1):
-        base = _mode_fields(state, k)
         for j in range(history.j_max + 1):
-            flds = [g.dz_pow(f, j) for f in base] if j else list(base)
-            inst = sum(g.quad(f * f) for f in flds)
-            grad = sum(g.quad(g.dr(f) ** 2) + g.quad(g.dz(f) ** 2)
-                       for f in flds)
-            dr_only = sum(g.quad(g.dr(f) ** 2) for f in flds)
-            over_r = sum(g.quad((f / r) ** 2) for f in flds)
-            err += history._channel(f"inst_{j}_{k}").append(inst, times)
-            err += history._channel(f"grad_{j}_{k}").append(grad, times)
-            err += history._channel(f"dr_{j}_{k}").append(dr_only, times)
-            err += history._channel(f"over_r_{j}_{k}").append(over_r, times)
+            over = ms.over_r[j, k]
+            err += history._channel(f"inst_{j}_{k}").append(ms.inst[j, k], times)
+            err += history._channel(f"grad_{j}_{k}").append(
+                ms.dr_sq[j, k] + ms.dz_sq[j, k], times)
+            err += history._channel(f"dr_{j}_{k}").append(ms.dr_sq[j, k], times)
+            err += history._channel(f"over_r_{j}_{k}").append(over.sum(), times)
             if k == 0:
-                pair = (g.quad((flds[0] / r) ** 2)
-                        + g.quad((flds[1] / r) ** 2))
-                err += history._channel(f"axis_pair_{j}").append(pair, times)
+                err += history._channel(f"axis_pair_{j}").append(
+                    over[UR] + over[UTH], times)
         if history.mixed:
-            err += _accumulate_mixed(history, g, p, k, base, times)
+            err += _accumulate_mixed(history, g, ms, k, times)
     history.error_estimate += err
     return history
 
 
-def _accumulate_mixed(history: EnergyHistory, g: CylGrid, p: Params,
-                      k: int, base, times) -> float:
-    dz_w = g.dz_weight
-    r = g.r[:, None]
+def _accumulate_mixed(history: EnergyHistory, g: CylGrid, ms: ModeMeasures,
+                      k: int, times) -> float:
+    w = g.w_r
     err = 0.0
     for j in (0, 1):
-        flds = [g.dz_pow(f, j) for f in base] if j else list(base)
-        l2v_sq = sum(f * f for f in flds).sum(axis=1) * dz_w
-        l4h = float(g.w_r @ l2v_sq**2) ** 0.25
+        l4h = float(w @ ms.l2v_sq[j, k] ** 2) ** 0.25
         err += history._channel(f"l4t_l4h_l2v_{j}_{k}", power=4.0).append(
             l4h, times)
-    mag_sq = sum(f * f for f in base)
-    linfv = np.sqrt(mag_sq.max(axis=1))
-    l4h_inf = float(g.w_r @ linfv**4) ** 0.25
     err += history._channel(f"l4t_l4h_linfv_{k}", power=4.0).append(
-        l4h_inf, times)
-    grad_sq = sum(g.dr(f) ** 2 + g.dz(f) ** 2 for f in base)
-    h_grad = np.sqrt(grad_sq.max(axis=1))
+        float(w @ ms.sup_sq[k] ** 2) ** 0.25, times)
     err += history._channel(f"l2t_l2h_linfv_grad_{k}", power=2.0).append(
-        math.sqrt(float(g.w_r @ h_grad**2)), times)
+        math.sqrt(float(w @ ms.sup_grad_sq[k])), times)
     if k == 0:
-        pair_sq = (base[0] / r) ** 2 + (base[1] / r) ** 2
-        h_pair = np.sqrt(pair_sq.max(axis=1))
-        err += history._channel("l2t_l2h_linfv_pair_0", power=2.0).append(
-            math.sqrt(float(g.w_r @ h_pair**2)), times)
+        name, sup = "l2t_l2h_linfv_pair_0", ms.sup_pair_sq[0]
     else:
-        over_sq = sum((f / r) ** 2 for f in base)
-        h_over = np.sqrt(over_sq.max(axis=1))
-        err += history._channel(f"l2t_l2h_linfv_over_r_{k}",
-                                power=2.0).append(
-            math.sqrt(float(g.w_r @ h_over**2)), times)
+        name, sup = f"l2t_l2h_linfv_over_r_{k}", ms.sup_sq[k] / g.r**2
+    err += history._channel(name, power=2.0).append(
+        math.sqrt(float(w @ sup)), times)
     return err
 
 

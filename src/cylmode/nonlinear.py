@@ -29,6 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .diagnostics import inner_quad, measure_state, stack_forces, stack_modes
 from .grid import THETA_FULL, THETA_HALF
 from .state import ModeState, ModeVelocity
 
@@ -85,23 +86,14 @@ def flux_identity_residual(state: ModeState) -> float:
     net work; the return value is ``|sum_k <rhs_k, u_k>|`` over the solid
     cylinder divided by ``||u||^2 ||grad u||``.
     """
-    g = state.grid
     rhs = assemble_quadratic_rhs(state)
-    r = g.r[:, None]
-    total = 0.0
-    l2_sq = 0.0
-    grad_sq = 0.0
-    for k in range(state.params.K + 1):
-        m = state.modes[k]
-        fields = (m.ur, m.uth, m.uz) if k == 0 else m.fields()
-        theta = THETA_FULL if k == 0 else THETA_HALF
-        kN = k * state.params.N
-        total += theta * sum(g.quad(f * w) for f, w in zip(rhs[k], fields))
-        l2_sq += theta * sum(g.quad(f * f) for f in fields)
-        grad_sq += theta * sum(
-            g.quad(g.dr(f) ** 2) + g.quad(g.dz(f) ** 2)
-            + kN**2 * g.quad((f / r) ** 2) for f in fields)
-    scale = l2_sq * math.sqrt(grad_sq)
+    u = stack_modes(state.modes)
+    ms = measure_state(state, 0)
+    total = float(np.sum(ms.theta * inner_quad(
+        state.grid, stack_forces(rhs, u.shape), u)))
+    grad_sq = float(np.sum(ms.theta * (
+        ms.dr_sq[0] + ms.dz_sq[0] + ms.k_eff**2 * ms.over_r[0].sum(axis=-1))))
+    scale = ms.total_l2_sq() * math.sqrt(grad_sq)
     if scale == 0.0:
         return 0.0
     return abs(total) / scale

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import CylGrid, build_grid, SCHEME_CHEBYSHEV, THETA_FULL, THETA_HALF
+from .diagnostics import measure_state, mode_energy
+from .grid import CylGrid, build_grid, SCHEME_CHEBYSHEV, THETA_FULL
 
 CHECKPOINT_MAGIC = b"CYLMODE1"
 
@@ -215,19 +216,11 @@ class ModeState:
         return self.modes[k]
 
     def mode_l2_sq(self, k: int, j: int = 0) -> float:
-        """Squared L2 norm over the solid cylinder of ``dz^j`` of harmonic k.
-
-        Integrating the reconstruction over theta turns ``cos**2``/``sin**2``
-        into the factor pi for k >= 1 and 2 pi for the mean.
-        """
-        g = self.grid
-        m = self.modes[k]
-        fields = m.fields() if k > 0 else (m.ur, m.uth, m.uz)
-        s = sum(g.quad(g.dz_pow(f, j) ** 2) for f in fields)
-        return (THETA_HALF if k > 0 else THETA_FULL) * s
+        """Squared L2 norm over the solid cylinder of ``dz^j`` of harmonic k."""
+        return mode_energy(self.grid, self.modes[k], j)
 
     def total_l2_sq(self) -> float:
-        return sum(self.mode_l2_sq(k) for k in range(self.params.K + 1))
+        return measure_state(self, 0).total_l2_sq()
 
 
 def make_initial_state(profile: InitProfile, params: Params,
@@ -355,42 +348,13 @@ def make_random_divfree_state(grid: CylGrid, params: Params, seed: int = 0,
 
 # -- divergence diagnostics --------------------------------------------------
 
-def mode_divergence(grid: CylGrid, mode: ModeVelocity, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise divergence residuals of the two families of a harmonic."""
-    r = grid.r[:, None]
-    k = mode.k
-    if k == 0:
-        div_a = grid.dr(mode.ur) + mode.ur / r + grid.dz(mode.uz)
-        return div_a, np.zeros_like(div_a)
-    kN = k * N
-    div_a = grid.dr(mode.ur) + mode.ur / r + grid.dz(mode.uz) + kN * mode.vth / r
-    div_b = grid.dr(mode.vr) + mode.vr / r + grid.dz(mode.vz) - kN * mode.uth / r
-    return div_a, div_b
-
-
 def divergence_residual(state: ModeState) -> np.ndarray:
     """Per-harmonic divergence residual, normalized by the mode H1 scale.
 
     The scale is ``||u|| + ||grad u|| + k_eff ||u / r||`` in plain meridional
     L2 norms; a zero harmonic reports zero residual.
     """
-    g = state.grid
-    r = g.r[:, None]
-    out = np.zeros(state.params.K + 1)
-    for k in range(state.params.K + 1):
-        m = state.modes[k]
-        div_a, div_b = mode_divergence(g, m, state.params.N)
-        res = math.sqrt(max(g.quad(div_a**2) + g.quad(div_b**2), 0.0))
-        fields = m.fields() if k > 0 else (m.ur, m.uth, m.uz)
-        l2 = math.sqrt(sum(g.quad(f**2) for f in fields))
-        if l2 == 0.0:
-            out[k] = 0.0
-            continue
-        h1 = math.sqrt(sum(g.quad(g.dr(f) ** 2) + g.quad(g.dz(f) ** 2) for f in fields))
-        over_r = math.sqrt(sum(g.quad((f / r) ** 2) for f in fields))
-        k_eff = max(k * state.params.N, 1)
-        out[k] = res / (l2 + h1 + k_eff * over_r)
-    return out
+    return measure_state(state, 0).divergence_residual()
 
 
 def reconstruct_point(state: ModeState, r_pt: float, theta: float, z_pt: float) -> np.ndarray:

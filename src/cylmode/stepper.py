@@ -18,16 +18,11 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import CFLViolationError, CylGrid, THETA_FULL, THETA_HALF
-from .state import ModeState, ModeVelocity, divergence_residual, save_checkpoint
-from .stokes import (
-    StokesOpCache,
-    mode_energy,
-    mode_quadform_terms,
-    pressure_work,
-    project_divfree,
-    stokes_step,
-)
+from .diagnostics import (ModeMeasures, inner_quad, measure_state, stack_forces,
+                          stack_modes)
+from .grid import CFLViolationError
+from .state import ModeState, ModeVelocity, save_checkpoint
+from .stokes import StokesOpCache, project_divfree, stokes_step
 from .nonlinear import assemble_quadratic_rhs
 
 SCHEME_EULER = "imex_euler"
@@ -70,11 +65,13 @@ class StepConfig:
 
 @dataclass
 class StepSession:
-    """Mutable bookkeeping shared by consecutive steps of one trajectory."""
+    """Mutable bookkeeping shared by consecutive steps of one trajectory;
+    ``measures`` is the diagnostics pass over the state last returned."""
 
     cache: StokesOpCache
     prev_state: ModeState | None = None
     prev_rhs: dict | None = None
+    measures: ModeMeasures | None = None
     step_count: int = 0
     cleanup_streak: int = 0
     cleanups_total: int = 0
@@ -185,9 +182,6 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
     ext = forcing(t_new) if forcing is not None else None
 
     use_bdf2 = cfg.scheme == SCHEME_BDF2 and session.prev_state is not None
-    if use_bdf2:
-        prev_quad = session.prev_rhs
-
     if not use_bdf2:
         rhs = _add_forcing(quad, ext)
         new = _solve_modes(state, rhs, cfg.dt, session, state.modes)
@@ -206,7 +200,7 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
         if cfg.nonlinear:
             extrap = {}
             for k in quad:
-                prev = prev_quad.get(k) if prev_quad else None
+                prev = session.prev_rhs.get(k) if session.prev_rhs else None
                 if prev is None:
                     extrap[k] = tuple(2.0 * a for a in quad[k])
                 else:
@@ -216,7 +210,8 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
         new = _solve_modes(state, rhs, 2.0 * cfg.dt / 3.0, session, work)
     new.t = t_new
 
-    res = divergence_residual(new)
+    meas = measure_state(new)
+    res = meas.divergence_residual()
     if float(res.max()) > cfg.div_tol:
         for k in range(p.K + 1):
             vel, _ = project_divfree(session.cache, new.modes[k], k * p.N)
@@ -227,7 +222,8 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
             raise DivergenceCleanupError(
                 "divergence cleanup required more than 3 consecutive steps; "
                 f"residual reached {float(res.max()):.3e}")
-        res = divergence_residual(new)
+        meas = measure_state(new)
+        res = meas.divergence_residual()
         if float(res.max()) > cfg.div_tol:
             raise DivergenceCleanupError(
                 f"projection cleanup left residual {float(res.max()):.3e} "
@@ -237,6 +233,7 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
 
     session.prev_state = state
     session.prev_rhs = quad
+    session.measures = meas
     session.step_count += 1
     return new
 
@@ -262,47 +259,40 @@ class BudgetRow:
 
 
 def energy_budget(state_before: ModeState, state_after: ModeState,
-                  forces: dict | None, dt: float) -> list[BudgetRow]:
+                  forces: dict | None, dt: float,
+                  before: ModeMeasures | None = None,
+                  after: ModeMeasures | None = None) -> list[BudgetRow]:
     """Per-harmonic ledger of the discrete energy identity over one step.
 
     ``forces`` is the explicit quadratic right-hand side evaluated at the
     pre-step state (None for a purely viscous run, making the transfer
-    exactly zero).  The imbalance column is the identity remainder
-    ``E_new - E_old + 2 dt (dissipation + pressure work - transfer)``; for
-    backward Euler it collects the scheme's ``||u_new - u_old||^2`` damping
-    and the transfer offset, both second order per step.
+    exactly zero); ``before``/``after`` are the states' diagnostics passes,
+    taken here when not given.  The imbalance column is the identity
+    remainder ``E_new - E_old + 2 dt (dissipation + pressure work -
+    transfer)``; for backward Euler it collects the scheme's
+    ``||u_new - u_old||^2`` damping and the transfer offset, both second
+    order per step.
     """
-    g = state_before.grid
     p = state_before.params
-    rows = []
-    for k in range(p.K + 1):
-        m_old = state_before.modes[k]
-        m_new = state_after.modes[k]
-        press = state_after.pressures[k]
-        k_eff = k * p.N
-        theta = THETA_FULL if k == 0 else THETA_HALF
-        terms = mode_quadform_terms(g, m_new, p.nu, k_eff)
-        diss_r = theta * sum(g.quad(g.dr(f) ** 2) for f in
-                             _budget_fields(m_new, k))
-        diss_z = terms["grad"] - diss_r
-        weighted = terms["pot"] + terms["cross"]
-        transfer = 0.0
-        if forces is not None and k in forces:
-            transfer = theta * sum(
-                g.quad(f * u) for f, u in
-                zip(forces[k], _budget_fields(m_old, k)))
-        pw = pressure_work(g, m_new, press, k_eff)
-        e_old = mode_energy(g, m_old)
-        e_new = mode_energy(g, m_new)
-        imbalance = (e_new - e_old
-                     + 2.0 * dt * (diss_r + diss_z + weighted + pw - transfer))
-        rows.append(BudgetRow(state_after.t, k, e_new, diss_r, diss_z,
-                              weighted, transfer, pw, imbalance))
-    return rows
-
-
-def _budget_fields(m: ModeVelocity, k: int):
-    return (m.ur, m.uth, m.uz) if k == 0 else m.fields()
+    before = before or measure_state(state_before, 0)
+    after = after or measure_state(state_after, 0)
+    theta = after.theta
+    terms = after.quadform_terms(p.nu)
+    diss_r = theta * after.dr_sq[0]
+    diss_z = theta * p.nu**2 * after.dz_sq[0]
+    weighted = terms["pot"] - terms["cross"]
+    transfer = np.zeros(p.K + 1)
+    if forces is not None:
+        old = stack_modes(state_before.modes)
+        transfer = theta * inner_quad(state_before.grid,
+                                     stack_forces(forces, old.shape), old)
+    pw = after.pressure_work()
+    e_new = after.energy()
+    imbalance = (e_new - before.energy()
+                 + 2.0 * dt * (diss_r + diss_z + weighted + pw - transfer))
+    cols = (e_new, diss_r, diss_z, weighted, transfer, pw, imbalance)
+    return [BudgetRow(state_after.t, k, *(float(c[k]) for c in cols))
+            for k in range(p.K + 1)]
 
 
 def write_budget_header(path: str) -> None:
@@ -321,9 +311,13 @@ def append_budget_rows(path: str, rows: list[BudgetRow]) -> None:
 
 @dataclass
 class RunSinks:
-    """Where run() sends its diagnostics; all fields optional."""
+    """Where run() sends its diagnostics; all fields optional.
 
-    on_snapshot: Callable[[ModeState], None] | None = None
+    ``on_snapshot`` receives a state and its diagnostics pass; budget rows
+    are computed only when ``on_budget`` or ``budget_csv`` reads them.
+    """
+
+    on_snapshot: Callable[[ModeState, ModeMeasures], None] | None = None
     on_budget: Callable[[list[BudgetRow]], None] | None = None
     budget_csv: str | None = None
     checkpoint_path: str | None = None
@@ -353,28 +347,33 @@ def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
     n_steps = int(round(cfg.t_end / cfg.dt))
     state = state0.copy()
     session = make_session(state)
+    budgets = sinks.budget_csv or sinks.on_budget
     if sinks.budget_csv:
         write_budget_header(sinks.budget_csv)
+    meas = measure_state(state)
     if sinks.on_snapshot:
-        sinks.on_snapshot(state)
-    e0 = state.total_l2_sq()
+        sinks.on_snapshot(state, meas)
+    e0 = meas.total_l2_sq()
     for n in range(1, n_steps + 1):
         new = step(state, cfg, session, forcing=forcing)
+        new_meas = session.measures
         if n % cfg.budget_every == 0:
-            # step() stashes the quadratic rhs it evaluated at the pre-step
-            # state, which is exactly the transfer integrand
-            rows = energy_budget(state, new, session.prev_rhs, cfg.dt)
-            if sinks.budget_csv:
-                append_budget_rows(sinks.budget_csv, rows)
-            if sinks.on_budget:
-                sinks.on_budget(rows)
+            if budgets:
+                # step() stashes the quadratic rhs it evaluated at the
+                # pre-step state, which is exactly the transfer integrand
+                rows = energy_budget(state, new, session.prev_rhs, cfg.dt,
+                                     meas, new_meas)
+                if sinks.budget_csv:
+                    append_budget_rows(sinks.budget_csv, rows)
+                if sinks.on_budget:
+                    sinks.on_budget(rows)
             if sinks.on_snapshot:
-                sinks.on_snapshot(new)
-        state = new
+                sinks.on_snapshot(new, new_meas)
+        state, meas = new, new_meas
         if (sinks.checkpoint_path and sinks.checkpoint_every
                 and n % sinks.checkpoint_every == 0):
             save_checkpoint(state, sinks.checkpoint_path)
-        energy = state.total_l2_sq()
+        energy = meas.total_l2_sq()
         if e0 > 0.0 and energy > 10.0 * e0:
             if sinks.checkpoint_path:
                 save_checkpoint(state, sinks.checkpoint_path)

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from .diagnostics import ModeMeasures, measure_modes, mode_energy
 from .grid import CylGrid, THETA_FULL, THETA_HALF
 from .state import ModeVelocity, ModePressure, ModeState, Params
 
@@ -337,13 +338,6 @@ def apply_viscous_operator(grid: CylGrid, mode: ModeVelocity, nu: float,
 
 # -- energy monitors ---------------------------------------------------------
 
-def mode_energy(grid: CylGrid, mode: ModeVelocity) -> float:
-    """Squared L2 norm over the solid cylinder of one harmonic."""
-    if mode.k == 0:
-        return THETA_FULL * sum(grid.quad(f * f) for f in (mode.ur, mode.uth, mode.uz))
-    return THETA_HALF * sum(grid.quad(f * f) for f in mode.fields())
-
-
 def mode_dissipation(grid: CylGrid, mode: ModeVelocity, nu: float, k_eff: int) -> float:
     """Weighted dissipation rate with the ``(k_eff - 1)**2`` radial weight.
 
@@ -351,60 +345,21 @@ def mode_dissipation(grid: CylGrid, mode: ModeVelocity, nu: float, k_eff: int) -
     gradient plus, for ``k_eff >= 1``, ``(k_eff - 1)^2 ||w/r||^2`` over all
     six fields, and for the mean the ``(u_r, u_th)/r`` terms.
     """
-    r = grid.r[:, None]
-    if mode.k == 0:
-        fields = (mode.ur, mode.uth, mode.uz)
-        theta = THETA_FULL
-    else:
-        fields = mode.fields()
-        theta = THETA_HALF
-    s = sum(grid.quad(grid.dr(f) ** 2) + nu**2 * grid.quad(grid.dz(f) ** 2)
-            for f in fields)
-    if mode.k == 0:
-        s += grid.quad((mode.ur / r) ** 2) + grid.quad((mode.uth / r) ** 2)
-    else:
-        s += (k_eff - 1) ** 2 * sum(grid.quad((f / r) ** 2) for f in fields)
-    return theta * s
+    terms = measure_modes(grid, [mode], [k_eff], j_max=0).quadform_terms(nu)
+    return float(terms["dissipation"][0])
 
 
-def mode_quadform_terms(grid: CylGrid, mode: ModeVelocity, nu: float,
-                        k_eff: int) -> dict[str, float]:
-    """Exact pieces of the discrete energy identity for one harmonic.
-
-    Returns the gradient term, the full weighted ``1/r`` potential terms and
-    the cross coupling ``4 kap (<v_r/r, u_th/r> - <u_r/r, v_th/r>)``, all
-    with the harmonic's theta measure folded in.
-    """
-    r = grid.r[:, None]
-    k = mode.k
-    theta = THETA_FULL if k == 0 else THETA_HALF
-    fields = (mode.ur, mode.uth, mode.uz) if k == 0 else mode.fields()
-    grad = sum(grid.quad(grid.dr(f) ** 2) + nu**2 * grid.quad(grid.dz(f) ** 2)
-               for f in fields)
-    if k == 0:
-        pot = grid.quad((mode.ur / r) ** 2) + grid.quad((mode.uth / r) ** 2)
-        cross = 0.0
-    else:
-        pot = k_eff**2 * sum(grid.quad((f / r) ** 2) for f in fields)
-        pot += sum(grid.quad((f / r) ** 2)
-                   for f in (mode.ur, mode.vth, mode.vr, mode.uth))
-        cross = 4.0 * k_eff * (grid.quad((mode.vr / r) * (mode.uth / r))
-                               - grid.quad((mode.ur / r) * (mode.vth / r)))
-    return {"grad": theta * grad, "pot": theta * pot, "cross": theta * cross}
-
-
-def pressure_work(grid: CylGrid, mode: ModeVelocity, press: ModePressure,
-                  k_eff: int) -> float:
-    """Discrete work of the pressure terms against the velocity."""
-    theta = THETA_FULL if mode.k == 0 else THETA_HALF
-    r = grid.r[:, None]
-    w = grid.quad(grid.dr(press.P) * mode.ur) + grid.quad(grid.dz(press.P) * mode.uz)
-    if mode.k == 0:
-        return theta * w
-    w += -k_eff * grid.quad(press.P * mode.vth / r)
-    w += (grid.quad(grid.dr(press.Q) * mode.vr) + grid.quad(grid.dz(press.Q) * mode.vz)
-          + k_eff * grid.quad(press.Q * mode.uth / r))
-    return theta * w
+def _identity_residual(grid: CylGrid, old: ModeVelocity, new: ModeVelocity,
+                       e_old: float, after: ModeMeasures, nu: float,
+                       dt: float, fwork: float = 0.0) -> float:
+    """Remainder of the backward-Euler energy identity over one step, per
+    unit time; ``after`` is the pass over ``new`` with its pressure."""
+    delta = ModeVelocity(old.k, *[fn - fo for fn, fo in
+                                  zip(new.fields(), old.fields())])
+    terms = {name: v[0] for name, v in after.quadform_terms(nu).items()}
+    return float((after.energy()[0] - e_old) / dt + mode_energy(grid, delta) / dt
+                 + 2.0 * (terms["grad"] + terms["pot"]) - 2.0 * terms["cross"]
+                 + 2.0 * after.pressure_work()[0] - 2.0 * fwork)
 
 
 # -- evolution drivers -------------------------------------------------------
@@ -448,29 +403,22 @@ def stokes_evolve(cache: StokesOpCache, mode0: ModeVelocity, dt: float,
     for _ in range(n_steps):
         f = forcing(t) if callable(forcing) else forcing
         new, press = stokes_step(cache, mode, f, dt, k_eff)
+        after = measure_modes(g, [new], [k_eff],
+                              [press] if with_identity else None, j_max=0)
         if with_identity:
-            e_new = mode_energy(g, new)
-            e_old = hist.energy[-1]
-            delta = ModeVelocity(mode.k, *[fn - fo for fn, fo in
-                                           zip(new.fields(), mode.fields())])
-            terms = mode_quadform_terms(g, new, cache.nu, k_eff)
             fwork = 0.0
             if f is not None:
                 fn = _normalize_forcing(mode.k, f, mode.ur.shape)
                 theta = THETA_FULL if mode.k == 0 else THETA_HALF
                 fwork = theta * sum(g.quad(fi * wi) for fi, wi in
                                     zip(fn, new.fields()))
-            resid = ((e_new - e_old) / dt + mode_energy(g, delta) / dt
-                     + 2.0 * (terms["grad"] + terms["pot"])
-                     - 2.0 * terms["cross"]
-                     + 2.0 * pressure_work(g, new, press, k_eff)
-                     - 2.0 * fwork)
-            hist.identity_residual.append(resid)
+            hist.identity_residual.append(_identity_residual(
+                g, mode, new, hist.energy[-1], after, cache.nu, dt, fwork))
         mode = new
         t += dt
-        run_diss += dt * mode_dissipation(g, mode, cache.nu, k_eff)
+        run_diss += dt * float(after.quadform_terms(cache.nu)["dissipation"][0])
         hist.times.append(t)
-        hist.energy.append(mode_energy(g, mode))
+        hist.energy.append(float(after.energy()[0]))
         hist.diss_integral.append(run_diss)
     return mode, hist
 
@@ -539,39 +487,23 @@ def linear_flow_uL(profile, params: Params, dt: float, n_steps: int,
     state = make_initial_state(profile, params)
     m1 = state.modes[1]
     cache = StokesOpCache(g, 0.0)
-    r = g.r[:, None]
     N = params.N
-    sup_sq = np.zeros(j_max + 1)
+    before = measure_modes(g, [m1], [N], j_max=j_max)
+    sup_sq = THETA_HALF * before.inst[:, 0]
     int_dr = np.zeros(j_max + 1)
     int_over_r = np.zeros(j_max + 1)
-
-    def measure(mode, into_sup, accumulate):
-        for j in range(j_max + 1):
-            djf = [g.dz_pow(f, j) for f in mode.fields()]
-            e = THETA_HALF * sum(g.quad(f * f) for f in djf)
-            into_sup[j] = max(into_sup[j], e)
-            if accumulate:
-                int_dr[j] += dt * THETA_HALF * sum(g.quad(g.dr(f) ** 2) for f in djf)
-                int_over_r[j] += dt * THETA_HALF * sum(g.quad((f / r) ** 2) for f in djf)
-
-    measure(m1, sup_sq, accumulate=False)
     mode = m1
     ident_max = 0.0
-    e_prev = mode_energy(g, mode)
     for _ in range(n_steps):
         new, press = stokes_step(cache, mode, None, dt, N)
-        e_new = mode_energy(g, new)
-        delta = ModeVelocity(1, *[fn - fo for fn, fo in
-                                  zip(new.fields(), mode.fields())])
-        terms = mode_quadform_terms(g, new, 0.0, N)
-        resid = ((e_new - e_prev) / dt + mode_energy(g, delta) / dt
-                 + 2.0 * (terms["grad"] + terms["pot"]) - 2.0 * terms["cross"]
-                 + 2.0 * pressure_work(g, new, press, N))
-        scale = max(e_prev / dt, 1e-300)
-        ident_max = max(ident_max, abs(resid) / scale)
-        mode = new
-        e_prev = e_new
-        measure(mode, sup_sq, accumulate=True)
+        after = measure_modes(g, [new], [N], [press], j_max=j_max)
+        e_prev = float(before.energy()[0])
+        resid = _identity_residual(g, mode, new, e_prev, after, 0.0, dt)
+        ident_max = max(ident_max, abs(resid) / max(e_prev / dt, 1e-300))
+        sup_sq = np.maximum(sup_sq, THETA_HALF * after.inst[:, 0])
+        int_dr += dt * THETA_HALF * after.dr_sq[:, 0]
+        int_over_r += dt * THETA_HALF * after.over_r[:, 0].sum(axis=-1)
+        mode, before = new, after
     prof_sq = np.array([profile.norm_dz(j) ** 2 for j in range(j_max + 1)])
     fac = float(N) ** (2.0 * params.delta) * prof_sq
     report = {

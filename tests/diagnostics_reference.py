@@ -1,0 +1,279 @@
+"""Per-field diagnostic formulas: the reference for the batched pass tests.
+
+The package reduces every run diagnostic from one derivative-and-quadrature
+pass per state (``cylmode.diagnostics``).  This module keeps the earlier,
+independent evaluation: every field of every harmonic is differentiated
+and integrated on its own with ``CylGrid.dr``, ``dz``, ``dz_pow`` and
+``quad``, one call per field, harmonic and derivative order.
+
+The formulas are those of ``functionals.accumulate``,
+``state.divergence_residual``, ``ModeState.mode_l2_sq``/``total_l2_sq``,
+``stokes.mode_energy``/``mode_dissipation``/``mode_quadform_terms``/
+``pressure_work``, ``nonlinear.flux_identity_residual`` and
+``stepper.energy_budget`` as they stood before the pass replaced them,
+with one correction: the budget's weighted column is ``pot - cross``, the
+sign of the discrete energy identity that
+``stokes_evolve(with_identity=True)`` checks (it read ``pot + cross``).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from cylmode.functionals import EnergyHistory
+from cylmode.grid import CylGrid, THETA_FULL, THETA_HALF
+from cylmode.nonlinear import assemble_quadratic_rhs
+from cylmode.state import ModePressure, ModeState, ModeVelocity
+from cylmode.stepper import BudgetRow
+
+
+def _mode_fields(state: ModeState, k: int):
+    m = state.modes[k]
+    return (m.ur, m.uth, m.uz) if k == 0 else m.fields()
+
+
+# -- functionals.accumulate --------------------------------------------------
+
+def reference_accumulate(history: EnergyHistory,
+                         state: ModeState) -> EnergyHistory:
+    """Append one snapshot; advances every running integral."""
+    if history.times and state.t <= history.times[-1]:
+        raise ValueError(
+            f"snapshot time {state.t} does not advance past {history.times[-1]}")
+    g = state.grid
+    p = state.params
+    if history.grid is None:
+        history.grid, history.K, history.N = g, p.K, p.N
+    elif history.grid is not g or history.K != p.K:
+        raise ValueError("history bound to a different grid or truncation")
+    history.times.append(float(state.t))
+    times = history.times
+    err = 0.0
+    r = g.r[:, None]
+    for k in range(p.K + 1):
+        base = _mode_fields(state, k)
+        for j in range(history.j_max + 1):
+            flds = [g.dz_pow(f, j) for f in base] if j else list(base)
+            inst = sum(g.quad(f * f) for f in flds)
+            grad = sum(g.quad(g.dr(f) ** 2) + g.quad(g.dz(f) ** 2)
+                       for f in flds)
+            dr_only = sum(g.quad(g.dr(f) ** 2) for f in flds)
+            over_r = sum(g.quad((f / r) ** 2) for f in flds)
+            err += history._channel(f"inst_{j}_{k}").append(inst, times)
+            err += history._channel(f"grad_{j}_{k}").append(grad, times)
+            err += history._channel(f"dr_{j}_{k}").append(dr_only, times)
+            err += history._channel(f"over_r_{j}_{k}").append(over_r, times)
+            if k == 0:
+                pair = (g.quad((flds[0] / r) ** 2)
+                        + g.quad((flds[1] / r) ** 2))
+                err += history._channel(f"axis_pair_{j}").append(pair, times)
+        if history.mixed:
+            err += _accumulate_mixed(history, g, k, base, times)
+    history.error_estimate += err
+    return history
+
+
+def _accumulate_mixed(history: EnergyHistory, g: CylGrid, k: int, base,
+                      times) -> float:
+    dz_w = g.dz_weight
+    r = g.r[:, None]
+    err = 0.0
+    for j in (0, 1):
+        flds = [g.dz_pow(f, j) for f in base] if j else list(base)
+        l2v_sq = sum(f * f for f in flds).sum(axis=1) * dz_w
+        l4h = float(g.w_r @ l2v_sq**2) ** 0.25
+        err += history._channel(f"l4t_l4h_l2v_{j}_{k}", power=4.0).append(
+            l4h, times)
+    mag_sq = sum(f * f for f in base)
+    linfv = np.sqrt(mag_sq.max(axis=1))
+    l4h_inf = float(g.w_r @ linfv**4) ** 0.25
+    err += history._channel(f"l4t_l4h_linfv_{k}", power=4.0).append(
+        l4h_inf, times)
+    grad_sq = sum(g.dr(f) ** 2 + g.dz(f) ** 2 for f in base)
+    h_grad = np.sqrt(grad_sq.max(axis=1))
+    err += history._channel(f"l2t_l2h_linfv_grad_{k}", power=2.0).append(
+        math.sqrt(float(g.w_r @ h_grad**2)), times)
+    if k == 0:
+        pair_sq = (base[0] / r) ** 2 + (base[1] / r) ** 2
+        h_pair = np.sqrt(pair_sq.max(axis=1))
+        err += history._channel("l2t_l2h_linfv_pair_0", power=2.0).append(
+            math.sqrt(float(g.w_r @ h_pair**2)), times)
+    else:
+        over_sq = sum((f / r) ** 2 for f in base)
+        h_over = np.sqrt(over_sq.max(axis=1))
+        err += history._channel(f"l2t_l2h_linfv_over_r_{k}",
+                                power=2.0).append(
+            math.sqrt(float(g.w_r @ h_over**2)), times)
+    return err
+
+
+# -- state ---------------------------------------------------------------------
+
+def reference_mode_l2_sq(state: ModeState, k: int, j: int = 0) -> float:
+    g = state.grid
+    m = state.modes[k]
+    fields = m.fields() if k > 0 else (m.ur, m.uth, m.uz)
+    s = sum(g.quad(g.dz_pow(f, j) ** 2) for f in fields)
+    return (THETA_HALF if k > 0 else THETA_FULL) * s
+
+
+def reference_total_l2_sq(state: ModeState) -> float:
+    return sum(reference_mode_l2_sq(state, k)
+               for k in range(state.params.K + 1))
+
+
+def mode_divergence(grid: CylGrid, mode: ModeVelocity,
+                    N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise divergence residuals of the two families of a harmonic."""
+    r = grid.r[:, None]
+    k = mode.k
+    if k == 0:
+        div_a = grid.dr(mode.ur) + mode.ur / r + grid.dz(mode.uz)
+        return div_a, np.zeros_like(div_a)
+    kN = k * N
+    div_a = grid.dr(mode.ur) + mode.ur / r + grid.dz(mode.uz) + kN * mode.vth / r
+    div_b = grid.dr(mode.vr) + mode.vr / r + grid.dz(mode.vz) - kN * mode.uth / r
+    return div_a, div_b
+
+
+def reference_divergence_residual(state: ModeState) -> np.ndarray:
+    g = state.grid
+    r = g.r[:, None]
+    out = np.zeros(state.params.K + 1)
+    for k in range(state.params.K + 1):
+        m = state.modes[k]
+        div_a, div_b = mode_divergence(g, m, state.params.N)
+        res = math.sqrt(max(g.quad(div_a**2) + g.quad(div_b**2), 0.0))
+        fields = m.fields() if k > 0 else (m.ur, m.uth, m.uz)
+        l2 = math.sqrt(sum(g.quad(f**2) for f in fields))
+        if l2 == 0.0:
+            out[k] = 0.0
+            continue
+        h1 = math.sqrt(sum(g.quad(g.dr(f) ** 2) + g.quad(g.dz(f) ** 2) for f in fields))
+        over_r = math.sqrt(sum(g.quad((f / r) ** 2) for f in fields))
+        k_eff = max(k * state.params.N, 1)
+        out[k] = res / (l2 + h1 + k_eff * over_r)
+    return out
+
+
+# -- stokes ------------------------------------------------------------------------
+
+def reference_mode_energy(grid: CylGrid, mode: ModeVelocity) -> float:
+    if mode.k == 0:
+        return THETA_FULL * sum(grid.quad(f * f) for f in (mode.ur, mode.uth, mode.uz))
+    return THETA_HALF * sum(grid.quad(f * f) for f in mode.fields())
+
+
+def reference_mode_dissipation(grid: CylGrid, mode: ModeVelocity, nu: float,
+                               k_eff: int) -> float:
+    r = grid.r[:, None]
+    if mode.k == 0:
+        fields = (mode.ur, mode.uth, mode.uz)
+        theta = THETA_FULL
+    else:
+        fields = mode.fields()
+        theta = THETA_HALF
+    s = sum(grid.quad(grid.dr(f) ** 2) + nu**2 * grid.quad(grid.dz(f) ** 2)
+            for f in fields)
+    if mode.k == 0:
+        s += grid.quad((mode.ur / r) ** 2) + grid.quad((mode.uth / r) ** 2)
+    else:
+        s += (k_eff - 1) ** 2 * sum(grid.quad((f / r) ** 2) for f in fields)
+    return theta * s
+
+
+def reference_mode_quadform_terms(grid: CylGrid, mode: ModeVelocity, nu: float,
+                                  k_eff: int) -> dict[str, float]:
+    r = grid.r[:, None]
+    k = mode.k
+    theta = THETA_FULL if k == 0 else THETA_HALF
+    fields = (mode.ur, mode.uth, mode.uz) if k == 0 else mode.fields()
+    grad = sum(grid.quad(grid.dr(f) ** 2) + nu**2 * grid.quad(grid.dz(f) ** 2)
+               for f in fields)
+    if k == 0:
+        pot = grid.quad((mode.ur / r) ** 2) + grid.quad((mode.uth / r) ** 2)
+        cross = 0.0
+    else:
+        pot = k_eff**2 * sum(grid.quad((f / r) ** 2) for f in fields)
+        pot += sum(grid.quad((f / r) ** 2)
+                   for f in (mode.ur, mode.vth, mode.vr, mode.uth))
+        cross = 4.0 * k_eff * (grid.quad((mode.vr / r) * (mode.uth / r))
+                               - grid.quad((mode.ur / r) * (mode.vth / r)))
+    return {"grad": theta * grad, "pot": theta * pot, "cross": theta * cross}
+
+
+def reference_pressure_work(grid: CylGrid, mode: ModeVelocity,
+                            press: ModePressure, k_eff: int) -> float:
+    theta = THETA_FULL if mode.k == 0 else THETA_HALF
+    r = grid.r[:, None]
+    w = grid.quad(grid.dr(press.P) * mode.ur) + grid.quad(grid.dz(press.P) * mode.uz)
+    if mode.k == 0:
+        return theta * w
+    w += -k_eff * grid.quad(press.P * mode.vth / r)
+    w += (grid.quad(grid.dr(press.Q) * mode.vr) + grid.quad(grid.dz(press.Q) * mode.vz)
+          + k_eff * grid.quad(press.Q * mode.uth / r))
+    return theta * w
+
+
+# -- nonlinear.flux_identity_residual ----------------------------------------
+
+def reference_flux_identity_residual(state: ModeState) -> float:
+    g = state.grid
+    rhs = assemble_quadratic_rhs(state)
+    r = g.r[:, None]
+    total = 0.0
+    l2_sq = 0.0
+    grad_sq = 0.0
+    for k in range(state.params.K + 1):
+        m = state.modes[k]
+        fields = (m.ur, m.uth, m.uz) if k == 0 else m.fields()
+        theta = THETA_FULL if k == 0 else THETA_HALF
+        kN = k * state.params.N
+        total += theta * sum(g.quad(f * w) for f, w in zip(rhs[k], fields))
+        l2_sq += theta * sum(g.quad(f * f) for f in fields)
+        grad_sq += theta * sum(
+            g.quad(g.dr(f) ** 2) + g.quad(g.dz(f) ** 2)
+            + kN**2 * g.quad((f / r) ** 2) for f in fields)
+    scale = l2_sq * math.sqrt(grad_sq)
+    if scale == 0.0:
+        return 0.0
+    return abs(total) / scale
+
+
+# -- stepper.energy_budget ------------------------------------------------------
+
+def _budget_fields(m: ModeVelocity, k: int):
+    return (m.ur, m.uth, m.uz) if k == 0 else m.fields()
+
+
+def reference_energy_budget(state_before: ModeState, state_after: ModeState,
+                            forces: dict | None, dt: float) -> list[BudgetRow]:
+    g = state_before.grid
+    p = state_before.params
+    rows = []
+    for k in range(p.K + 1):
+        m_old = state_before.modes[k]
+        m_new = state_after.modes[k]
+        press = state_after.pressures[k]
+        k_eff = k * p.N
+        theta = THETA_FULL if k == 0 else THETA_HALF
+        terms = reference_mode_quadform_terms(g, m_new, p.nu, k_eff)
+        diss_r = theta * sum(g.quad(g.dr(f) ** 2) for f in
+                             _budget_fields(m_new, k))
+        diss_z = terms["grad"] - diss_r
+        weighted = terms["pot"] - terms["cross"]
+        transfer = 0.0
+        if forces is not None and k in forces:
+            transfer = theta * sum(
+                g.quad(f * u) for f, u in
+                zip(forces[k], _budget_fields(m_old, k)))
+        pw = reference_pressure_work(g, m_new, press, k_eff)
+        e_old = reference_mode_energy(g, m_old)
+        e_new = reference_mode_energy(g, m_new)
+        imbalance = (e_new - e_old
+                     + 2.0 * dt * (diss_r + diss_z + weighted + pw - transfer))
+        rows.append(BudgetRow(state_after.t, k, e_new, diss_r, diss_z,
+                              weighted, transfer, pw, imbalance))
+    return rows

@@ -126,7 +126,7 @@ def test_criterion_03_divergence_preservation(grid48):
     state = make_initial_state(profile, params)
     worst = 0.0
 
-    def watch(st):
+    def watch(st, _measures):
         nonlocal worst
         worst = max(worst, float(np.max(divergence_residual(st))))
 
@@ -264,8 +264,8 @@ def test_criterion_08_per_harmonic_decay_trend(grid48):
     # accumulate every step: the harmonic's fast initial transient must be
     # resolved by the running time integrals, not smeared by coarse sampling
     cfg = StepConfig(dt=2.5e-3, t_end=1.0, budget_every=1, nonlinear=True)
-    result = run(state, cfg, sinks=RunSinks(on_snapshot=lambda st:
-                                            accumulate(history, st)))
+    result = run(state, cfg, sinks=RunSinks(on_snapshot=lambda st, ms:
+                                            accumulate(history, st, ms)))
     rep = decay_report(history, params)
     rate = rep.fitted["rate_j0"]
     need = params.eta * math.log(params.N)
@@ -295,8 +295,8 @@ def test_criterion_09_mean_mode_scaling(grid48):
         history = EnergyHistory(j_max=1)
         cfg = StepConfig(dt=2.5e-3, t_end=0.5, budget_every=5,
                          nonlinear=True)
-        result = run(state, cfg, sinks=RunSinks(on_snapshot=lambda st:
-                                                accumulate(history, st)))
+        result = run(state, cfg, sinks=RunSinks(on_snapshot=lambda st, ms:
+                                                accumulate(history, st, ms)))
         assert not result.aborted
         return math.sqrt(history.sup_at("inst_0_0")) / alpha
 

@@ -1,0 +1,228 @@
+"""The batched diagnostics pass against the per-field reference formulas.
+
+Every history channel, the divergence residual and every budget column is
+checked per harmonic against ``diagnostics_reference``, on random states
+(not divergence-free, Nyquist content included, random pressures) and on
+cascading ones whose harmonic k is scaled by 1e-4^k, so that a harmonic
+far below the leading one must keep its own relative accuracy.
+"""
+
+import numpy as np
+import pytest
+
+from cylmode import functionals as F
+from cylmode import stepper
+from cylmode.diagnostics import measure_modes, measure_state
+from cylmode.grid import CylGrid, build_grid
+from cylmode.nonlinear import flux_identity_residual
+from cylmode.state import (
+    ModeState,
+    ModeVelocity,
+    Params,
+    divergence_residual,
+    make_random_divfree_state,
+)
+from cylmode.stepper import RunSinks, StepConfig, energy_budget, run
+from cylmode.stokes import mode_dissipation, mode_energy
+
+import diagnostics_reference as ref
+
+TOL = 1e-13
+CASES = [(4, False), (4, True), (12, False), (12, True)]
+CASE_IDS = ["K4-random", "K4-cascade", "K12-random", "K12-cascade"]
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return build_grid(n_r=14, n_z=16, L_z=2.0 * np.pi)
+
+
+def _random_state(grid, K, cascade, seed, t=0.0):
+    p = Params(nu=1.0, N=3, delta=0.1, eta=0.2, K=K)
+    rng = np.random.default_rng(seed)
+    st = ModeState.zeros(grid, p, t=t)
+    shape = (grid.n_r, grid.n_z)
+    for k, m in enumerate(st.modes):
+        s = 1e-4**k if cascade else 1.0
+        f = [s * rng.standard_normal(shape) for _ in range(6)]
+        if k == 0:
+            m.ur, m.uth, m.uz = f[0], f[4], f[2]
+        else:
+            m.set_fields(f)
+        st.pressures[k].P = s * rng.standard_normal(shape)
+        if k > 0:
+            st.pressures[k].Q = s * rng.standard_normal(shape)
+    return st
+
+
+def _random_forces(st, seed):
+    rng = np.random.default_rng(seed)
+    shape = st.modes[0].ur.shape
+    out = {}
+    for k in range(st.params.K + 1):
+        s = float(np.abs(st.modes[k].ur).max())
+        out[k] = tuple(s * rng.standard_normal(shape)
+                       for _ in range(3 if k == 0 else 6))
+    return out
+
+
+def _channel_key(name):
+    """(harmonic, family) of a history channel: squared forms and the
+    mixed norms have different scales."""
+    k = 0 if name.startswith("axis_pair") else int(name.rsplit("_", 1)[1])
+    return k, "mixed" if name.startswith(("l4t", "l2t")) else "sq"
+
+
+@pytest.mark.parametrize("K,cascade", CASES, ids=CASE_IDS)
+def test_history_channels_match_reference(grid, K, cascade):
+    states = [_random_state(grid, K, cascade, seed=s, t=0.1 * s)
+              for s in range(3)]
+    got = F.EnergyHistory(j_max=1, mixed=True)
+    want = F.EnergyHistory(j_max=1, mixed=True)
+    for st in states:
+        F.accumulate(got, st)
+        ref.reference_accumulate(want, st)
+    assert list(got._ch) == list(want._ch)
+    scale = {}
+    for name in want._ch:
+        key = _channel_key(name)
+        top = max(np.abs(want.series(name)).max(),
+                  np.abs(want.integral_series(name)).max())
+        scale[key] = max(scale.get(key, 0.0), top)
+    for name in want._ch:
+        s = scale[_channel_key(name)]
+        assert s > 0.0
+        np.testing.assert_allclose(got.series(name), want.series(name),
+                                   rtol=0, atol=TOL * s, err_msg=name)
+        np.testing.assert_allclose(got.integral_series(name),
+                                   want.integral_series(name),
+                                   rtol=0, atol=TOL * s, err_msg=name)
+        assert got._ch[name].power == want._ch[name].power
+
+
+@pytest.mark.parametrize("K,cascade", CASES, ids=CASE_IDS)
+def test_divergence_residual_matches_reference(grid, K, cascade):
+    st = _random_state(grid, K, cascade, seed=4)
+    want = ref.reference_divergence_residual(st)
+    # normalized by each harmonic's own H1 scale, so order one here
+    assert want.min() > 1e-3
+    np.testing.assert_allclose(divergence_residual(st), want,
+                               rtol=0, atol=TOL)
+
+
+def test_divergence_residual_of_zero_and_divfree_harmonics(grid):
+    p = Params(nu=1.0, N=3, delta=0.1, eta=0.2, K=4)
+    st = make_random_divfree_state(grid, p, seed=2)
+    st.modes[3] = ModeVelocity.zeros(3, st.modes[3].ur.shape)
+    got = divergence_residual(st)
+    assert got[3] == 0.0
+    np.testing.assert_allclose(got, ref.reference_divergence_residual(st),
+                               rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("K,cascade", CASES, ids=CASE_IDS)
+def test_flux_residual_matches_reference(grid, K, cascade):
+    # a random state is far from divergence-free, so the flux is order one
+    st = _random_state(grid, K, cascade, seed=9)
+    want = ref.reference_flux_identity_residual(st)
+    assert want > 1e-6
+    assert flux_identity_residual(st) == pytest.approx(want, rel=TOL)
+
+
+@pytest.mark.parametrize("K,cascade", CASES, ids=CASE_IDS)
+def test_budget_columns_match_reference(grid, K, cascade):
+    before = _random_state(grid, K, cascade, seed=5)
+    after = _random_state(grid, K, cascade, seed=6, t=0.01)
+    forces = _random_forces(before, seed=7)
+    dt = 1e-2
+    got = energy_budget(before, after, forces, dt)
+    want = ref.reference_energy_budget(before, after, forces, dt)
+    assert len(got) == len(want) == K + 1
+    for k, (g_row, w_row) in enumerate(zip(got, want)):
+        e_old = ref.reference_mode_energy(grid, before.modes[k])
+        cols = w_row.as_tuple()[2:]
+        scale = max(abs(e_old), *(abs(c) for c in cols))
+        assert g_row.as_tuple()[:2] == w_row.as_tuple()[:2]
+        np.testing.assert_allclose(g_row.as_tuple()[2:], cols,
+                                   rtol=0, atol=TOL * scale,
+                                   err_msg=f"harmonic {k}")
+
+
+@pytest.mark.parametrize("K,cascade", CASES, ids=CASE_IDS)
+def test_mode_readers_match_reference(grid, K, cascade):
+    st = _random_state(grid, K, cascade, seed=8)
+    N, nu = st.params.N, 0.7
+    total = ref.reference_total_l2_sq(st)
+    assert st.total_l2_sq() == pytest.approx(total, rel=TOL)
+    for k, m in enumerate(st.modes):
+        e = ref.reference_mode_energy(grid, m)
+        assert mode_energy(grid, m) == pytest.approx(e, rel=TOL)
+        for j in range(3):
+            assert st.mode_l2_sq(k, j) == pytest.approx(
+                ref.reference_mode_l2_sq(st, k, j), rel=TOL)
+        want = ref.reference_mode_quadform_terms(grid, m, nu, k * N)
+        want["dissipation"] = ref.reference_mode_dissipation(grid, m, nu, k * N)
+        got = measure_modes(grid, [m], [k * N], j_max=0).quadform_terms(nu)
+        s = max(abs(v) for v in want.values())
+        for name, v in want.items():
+            assert abs(got[name][0] - v) <= TOL * s, (k, name)
+        assert abs(mode_dissipation(grid, m, nu, k * N)
+                   - want["dissipation"]) <= TOL * s
+        pw = ref.reference_pressure_work(grid, m, st.pressures[k], k * N)
+        assert abs(measure_state(st).pressure_work()[k] - pw) <= TOL * s
+
+
+def _count_grid_calls(monkeypatch):
+    counts = {}
+    for name in ("dr", "dz", "dz_pow", "quad"):
+        original = getattr(CylGrid, name)
+
+        def wrapper(self, *args, _name=name, _original=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CylGrid, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("K", [4, 12])
+def test_one_step_grid_calls_do_not_grow_with_K(grid, monkeypatch, K):
+    # per-field diagnostics made one call per field, harmonic and
+    # derivative order: hundreds per step at these K
+    p = Params(nu=1.0, N=3, delta=0.1, eta=0.2, K=K)
+    st = make_random_divfree_state(grid, p, seed=1, amplitude=1e-3)
+    history = F.EnergyHistory(j_max=1, mixed=True)
+    rows = []
+    counts = _count_grid_calls(monkeypatch)
+    res = run(st, StepConfig(dt=1e-3, t_end=1e-3),
+              sinks=RunSinks(on_snapshot=lambda s, ms:
+                             F.accumulate(history, s, ms),
+                             on_budget=rows.append))
+    assert res.n_steps == 1 and history.n_snapshots == 2 and len(rows) == 1
+    assert sum(counts.values()) <= 4, counts
+
+
+def test_sinkless_run_computes_no_budgets(grid, monkeypatch):
+    p = Params(nu=1.0, N=3, delta=0.1, eta=0.2, K=3)
+    st = make_random_divfree_state(grid, p, seed=3, amplitude=1e-2)
+    cfg = StepConfig(dt=1e-3, t_end=4e-3, budget_every=2)
+    with_sink = run(st, cfg, sinks=RunSinks(on_budget=lambda rows: None))
+    calls = []
+    original = stepper.energy_budget
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "energy_budget", counted)
+    times = []
+    bare = run(st, cfg)
+    snapped = run(st, cfg, sinks=RunSinks(
+        on_snapshot=lambda s, ms: times.append(s.t)))
+    assert calls == []
+    # snapshots keep their cadence: the start, then every budget_every steps
+    assert times == pytest.approx([0.0, 2e-3, 4e-3], abs=1e-15)
+    for res in (bare, snapped):
+        for m_a, m_b in zip(res.state.modes, with_sink.state.modes):
+            for a, b in zip(m_a.fields(), m_b.fields()):
+                np.testing.assert_array_equal(a, b)

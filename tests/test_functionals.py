@@ -44,9 +44,9 @@ def _accumulate_run(grid, p, seed=3, n_steps=5, dt=1e-3, mixed=False,
     F.accumulate(hist, st)
     sink_hist = hist
 
-    def snap(s):
+    def snap(s, measures):
         if s.t > 0.0:
-            F.accumulate(sink_hist, s)
+            F.accumulate(sink_hist, s, measures)
 
     from cylmode.stepper import RunSinks
     run(st, StepConfig(dt=dt, t_end=n_steps * dt, nonlinear=nonlinear),

@@ -173,7 +173,7 @@ class TestBudgets:
             scale = (abs(r.imbalance) + du2 + abs(src)
                      + 2.0 * dt * (r.dissipation_r + r.dissipation_z
                                    + abs(r.weighted_r)))
-            assert abs(r.imbalance + du2 - src) <= 1e-2 * scale
+            assert abs(r.imbalance + du2 - src) <= 1e-7 * scale
 
     def test_budget_csv_roundtrip(self, grid, tmp_path):
         import csv
