@@ -36,9 +36,8 @@ def main():
         print(f"\nnu = {nu:g} ({regime})")
         print(f"{'k':>3} {'E(0)':>12} {'E(T)/E(0)':>12} {'balance':>12}")
         for k in (0, 1, 2, 5):
-            k_eff = k * params.N if k > 0 else 0
-            _, hist = stokes_evolve(cache, state.modes[k], args.dt,
-                                    args.steps, k_eff)
+            _, hist = stokes_evolve(cache, state.u[k], args.dt,
+                                    args.steps, k * params.N)
             e0 = hist.energy[0]
             balance = max((e + 2.0 * d) / e0 for e, d in
                           zip(hist.energy, hist.diss_integral))

@@ -3,8 +3,11 @@
 The velocity field in the unit-radius cylinder is expanded in azimuthal
 Fourier modes at a base wavenumber N.  Each retained harmonic k couples a
 cosine family (u_r, v_th, u_z) and a sine family (v_r, u_th, v_z) of
-meridional coefficient fields; the mean flow carries three fields.  The
-package evolves these coupled (r, z) systems with an IMEX scheme, verifies
+meridional coefficient fields; the mean flow carries three fields.  A
+state is one ``(K+1, 6, n_r, n_z)`` array indexed by harmonic and by the
+slot constants ``UR, VTH, UZ, VR, UTH, VZ`` (the mean's sine slots are
+zero) plus a ``(K+1, 2, n_r, n_z)`` pressure array indexed by ``P, Q``.
+The package evolves these coupled (r, z) systems with an IMEX scheme, verifies
 energy inequalities of the implicit Stokes blocks, cross-checks the mode
 convolutions against a full 3-D solver, and measures per-mode decay and
 anisotropic interpolation inequalities at desk scale.
@@ -23,6 +26,7 @@ Subpackage layout:
 - ``cli``           command-line entry points
 """
 
+from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
 from .functionals import (
     DecayReport,
     EnergyHistory,
@@ -72,8 +76,6 @@ from .oracle import (
 from .state import (
     Params,
     InitProfile,
-    ModeVelocity,
-    ModePressure,
     ModeState,
     make_profile_divfree,
     make_initial_state,
@@ -95,12 +97,18 @@ from .stokes import (
 )
 
 __all__ = [
+    "UR",
+    "VTH",
+    "UZ",
+    "VR",
+    "UTH",
+    "VZ",
+    "P",
+    "Q",
     "CylGrid",
     "build_grid",
     "Params",
     "InitProfile",
-    "ModeVelocity",
-    "ModePressure",
     "ModeState",
     "make_profile_divfree",
     "make_initial_state",

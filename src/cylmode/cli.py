@@ -42,7 +42,7 @@ from .nonlinear import flux_identity_residual
 from .oracle import ORACLE_MAX_NTHETA, OracleOpCache, oracle_step, \
     reconstruct_to_full, relative_l2
 from .state import Params, divergence_residual, make_initial_state, \
-    make_profile_divfree, make_random_divfree_state
+    make_profile_divfree, make_random_divfree_state, param_problems
 from .stepper import SCHEME_BDF2, SCHEME_EULER, RunSinks, StepConfig, run
 from .stokes import StokesOpCache, apply_viscous_operator, linear_flow_uL, \
     mode_energy, mode_invariance_check, stokes_evolve, stokes_step
@@ -279,23 +279,9 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig,
                     command: str | None = None) -> list[str]:
     """Every violated constraint, cross-field ones included."""
-    bad: list[str] = []
-    if cfg.N < 2:
-        bad.append("[params] N must be an integer >= 2")
-    if cfg.K < 2:
-        bad.append("[params] K must be an integer >= 2")
-    if cfg.m < 3:
-        bad.append("[params] m must be an integer >= 3")
-    if not 0.0 <= cfg.delta < 0.25:
-        bad.append("[params] delta must lie in [0, 1/4)")
-    if not 0.0 <= cfg.eta < 0.5 - cfg.delta:
-        bad.append("[params] eta must lie in [0, 1/2 - delta)")
-    if cfg.m >= 3 and not 1.0 / (2 * cfg.m - 3) < cfg.sigma < 0.5:
-        bad.append("[params] sigma must lie in (1/(2m-3), 1/2)")
-    if not cfg.small_eps > 0.0:
-        bad.append("[params] small_eps must be positive")
-    if cfg.nu < 0.0:
-        bad.append("[params] nu must be >= 0")
+    bad = [f"[params] {problem}" for problem in param_problems(
+        cfg.nu, cfg.N, cfg.delta, cfg.eta, cfg.K, cfg.m, cfg.sigma,
+        cfg.small_eps)]
     if cfg.n_r < 4:
         bad.append("[grid] n_r must be >= 4")
     if cfg.n_z < 4 or cfg.n_z % 2:
@@ -484,7 +470,6 @@ def _simulate_core(cfg: ExperimentConfig, params: Params,
         budget_csv=str(out_dir / "budgets.csv")
         if out_dir and cfg.write_budgets else None,
         checkpoint_path=str(out_dir / "checkpoint.bin") if out_dir else None,
-        checkpoint_every=max(1, cfg.budget_every * cfg.snapshot_every),
     )
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -617,8 +602,7 @@ def cmd_stokes_test(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         # energy decays for any dt, every harmonic
         growth = 0.0
         for k in range(params.K + 1):
-            k_eff = k * params.N if k > 0 else 0
-            _, hist = stokes_evolve(cache, state.modes[k], 5.0, 5, k_eff)
+            _, hist = stokes_evolve(cache, state.u[k], 5.0, 5, k * params.N)
             for a, b in zip(hist.energy, hist.energy[1:]):
                 if a > 0.0:
                     growth = max(growth, (b - a) / a)
@@ -630,18 +614,17 @@ def cmd_stokes_test(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
                                            amplitude=1.0, roughness=None)
         drift = 0.0
         for k in range(params.K + 1):
-            k_eff = k * params.N if k > 0 else 0
-            m = smooth.modes[k]
+            k_eff = k * params.N
+            m = smooth.u[k]
             f = apply_viscous_operator(grid, m, nu, k_eff)
             new, _ = stokes_step(cache, m, f, 1e-2, k_eff)
-            scale = max(np.max(np.abs(fld)) for fld in m.fields()) or 1.0
-            drift = max(drift, max(np.max(np.abs(a - b)) for a, b in
-                                   zip(new.fields(), m.fields())) / scale)
+            scale = np.max(np.abs(m)) or 1.0
+            drift = max(drift, np.max(np.abs(new - m)) / scale)
         record(f"steady_forcing_{tag}", drift, STEADY_TOL)
 
         # discrete energy identity residual, normalized per step
-        m1 = state.modes[1]
-        e0 = mode_energy(grid, m1)
+        m1 = state.u[1]
+        e0 = mode_energy(grid, m1, params.N)
         _, hist = stokes_evolve(cache, m1, 1e-3, 10, params.N,
                                 with_identity=True)
         worst = max(abs(r) for r in hist.identity_residual)
@@ -651,9 +634,8 @@ def cmd_stokes_test(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         # the implicit solve lands on the divergence-free constraint
         final = state.copy()
         for k in range(params.K + 1):
-            k_eff = k * params.N if k > 0 else 0
-            final.modes[k], final.pressures[k] = stokes_step(
-                cache, final.modes[k], None, 1e-2, k_eff)
+            final.u[k], final.p[k] = stokes_step(
+                cache, final.u[k], None, 1e-2, k * params.N)
         record(f"divergence_{tag}", float(np.max(divergence_residual(final))),
                1e-10)
 

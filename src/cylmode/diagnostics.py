@@ -4,15 +4,15 @@ Every run diagnostic is a per-harmonic sum of quadratic forms of the
 coefficient fields and their first derivatives: energies and vertical
 Sobolev norms, the dissipation channels, the ``1/r`` potential and swirl
 cross terms, the divergence residual and the pressure work.  The pass
-stacks the harmonics once as ``(M, slots, n_r, n_z)`` in the slot order
-``(ur, vth, uz, vr, uth, vz)``, followed by ``(P, Q)`` when pressures are
-given; the mean mode's sine slots and its ``Q`` are held at zero, so one
-formula serves every harmonic.  All vertical derivatives come from one
-broadcast product with the grid's spectral differentiation matrices, all
-radial ones from one broadcast ``D_r`` product, and each form is one
-weighted contraction over ``r`` and ``z``.  No reduction sums across
-harmonics, so a harmonic far below the leading one keeps its own relative
-accuracy.
+reads the harmonics as one ``(M, 6, n_r, n_z)`` velocity array in the slot
+order ``(ur, vth, uz, vr, uth, vz)``, with an ``(M, 2, n_r, n_z)``
+pressure array ``(P, Q)`` appended when given; the mean mode's sine slots
+and its ``Q`` are zero, so one formula serves every harmonic.  All
+vertical derivatives come from one broadcast product with the grid's
+spectral differentiation matrices, all radial ones from one broadcast
+``D_r`` product, and each form is one weighted contraction over ``r`` and
+``z``.  No reduction sums across harmonics, so a harmonic far below the
+leading one keeps its own relative accuracy.
 
 The vertical matrices are ``CylGrid.dz_pow`` and ``CylGrid.dz`` applied to
 the identity: order j multiplies by ``(i zeta)^j`` with the Nyquist bin
@@ -34,37 +34,10 @@ import numpy as np
 
 from .grid import CylGrid, THETA_FULL, THETA_HALF
 
-#: slot indices of the six velocity fields and the two pressures
-UR, VTH, UZ, VR, UTH, VZ, P, Q = range(8)
-
-
-def stack_modes(modes, pressures=None) -> np.ndarray:
-    """Copy harmonics into one ``(M, 6 or 8, n_r, n_z)`` array.
-
-    Mean modes contribute ``(ur, 0, uz, 0, uth, 0)`` and pressure
-    ``(P, 0)``: their sine slots do not enter any diagnostic.
-    """
-    zero = np.zeros_like(modes[0].ur)
-    rows = []
-    for i, m in enumerate(modes):
-        row = [m.ur, zero, m.uz, zero, m.uth, zero] if m.k == 0 \
-            else list(m.fields())
-        if pressures is not None:
-            row += [pressures[i].P, zero if m.k == 0 else pressures[i].Q]
-        rows.append(row)
-    return np.array(rows)
-
-
-def stack_forces(forces: dict, shape: tuple) -> np.ndarray:
-    """``{k: fields}`` (3 for the mean, 6 otherwise) as ``(K+1, 6, ...)``;
-    a missing harmonic is zero."""
-    out = np.zeros(shape)
-    for k, f in forces.items():
-        if len(f) == 3:
-            out[k, UR], out[k, UTH], out[k, UZ] = f
-        else:
-            out[k] = f
-    return out
+#: slot indices of the six velocity fields in ``ModeState.u``
+UR, VTH, UZ, VR, UTH, VZ = range(6)
+#: slot indices of the two pressures in ``ModeState.p``
+P, Q = range(2)
 
 
 def inner_quad(grid: CylGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,11 +147,12 @@ class ModeMeasures:
                 "cross": theta * cross, "dissipation": theta * diss}
 
 
-def measure_modes(grid: CylGrid, modes, k_eff, pressures=None,
+def measure_modes(grid: CylGrid, u: np.ndarray, k_eff, p=None,
                   j_max: int = 1) -> ModeMeasures:
-    """One pass over ``modes`` (each a ``ModeVelocity``) with effective
-    azimuthal wavenumbers ``k_eff`` and, optionally, their pressures."""
-    a = stack_modes(modes, pressures)
+    """One pass over the ``(M, 6, n_r, n_z)`` velocity array ``u`` with
+    effective azimuthal wavenumbers ``k_eff`` (0 marks a mean row) and,
+    optionally, the ``(M, 2, n_r, n_z)`` pressures ``p``."""
+    a = np.ascontiguousarray(u) if p is None else np.concatenate([u, p], axis=1)
     kap = np.asarray(k_eff, dtype=float)
     inv_r = 1.0 / grid.r[:, None]
     wq = grid.w_r * grid.dz_weight
@@ -187,7 +161,7 @@ def measure_modes(grid: CylGrid, modes, k_eff, pressures=None,
     zd = a @ _vertical_operators(grid.n_z, grid.L_z, j_max)[:, None, None]
     vals, dzs = zd[:j_max + 1], zd[j_max + 1:]
     drs = grid.D_r @ vals
-    u, du_r, du_z = vals[:, :, :P], drs[:, :, :P], dzs[:, :, :P]
+    u, du_r, du_z = vals[:, :, :6], drs[:, :, :6], dzs[:, :, :6]
     slot_sq = np.einsum("jmsrz,jmsrz->jmsr", u, u)
     l2v = slot_sq.sum(axis=2) * grid.dz_weight
 
@@ -201,16 +175,16 @@ def measure_modes(grid: CylGrid, modes, k_eff, pressures=None,
     def dot(x, y):
         return np.einsum("mrz,mrz->mr", x, y)
 
-    press = np.zeros(len(modes))
-    if pressures is not None:
-        p, pr, pz = vals[0, :, P:], drs[0, :, P:], dzs[0, :, P:]
-        press = ((dot(pr[:, 0], u0[:, UR]) + dot(pz[:, 0], u0[:, UZ])
-                  + dot(pr[:, 1], u0[:, VR]) + dot(pz[:, 1], u0[:, VZ])) @ wq
-                 + kap * ((dot(p[:, 1], u0[:, UTH]) - dot(p[:, 0], u0[:, VTH]))
+    press = np.zeros(len(kap))
+    if p is not None:
+        pv, pr, pz = vals[0, :, 6:], drs[0, :, 6:], dzs[0, :, 6:]
+        press = ((dot(pr[:, P], u0[:, UR]) + dot(pz[:, P], u0[:, UZ])
+                  + dot(pr[:, Q], u0[:, VR]) + dot(pz[:, Q], u0[:, VZ])) @ wq
+                 + kap * ((dot(pv[:, Q], u0[:, UTH]) - dot(pv[:, P], u0[:, VTH]))
                           @ wq_r))
     return ModeMeasures(
         j_max=j_max,
-        mean=np.array([md.k == 0 for md in modes]),
+        mean=kap == 0.0,
         k_eff=kap,
         inst=l2v @ grid.w_r,
         dr_sq=np.einsum("jmsrz,jmsrz->jmr", du_r, du_r) @ wq,
@@ -230,12 +204,12 @@ def measure_modes(grid: CylGrid, modes, k_eff, pressures=None,
 def measure_state(state, j_max: int = 1) -> ModeMeasures:
     """The pass over every harmonic of a ``ModeState``, pressures included;
     row k is harmonic k with ``kap = k N``."""
-    N = state.params.N
-    return measure_modes(state.grid, state.modes,
-                         [k * N for k in range(len(state.modes))],
-                         state.pressures, j_max)
+    return measure_modes(state.grid, state.u,
+                         state.params.N * np.arange(len(state.u)), state.p,
+                         j_max)
 
 
-def mode_energy(grid: CylGrid, mode, j: int = 0) -> float:
-    """Squared L2 norm over the solid cylinder of ``dz^j`` of one harmonic."""
-    return float(measure_modes(grid, [mode], [0], j_max=j).energy(j)[0])
+def mode_energy(grid: CylGrid, u: np.ndarray, k_eff: float, j: int = 0) -> float:
+    """Squared L2 norm over the solid cylinder of ``dz^j`` of one harmonic
+    ``u`` (6 slots); ``k_eff = 0`` marks the mean."""
+    return float(measure_modes(grid, u[None], [k_eff], j_max=j).energy(j)[0])

@@ -192,10 +192,6 @@ class CylGrid:
         """``\\int\\int a r dr dz`` by tensor quadrature."""
         return float(self.w_r @ a.sum(axis=1)) * self.dz_weight
 
-    def quad_r(self, g: np.ndarray) -> float:
-        """``\\int g r dr`` for a radial profile."""
-        return float(self.w_r @ g)
-
     def norm_mixed(self, a: np.ndarray, p: float, q: float) -> float:
         """``L^p`` over the horizontal ball of the ``L^q`` vertical norm.
 

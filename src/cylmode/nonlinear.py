@@ -29,9 +29,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .diagnostics import inner_quad, measure_state, stack_forces, stack_modes
+from .diagnostics import (UR, UTH, UZ, VR, VTH, VZ, inner_quad,
+                          measure_state)
 from .grid import THETA_FULL, THETA_HALF
-from .state import ModeState, ModeVelocity
+from .state import ModeState
 
 
 def _two_sided(a: np.ndarray) -> np.ndarray:
@@ -42,18 +43,16 @@ def _two_sided(a: np.ndarray) -> np.ndarray:
     return np.concatenate([c[:0:-1].conj(), c])
 
 
-def assemble_quadratic_rhs(state: ModeState) -> dict[int, tuple[np.ndarray, ...]]:
+def assemble_quadratic_rhs(state: ModeState) -> np.ndarray:
     """Complete explicit quadratic right-hand side for every harmonic.
 
-    Returns ``{0: 3 fields, k: 6 fields}`` in the state's field order:
-    ``(u_r, u_th, u_z)`` for the mean and ``(ur, vth, uz, vr, uth, vz)``
-    for k >= 1.
+    Returns a ``(K+1, 6, n_r, n_z)`` array in the slot layout of
+    ``ModeState.u``; the mean's sine slots are zero.
     """
     g = state.grid
     K, N = state.params.K, state.params.N
     # axes (k, cos/sin, component r/th/z, r, z)
-    X = np.array([((m.ur, m.uth, m.uz), (m.vr, m.vth, m.vz))
-                  for m in state.modes])
+    X = state.u[:, [[UR, UTH, UZ], [VR, VTH, VZ]]]
     u = _two_sided(X)
     # gradient rows along r, th, z; the th row is (d_th u + curvature) / r
     grad = np.empty((2 * K + 1, 3) + u.shape[1:], dtype=complex)
@@ -71,12 +70,11 @@ def assemble_quadratic_rhs(state: ModeState) -> dict[int, tuple[np.ndarray, ...]
         out[:n] -= np.einsum("arz,kairz->kirz", u[K + p],
                              grad[K - p:K - p + n])
     out[1:] *= 2.0
-    res = {0: tuple(out[0].real)}
-    for k in range(1, K + 1):
-        n_r, n_th, n_z = out[k]
-        res[k] = (n_r.real, -n_th.imag, n_z.real,
-                  -n_r.imag, n_th.real, -n_z.imag)
-    return res
+    rhs = np.empty_like(state.u)
+    rhs[:, [UR, UTH, UZ]] = out.real
+    rhs[:, [VR, VTH, VZ]] = -out.imag
+    rhs[0, [VR, VTH, VZ]] = 0.0
+    return rhs
 
 
 def flux_identity_residual(state: ModeState) -> float:
@@ -87,10 +85,8 @@ def flux_identity_residual(state: ModeState) -> float:
     cylinder divided by ``||u||^2 ||grad u||``.
     """
     rhs = assemble_quadratic_rhs(state)
-    u = stack_modes(state.modes)
     ms = measure_state(state, 0)
-    total = float(np.sum(ms.theta * inner_quad(
-        state.grid, stack_forces(rhs, u.shape), u)))
+    total = float(np.sum(ms.theta * inner_quad(state.grid, rhs, state.u)))
     grad_sq = float(np.sum(ms.theta * (
         ms.dr_sq[0] + ms.dz_sq[0] + ms.k_eff**2 * ms.over_r[0].sum(axis=-1))))
     scale = ms.total_l2_sq() * math.sqrt(grad_sq)
@@ -111,21 +107,18 @@ def triad_bound_check(state: ModeState, k: int) -> tuple[float, float]:
     g = state.grid
     r = g.r[:, None]
     N = state.params.N
-    m = state.modes[k]
+    m = state.u[k]
     # without the mean, the quadratic term is the triad force alone
-    mean = ModeVelocity.zeros(0, m.ur.shape)
-    tri = assemble_quadratic_rhs(
-        replace(state, modes=[mean, *state.modes[1:]]))[k]
-    lhs = abs(THETA_HALF * sum(g.quad(f * w)
-                               for f, w in zip(tri, m.fields())))
+    u = state.u.copy()
+    u[0] = 0.0
+    tri = assemble_quadratic_rhs(replace(state, u=u))[k]
+    lhs = abs(THETA_HALF * sum(g.quad(f * w) for f, w in zip(tri, m)))
     mag = {}
-    pop = {j for j in range(1, state.params.K + 1)
-           if any(np.any(f) for f in state.modes[j].fields())}
+    pop = {j for j in range(1, state.params.K + 1) if np.any(state.u[j])}
     for j in pop | {k}:
-        mj = state.modes[j]
-        mag[j] = np.sqrt(sum(f * f for f in mj.fields()))
-    grad_k = np.sqrt(sum(g.dr(f) ** 2 + g.dz(f) ** 2 for f in m.fields()))
-    weight = grad_k + k * N * np.sqrt(sum(f * f for f in m.fields())) / r
+        mag[j] = np.sqrt(sum(f * f for f in state.u[j]))
+    grad_k = np.sqrt(sum(g.dr(f) ** 2 + g.dz(f) ** 2 for f in m))
+    weight = grad_k + k * N * np.sqrt(sum(f * f for f in m)) / r
     pairs = []
     for k1 in range(1, k):
         if k1 in pop and (k - k1) in pop:

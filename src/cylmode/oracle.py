@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
 from .grid import CFLViolationError, CylGrid, THETA_FULL
 from .state import ModeState, Params
 
@@ -137,6 +138,14 @@ def _check_resolution(n_theta: int, params: Params) -> None:
             f"{params.K} * {params.N}")
 
 
+def _component_rows(state: ModeState) -> dict[str, tuple[np.ndarray, ...]]:
+    """Physical component -> its cosine and sine rows in ``state``, each a
+    writable ``(K+1, n_r, n_z)`` view."""
+    u, p = state.u, state.p
+    return {"ur": (u[:, UR], u[:, VR]), "uth": (u[:, UTH], u[:, VTH]),
+            "uz": (u[:, UZ], u[:, VZ]), "P": (p[:, P], p[:, Q])}
+
+
 def project_to_modes(full: FullField, params: Params) -> ModeState:
     """Extract the retained cos/sin harmonic coefficients by azimuthal FFT.
 
@@ -149,25 +158,13 @@ def project_to_modes(full: FullField, params: Params) -> ModeState:
     n_theta = full.n_theta
     _check_resolution(n_theta, params)
     st = ModeState.zeros(full.grid, params, t=full.t)
-    spectra = {name: np.fft.rfft(getattr(full, name), axis=1)
-               for name in ("ur", "uth", "uz", "P")}
-    mean = st.modes[0]
-    mean.ur = spectra["ur"][:, 0, :].real / n_theta
-    mean.uth = spectra["uth"][:, 0, :].real / n_theta
-    mean.uz = spectra["uz"][:, 0, :].real / n_theta
-    st.pressures[0].P = spectra["P"][:, 0, :].real / n_theta
+    m = params.N * np.arange(1, params.K + 1)
     two = 2.0 / n_theta
-    for k in range(1, params.K + 1):
-        m = k * params.N
-        mode = st.modes[k]
-        mode.ur = two * spectra["ur"][:, m, :].real
-        mode.vr = -two * spectra["ur"][:, m, :].imag
-        mode.uth = two * spectra["uth"][:, m, :].real
-        mode.vth = -two * spectra["uth"][:, m, :].imag
-        mode.uz = two * spectra["uz"][:, m, :].real
-        mode.vz = -two * spectra["uz"][:, m, :].imag
-        st.pressures[k].P = two * spectra["P"][:, m, :].real
-        st.pressures[k].Q = -two * spectra["P"][:, m, :].imag
+    for name, (cos, sin) in _component_rows(st).items():
+        spec = np.fft.rfft(getattr(full, name), axis=1)
+        cos[0] = spec[:, 0, :].real / n_theta
+        cos[1:] = np.moveaxis(two * spec[:, m, :].real, 1, 0)
+        sin[1:] = np.moveaxis(-two * spec[:, m, :].imag, 1, 0)
     return st
 
 
@@ -176,21 +173,15 @@ def reconstruct_to_full(state: ModeState, n_theta: int) -> FullField:
     _check_resolution(n_theta, state.params)
     full = build_full_field(state.grid, n_theta)
     full.t = state.t
-    mean = state.modes[0]
-    full.ur += mean.ur[:, None, :]
-    full.uth += mean.uth[:, None, :]
-    full.uz += mean.uz[:, None, :]
-    full.P += state.pressures[0].P[:, None, :]
-    for k in range(1, state.params.K + 1):
-        ang = k * state.params.N * full.theta
-        c = np.cos(ang)[None, :, None]
-        s = np.sin(ang)[None, :, None]
-        m = state.modes[k]
-        pr = state.pressures[k]
-        full.ur += m.ur[:, None, :] * c + m.vr[:, None, :] * s
-        full.uth += m.uth[:, None, :] * c + m.vth[:, None, :] * s
-        full.uz += m.uz[:, None, :] * c + m.vz[:, None, :] * s
-        full.P += pr.P[:, None, :] * c + pr.Q[:, None, :] * s
+    ang = np.outer(state.params.N * np.arange(1, state.params.K + 1),
+                   full.theta)[:, None, :, None]
+    c, s = np.cos(ang), np.sin(ang)
+    terms = np.empty((state.params.K + 1,) + full.ur.shape)
+    for name, (cos, sin) in _component_rows(state).items():
+        terms[0] = cos[0, :, None, :]
+        terms[1:] = cos[1:, :, None, :] * c + sin[1:, :, None, :] * s
+        # summed over the first axis in order: the mean, then k = 1..K
+        setattr(full, name, terms.sum(axis=0))
     return full
 
 
@@ -220,32 +211,26 @@ def nonlinear_term(full: FullField) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def nonlinear_term_projection(full: FullField, params: Params,
-                              k: int) -> tuple[np.ndarray, ...]:
+                              k: int) -> np.ndarray:
     """Quadratic terms projected onto one retained harmonic.
 
-    For ``k = 0`` returns three fields (the azimuthal average of the terms
-    driving the mean); for ``k >= 1`` six fields slot-aligned with the
-    harmonic solver's right-hand side order (ur, vth, uz, vr, uth, vz).
-    This is the audit oracle for the convolution-based assembly.
+    Returns six fields in the slot layout of ``ModeState.u``; for
+    ``k = 0`` the azimuthal average of the terms driving the mean lands in
+    ``(ur, uth, uz)`` and the sine slots are zero.  This is the audit
+    oracle for the convolution-based assembly.
     """
     _check_resolution(full.n_theta, params)
-    n_r, n_th, n_z = nonlinear_term(full)
-    c_r = np.fft.rfft(n_r, axis=1)
-    c_th = np.fft.rfft(n_th, axis=1)
-    c_z = np.fft.rfft(n_z, axis=1)
+    out = np.zeros((6,) + full.ur.shape[::2])
     n_theta = full.n_theta
-    if k == 0:
-        return (c_r[:, 0, :].real / n_theta,
-                c_th[:, 0, :].real / n_theta,
-                c_z[:, 0, :].real / n_theta)
-    m = k * params.N
     two = 2.0 / n_theta
-    return (two * c_r[:, m, :].real,
-            -two * c_th[:, m, :].imag,
-            two * c_z[:, m, :].real,
-            -two * c_r[:, m, :].imag,
-            two * c_th[:, m, :].real,
-            -two * c_z[:, m, :].imag)
+    for f, cos, sin in zip(nonlinear_term(full), (UR, UTH, UZ), (VR, VTH, VZ)):
+        c = np.fft.rfft(f, axis=1)[:, k * params.N, :]
+        if k == 0:
+            out[cos] = c.real / n_theta
+        else:
+            out[cos] = two * c.real
+            out[sin] = -two * c.imag
+    return out
 
 
 # -- implicit Fourier-bin solver -----------------------------------------------

@@ -4,11 +4,21 @@ A mode state holds the azimuthal coefficient fields of
 
     u = u_0 + sum_k ( u_k cos(k N theta) + v_k sin(k N theta) ),   1 <= k <= K,
 
-for each cylindrical velocity component.  The cosine family of harmonic k
-couples ``(u_r, v_th, u_z)`` with pressure coefficient ``P_k`` and the sine
-family couples ``(v_r, u_th, v_z)`` with ``Q_k``; the mean mode carries
-``(u_r0, u_th0, u_z0)`` and ``P_0``.  Initial data lives on harmonic k = 1
-only and is built from a six-component divergence-free profile
+for each cylindrical velocity component, as one table indexed by harmonic
+and slot.  ``ModeState.u`` is a float64 array of shape
+``(K+1, 6, n_r, n_z)``: row k holds harmonic k in the slot order
+``(ur, vth, uz, vr, uth, vz)`` (indices ``UR, VTH, UZ, VR, UTH, VZ``).
+The cosine family ``(u_r, v_th, u_z)`` couples with the pressure
+coefficient ``P_k`` and the sine family ``(v_r, u_th, v_z)`` with ``Q_k``.
+Row 0 is the mean ``(u_r0, u_th0, u_z0)`` in slots ``UR, UTH, UZ``; its
+sine slots ``VTH, VR, VZ`` are held at zero.  ``ModeState.p`` is a
+``(K+1, 2, n_r, n_z)`` array with slots ``(P, Q)`` and ``Q_0 = 0``.  The
+slot constants are defined in :mod:`cylmode.diagnostics`.  A single
+harmonic is a ``(6, n_r, n_z)`` row ``u[k]`` together with its effective
+azimuthal wavenumber; the mean is the ``k_eff = 0`` case.
+
+Initial data lives on harmonic k = 1 only and is built from a
+six-component divergence-free profile
 ``alpha = (a_r, a_th, a_z, b_r, b_th, b_z)`` via the anisotropic scaling
 
     (u_r1, v_th1, u_z1) = N**delta * (a_r, b_th / N, a_z)
@@ -25,22 +35,48 @@ Round trips are bit exact.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import measure_state, mode_energy
+from .diagnostics import (P, UR, UTH, UZ, VR, VTH, VZ, measure_state,
+                          mode_energy)
 from .grid import CylGrid, build_grid, SCHEME_CHEBYSHEV, THETA_FULL
 
 CHECKPOINT_MAGIC = b"CYLMODE1"
 
-# order of the six per-harmonic velocity fields everywhere in the package
+# names of the six velocity slots, in slot order
 FIELD_ORDER = ("ur", "vth", "uz", "vr", "uth", "vz")
-MEAN_FIELD_ORDER = ("ur", "uth", "uz")
+# the mean's slots, in checkpoint order
+MEAN_SLOTS = [UR, UTH, UZ]
+
+
+def param_problems(nu: float, N: int, delta: float, eta: float, K: int,
+                   m: int = 3, sigma: float = 0.4,
+                   small_eps: float = 0.1) -> list[str]:
+    """Every violated range of the physical and truncation parameters."""
+    errs = []
+    if not 0.0 <= nu <= 1.0:
+        errs.append(f"nu must lie in [0, 1], got {nu}")
+    if int(N) != N or N < 2:
+        errs.append(f"N must be an integer >= 2, got {N}")
+    if not 0.0 <= delta < 0.25:
+        errs.append(f"delta must lie in [0, 1/4), got {delta}")
+    if not 0.0 <= eta < 0.5 - delta:
+        errs.append(f"eta must lie in [0, 1/2 - delta), got {eta}")
+    if int(K) != K or K < 2:
+        errs.append(f"K must be an integer >= 2, got {K}")
+    if int(m) != m or m < 3:
+        errs.append(f"m must be an integer >= 3, got {m}")
+    elif not 1.0 / (2 * m - 3) < sigma < 0.5:
+        errs.append(f"sigma must lie in (1/(2m-3), 1/2) = "
+                    f"({1.0 / (2 * m - 3):.4f}, 0.5), got {sigma}")
+    if not small_eps > 0:
+        errs.append(f"small_eps must be positive, got {small_eps}")
+    return errs
 
 
 @dataclass(frozen=True)
@@ -53,6 +89,7 @@ class Params:
     amplitude and decay-rate exponents; ``m``/``sigma`` the vertical
     regularity order and harmonic decay exponent used by the anisotropic
     functionals; ``small_eps`` the smallness threshold for data checks.
+    The ranges are those of :func:`param_problems`.
     """
 
     nu: float
@@ -65,26 +102,8 @@ class Params:
     small_eps: float = 0.1
 
     def __post_init__(self):
-        errs = []
-        if self.nu not in (0.0, 1.0) and not (0.0 <= self.nu <= 1.0):
-            errs.append(f"nu must lie in [0, 1], got {self.nu}")
-        if int(self.N) != self.N or self.N < 2:
-            errs.append(f"N must be an integer >= 2, got {self.N}")
-        if not (0.0 <= self.delta < 0.25):
-            errs.append(f"delta must lie in [0, 1/4), got {self.delta}")
-        if not (0.0 <= self.eta < 0.5 - self.delta):
-            errs.append(f"eta must lie in [0, 1/2 - delta), got {self.eta}")
-        if int(self.K) != self.K or self.K < 2:
-            errs.append(f"K must be an integer >= 2, got {self.K}")
-        if int(self.m) != self.m or self.m < 3:
-            errs.append(f"m must be an integer >= 3, got {self.m}")
-        if not (1.0 / (2 * self.m - 3) < self.sigma < 0.5):
-            errs.append(
-                f"sigma must lie in (1/(2m-3), 1/2) = "
-                f"({1.0 / (2 * self.m - 3):.4f}, 0.5), got {self.sigma}"
-            )
-        if not self.small_eps > 0:
-            errs.append(f"small_eps must be positive, got {self.small_eps}")
+        errs = param_problems(self.nu, self.N, self.delta, self.eta, self.K,
+                              self.m, self.sigma, self.small_eps)
         if errs:
             raise ValueError("; ".join(errs))
         object.__setattr__(self, "N", int(self.N))
@@ -145,79 +164,29 @@ def make_profile_divfree(grid: CylGrid, a_r: np.ndarray, a_z: np.ndarray,
 
 
 @dataclass
-class ModeVelocity:
-    """Velocity coefficient fields of one azimuthal harmonic.
-
-    For k = 0 the sine-family fields (vr, vth, vz) are identically zero and
-    are kept only so that every harmonic exposes the same six attributes.
-    """
-
-    k: int
-    ur: np.ndarray
-    vth: np.ndarray
-    uz: np.ndarray
-    vr: np.ndarray
-    uth: np.ndarray
-    vz: np.ndarray
-
-    @classmethod
-    def zeros(cls, k: int, shape: tuple[int, int]) -> "ModeVelocity":
-        return cls(k, *(np.zeros(shape) for _ in range(6)))
-
-    def fields(self) -> tuple[np.ndarray, ...]:
-        return (self.ur, self.vth, self.uz, self.vr, self.uth, self.vz)
-
-    def set_fields(self, arrays) -> None:
-        self.ur, self.vth, self.uz, self.vr, self.uth, self.vz = arrays
-
-    def copy(self) -> "ModeVelocity":
-        return ModeVelocity(self.k, *(f.copy() for f in self.fields()))
-
-
-@dataclass
-class ModePressure:
-    """Pressure coefficients of one harmonic (Q is zero for k = 0)."""
-
-    k: int
-    P: np.ndarray
-    Q: np.ndarray
-
-    @classmethod
-    def zeros(cls, k: int, shape: tuple[int, int]) -> "ModePressure":
-        return cls(k, np.zeros(shape), np.zeros(shape))
-
-    def copy(self) -> "ModePressure":
-        return ModePressure(self.k, self.P.copy(), self.Q.copy())
-
-
-@dataclass
 class ModeState:
-    """All retained coefficient fields at one time."""
+    """All retained coefficient fields at one time: ``u`` is
+    ``(K+1, 6, n_r, n_z)`` and ``p`` is ``(K+1, 2, n_r, n_z)``."""
 
     grid: CylGrid
     params: Params
     t: float
-    modes: list[ModeVelocity]
-    pressures: list[ModePressure]
+    u: np.ndarray
+    p: np.ndarray
 
     @classmethod
     def zeros(cls, grid: CylGrid, params: Params, t: float = 0.0) -> "ModeState":
-        shape = (grid.n_r, grid.n_z)
-        return cls(grid, params, t,
-                   [ModeVelocity.zeros(k, shape) for k in range(params.K + 1)],
-                   [ModePressure.zeros(k, shape) for k in range(params.K + 1)])
+        n = params.K + 1
+        return cls(grid, params, t, np.zeros((n, 6, grid.n_r, grid.n_z)),
+                   np.zeros((n, 2, grid.n_r, grid.n_z)))
 
     def copy(self) -> "ModeState":
-        return ModeState(self.grid, self.params, self.t,
-                         [m.copy() for m in self.modes],
-                         [p.copy() for p in self.pressures])
-
-    def mode(self, k: int) -> ModeVelocity:
-        return self.modes[k]
+        return ModeState(self.grid, self.params, self.t, self.u.copy(),
+                         self.p.copy())
 
     def mode_l2_sq(self, k: int, j: int = 0) -> float:
         """Squared L2 norm over the solid cylinder of ``dz^j`` of harmonic k."""
-        return mode_energy(self.grid, self.modes[k], j)
+        return mode_energy(self.grid, self.u[k], k * self.params.N, j)
 
     def total_l2_sq(self) -> float:
         return measure_state(self, 0).total_l2_sq()
@@ -236,16 +205,16 @@ def make_initial_state(profile: InitProfile, params: Params,
     state = ModeState.zeros(g, params, t=0.0)
     N = params.N
     amp = float(N) ** params.delta
-    m1 = state.modes[1]
-    m1.ur = amp * profile.a_r.copy()
-    m1.vth = amp * (profile.b_th / N)
-    m1.uz = amp * profile.a_z.copy()
-    m1.vr = amp * profile.b_r.copy()
-    m1.uth = amp * (profile.a_th / N)
-    m1.vz = amp * profile.b_z.copy()
+    m1 = state.u[1]
+    m1[UR] = amp * profile.a_r
+    m1[VTH] = amp * (profile.b_th / N)
+    m1[UZ] = amp * profile.a_z
+    m1[VR] = amp * profile.b_r
+    m1[UTH] = amp * (profile.a_th / N)
+    m1[VZ] = amp * profile.b_z
     if check_boundary:
-        scale = max(np.abs(f).max() for f in m1.fields()) or 1.0
-        for name, f in zip(FIELD_ORDER, m1.fields()):
+        scale = np.abs(m1).max() or 1.0
+        for name, f in zip(FIELD_ORDER, m1):
             if np.abs(f[-1]).max() > 1e-10 * scale:
                 raise ValueError(
                     f"mode-1 field {name} does not vanish at r = 1; radial "
@@ -300,49 +269,45 @@ def make_random_divfree_state(grid: CylGrid, params: Params, seed: int = 0,
     state = ModeState.zeros(grid, params)
     col = np.newaxis
     for k in range(params.K + 1):
-        m = state.modes[k]
+        m = state.u[k]
         if k == 0:
             for n in range(1, n_h + 1):
                 f, F = harm(n)
                 psi = prof()
-                m.ur = m.ur + psi[:, col] * f[col, :]
+                m[UR] += psi[:, col] * f[col, :]
                 xi = D @ psi + psi / r
-                m.uz = m.uz + xi[:, col] * F[col, :]
-                m.uth = m.uth + prof()[:, col] * harm(n)[0][col, :]
-            m.uz = m.uz + prof()[:, col]
-            m.uth = m.uth + prof()[:, col]
+                m[UZ] += xi[:, col] * F[col, :]
+                m[UTH] += prof()[:, col] * harm(n)[0][col, :]
+            m[UZ] += prof()[:, col]
+            m[UTH] += prof()[:, col]
             continue
         kN = k * params.N
         for n in range(1, n_h + 1):
             f, F = harm(n)
             psi, chi = prof(), prof(with_r=False)
-            m.ur = m.ur + psi[:, col] * f[col, :]
-            m.vth = m.vth + (r * chi)[:, col] * f[col, :]
+            m[UR] += psi[:, col] * f[col, :]
+            m[VTH] += (r * chi)[:, col] * f[col, :]
             xi = D @ psi + psi / r + kN * chi
-            m.uz = m.uz + xi[:, col] * F[col, :]
+            m[UZ] += xi[:, col] * F[col, :]
             f2, F2 = harm(n)
             psi2, chi2 = prof(), prof(with_r=False)
-            m.vr = m.vr + psi2[:, col] * f2[col, :]
-            m.uth = m.uth + (r * chi2)[:, col] * f2[col, :]
+            m[VR] += psi2[:, col] * f2[col, :]
+            m[UTH] += (r * chi2)[:, col] * f2[col, :]
             xi2 = D @ psi2 + psi2 / r - kN * chi2
-            m.vz = m.vz + xi2[:, col] * F2[col, :]
+            m[VZ] += xi2[:, col] * F2[col, :]
         # z-independent content: the azimuthal component absorbs the
         # radial divergence, the axial component is free
         psi = prof()
-        m.ur = m.ur + psi[:, col]
-        m.vth = m.vth + (-r * (D @ psi + psi / r) / kN)[:, col]
-        m.uz = m.uz + prof()[:, col]
+        m[UR] += psi[:, col]
+        m[VTH] += (-r * (D @ psi + psi / r) / kN)[:, col]
+        m[UZ] += prof()[:, col]
         psi2 = prof()
-        m.vr = m.vr + psi2[:, col]
-        m.uth = m.uth + (r * (D @ psi2 + psi2 / r) / kN)[:, col]
-        m.vz = m.vz + prof()[:, col]
-    peak = max(np.abs(f).max() for k in range(params.K + 1)
-               for f in state.modes[k].fields())
+        m[VR] += psi2[:, col]
+        m[UTH] += (r * (D @ psi2 + psi2 / r) / kN)[:, col]
+        m[VZ] += prof()[:, col]
+    peak = np.abs(state.u).max()
     if peak > 0.0:
-        scale = amplitude / peak
-        for k in range(params.K + 1):
-            m = state.modes[k]
-            m.set_fields(tuple(scale * f for f in m.fields()))
+        state.u *= amplitude / peak
     return state
 
 
@@ -361,35 +326,22 @@ def reconstruct_point(state: ModeState, r_pt: float, theta: float, z_pt: float) 
     """Velocity vector ``(u_r, u_th, u_z)`` at one physical point."""
     g = state.grid
     N = state.params.N
-    m0 = state.modes[0]
-    vals = np.array([g.interp(m0.ur, r_pt, z_pt),
-                     g.interp(m0.uth, r_pt, z_pt),
-                     g.interp(m0.uz, r_pt, z_pt)])
+    vals = np.array([g.interp(state.u[0, s], r_pt, z_pt) for s in MEAN_SLOTS])
     for k in range(1, state.params.K + 1):
-        m = state.modes[k]
+        m = state.u[k]
         c, s = math.cos(k * N * theta), math.sin(k * N * theta)
-        vals[0] += c * g.interp(m.ur, r_pt, z_pt) + s * g.interp(m.vr, r_pt, z_pt)
-        vals[1] += c * g.interp(m.uth, r_pt, z_pt) + s * g.interp(m.vth, r_pt, z_pt)
-        vals[2] += c * g.interp(m.uz, r_pt, z_pt) + s * g.interp(m.vz, r_pt, z_pt)
+        vals[0] += c * g.interp(m[UR], r_pt, z_pt) + s * g.interp(m[VR], r_pt, z_pt)
+        vals[1] += c * g.interp(m[UTH], r_pt, z_pt) + s * g.interp(m[VTH], r_pt, z_pt)
+        vals[2] += c * g.interp(m[UZ], r_pt, z_pt) + s * g.interp(m[VZ], r_pt, z_pt)
     return vals
 
 
 # -- checkpoints -------------------------------------------------------------
 
-def _state_field_sequence(state: ModeState):
-    for k in range(state.params.K + 1):
-        m = state.modes[k]
-        if k == 0:
-            yield from (m.ur, m.uth, m.uz)
-        else:
-            yield from m.fields()
-    for k in range(state.params.K + 1):
-        p = state.pressures[k]
-        if k == 0:
-            yield p.P
-        else:
-            yield p.P
-            yield p.Q
+def _checkpoint_body(state: ModeState) -> list[np.ndarray]:
+    """The documented field order as four blocks: the mean's three
+    velocity fields, every harmonic's six, ``P_0``, every ``(P_k, Q_k)``."""
+    return [state.u[0, MEAN_SLOTS], state.u[1:], state.p[0, P], state.p[1:]]
 
 
 def save_checkpoint(state: ModeState, path: str) -> None:
@@ -407,8 +359,8 @@ def save_checkpoint(state: ModeState, path: str) -> None:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<4I", g.n_r, g.n_z, p.K, p.N))
             fh.write(struct.pack("<5d", g.L_z, state.t, p.nu, p.delta, p.eta))
-            for arr in _state_field_sequence(state):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            for block in _checkpoint_body(state):
+                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -428,12 +380,11 @@ def load_checkpoint(path: str, params: Params | None = None,
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    buf = io.BytesIO(raw)
-    magic = buf.read(8)
+    magic = raw[:8]
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {magic!r}")
-    n_r, n_z, K, N = struct.unpack("<4I", buf.read(16))
-    L_z, t, nu, delta, eta = struct.unpack("<5d", buf.read(40))
+    n_r, n_z, K, N = struct.unpack_from("<4I", raw, 8)
+    L_z, t, nu, delta, eta = struct.unpack_from("<5d", raw, 24)
     if params is None:
         params = Params(nu=nu, N=N, delta=delta, eta=eta, K=K)
     else:
@@ -444,23 +395,15 @@ def load_checkpoint(path: str, params: Params | None = None,
             raise ValueError(f"checkpoint header {hdr} conflicts with params {got}")
     grid = build_grid(n_r, n_z, L_z, scheme)
     state = ModeState.zeros(grid, params, t=t)
-    count = (n_r * n_z) * 8
-
-    def read_field():
-        arr = np.frombuffer(buf.read(count), dtype="<f8").reshape(n_r, n_z)
-        return arr.copy()
-
-    for k in range(K + 1):
-        m = state.modes[k]
-        if k == 0:
-            m.ur, m.uth, m.uz = read_field(), read_field(), read_field()
-        else:
-            m.set_fields([read_field() for _ in range(6)])
-    for k in range(K + 1):
-        p = state.pressures[k]
-        p.P = read_field()
-        if k > 0:
-            p.Q = read_field()
-    if buf.read(1):
-        raise ValueError("trailing bytes in checkpoint")
+    n = n_r * n_z
+    end = 64 + 8 * n * (8 * K + 4)  # header: magic, 4 uint32, 5 float64
+    if len(raw) != end:
+        raise ValueError("trailing bytes in checkpoint" if len(raw) > end
+                         else "truncated checkpoint")
+    body = np.frombuffer(raw, dtype="<f8", offset=64)
+    mean, harmonics, p0, pq = np.split(body, np.cumsum([3 * n, 6 * K * n, n]))
+    state.u[0, MEAN_SLOTS] = mean.reshape(3, n_r, n_z)
+    state.u[1:] = harmonics.reshape(state.u[1:].shape)
+    state.p[0, P] = p0.reshape(n_r, n_z)
+    state.p[1:] = pq.reshape(state.p[1:].shape)
     return state

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .diagnostics import (ModeMeasures, inner_quad, measure_state, stack_forces,
-                          stack_modes)
+from .diagnostics import (UR, UTH, UZ, VR, VTH, VZ, ModeMeasures, inner_quad,
+                          measure_state)
 from .grid import CFLViolationError
-from .state import ModeState, ModeVelocity, save_checkpoint
+from .state import ModeState, save_checkpoint
 from .stokes import StokesOpCache, project_divfree, stokes_step
 from .nonlinear import assemble_quadratic_rhs
 
@@ -70,12 +70,11 @@ class StepSession:
 
     cache: StokesOpCache
     prev_state: ModeState | None = None
-    prev_rhs: dict | None = None
+    prev_rhs: np.ndarray | None = None
     measures: ModeMeasures | None = None
     step_count: int = 0
     cleanup_streak: int = 0
     cleanups_total: int = 0
-    last_pressures: dict = field(default_factory=dict)
 
 
 def make_session(state: ModeState) -> StepSession:
@@ -97,23 +96,17 @@ def cfl_limit(state: ModeState) -> tuple[float, int]:
     dr_min = min(float(g.r[0]), float(np.diff(g.r).min()))
     dz = g.L_z / g.n_z
     dtheta_eff = 2.0 * math.pi / (p.K * p.N)
-    r = g.r[:, None]
-    worst = (math.inf, 0)
-    vr_sum = vz_sum = vth_sum = 0.0
-    contrib = []
-    for k in range(p.K + 1):
-        m = state.modes[k]
-        vr_k = float(np.abs(m.ur).max() + np.abs(m.vr).max())
-        vz_k = float(np.abs(m.uz).max() + np.abs(m.vz).max())
-        vth_k = float((np.abs(m.uth) / r).max() + (np.abs(m.vth) / r).max())
-        contrib.append(max(vr_k / dr_min, vz_k / dz, vth_k / dtheta_eff))
-        vr_sum += vr_k
-        vz_sum += vz_k
-        vth_sum += vth_k
-    rate = max(vr_sum / dr_min, vz_sum / dz, vth_sum / dtheta_eff)
+    peak = np.abs(state.u).max(axis=(2, 3))
+    swirl = (np.abs(state.u[:, [UTH, VTH]]) / g.r[:, None]).max(axis=(2, 3))
+    # per harmonic: cosine plus sine amplitude of each component
+    v_r = peak[:, UR] + peak[:, VR]
+    v_z = peak[:, UZ] + peak[:, VZ]
+    v_th = swirl[:, 0] + swirl[:, 1]
+    rate = max(v_r.sum() / dr_min, v_z.sum() / dz, v_th.sum() / dtheta_eff)
     if rate == 0.0:
         return math.inf, 0
-    limiting = int(np.argmax(contrib))
+    limiting = int(np.argmax(np.maximum.reduce([v_r / dr_min, v_z / dz,
+                                                v_th / dtheta_eff])))
     return 1.0 / rate, limiting
 
 
@@ -127,47 +120,16 @@ def _check_cfl(state: ModeState, cfg: StepConfig) -> None:
 
 # -- single step ---------------------------------------------------------------
 
-def _solve_modes(state: ModeState, rhs_modes, dt_eff: float,
-                 session: StepSession, work_states):
-    """Implicit per-harmonic solves; ``work_states`` carries the w of the
-    scheme (u^n for Euler, the BDF2 combination otherwise)."""
-    p = state.params
-    new = ModeState.zeros(state.grid, p, t=state.t)
-    for k in range(p.K + 1):
-        new.modes[k], new.pressures[k] = stokes_step(
-            session.cache, work_states[k],
-            rhs_modes.get(k) if rhs_modes else None, dt_eff, k * p.N)
-    return new
-
-
-def _add_forcing(rhs: dict | None, extra: dict | None) -> dict | None:
-    if extra is None:
-        return rhs
-    if rhs is None:
-        return dict(extra)
-    out = {}
-    keys = set(rhs) | set(extra)
-    for k in keys:
-        a = rhs.get(k)
-        b = extra.get(k)
-        if a is None:
-            out[k] = b
-        elif b is None:
-            out[k] = a
-        else:
-            out[k] = tuple(x + y for x, y in zip(a, b))
-    return out
-
-
 def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
-         forcing: Callable[[float], dict] | None = None) -> ModeState:
+         forcing: Callable[[float], np.ndarray] | None = None) -> ModeState:
     """Advance one time step.
 
     ``forcing``, if given, is called with the time the step lands on and
-    must return ``{k: field tuple}`` of explicit external forces.  The
-    CFL estimate is refreshed every 10 steps.  If the post-step divergence
-    residual exceeds ``cfg.div_tol`` the state is re-projected once; more
-    than 3 consecutive steps needing cleanup raise.
+    must return a ``(K+1, 6, n_r, n_z)`` array of explicit external forces
+    in the slot layout of ``ModeState.u``.  The CFL estimate is refreshed
+    every 10 steps.  If the post-step divergence residual exceeds
+    ``cfg.div_tol`` the state is re-projected once; more than 3
+    consecutive steps needing cleanup raise.
     """
     if session is None:
         session = make_session(state)
@@ -179,43 +141,30 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
     t_new = state.t + cfg.dt
 
     quad = assemble_quadratic_rhs(state) if cfg.nonlinear else None
-    ext = forcing(t_new) if forcing is not None else None
-
-    use_bdf2 = cfg.scheme == SCHEME_BDF2 and session.prev_state is not None
-    if not use_bdf2:
-        rhs = _add_forcing(quad, ext)
-        new = _solve_modes(state, rhs, cfg.dt, session, state.modes)
-    else:
+    rhs, work, dt_eff = quad, state.u, cfg.dt
+    if cfg.scheme == SCHEME_BDF2 and session.prev_state is not None:
         # second-order: w = (4 u^n - u^{n-1}) / 3 stepped with 2 dt / 3,
         # quadratic terms extrapolated as 2 S^n - S^{n-1}
-        work = []
-        for k in range(p.K + 1):
-            w = ModeVelocity.zeros(k, state.modes[k].ur.shape)
-            w.set_fields(tuple(
-                (4.0 * a - b) / 3.0 for a, b in
-                zip(state.modes[k].fields(),
-                    session.prev_state.modes[k].fields())))
-            work.append(w)
-        extrap = None
-        if cfg.nonlinear:
-            extrap = {}
-            for k in quad:
-                prev = session.prev_rhs.get(k) if session.prev_rhs else None
-                if prev is None:
-                    extrap[k] = tuple(2.0 * a for a in quad[k])
-                else:
-                    extrap[k] = tuple(2.0 * a - b
-                                      for a, b in zip(quad[k], prev))
-        rhs = _add_forcing(extrap, ext)
-        new = _solve_modes(state, rhs, 2.0 * cfg.dt / 3.0, session, work)
-    new.t = t_new
+        work = (4.0 * state.u - session.prev_state.u) / 3.0
+        dt_eff = 2.0 * cfg.dt / 3.0
+        if quad is not None:
+            rhs = 2.0 * quad if session.prev_rhs is None \
+                else 2.0 * quad - session.prev_rhs
+    if forcing is not None:
+        ext = forcing(t_new)
+        rhs = ext if rhs is None else rhs + ext
+
+    new = ModeState.zeros(state.grid, p, t=t_new)
+    for k in range(p.K + 1):
+        new.u[k], new.p[k] = stokes_step(
+            session.cache, work[k], None if rhs is None else rhs[k], dt_eff,
+            k * p.N)
 
     meas = measure_state(new)
     res = meas.divergence_residual()
     if float(res.max()) > cfg.div_tol:
         for k in range(p.K + 1):
-            vel, _ = project_divfree(session.cache, new.modes[k], k * p.N)
-            new.modes[k] = vel
+            new.u[k] = project_divfree(session.cache, new.u[k], k * p.N)[0]
         session.cleanup_streak += 1
         session.cleanups_total += 1
         if session.cleanup_streak > 3:
@@ -259,19 +208,19 @@ class BudgetRow:
 
 
 def energy_budget(state_before: ModeState, state_after: ModeState,
-                  forces: dict | None, dt: float,
+                  forces: np.ndarray | None, dt: float,
                   before: ModeMeasures | None = None,
                   after: ModeMeasures | None = None) -> list[BudgetRow]:
     """Per-harmonic ledger of the discrete energy identity over one step.
 
     ``forces`` is the explicit quadratic right-hand side evaluated at the
-    pre-step state (None for a purely viscous run, making the transfer
-    exactly zero); ``before``/``after`` are the states' diagnostics passes,
-    taken here when not given.  The imbalance column is the identity
-    remainder ``E_new - E_old + 2 dt (dissipation + pressure work -
-    transfer)``; for backward Euler it collects the scheme's
-    ``||u_new - u_old||^2`` damping and the transfer offset, both second
-    order per step.
+    pre-step state, a ``(K+1, 6, n_r, n_z)`` array (None for a purely
+    viscous run, making the transfer exactly zero); ``before``/``after``
+    are the states' diagnostics passes, taken here when not given.  The
+    imbalance column is the identity remainder ``E_new - E_old + 2 dt
+    (dissipation + pressure work - transfer)``; for backward Euler it
+    collects the scheme's ``||u_new - u_old||^2`` damping and the transfer
+    offset, both second order per step.
     """
     p = state_before.params
     before = before or measure_state(state_before, 0)
@@ -283,9 +232,8 @@ def energy_budget(state_before: ModeState, state_after: ModeState,
     weighted = terms["pot"] - terms["cross"]
     transfer = np.zeros(p.K + 1)
     if forces is not None:
-        old = stack_modes(state_before.modes)
-        transfer = theta * inner_quad(state_before.grid,
-                                     stack_forces(forces, old.shape), old)
+        transfer = theta * inner_quad(state_before.grid, forces,
+                                     state_before.u)
     pw = after.pressure_work()
     e_new = after.energy()
     imbalance = (e_new - before.energy()
@@ -321,7 +269,6 @@ class RunSinks:
     on_budget: Callable[[list[BudgetRow]], None] | None = None
     budget_csv: str | None = None
     checkpoint_path: str | None = None
-    checkpoint_every: int = 0
 
 
 @dataclass
@@ -335,13 +282,14 @@ class RunResult:
 
 
 def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
-        forcing: Callable[[float], dict] | None = None) -> RunResult:
+        forcing: Callable[[float], np.ndarray] | None = None) -> RunResult:
     """Integrate to ``cfg.t_end``, feeding diagnostics to the sinks.
 
-    Checkpoints are written on schedule (and never deleted on failure, so
-    the newest surviving checkpoint marks the last good state).  Runs abort
+    The checkpoint, if a path is given, is written once: from the final
+    state, from the state an abort stopped at, or, when a step raises,
+    from the last good state before the error propagates.  Runs abort
     with a flagged result when kinetic energy exceeds 10x its initial
-    value; integration errors propagate to the caller after bookkeeping.
+    value.
     """
     sinks = sinks or RunSinks()
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -354,34 +302,32 @@ def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
     if sinks.on_snapshot:
         sinks.on_snapshot(state, meas)
     e0 = meas.total_l2_sq()
-    for n in range(1, n_steps + 1):
-        new = step(state, cfg, session, forcing=forcing)
-        new_meas = session.measures
-        if n % cfg.budget_every == 0:
-            if budgets:
-                # step() stashes the quadratic rhs it evaluated at the
-                # pre-step state, which is exactly the transfer integrand
-                rows = energy_budget(state, new, session.prev_rhs, cfg.dt,
-                                     meas, new_meas)
-                if sinks.budget_csv:
-                    append_budget_rows(sinks.budget_csv, rows)
-                if sinks.on_budget:
-                    sinks.on_budget(rows)
-            if sinks.on_snapshot:
-                sinks.on_snapshot(new, new_meas)
-        state, meas = new, new_meas
-        if (sinks.checkpoint_path and sinks.checkpoint_every
-                and n % sinks.checkpoint_every == 0):
+    aborted_at = None
+    try:
+        for n in range(1, n_steps + 1):
+            new = step(state, cfg, session, forcing=forcing)
+            new_meas = session.measures
+            if n % cfg.budget_every == 0:
+                if budgets:
+                    # step() stashes the quadratic rhs it evaluated at the
+                    # pre-step state, which is exactly the transfer integrand
+                    rows = energy_budget(state, new, session.prev_rhs, cfg.dt,
+                                         meas, new_meas)
+                    if sinks.budget_csv:
+                        append_budget_rows(sinks.budget_csv, rows)
+                    if sinks.on_budget:
+                        sinks.on_budget(rows)
+                if sinks.on_snapshot:
+                    sinks.on_snapshot(new, new_meas)
+            state, meas = new, new_meas
+            if e0 > 0.0 and meas.total_l2_sq() > 10.0 * e0:
+                aborted_at = n
+                break
+    finally:
+        if sinks.checkpoint_path:
             save_checkpoint(state, sinks.checkpoint_path)
-        energy = meas.total_l2_sq()
-        if e0 > 0.0 and energy > 10.0 * e0:
-            if sinks.checkpoint_path:
-                save_checkpoint(state, sinks.checkpoint_path)
-            return RunResult(state, n, aborted=True,
-                             reason="kinetic energy grew past 10x its "
-                                    "initial value",
-                             failure_time=state.t,
-                             cleanups=session.cleanups_total)
-    if sinks.checkpoint_path:
-        save_checkpoint(state, sinks.checkpoint_path)
+    if aborted_at is not None:
+        return RunResult(state, aborted_at, aborted=True,
+                         reason="kinetic energy grew past 10x its initial value",
+                         failure_time=state.t, cleanups=session.cleanups_total)
     return RunResult(state, n_steps, cleanups=session.cleanups_total)

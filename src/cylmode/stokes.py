@@ -45,9 +45,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .diagnostics import ModeMeasures, measure_modes, mode_energy
+from .diagnostics import (P, UR, UTH, UZ, ModeMeasures, measure_modes,
+                          measure_state, mode_energy)
 from .grid import CylGrid, THETA_FULL, THETA_HALF
-from .state import ModeVelocity, ModePressure, ModeState, Params
+from .state import ModeState, Params
 
 
 class SingularOperatorError(RuntimeError):
@@ -251,65 +252,49 @@ def _solve_family(cache: StokesOpCache, kappa: int, dt: float, diffusion: bool,
     return np.fft.irfft(x, n=g.n_z, axis=-1)
 
 
-def _normalize_forcing(mode_k: int, forcing, shape) -> tuple[np.ndarray, ...]:
-    if forcing is None:
-        z = np.zeros(shape)
-        return (z,) * 6
-    forcing = tuple(forcing)
-    if mode_k == 0 and len(forcing) == 3:
-        # mean forcing arrives as (radial, swirl, axial); the swirl slot is
-        # the one the k = 0 solve reads from position 4
-        z = np.zeros(shape)
-        return (forcing[0], z, forcing[2], z, forcing[1], z)
-    if len(forcing) != 6:
-        raise ValueError("forcing must have 6 components (or 3 for the mean mode)")
-    return forcing
-
-
-def stokes_step(cache: StokesOpCache, mode: ModeVelocity, forcing, dt: float,
-                k_eff: int, diffusion: bool = True) -> tuple[ModeVelocity, ModePressure]:
+def stokes_step(cache: StokesOpCache, u: np.ndarray, forcing, dt: float,
+                k_eff: int, diffusion: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """One backward-Euler step of the coupled mode Stokes system.
 
-    ``forcing`` is applied explicitly: the solve is
+    ``u`` is one harmonic's ``(6, n_r, n_z)`` slots and ``forcing`` None or
+    an array of the same shape, applied explicitly: the solve is
     ``(I/dt + A) w_new + grad p = w/dt + f`` with the mode divergence
-    constraint on ``w_new``.  Forcing components follow the field order
-    ``(ur, vth, uz, vr, uth, vz)``, each forcing that field's own momentum
-    equation; the mean mode accepts a 3-tuple.  ``k_eff`` is the effective
-    azimuthal wavenumber.
+    constraint on ``w_new``, each forcing slot forcing that field's own
+    momentum equation.  ``k_eff`` is the effective azimuthal wavenumber;
+    ``k_eff = 0`` is the mean, which reads slots ``(ur, uth, uz)`` only.
+    Returns the new slots and the ``(P, Q)`` pressures.
     """
-    shape = mode.ur.shape
-    f = _normalize_forcing(mode.k, forcing, shape)
-    if mode.k == 0:
+    w = u / dt + (0.0 if forcing is None else forcing)
+    if k_eff == 0:
         # one family (u_r, u_th, u_z, P): for k = 0 the slot b = u_th
-        rhs = np.array([[mode.ur / dt + f[0], mode.uth / dt + f[4],
-                         mode.uz / dt + f[2]]])
-        (a, b, c, p), = _solve_family(cache, k_eff, dt, diffusion, rhs)
-        new = ModeVelocity.zeros(0, shape)
-        new.ur, new.uth, new.uz = a, b, c
-        return new, ModePressure(0, p, np.zeros(shape))
+        x, = _solve_family(cache, k_eff, dt, diffusion, w[None, [UR, UTH, UZ]])
+        new, press = np.zeros_like(w), np.zeros((2,) + w.shape[1:])
+        new[[UR, UTH, UZ]], press[P] = x[:3], x[3]
+        return new, press
     # cosine family (u_r, v_th, u_z, P) and sine family via
     # (v_r, -u_th, v_z, Q) with forcing (g_r, -f_th, g_z): one solve
-    rhs = np.array([[mode.ur / dt + f[0], mode.vth / dt + f[1], mode.uz / dt + f[2]],
-                    [mode.vr / dt + f[3], -(mode.uth / dt + f[4]), mode.vz / dt + f[5]]])
-    (a, b, c, p), (a2, b2, c2, q) = _solve_family(cache, k_eff, dt, diffusion, rhs)
-    return ModeVelocity(mode.k, a, b, c, a2, -b2, c2), ModePressure(mode.k, p, q)
+    w[UTH] *= -1.0
+    x = _solve_family(cache, k_eff, dt, diffusion, w.reshape(2, 3, *w.shape[1:]))
+    new = x[:, :3].reshape(w.shape)
+    new[UTH] *= -1.0
+    return new, x[:, 3]
 
 
-def project_divfree(cache: StokesOpCache, mode: ModeVelocity,
-                    k_eff: int) -> tuple[ModeVelocity, ModePressure]:
+def project_divfree(cache: StokesOpCache, u: np.ndarray,
+                    k_eff: int) -> tuple[np.ndarray, np.ndarray]:
     """L2 projection onto discretely divergence-free fields with no-slip."""
-    return stokes_step(cache, mode, None, 1.0, k_eff, diffusion=False)
+    return stokes_step(cache, u, None, 1.0, k_eff, diffusion=False)
 
 
-def apply_viscous_operator(grid: CylGrid, mode: ModeVelocity, nu: float,
-                           k_eff: int) -> tuple[np.ndarray, ...]:
+def apply_viscous_operator(grid: CylGrid, u: np.ndarray, nu: float,
+                           k_eff: int) -> np.ndarray:
     """Explicit application of the implicit solve's viscous operator.
 
-    Returns the slot-ordered operator images so that the momentum system
-    reads ``d/dt field + image + (pressure gradient) = rhs``; useful for
+    Returns the slot-ordered operator images of the ``(6, n_r, n_z)``
+    harmonic ``u``, so that the momentum system reads
+    ``d/dt field + image + (pressure gradient) = rhs``; useful for
     manufactured-solution forcing, where the forcing must be built from
-    the discrete operator rather than its continuum counterpart.  The mean
-    mode returns three fields (ur, uth, uz).
+    the discrete operator rather than its continuum counterpart.
     """
     r = grid.r[:, None]
     kap = k_eff
@@ -325,39 +310,37 @@ def apply_viscous_operator(grid: CylGrid, mode: ModeVelocity, nu: float,
     def axial(f):
         return -lap(f) + (kap**2 / r**2) * f - nu**2 * grid.dz_pow(f, 2)
 
-    if mode.k == 0:
-        return (perp(mode.ur), perp(mode.uth), axial(mode.uz))
+    ur, vth, uz, vr, uth, vz = u
     swirl = 2.0 * kap / r**2
-    return (perp(mode.ur) + swirl * mode.vth,
-            perp(mode.vth) + swirl * mode.ur,
-            axial(mode.uz),
-            perp(mode.vr) - swirl * mode.uth,
-            perp(mode.uth) - swirl * mode.vr,
-            axial(mode.vz))
+    return np.array([perp(ur) + swirl * vth,
+                     perp(vth) + swirl * ur,
+                     axial(uz),
+                     perp(vr) - swirl * uth,
+                     perp(uth) - swirl * vr,
+                     axial(vz)])
 
 
 # -- energy monitors ---------------------------------------------------------
 
-def mode_dissipation(grid: CylGrid, mode: ModeVelocity, nu: float, k_eff: int) -> float:
+def mode_dissipation(grid: CylGrid, u: np.ndarray, nu: float, k_eff: int) -> float:
     """Weighted dissipation rate with the ``(k_eff - 1)**2`` radial weight.
 
     Matches the coercive part of the mode energy identity: the meridional
     gradient plus, for ``k_eff >= 1``, ``(k_eff - 1)^2 ||w/r||^2`` over all
     six fields, and for the mean the ``(u_r, u_th)/r`` terms.
     """
-    terms = measure_modes(grid, [mode], [k_eff], j_max=0).quadform_terms(nu)
+    terms = measure_modes(grid, u[None], [k_eff], j_max=0).quadform_terms(nu)
     return float(terms["dissipation"][0])
 
 
-def _identity_residual(grid: CylGrid, old: ModeVelocity, new: ModeVelocity,
-                       e_old: float, after: ModeMeasures, nu: float,
-                       dt: float, fwork: float = 0.0) -> float:
+def _identity_residual(grid: CylGrid, old: np.ndarray, new: np.ndarray,
+                       k_eff: int, e_old: float, after: ModeMeasures,
+                       nu: float, dt: float, fwork: float = 0.0) -> float:
     """Remainder of the backward-Euler energy identity over one step, per
     unit time; ``after`` is the pass over ``new`` with its pressure."""
-    delta = ModeVelocity(old.k, *[fn - fo for fn, fo in
-                                  zip(new.fields(), old.fields())])
     terms = {name: v[0] for name, v in after.quadform_terms(nu).items()}
-    return float((after.energy()[0] - e_old) / dt + mode_energy(grid, delta) / dt
+    return float((after.energy()[0] - e_old) / dt
+                 + mode_energy(grid, new - old, k_eff) / dt
                  + 2.0 * (terms["grad"] + terms["pot"]) - 2.0 * terms["cross"]
                  + 2.0 * after.pressure_work()[0] - 2.0 * fwork)
 
@@ -379,48 +362,42 @@ class StokesHistory:
     diss_integral: list[float] = field(default_factory=list)
     identity_residual: list[float] = field(default_factory=list)
 
-    @property
-    def sup_energy(self) -> float:
-        return max(self.energy)
 
-
-def stokes_evolve(cache: StokesOpCache, mode0: ModeVelocity, dt: float,
+def stokes_evolve(cache: StokesOpCache, u0: np.ndarray, dt: float,
                   n_steps: int, k_eff: int, forcing=None,
-                  with_identity: bool = False) -> tuple[ModeVelocity, StokesHistory]:
-    """Evolve one harmonic under the implicit Stokes flow.
+                  with_identity: bool = False) -> tuple[np.ndarray, StokesHistory]:
+    """Evolve one harmonic ``u0`` (6 slots) under the implicit Stokes flow.
 
-    ``forcing`` may be None, a constant tuple of component fields, or a
-    callable ``t -> tuple`` evaluated at the start of each step.
+    ``forcing`` may be None, a constant ``(6, n_r, n_z)`` array, or a
+    callable ``t -> array`` evaluated at the start of each step.
     """
     g = cache.grid
     hist = StokesHistory()
-    mode = mode0.copy()
+    u = u0.copy()
     run_diss = 0.0
     hist.times.append(0.0)
-    hist.energy.append(mode_energy(g, mode))
+    hist.energy.append(mode_energy(g, u, k_eff))
     hist.diss_integral.append(0.0)
     t = 0.0
     for _ in range(n_steps):
         f = forcing(t) if callable(forcing) else forcing
-        new, press = stokes_step(cache, mode, f, dt, k_eff)
-        after = measure_modes(g, [new], [k_eff],
-                              [press] if with_identity else None, j_max=0)
+        new, press = stokes_step(cache, u, f, dt, k_eff)
+        after = measure_modes(g, new[None], [k_eff],
+                              press[None] if with_identity else None, j_max=0)
         if with_identity:
             fwork = 0.0
             if f is not None:
-                fn = _normalize_forcing(mode.k, f, mode.ur.shape)
-                theta = THETA_FULL if mode.k == 0 else THETA_HALF
-                fwork = theta * sum(g.quad(fi * wi) for fi, wi in
-                                    zip(fn, new.fields()))
+                theta = THETA_FULL if k_eff == 0 else THETA_HALF
+                fwork = theta * sum(g.quad(fi * wi) for fi, wi in zip(f, new))
             hist.identity_residual.append(_identity_residual(
-                g, mode, new, hist.energy[-1], after, cache.nu, dt, fwork))
-        mode = new
+                g, u, new, k_eff, hist.energy[-1], after, cache.nu, dt, fwork))
+        u = new
         t += dt
         run_diss += dt * float(after.quadform_terms(cache.nu)["dissipation"][0])
         hist.times.append(t)
         hist.energy.append(float(after.energy()[0]))
         hist.diss_integral.append(run_diss)
-    return mode, hist
+    return u, hist
 
 
 def mode_invariance_check(grid: CylGrid, params: Params, k0: int, dt: float,
@@ -434,34 +411,24 @@ def mode_invariance_check(grid: CylGrid, params: Params, k0: int, dt: float,
     rng = np.random.default_rng(seed)
     state = ModeState.zeros(grid, params)
     env = grid.r[:, None] * (1.0 - grid.r[:, None] ** 2) ** 2
-    mode = state.modes[k0]
-    nf = 3 if k0 == 0 else 6
-    arrs = []
-    for _ in range(nf):
+    slots = [UR, UTH, UZ] if k0 == 0 else range(6)
+    for s in slots:
         coef = rng.standard_normal(3)
         zpart = (coef[0] + coef[1] * np.cos(2 * np.pi * grid.z / grid.L_z)
                  + coef[2] * np.sin(2 * np.pi * grid.z / grid.L_z))
-        arrs.append(env * zpart[None, :])
-    if k0 == 0:
-        mode.ur, mode.uth, mode.uz = arrs
-    else:
-        mode.set_fields(arrs)
+        state.u[k0, s] = env * zpart[None, :]
     cache = StokesOpCache(grid, params.nu)
     leak = 0.0
     for _ in range(n_steps):
         for k in range(params.K + 1):
-            k_eff = k * params.N if k > 0 else 0
-            state.modes[k], state.pressures[k] = stokes_step(
-                cache, state.modes[k], None, dt, k_eff)
-        e0 = mode_energy(grid, state.modes[k0])
-        for k in range(params.K + 1):
-            if k == k0:
-                continue
-            ek = mode_energy(grid, state.modes[k])
-            if e0 > 0.0:
-                leak = max(leak, math.sqrt(ek / e0))
-            elif ek > 0.0:
-                leak = math.inf
+            state.u[k], state.p[k] = stokes_step(
+                cache, state.u[k], None, dt, k * params.N)
+        e = measure_state(state, 0).energy()
+        worst = np.delete(e, k0).max()
+        if e[k0] > 0.0:
+            leak = max(leak, math.sqrt(worst / e[k0]))
+        elif worst > 0.0:
+            leak = math.inf
     return leak
 
 
@@ -485,25 +452,24 @@ def linear_flow_uL(profile, params: Params, dt: float, n_steps: int,
         j_max = params.m
     g = profile.grid
     state = make_initial_state(profile, params)
-    m1 = state.modes[1]
     cache = StokesOpCache(g, 0.0)
     N = params.N
-    before = measure_modes(g, [m1], [N], j_max=j_max)
+    u = state.u[1]
+    before = measure_modes(g, u[None], [N], j_max=j_max)
     sup_sq = THETA_HALF * before.inst[:, 0]
     int_dr = np.zeros(j_max + 1)
     int_over_r = np.zeros(j_max + 1)
-    mode = m1
     ident_max = 0.0
     for _ in range(n_steps):
-        new, press = stokes_step(cache, mode, None, dt, N)
-        after = measure_modes(g, [new], [N], [press], j_max=j_max)
+        new, press = stokes_step(cache, u, None, dt, N)
+        after = measure_modes(g, new[None], [N], press[None], j_max=j_max)
         e_prev = float(before.energy()[0])
-        resid = _identity_residual(g, mode, new, e_prev, after, 0.0, dt)
+        resid = _identity_residual(g, u, new, N, e_prev, after, 0.0, dt)
         ident_max = max(ident_max, abs(resid) / max(e_prev / dt, 1e-300))
         sup_sq = np.maximum(sup_sq, THETA_HALF * after.inst[:, 0])
         int_dr += dt * THETA_HALF * after.dr_sq[:, 0]
         int_over_r += dt * THETA_HALF * after.over_r[:, 0].sum(axis=-1)
-        mode, before = new, after
+        u, before = new, after
     prof_sq = np.array([profile.norm_dz(j) ** 2 for j in range(j_max + 1)])
     fac = float(N) ** (2.0 * params.delta) * prof_sq
     report = {

@@ -14,6 +14,8 @@ The formulas are those of ``functionals.accumulate``,
 with one correction: the budget's weighted column is ``pot - cross``, the
 sign of the discrete energy identity that
 ``stokes_evolve(with_identity=True)`` checks (it read ``pot + cross``).
+States, modes and pressures come in as the named views of ``modeview``;
+forces as ``{k: fields}`` dicts (``modeview.force_dict``).
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import numpy as np
 from cylmode.functionals import EnergyHistory
 from cylmode.grid import CylGrid, THETA_FULL, THETA_HALF
 from cylmode.nonlinear import assemble_quadratic_rhs
-from cylmode.state import ModePressure, ModeState, ModeVelocity
 from cylmode.stepper import BudgetRow
+from modeview import ModeView, PressureView, StateView, force_dict
 
 
-def _mode_fields(state: ModeState, k: int):
+def _mode_fields(state: StateView, k: int):
     m = state.modes[k]
     return (m.ur, m.uth, m.uz) if k == 0 else m.fields()
 
@@ -37,7 +39,7 @@ def _mode_fields(state: ModeState, k: int):
 # -- functionals.accumulate --------------------------------------------------
 
 def reference_accumulate(history: EnergyHistory,
-                         state: ModeState) -> EnergyHistory:
+                         state: StateView) -> EnergyHistory:
     """Append one snapshot; advances every running integral."""
     if history.times and state.t <= history.times[-1]:
         raise ValueError(
@@ -111,7 +113,7 @@ def _accumulate_mixed(history: EnergyHistory, g: CylGrid, k: int, base,
 
 # -- state ---------------------------------------------------------------------
 
-def reference_mode_l2_sq(state: ModeState, k: int, j: int = 0) -> float:
+def reference_mode_l2_sq(state: StateView, k: int, j: int = 0) -> float:
     g = state.grid
     m = state.modes[k]
     fields = m.fields() if k > 0 else (m.ur, m.uth, m.uz)
@@ -119,12 +121,12 @@ def reference_mode_l2_sq(state: ModeState, k: int, j: int = 0) -> float:
     return (THETA_HALF if k > 0 else THETA_FULL) * s
 
 
-def reference_total_l2_sq(state: ModeState) -> float:
+def reference_total_l2_sq(state: StateView) -> float:
     return sum(reference_mode_l2_sq(state, k)
                for k in range(state.params.K + 1))
 
 
-def mode_divergence(grid: CylGrid, mode: ModeVelocity,
+def mode_divergence(grid: CylGrid, mode: ModeView,
                     N: int) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise divergence residuals of the two families of a harmonic."""
     r = grid.r[:, None]
@@ -138,7 +140,7 @@ def mode_divergence(grid: CylGrid, mode: ModeVelocity,
     return div_a, div_b
 
 
-def reference_divergence_residual(state: ModeState) -> np.ndarray:
+def reference_divergence_residual(state: StateView) -> np.ndarray:
     g = state.grid
     r = g.r[:, None]
     out = np.zeros(state.params.K + 1)
@@ -160,13 +162,13 @@ def reference_divergence_residual(state: ModeState) -> np.ndarray:
 
 # -- stokes ------------------------------------------------------------------------
 
-def reference_mode_energy(grid: CylGrid, mode: ModeVelocity) -> float:
+def reference_mode_energy(grid: CylGrid, mode: ModeView) -> float:
     if mode.k == 0:
         return THETA_FULL * sum(grid.quad(f * f) for f in (mode.ur, mode.uth, mode.uz))
     return THETA_HALF * sum(grid.quad(f * f) for f in mode.fields())
 
 
-def reference_mode_dissipation(grid: CylGrid, mode: ModeVelocity, nu: float,
+def reference_mode_dissipation(grid: CylGrid, mode: ModeView, nu: float,
                                k_eff: int) -> float:
     r = grid.r[:, None]
     if mode.k == 0:
@@ -184,7 +186,7 @@ def reference_mode_dissipation(grid: CylGrid, mode: ModeVelocity, nu: float,
     return theta * s
 
 
-def reference_mode_quadform_terms(grid: CylGrid, mode: ModeVelocity, nu: float,
+def reference_mode_quadform_terms(grid: CylGrid, mode: ModeView, nu: float,
                                   k_eff: int) -> dict[str, float]:
     r = grid.r[:, None]
     k = mode.k
@@ -204,8 +206,8 @@ def reference_mode_quadform_terms(grid: CylGrid, mode: ModeVelocity, nu: float,
     return {"grad": theta * grad, "pot": theta * pot, "cross": theta * cross}
 
 
-def reference_pressure_work(grid: CylGrid, mode: ModeVelocity,
-                            press: ModePressure, k_eff: int) -> float:
+def reference_pressure_work(grid: CylGrid, mode: ModeView,
+                            press: PressureView, k_eff: int) -> float:
     theta = THETA_FULL if mode.k == 0 else THETA_HALF
     r = grid.r[:, None]
     w = grid.quad(grid.dr(press.P) * mode.ur) + grid.quad(grid.dz(press.P) * mode.uz)
@@ -219,9 +221,9 @@ def reference_pressure_work(grid: CylGrid, mode: ModeVelocity,
 
 # -- nonlinear.flux_identity_residual ----------------------------------------
 
-def reference_flux_identity_residual(state: ModeState) -> float:
+def reference_flux_identity_residual(state: StateView) -> float:
     g = state.grid
-    rhs = assemble_quadratic_rhs(state)
+    rhs = force_dict(assemble_quadratic_rhs(state))
     r = g.r[:, None]
     total = 0.0
     l2_sq = 0.0
@@ -244,11 +246,11 @@ def reference_flux_identity_residual(state: ModeState) -> float:
 
 # -- stepper.energy_budget ------------------------------------------------------
 
-def _budget_fields(m: ModeVelocity, k: int):
+def _budget_fields(m: ModeView, k: int):
     return (m.ur, m.uth, m.uz) if k == 0 else m.fields()
 
 
-def reference_energy_budget(state_before: ModeState, state_after: ModeState,
+def reference_energy_budget(state_before: StateView, state_after: StateView,
                             forces: dict | None, dt: float) -> list[BudgetRow]:
     g = state_before.grid
     p = state_before.params

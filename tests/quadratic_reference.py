@@ -20,8 +20,9 @@ source, never a harmonic).  Components whose trigonometric reduction is
 antisymmetric in (k1, k2) carry the sign of k1 - k2 on the difference
 blocks; the remaining components enter with a plus sign for both orders.
 Advection by the mean flow is kept separate in ``mean_transport``.
-``reference_quadratic_rhs`` adds the pieces up in the layout of
-``assemble_quadratic_rhs``.
+``reference_quadratic_rhs`` adds the pieces up per harmonic as
+``{0: (u_r, u_th, u_z), k: six slots}``.  States come in as the named
+views of ``modeview``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cylmode.grid import CylGrid
-from cylmode.state import ModeState, ModeVelocity
+from modeview import ModeView, StateView
 
 
 @dataclass
@@ -74,16 +75,16 @@ class _Gradients:
             self._dz[key] = self.grid.dz(f)
         return self._dz[key]
 
-    def adv_u(self, m: ModeVelocity, f: np.ndarray) -> np.ndarray:
+    def adv_u(self, m: ModeView, f: np.ndarray) -> np.ndarray:
         """Advection of f by the cosine meridional pair (ur, uz) of m."""
         return m.ur * self.dr(f) + m.uz * self.dz(f)
 
-    def adv_v(self, m: ModeVelocity, f: np.ndarray) -> np.ndarray:
+    def adv_v(self, m: ModeView, f: np.ndarray) -> np.ndarray:
         """Advection of f by the sine meridional pair (vr, vz) of m."""
         return m.vr * self.dr(f) + m.vz * self.dz(f)
 
 
-def _sum_block(g: _Gradients, m1: ModeVelocity, m2: ModeVelocity,
+def _sum_block(g: _Gradients, m1: ModeView, m2: ModeView,
                k2N: int, r: np.ndarray) -> tuple[np.ndarray, ...]:
     """Integrand of the k1 + k2 convolution, slot order (ur..vz)."""
     return (
@@ -106,7 +107,7 @@ def _sum_block(g: _Gradients, m1: ModeVelocity, m2: ModeVelocity,
     )
 
 
-def _diff_plain_block(g: _Gradients, m1: ModeVelocity, m2: ModeVelocity,
+def _diff_plain_block(g: _Gradients, m1: ModeView, m2: ModeView,
                       k2N: int, r: np.ndarray) -> dict[str, np.ndarray]:
     """Difference-target integrands entering with + for both pair orders."""
     return {
@@ -121,7 +122,7 @@ def _diff_plain_block(g: _Gradients, m1: ModeVelocity, m2: ModeVelocity,
     }
 
 
-def _diff_antisym_block(g: _Gradients, m1: ModeVelocity, m2: ModeVelocity,
+def _diff_antisym_block(g: _Gradients, m1: ModeView, m2: ModeView,
                         k2N: int, r: np.ndarray) -> dict[str, np.ndarray]:
     """Difference-target integrands carrying the sign of k1 - k2."""
     return {
@@ -139,7 +140,7 @@ def _diff_antisym_block(g: _Gradients, m1: ModeVelocity, m2: ModeVelocity,
 _SLOTS = ("ur", "vth", "uz", "vr", "uth", "vz")
 
 
-def _populated(state: ModeState) -> set[int]:
+def _populated(state: StateView) -> set[int]:
     out = set()
     for k in range(1, state.params.K + 1):
         m = state.modes[k]
@@ -148,7 +149,7 @@ def _populated(state: ModeState) -> set[int]:
     return out
 
 
-def compute_triad_force(state: ModeState, k: int,
+def compute_triad_force(state: StateView, k: int,
                         _grads: _Gradients | None = None) -> TriadForce:
     """Convolution force on harmonic k from pairs of populated harmonics.
 
@@ -188,14 +189,14 @@ def compute_triad_force(state: ModeState, k: int,
     return out
 
 
-def compute_mean_source(state: ModeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def compute_mean_source(state: StateView) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadratic source of the mean flow: swirl curvature plus the
     theta-average of equal-harmonic products."""
     gdef = _Gradients(state.grid)
     return _mean_source(state, gdef)
 
 
-def _mean_source(state: ModeState, g: _Gradients):
+def _mean_source(state: StateView, g: _Gradients):
     m0 = state.modes[0]
     N = state.params.N
     r = state.grid.r[:, None]
@@ -220,7 +221,7 @@ def _mean_source(state: ModeState, g: _Gradients):
     return s_ur, s_uth, s_uz
 
 
-def compute_u0_coupling(state: ModeState, k: int,
+def compute_u0_coupling(state: StateView, k: int,
                         _grads: _Gradients | None = None) -> TriadForce:
     """Linear coupling of harmonic k against the mean flow (advection of
     the mean by the harmonic, swirl rotation and curvature exchange).
@@ -248,7 +249,7 @@ def compute_u0_coupling(state: ModeState, k: int,
     )
 
 
-def mean_transport(state: ModeState, k: int,
+def mean_transport(state: StateView, k: int,
                    _grads: _Gradients | None = None):
     """Advection of harmonic k (or of the mean itself for k = 0) by the
     mean meridional flow, with the leading minus sign folded in."""
@@ -259,7 +260,7 @@ def mean_transport(state: ModeState, k: int,
     return tuple(-g.adv_u(m0, f) for f in state.modes[k].fields())
 
 
-def reference_quadratic_rhs(state: ModeState) -> dict[int, tuple[np.ndarray, ...]]:
+def reference_quadratic_rhs(state: StateView) -> dict[int, tuple[np.ndarray, ...]]:
     """Complete explicit quadratic right-hand side for every harmonic.
 
     Returns ``{0: 3 fields, k: 6 fields}`` in the state's field order:

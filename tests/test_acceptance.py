@@ -42,7 +42,6 @@ from cylmode.oracle import (
     relative_l2,
 )
 from cylmode.state import (
-    ModeVelocity,
     Params,
     divergence_residual,
     make_initial_state,
@@ -94,7 +93,7 @@ def test_criterion_01_viscous_energy_inequality(grid48):
             k = harmonics[i % len(harmonics)]
             state = make_random_divfree_state(grid48, params, seed=100 + i)
             k_eff = k * params.N if k > 0 else 0
-            _, hist = stokes_evolve(cache, state.modes[k], 2e-2, 12, k_eff)
+            _, hist = stokes_evolve(cache, state.u[k], 2e-2, 12, k_eff)
             e0 = hist.energy[0]
             for e, d in zip(hist.energy, hist.diss_integral):
                 worst = max(worst, (e + 2.0 * d) / e0)
@@ -167,14 +166,12 @@ def test_criterion_05_nonlinear_assembly_audit():
     worst = 0.0
     for seed, pair in ((21, (1, 2)), (22, (1, 3))):
         state = make_random_divfree_state(grid, params, seed=seed)
-        shape = (grid.n_r, grid.n_z)
         for k in range(params.K + 1):
             if k not in pair:
-                state.modes[k] = ModeVelocity.zeros(k, shape)
+                state.u[k] = 0.0
         full = reconstruct_to_full(state, n_theta)
         assembled = assemble_quadratic_rhs(state)
-        scale = max(np.abs(f).max() for k in assembled
-                    for f in assembled[k]) or 1.0
+        scale = np.abs(assembled).max() or 1.0
         for k in range(params.K + 1):
             audit = nonlinear_term_projection(full, params, k)
             for a, b in zip(audit, assembled[k]):
@@ -315,21 +312,15 @@ def test_criterion_10_manufactured_time_convergence():
     grid = build_grid(24, 16, 2.0 * math.pi)
     params = Params(nu=1.0, N=3, delta=0.0, eta=0.2, K=2)
     base = make_random_divfree_state(grid, params, seed=7, roughness=None)
-    lin = {k: apply_viscous_operator(grid, base.modes[k], params.nu,
-                                     k * params.N)
-           for k in range(params.K + 1)}
+    lin = np.array([apply_viscous_operator(grid, base.u[k], params.nu,
+                                           k * params.N)
+                    for k in range(params.K + 1)])
     quad = assemble_quadratic_rhs(base)
 
     def forcing_for(t):
         a = 1.0 + 0.5 * np.sin(3.0 * t)
         da = 1.5 * np.cos(3.0 * t)
-        out = {}
-        for k in range(params.K + 1):
-            flds = base.modes[k].fields()
-            sel = (flds[0], flds[4], flds[2]) if k == 0 else flds
-            out[k] = tuple(da * f + a * l - a * a * s
-                           for f, l, s in zip(sel, lin[k], quad[k]))
-        return out
+        return da * base.u + a * lin - a * a * quad
 
     def error(scheme, dt):
         t_end = 0.2
@@ -337,8 +328,8 @@ def test_criterion_10_manufactured_time_convergence():
                                    nonlinear=True), forcing=forcing_for)
         a_end = 1.0 + 0.5 * np.sin(3.0 * t_end)
         num = den = 0.0
-        for m_n, m_e in zip(res.state.modes, base.modes):
-            for f_n, f_e in zip(m_n.fields(), m_e.fields()):
+        for m_n, m_e in zip(res.state.u, base.u):
+            for f_n, f_e in zip(m_n, m_e):
                 num = max(num, float(np.abs(f_n - a_end * f_e).max()))
                 den = max(den, float(np.abs(a_end * f_e).max()))
         return num / den

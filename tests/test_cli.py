@@ -147,6 +147,18 @@ class TestSimulate:
         assert meta["truncation_leakage"] <= 1e-12
         assert rep["invariants"]["dissipative_ok"]
 
+    def test_nu_out_of_range_is_a_config_error(self, tmp_path, capsys):
+        # the parameter ranges are those of Params: nu lies in [0, 1]
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(params={"nu": 2.0},
+                                       run={"mode": "stokes_only"}))
+        rc = cli.main(["simulate", "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: [params] nu must lie in [0, 1]" in err
+        assert "Traceback" not in err
+        assert not (out / "simulate_report.json").exists()
+
     def test_ns_populates_higher_harmonics(self, tmp_path):
         out = tmp_path / "out"
         path = _write(tmp_path, _small(step={"dt": 0.002, "t_end": 0.02}))

@@ -12,12 +12,12 @@ import pytest
 
 from cylmode import functionals as F
 from cylmode import stepper
-from cylmode.diagnostics import measure_modes, measure_state
+from cylmode.diagnostics import (P, Q, UR, UTH, UZ, VR, VTH, VZ,
+                                 measure_modes, measure_state)
 from cylmode.grid import CylGrid, build_grid
 from cylmode.nonlinear import flux_identity_residual
 from cylmode.state import (
     ModeState,
-    ModeVelocity,
     Params,
     divergence_residual,
     make_random_divfree_state,
@@ -26,6 +26,7 @@ from cylmode.stepper import RunSinks, StepConfig, energy_budget, run
 from cylmode.stokes import mode_dissipation, mode_energy
 
 import diagnostics_reference as ref
+from modeview import ModeView, force_dict, state_view
 
 TOL = 1e-13
 CASES = [(4, False), (4, True), (12, False), (12, True)]
@@ -42,27 +43,27 @@ def _random_state(grid, K, cascade, seed, t=0.0):
     rng = np.random.default_rng(seed)
     st = ModeState.zeros(grid, p, t=t)
     shape = (grid.n_r, grid.n_z)
-    for k, m in enumerate(st.modes):
+    for k, m in enumerate(st.u):
         s = 1e-4**k if cascade else 1.0
         f = [s * rng.standard_normal(shape) for _ in range(6)]
         if k == 0:
-            m.ur, m.uth, m.uz = f[0], f[4], f[2]
+            m[UR], m[UTH], m[UZ] = f[0], f[4], f[2]
         else:
-            m.set_fields(f)
-        st.pressures[k].P = s * rng.standard_normal(shape)
+            m[:] = f
+        st.p[k, P] = s * rng.standard_normal(shape)
         if k > 0:
-            st.pressures[k].Q = s * rng.standard_normal(shape)
+            st.p[k, Q] = s * rng.standard_normal(shape)
     return st
 
 
 def _random_forces(st, seed):
     rng = np.random.default_rng(seed)
-    shape = st.modes[0].ur.shape
-    out = {}
+    shape = st.u[0, UR].shape
+    out = np.zeros_like(st.u)
     for k in range(st.params.K + 1):
-        s = float(np.abs(st.modes[k].ur).max())
-        out[k] = tuple(s * rng.standard_normal(shape)
-                       for _ in range(3 if k == 0 else 6))
+        s = float(np.abs(st.u[k, UR]).max())
+        slots = [UR, UTH, UZ] if k == 0 else [UR, VTH, UZ, VR, UTH, VZ]
+        out[k, slots] = [s * rng.standard_normal(shape) for _ in slots]
     return out
 
 
@@ -81,7 +82,7 @@ def test_history_channels_match_reference(grid, K, cascade):
     want = F.EnergyHistory(j_max=1, mixed=True)
     for st in states:
         F.accumulate(got, st)
-        ref.reference_accumulate(want, st)
+        ref.reference_accumulate(want, state_view(st))
     assert list(got._ch) == list(want._ch)
     scale = {}
     for name in want._ch:
@@ -103,7 +104,7 @@ def test_history_channels_match_reference(grid, K, cascade):
 @pytest.mark.parametrize("K,cascade", CASES, ids=CASE_IDS)
 def test_divergence_residual_matches_reference(grid, K, cascade):
     st = _random_state(grid, K, cascade, seed=4)
-    want = ref.reference_divergence_residual(st)
+    want = ref.reference_divergence_residual(state_view(st))
     # normalized by each harmonic's own H1 scale, so order one here
     assert want.min() > 1e-3
     np.testing.assert_allclose(divergence_residual(st), want,
@@ -113,10 +114,11 @@ def test_divergence_residual_matches_reference(grid, K, cascade):
 def test_divergence_residual_of_zero_and_divfree_harmonics(grid):
     p = Params(nu=1.0, N=3, delta=0.1, eta=0.2, K=4)
     st = make_random_divfree_state(grid, p, seed=2)
-    st.modes[3] = ModeVelocity.zeros(3, st.modes[3].ur.shape)
+    st.u[3] = 0.0
     got = divergence_residual(st)
     assert got[3] == 0.0
-    np.testing.assert_allclose(got, ref.reference_divergence_residual(st),
+    np.testing.assert_allclose(got,
+                               ref.reference_divergence_residual(state_view(st)),
                                rtol=0, atol=TOL)
 
 
@@ -124,7 +126,7 @@ def test_divergence_residual_of_zero_and_divfree_harmonics(grid):
 def test_flux_residual_matches_reference(grid, K, cascade):
     # a random state is far from divergence-free, so the flux is order one
     st = _random_state(grid, K, cascade, seed=9)
-    want = ref.reference_flux_identity_residual(st)
+    want = ref.reference_flux_identity_residual(state_view(st))
     assert want > 1e-6
     assert flux_identity_residual(st) == pytest.approx(want, rel=TOL)
 
@@ -136,10 +138,11 @@ def test_budget_columns_match_reference(grid, K, cascade):
     forces = _random_forces(before, seed=7)
     dt = 1e-2
     got = energy_budget(before, after, forces, dt)
-    want = ref.reference_energy_budget(before, after, forces, dt)
+    want = ref.reference_energy_budget(state_view(before), state_view(after),
+                                       force_dict(forces), dt)
     assert len(got) == len(want) == K + 1
     for k, (g_row, w_row) in enumerate(zip(got, want)):
-        e_old = ref.reference_mode_energy(grid, before.modes[k])
+        e_old = ref.reference_mode_energy(grid, ModeView(k, before.u[k]))
         cols = w_row.as_tuple()[2:]
         scale = max(abs(e_old), *(abs(c) for c in cols))
         assert g_row.as_tuple()[:2] == w_row.as_tuple()[:2]
@@ -152,23 +155,24 @@ def test_budget_columns_match_reference(grid, K, cascade):
 def test_mode_readers_match_reference(grid, K, cascade):
     st = _random_state(grid, K, cascade, seed=8)
     N, nu = st.params.N, 0.7
-    total = ref.reference_total_l2_sq(st)
+    sv = state_view(st)
+    total = ref.reference_total_l2_sq(sv)
     assert st.total_l2_sq() == pytest.approx(total, rel=TOL)
-    for k, m in enumerate(st.modes):
+    for k, (u, m) in enumerate(zip(st.u, sv.modes)):
         e = ref.reference_mode_energy(grid, m)
-        assert mode_energy(grid, m) == pytest.approx(e, rel=TOL)
+        assert mode_energy(grid, u, k * N) == pytest.approx(e, rel=TOL)
         for j in range(3):
             assert st.mode_l2_sq(k, j) == pytest.approx(
-                ref.reference_mode_l2_sq(st, k, j), rel=TOL)
+                ref.reference_mode_l2_sq(sv, k, j), rel=TOL)
         want = ref.reference_mode_quadform_terms(grid, m, nu, k * N)
         want["dissipation"] = ref.reference_mode_dissipation(grid, m, nu, k * N)
-        got = measure_modes(grid, [m], [k * N], j_max=0).quadform_terms(nu)
+        got = measure_modes(grid, u[None], [k * N], j_max=0).quadform_terms(nu)
         s = max(abs(v) for v in want.values())
         for name, v in want.items():
             assert abs(got[name][0] - v) <= TOL * s, (k, name)
-        assert abs(mode_dissipation(grid, m, nu, k * N)
+        assert abs(mode_dissipation(grid, u, nu, k * N)
                    - want["dissipation"]) <= TOL * s
-        pw = ref.reference_pressure_work(grid, m, st.pressures[k], k * N)
+        pw = ref.reference_pressure_work(grid, m, sv.pressures[k], k * N)
         assert abs(measure_state(st).pressure_work()[k] - pw) <= TOL * s
 
 
@@ -223,6 +227,6 @@ def test_sinkless_run_computes_no_budgets(grid, monkeypatch):
     # snapshots keep their cadence: the start, then every budget_every steps
     assert times == pytest.approx([0.0, 2e-3, 4e-3], abs=1e-15)
     for res in (bare, snapped):
-        for m_a, m_b in zip(res.state.modes, with_sink.state.modes):
-            for a, b in zip(m_a.fields(), m_b.fields()):
+        for m_a, m_b in zip(res.state.u, with_sink.state.u):
+            for a, b in zip(m_a, m_b):
                 np.testing.assert_array_equal(a, b)

@@ -90,9 +90,8 @@ class TestAccumulate:
             t = dt * i
             st = base.copy()
             st.t = t
-            for m in st.modes:
-                m.set_fields(tuple(math.exp(-lam * t) * f
-                                   for f in m.fields()))
+            for m in st.u:
+                m[:] = [math.exp(-lam * t) * f for f in m]
             F.accumulate(hist, st)
         exact_factor = (1.0 - math.exp(-2.0 * lam * t_end)) / (2.0 * lam)
         got = hist.integral_at("inst_0_1")
@@ -140,7 +139,7 @@ class TestWeightedFunctionals:
         F.accumulate(hist, st)
         for j in (0, 1):
             inst = sum(grid.quad(grid.dz_pow(f, j) ** 2)
-                       for f in st.modes[1].fields())
+                       for f in st.u[1])
             want = p.N ** (-2.0 * p.eta) * inst
             assert F.compute_E(hist, j, p) == pytest.approx(want, rel=1e-12)
             assert F.compute_D(hist, j, p) == pytest.approx(want, rel=1e-12)
@@ -187,8 +186,8 @@ class TestWeightedFunctionals:
             for i in range(3):
                 st = base.copy()
                 st.t = 0.05 * i
-                for m in st.modes:
-                    m.set_fields(tuple(lam * f for f in m.fields()))
+                for m in st.u:
+                    m[:] = [lam * f for f in m]
                 F.accumulate(hist, st)
             hists.append(hist)
         for j in (0, 1):

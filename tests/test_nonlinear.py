@@ -4,6 +4,7 @@ and the global energy-flux identity on divergence-free states."""
 import numpy as np
 import pytest
 
+from cylmode.diagnostics import UR, UTH, UZ, VTH, VZ
 from cylmode.grid import build_grid
 from cylmode.state import (
     ModeState,
@@ -16,6 +17,7 @@ from cylmode.nonlinear import (
     flux_identity_residual,
     triad_bound_check,
 )
+from modeview import force_array, state_view
 from quadratic_reference import reference_quadratic_rhs
 
 # unit constant of the bilinear work estimate; measured max lhs/rhs over
@@ -35,9 +37,9 @@ def _swirl_state(g, params, swirls, mean_swirl=None):
     """State carrying only z-independent azimuthal components uth_k."""
     st = ModeState.zeros(g, params)
     for k, prof in swirls.items():
-        st.modes[k].uth = _ztile(g, prof)
+        st.u[k, UTH] = _ztile(g, prof)
     if mean_swirl is not None:
-        st.modes[0].uth = _ztile(g, mean_swirl)
+        st.u[0, UTH] = _ztile(g, mean_swirl)
     return st
 
 
@@ -45,9 +47,7 @@ def _combine(a, b, ca, cb):
     """New state with fields ca * a + cb * b, harmonic by harmonic."""
     out = ModeState.zeros(a.grid, a.params)
     for k in range(a.params.K + 1):
-        out.modes[k].set_fields(tuple(
-            ca * fa + cb * fb
-            for fa, fb in zip(a.modes[k].fields(), b.modes[k].fields())))
+        out.u[k] = [ca * fa + cb * fb for fa, fb in zip(a.u[k], b.u[k])]
     return out
 
 
@@ -61,18 +61,18 @@ def _exact_divfree_state(g, params):
     r = g.r[:, None]
     z = g.z[None, :]
     st = ModeState.zeros(g, params)
-    mean = st.modes[0]
-    mean.uth = _ztile(g, g.r * (1 - g.r**2) ** 2)
-    mean.uz = _ztile(g, (1 - g.r**2) ** 2)
+    mean = st.u[0]
+    mean[UTH] = _ztile(g, g.r * (1 - g.r**2) ** 2)
+    mean[UZ] = _ztile(g, (1 - g.r**2) ** 2)
     for k in range(1, params.K + 1):
         kN = k * params.N
         q = (1 - r**2) ** 2 * (1 + 0.3 * r) * (1 + 0.1 * k)
         p = (1 - r**2) ** 2 * (0.5 - 0.2 * r**2) * (1 - 0.05 * k)
-        m = st.modes[k]
-        m.vth = r * q * np.sin(z)
-        m.uz = kN * q * np.cos(z)
-        m.uth = r * p * np.cos(2 * z)
-        m.vz = (kN / 2.0) * p * np.sin(2 * z)
+        m = st.u[k]
+        m[VTH] = r * q * np.sin(z)
+        m[UZ] = kN * q * np.cos(z)
+        m[UTH] = r * p * np.cos(2 * z)
+        m[VZ] = (kN / 2.0) * p * np.sin(2 * z)
     return st
 
 
@@ -134,7 +134,7 @@ class TestTriadHandValues:
         r = g.r
         phi = r * (1 - r**2) ** 2
         st = _swirl_state(g, p, {1: phi})
-        s_r, s_th, s_z = assemble_quadratic_rhs(st)[0]
+        s_r, s_th, s_z = assemble_quadratic_rhs(st)[0, [UR, UTH, UZ]]
         np.testing.assert_allclose(s_r, _ztile(g, phi**2 / (2 * r)),
                                    rtol=1e-13, atol=1e-16)
         assert np.all(s_th == 0.0)
@@ -158,7 +158,7 @@ class TestTriadHandValues:
         for f in (uz, vr, uth, vz):
             assert np.all(f == 0.0)
         # mean swirl adds its own centripetal source on top of the harmonic's
-        s_r, _, _ = rhs[0]
+        s_r = rhs[0, UR]
         np.testing.assert_allclose(
             s_r, _ztile(g, swirl0**2 / r + phi**2 / (2 * r)),
             rtol=1e-13, atol=1e-16)
@@ -204,8 +204,7 @@ class TestStructure:
         u4 = make_random_divfree_state(g, p4, seed=31)
         u8 = ModeState.zeros(g, p8)
         for k in range(5):
-            u8.modes[k].set_fields(tuple(f.copy()
-                                         for f in u4.modes[k].fields()))
+            u8.u[k] = u4.u[k].copy()
         q8, q4 = assemble_quadratic_rhs(u8), assemble_quadratic_rhs(u4)
         for k in range(5):
             for a, b in zip(q8[k], q4[k]):
@@ -220,10 +219,10 @@ class TestStructure:
             for cascade in (1.0, 1e-4):
                 u = make_random_divfree_state(grid_cheb, p, seed=41)
                 for k in range(K + 1):
-                    u.modes[k].set_fields(
-                        tuple(cascade**k * f for f in u.modes[k].fields()))
+                    u.u[k] = [cascade**k * f for f in u.u[k]]
                 got = assemble_quadratic_rhs(u)
-                want = reference_quadratic_rhs(u)
+                want = force_array(reference_quadratic_rhs(state_view(u)),
+                                   u.u.shape)
                 for k in range(K + 1):
                     scale = max(np.abs(f).max() for f in want[k])
                     assert scale > 0.0
@@ -232,8 +231,8 @@ class TestStructure:
                                                    atol=1e-13 * scale)
             # a lone fundamental feeds the mean and its double, nothing else
             lone = ModeState.zeros(grid_cheb, p)
-            lone.modes[1] = make_random_divfree_state(grid_cheb, p,
-                                                      seed=51).modes[1]
+            lone.u[1] = make_random_divfree_state(grid_cheb, p,
+                                                  seed=51).u[1]
             rhs = assemble_quadratic_rhs(lone)
             for k in range(K + 1):
                 live = any(np.any(f) for f in rhs[k])
@@ -275,7 +274,7 @@ class TestFluxIdentity:
         a = make_random_divfree_state(grid_cheb, p, seed=7)
         b = make_random_divfree_state(grid_cheb, p, seed=7)
         for k in range(p.K + 1):
-            for fa, fb in zip(a.modes[k].fields(), b.modes[k].fields()):
+            for fa, fb in zip(a.u[k], b.u[k]):
                 np.testing.assert_array_equal(fa, fb)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cylmode.diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
 from cylmode.grid import build_grid
 from cylmode.state import ModeState, Params, make_random_divfree_state
 from cylmode.nonlinear import assemble_quadratic_rhs
@@ -58,17 +59,17 @@ class TestTransforms:
         p = _params()
         st = _rand_state(grid, p, seed=1)
         rng = np.random.default_rng(2)
-        shape = st.modes[0].ur.shape
-        st.pressures[0].P = rng.standard_normal(shape)
+        shape = st.u[0, 0].shape
+        st.p[0, P] = rng.standard_normal(shape)
         for k in range(1, p.K + 1):
-            st.pressures[k].P = rng.standard_normal(shape)
-            st.pressures[k].Q = rng.standard_normal(shape)
+            st.p[k, P] = rng.standard_normal(shape)
+            st.p[k, Q] = rng.standard_normal(shape)
         back = project_to_modes(reconstruct_to_full(st, N_THETA), p)
         for k in range(p.K + 1):
-            for a, b in zip(back.modes[k].fields(), st.modes[k].fields()):
+            for a, b in zip(back.u[k], st.u[k]):
                 assert np.abs(a - b).max() < 1e-13
-            assert np.abs(back.pressures[k].P - st.pressures[k].P).max() < 1e-13
-            assert np.abs(back.pressures[k].Q - st.pressures[k].Q).max() < 1e-13
+            assert np.abs(back.p[k, P] - st.p[k, P]).max() < 1e-13
+            assert np.abs(back.p[k, Q] - st.p[k, Q]).max() < 1e-13
 
     def test_unretained_harmonics_are_dropped(self, grid):
         p = _params()
@@ -98,6 +99,36 @@ class TestTransforms:
         # interior nodes only; the wall column multiplies zero velocity
         assert np.abs(div[:-1]).max() < 1e-12
 
+    def test_transforms_match_per_harmonic_loops(self, grid):
+        # the harmonic-at-a-time transforms, summed in the same order
+        p = _params()
+        st = _rand_state(grid, p, seed=7)
+        st.p[:, P] = np.random.default_rng(8).standard_normal(st.p[:, P].shape)
+        st.p[1:, Q] = np.random.default_rng(9).standard_normal(st.p[1:, Q].shape)
+        full = reconstruct_to_full(st, N_THETA)
+        rows = {"ur": (UR, VR), "uth": (UTH, VTH), "uz": (UZ, VZ)}
+        for name, (cs, sn) in {**rows, "P": (P, Q)}.items():
+            arr = st.p if name == "P" else st.u
+            want = np.zeros_like(full.ur)
+            want += arr[0, cs][:, None, :]
+            for k in range(1, p.K + 1):
+                ang = k * p.N * full.theta
+                want += (arr[k, cs][:, None, :] * np.cos(ang)[None, :, None]
+                         + arr[k, sn][:, None, :] * np.sin(ang)[None, :, None])
+            np.testing.assert_array_equal(getattr(full, name), want)
+        back = project_to_modes(full, p)
+        for name, (cs, sn) in {**rows, "P": (P, Q)}.items():
+            arr = back.p if name == "P" else back.u
+            spec = np.fft.rfft(getattr(full, name), axis=1)
+            np.testing.assert_array_equal(arr[0, cs],
+                                          spec[:, 0, :].real / N_THETA)
+            for k in range(1, p.K + 1):
+                m = k * p.N
+                np.testing.assert_array_equal(
+                    arr[k, cs], 2.0 / N_THETA * spec[:, m, :].real)
+                np.testing.assert_array_equal(
+                    arr[k, sn], -2.0 / N_THETA * spec[:, m, :].imag)
+
     def test_resolution_guard(self, grid):
         p = _params()
         st = _rand_state(grid, p, seed=1)
@@ -117,8 +148,7 @@ class TestNonlinearAudit:
         st = _rand_state(grid, p, seed=seed)
         full = reconstruct_to_full(st, N_THETA)
         assembled = assemble_quadratic_rhs(st)
-        scale = max(np.abs(f).max() for k in assembled
-                    for f in assembled[k]) or 1.0
+        scale = np.abs(assembled).max() or 1.0
         for k in range(p.K + 1):
             audit = nonlinear_term_projection(full, p, k)
             assert len(audit) == len(assembled[k])
@@ -138,7 +168,7 @@ class TestOracleStep:
         p = _params()
         st = ModeState.zeros(grid, p)
         src = _rand_state(grid, p, seed=6)
-        st.modes[0] = src.modes[0]
+        st.u[0] = src.u[0]
         full = reconstruct_to_full(st, N_THETA)
         out = oracle_step(full, p, 1e-3, cache=cache)
         back = project_to_modes(out, p)

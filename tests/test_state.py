@@ -2,15 +2,16 @@
 
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
 import cylmode.state
 from cylmode import build_grid
+from cylmode.diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
 from cylmode.state import (
     Params,
-    ModeVelocity,
     ModeState,
     make_profile_divfree,
     make_initial_state,
@@ -82,12 +83,12 @@ class TestInitialState:
         prof = _profile(grid_cheb)
         p = Params(nu=1.0, N=8, delta=0.0, eta=0.25, K=4)
         st = make_initial_state(prof, p)
-        m1 = st.modes[1]
-        assert np.array_equal(m1.ur, prof.a_r)
-        assert np.array_equal(m1.vr, prof.b_r)
-        assert np.array_equal(m1.uz, prof.a_z)
-        assert np.array_equal(m1.vth * p.N, prof.b_th)
-        assert np.array_equal(m1.uth * p.N, prof.a_th)
+        m1 = st.u[1]
+        assert np.array_equal(m1[UR], prof.a_r)
+        assert np.array_equal(m1[VR], prof.b_r)
+        assert np.array_equal(m1[UZ], prof.a_z)
+        assert np.array_equal(m1[VTH] * p.N, prof.b_th)
+        assert np.array_equal(m1[UTH] * p.N, prof.a_th)
         for k in (0, 2, 3, 4):
             assert st.mode_l2_sq(k) == 0.0
 
@@ -95,7 +96,7 @@ class TestInitialState:
         prof = _profile(grid_cheb)
         p = Params(nu=1.0, N=8, delta=0.1, eta=0.25, K=2)
         st = make_initial_state(prof, p)
-        assert np.allclose(st.modes[1].ur, 8.0**0.1 * prof.a_r, rtol=1e-15)
+        assert np.allclose(st.u[1, UR], 8.0**0.1 * prof.a_r, rtol=1e-15)
 
     def test_single_zero_wall_profile_rejected(self, grid_cheb):
         g = grid_cheb
@@ -118,7 +119,7 @@ class TestInitialState:
         assert res.max() < 1e-12
         st2 = st.copy()
         r = g.r[:, None]
-        st2.modes[1].ur = st2.modes[1].ur + r * (1.0 - r)
+        st2.u[1, UR] = st2.u[1, UR] + r * (1.0 - r)
         assert divergence_residual(st2)[1] > 1e-3
 
 
@@ -128,13 +129,13 @@ class TestReconstruction:
         prof = _profile(g)
         p = Params(nu=1.0, N=8, delta=0.0, eta=0.25, K=4)
         st = make_initial_state(prof, p)
-        m1 = st.modes[1]
+        m1 = st.u[1]
         rp, th, zp = 0.5, 0.3, 1.1
         c, s = math.cos(p.N * th), math.sin(p.N * th)
         want = np.array([
-            g.interp(m1.ur, rp, zp) * c + g.interp(m1.vr, rp, zp) * s,
-            g.interp(m1.uth, rp, zp) * c + g.interp(m1.vth, rp, zp) * s,
-            g.interp(m1.uz, rp, zp) * c + g.interp(m1.vz, rp, zp) * s,
+            g.interp(m1[UR], rp, zp) * c + g.interp(m1[VR], rp, zp) * s,
+            g.interp(m1[UTH], rp, zp) * c + g.interp(m1[VTH], rp, zp) * s,
+            g.interp(m1[UZ], rp, zp) * c + g.interp(m1[VZ], rp, zp) * s,
         ])
         got = reconstruct_point(st, rp, th, zp)
         assert np.abs(got - want).max() < 1e-13
@@ -167,8 +168,8 @@ class TestNormConventions:
         st = ModeState.zeros(g, p)
         r = g.r[:, None]
         f = r * (1.0 - r**2) * np.ones((1, g.n_z))
-        st.modes[0].uth = f.copy()
-        st.modes[1].ur = f.copy()
+        st.u[0, UTH] = f.copy()
+        st.u[1, UR] = f.copy()
         base = g.quad(f * f)
         assert st.mode_l2_sq(0) == pytest.approx(2.0 * np.pi * base, rel=1e-14)
         assert st.mode_l2_sq(1) == pytest.approx(np.pi * base, rel=1e-14)
@@ -181,26 +182,25 @@ class TestCheckpoint:
         p = Params(nu=0.0, N=5, delta=0.05, eta=0.2, K=3)
         st = ModeState.zeros(g, p, t=0.625)
         for k in range(p.K + 1):
-            m = st.modes[k]
             nf = 3 if k == 0 else 6
             arrs = [rng.standard_normal((g.n_r, g.n_z)) for _ in range(nf)]
             if k == 0:
-                m.ur, m.uth, m.uz = arrs
+                st.u[0, [UR, UTH, UZ]] = arrs
             else:
-                m.set_fields(arrs)
-            st.pressures[k].P = rng.standard_normal((g.n_r, g.n_z))
+                st.u[k] = arrs
+            st.p[k, P] = rng.standard_normal((g.n_r, g.n_z))
             if k > 0:
-                st.pressures[k].Q = rng.standard_normal((g.n_r, g.n_z))
+                st.p[k, Q] = rng.standard_normal((g.n_r, g.n_z))
         path = os.path.join(tmp_path, "state.ckpt")
         save_checkpoint(st, path)
         back = load_checkpoint(path)
         assert back.t == st.t
         assert back.params.N == p.N and back.params.nu == p.nu
         for k in range(p.K + 1):
-            for f0, f1 in zip(st.modes[k].fields(), back.modes[k].fields()):
+            for f0, f1 in zip(st.u[k], back.u[k]):
                 assert f0.tobytes() == f1.tobytes()
-            assert st.pressures[k].P.tobytes() == back.pressures[k].P.tobytes()
-            assert st.pressures[k].Q.tobytes() == back.pressures[k].Q.tobytes()
+            assert st.p[k, P].tobytes() == back.p[k, P].tobytes()
+            assert st.p[k, Q].tobytes() == back.p[k, Q].tobytes()
 
     def test_corrupt_magic_rejected(self, grid_cheb, tmp_path):
         g = grid_cheb
@@ -234,14 +234,13 @@ class TestCheckpoint:
         save_checkpoint(old, path)
         before = open(path, "rb").read()
 
-        fields = cylmode.state._state_field_sequence
+        body = cylmode.state._checkpoint_body
 
         def failing(state):
-            it = fields(state)
-            yield next(it)
+            yield body(state)[0]
             raise OSError("disk full")
 
-        monkeypatch.setattr(cylmode.state, "_state_field_sequence", failing)
+        monkeypatch.setattr(cylmode.state, "_checkpoint_body", failing)
         new = make_random_divfree_state(g, p, seed=2, amplitude=1e-2)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(new, path)
@@ -249,5 +248,44 @@ class TestCheckpoint:
         assert os.listdir(tmp_path) == ["state.ckpt"]
         back = load_checkpoint(path)
         for k in range(p.K + 1):
-            for f0, f1 in zip(old.modes[k].fields(), back.modes[k].fields()):
+            for f0, f1 in zip(old.u[k], back.u[k]):
                 assert f0.tobytes() == f1.tobytes()
+
+    def test_bytes_follow_documented_layout(self, grid_cheb, tmp_path, rng):
+        # expected CYLMODE1 bytes built field by field from the module
+        # docstring: header, mean (u_r, u_th, u_z), each harmonic's six
+        # fields in (u_r, v_th, u_z, v_r, u_th, v_z) order, then P_0 and
+        # each harmonic's (P_k, Q_k)
+        g = grid_cheb
+        p = Params(nu=1.0, N=5, delta=0.05, eta=0.2, K=2)
+        st = ModeState.zeros(g, p, t=0.375)
+        shape = (g.n_r, g.n_z)
+        mean = {name: rng.standard_normal(shape) for name in ("ur", "uth", "uz")}
+        st.u[0, UR], st.u[0, UTH], st.u[0, UZ] = (mean["ur"], mean["uth"],
+                                                  mean["uz"])
+        names = ("ur", "vth", "uz", "vr", "uth", "vz")
+        slots = dict(zip(names, (UR, VTH, UZ, VR, UTH, VZ)))
+        harm = {k: {name: rng.standard_normal(shape) for name in names}
+                for k in (1, 2)}
+        press = {k: (rng.standard_normal(shape), rng.standard_normal(shape))
+                 for k in (0, 1, 2)}
+        for k, fields in harm.items():
+            for name, f in fields.items():
+                st.u[k, slots[name]] = f
+        for k, (pk, qk) in press.items():
+            st.p[k, P] = pk
+            if k > 0:
+                st.p[k, Q] = qk
+        want = [b"CYLMODE1", struct.pack("<4I", g.n_r, g.n_z, 2, 5),
+                struct.pack("<5d", g.L_z, 0.375, 1.0, 0.05, 0.2)]
+        want += [mean[name].astype("<f8").tobytes()
+                 for name in ("ur", "uth", "uz")]
+        for k in (1, 2):
+            want += [harm[k][name].astype("<f8").tobytes() for name in names]
+        want.append(press[0][0].astype("<f8").tobytes())
+        for k in (1, 2):
+            want += [press[k][0].astype("<f8").tobytes(),
+                     press[k][1].astype("<f8").tobytes()]
+        path = os.path.join(tmp_path, "layout.ckpt")
+        save_checkpoint(st, path)
+        assert open(path, "rb").read() == b"".join(want)

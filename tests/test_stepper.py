@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+import cylmode.stepper
+from cylmode.diagnostics import UR, UTH, UZ, VR, VTH, VZ
 from cylmode.grid import build_grid, THETA_FULL, THETA_HALF
 from cylmode.state import (
     ModeState,
@@ -46,12 +48,12 @@ def _rand_state(grid, p, seed, amplitude=1e-2, **kw):
 
 def _max_diff(st_a, st_b):
     return max(float(np.abs(a - b).max())
-               for ma, mb in zip(st_a.modes, st_b.modes)
-               for a, b in zip(ma.fields(), mb.fields()))
+               for ma, mb in zip(st_a.u, st_b.u)
+               for a, b in zip(ma, mb))
 
 
 def _budget_fields(m, k):
-    return (m.ur, m.uth, m.uz) if k == 0 else m.fields()
+    return m[[UR, UTH, UZ]] if k == 0 else m
 
 
 class TestBasics:
@@ -161,15 +163,15 @@ class TestBudgets:
         rows = energy_budget(st, new, ses.prev_rhs, dt)
         for k, r in enumerate(rows):
             theta = THETA_FULL if k == 0 else THETA_HALF
-            olds = _budget_fields(st.modes[k], k)
-            news = _budget_fields(new.modes[k], k)
+            olds = _budget_fields(st.u[k], k)
+            news = _budget_fields(new.u[k], k)
             du2 = theta * sum(g.quad((a - b) ** 2)
                               for a, b in zip(news, olds))
             src = 0.0
-            if ses.prev_rhs and k in ses.prev_rhs:
+            if ses.prev_rhs is not None:
                 src = 2.0 * dt * theta * sum(
                     g.quad(f * (a - b)) for f, a, b in
-                    zip(ses.prev_rhs[k], news, olds))
+                    zip(_budget_fields(ses.prev_rhs[k], k), news, olds))
             scale = (abs(r.imbalance) + du2 + abs(src)
                      + 2.0 * dt * (r.dissipation_r + r.dissipation_z
                                    + abs(r.weighted_r)))
@@ -207,8 +209,8 @@ class TestConvergence:
     def _mms_error(self, grid, p, base, scheme, dt, t_end=0.2):
         # manufactured solution a(t) * U with the discrete operators
         # supplying the forcing, so only the time discretization can err
-        lin = {k: apply_viscous_operator(grid, base.modes[k], p.nu, k * p.N)
-               for k in range(p.K + 1)}
+        lin = np.array([apply_viscous_operator(grid, base.u[k], p.nu, k * p.N)
+                        for k in range(p.K + 1)])
         quad = assemble_quadratic_rhs(base)
 
         def amp(t):
@@ -219,20 +221,14 @@ class TestConvergence:
 
         def forcing(t):
             a, da = amp(t), damp(t)
-            out = {}
-            for k in range(p.K + 1):
-                flds = base.modes[k].fields()
-                sel = (flds[0], flds[4], flds[2]) if k == 0 else flds
-                out[k] = tuple(da * f + a * l - a * a * s
-                               for f, l, s in zip(sel, lin[k], quad[k]))
-            return out
+            return da * base.u + a * lin - a * a * quad
 
         res = run(base, StepConfig(dt=dt, t_end=t_end, scheme=scheme),
                   forcing=forcing)
         a_end = amp(t_end)
         num = den = 0.0
-        for m_n, m_e in zip(res.state.modes, base.modes):
-            for f_n, f_e in zip(m_n.fields(), m_e.fields()):
+        for m_n, m_e in zip(res.state.u, base.u):
+            for f_n, f_e in zip(m_n, m_e):
                 num = max(num, float(np.abs(f_n - a_end * f_e).max()))
                 den = max(den, float(np.abs(a_end * f_e).max()))
         return num / den
@@ -295,6 +291,27 @@ class TestGuards:
         with pytest.raises(CFLViolationError, match="limiting harmonic"):
             step(st, StepConfig(dt=1e-2, t_end=1.0))
 
+    def test_cfl_limit_matches_per_harmonic_loop(self, grid):
+        # the harmonic-at-a-time bound: amplitudes summed over harmonics
+        p = _params(K=12)
+        st = _rand_state(grid, p, seed=4, amplitude=3.0)
+        g = grid
+        r = g.r[:, None]
+        sums = np.zeros(3)
+        contrib = []
+        scales = np.array([min(float(g.r[0]), float(np.diff(g.r).min())),
+                           g.L_z / g.n_z, 2.0 * np.pi / (p.K * p.N)])
+        for m in st.u:
+            amp = np.array([np.abs(m[UR]).max() + np.abs(m[VR]).max(),
+                            np.abs(m[UZ]).max() + np.abs(m[VZ]).max(),
+                            (np.abs(m[UTH]) / r).max()
+                            + (np.abs(m[VTH]) / r).max()])
+            contrib.append((amp / scales).max())
+            sums += amp
+        dt_max, limiting = cfl_limit(st)
+        assert dt_max == pytest.approx(1.0 / (sums / scales).max(), rel=1e-14)
+        assert limiting == int(np.argmax(contrib))
+
     def test_cfl_limit_zero_state(self, grid):
         p = _params()
         st = ModeState.zeros(grid, p)
@@ -310,8 +327,8 @@ class TestGuards:
     def test_blowup_aborts_with_checkpoint(self, grid, tmp_path):
         p = _params()
         st = _rand_state(grid, p, seed=3)
-        pump = {1: tuple(0.5 * np.ones_like(f)
-                         for f in st.modes[1].fields())}
+        pump = np.zeros_like(st.u)
+        pump[1] = 0.5
         path = str(tmp_path / "fail.ck")
         cfg = StepConfig(dt=1e-3, t_end=0.5, nonlinear=False)
         res = run(st, cfg, sinks=RunSinks(checkpoint_path=path),
@@ -335,6 +352,30 @@ class TestGuards:
         st = _rand_state(grid, p, seed=3)
         path = str(tmp_path / "sched.ck")
         cfg = StepConfig(dt=1e-3, t_end=5e-3)
-        run(st, cfg, sinks=RunSinks(checkpoint_path=path, checkpoint_every=2))
+        run(st, cfg, sinks=RunSinks(checkpoint_path=path))
         final = load_checkpoint(path, params=p)
         assert final.t == pytest.approx(5e-3)
+
+    def test_failed_step_leaves_last_good_checkpoint(self, grid, tmp_path,
+                                                     monkeypatch):
+        p = _params()
+        st = _rand_state(grid, p, seed=3)
+        path = str(tmp_path / "fail.ck")
+        cfg = StepConfig(dt=1e-3, t_end=5e-3)
+        good = run(st, StepConfig(dt=1e-3, t_end=2e-3)).state
+        original = cylmode.stepper.step
+        calls = []
+
+        def third_step_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise CFLViolationError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cylmode.stepper, "step", third_step_fails)
+        with pytest.raises(CFLViolationError, match="injected"):
+            run(st, cfg, sinks=RunSinks(checkpoint_path=path))
+        saved = load_checkpoint(path, params=p)
+        assert saved.t == good.t
+        assert saved.u.tobytes() == good.u.tobytes()
+        assert saved.p.tobytes() == good.p.tobytes()

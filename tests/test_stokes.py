@@ -14,7 +14,8 @@ from scipy.special import j0, j1, jn_zeros
 import cylmode.stokes
 
 from cylmode import build_grid
-from cylmode.state import ModeVelocity, Params
+from cylmode.diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
+from cylmode.state import Params
 from cylmode.stokes import (
     SingularOperatorError,
     StokesOpCache,
@@ -34,7 +35,7 @@ from cylmode.stokes import (
 
 
 def _rand_mode(g, k, rng):
-    m = ModeVelocity.zeros(k, (g.n_r, g.n_z))
+    m = np.zeros((6, g.n_r, g.n_z))
     r = g.r[:, None]
     z = g.z[None, :]
     env = r * (1.0 - r**2) ** 2
@@ -42,9 +43,9 @@ def _rand_mode(g, k, rng):
     arrs = [env * (c[0] + c[1] * np.cos(z) + c[2] * np.sin(z) + c[3] * np.cos(2 * z))
             for c in rng.standard_normal((nf, 4))]
     if k == 0:
-        m.ur, m.uth, m.uz = arrs
+        m[UR], m[UTH], m[UZ] = arrs
     else:
-        m.set_fields(arrs)
+        m[:] = arrs
     return m
 
 
@@ -105,15 +106,15 @@ class TestStackedOperators:
         dt, keff = 1e-3, 4
         cache = StokesOpCache(g, 1.0)
         m = _rand_mode(g, 2, rng)
-        f = tuple(rng.standard_normal((g.n_r, g.n_z)) * r * (1.0 - r**2)
-                  for _ in range(6))
+        f = np.array([rng.standard_normal((g.n_r, g.n_z)) * r * (1.0 - r**2)
+                      for _ in range(6)])
         new, press = stokes_step(cache, m, f, dt, keff)
         cos = _solve_family(cache, keff, dt, True, np.array(
-            [[m.ur / dt + f[0], m.vth / dt + f[1], m.uz / dt + f[2]]]))[0]
+            [[m[UR] / dt + f[0], m[VTH] / dt + f[1], m[UZ] / dt + f[2]]]))[0]
         sin = _solve_family(cache, keff, dt, True, np.array(
-            [[m.vr / dt + f[3], -(m.uth / dt + f[4]), m.vz / dt + f[5]]]))[0]
-        joint = (new.ur, new.vth, new.uz, press.P,
-                 new.vr, -new.uth, new.vz, press.Q)
+            [[m[VR] / dt + f[3], -(m[UTH] / dt + f[4]), m[VZ] / dt + f[5]]]))[0]
+        joint = (new[UR], new[VTH], new[UZ], press[P],
+                 new[VR], -new[UTH], new[VZ], press[Q])
         for a, b in zip(joint, (*cos, *sin)):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
@@ -147,29 +148,29 @@ class TestAxisymmetricEigenmodes:
         g = grid_cheb
         lam = jn_zeros(1, 1)[0]
         r = g.r[:, None]
-        m = ModeVelocity.zeros(0, (g.n_r, g.n_z))
-        m.uth = j1(lam * r) * np.ones((1, g.n_z))
+        m = np.zeros((6, g.n_r, g.n_z))
+        m[UTH] = j1(lam * r) * np.ones((1, g.n_z))
         cache = StokesOpCache(g, 1.0)
         dt, nsteps = 1e-2, 5
         cur = m
         for _ in range(nsteps):
             cur, _p = stokes_step(cache, cur, None, dt, 0)
         want = j1(lam * r) / (1.0 + dt * lam**2) ** nsteps
-        assert np.abs(cur.uth - want).max() < 1e-8
+        assert np.abs(cur[UTH] - want).max() < 1e-8
 
     def test_axial_bessel_decay(self, grid_cheb):
         g = grid_cheb
         lam = jn_zeros(0, 1)[0]
         r = g.r[:, None]
-        m = ModeVelocity.zeros(0, (g.n_r, g.n_z))
-        m.uz = j0(lam * r) * np.ones((1, g.n_z))
+        m = np.zeros((6, g.n_r, g.n_z))
+        m[UZ] = j0(lam * r) * np.ones((1, g.n_z))
         cache = StokesOpCache(g, 1.0)
         dt, nsteps = 1e-2, 5
         cur = m
         for _ in range(nsteps):
             cur, _p = stokes_step(cache, cur, None, dt, 0)
         want = j0(lam * r) / (1.0 + dt * lam**2) ** nsteps
-        assert np.abs(cur.uz - want).max() < 1e-8
+        assert np.abs(cur[UZ] - want).max() < 1e-8
 
 
 class TestDiscreteEquationResiduals:
@@ -179,8 +180,8 @@ class TestDiscreteEquationResiduals:
         nu, dt, keff = 1.0, 1e-3, 5
         cache = StokesOpCache(g, nu)
         m = _rand_mode(g, 1, rng)
-        f = tuple(rng.standard_normal((g.n_r, g.n_z)) * r * (1.0 - r**2)
-                  for _ in range(6))
+        f = np.array([rng.standard_normal((g.n_r, g.n_z)) * r * (1.0 - r**2)
+                      for _ in range(6)])
         new, press = stokes_step(cache, m, f, dt, keff)
 
         def lap(a):
@@ -192,25 +193,25 @@ class TestDiscreteEquationResiduals:
         pot_rth = (1.0 + keff**2) / r**2
         pot_z = keff**2 / r**2
         res = [
-            helm(new.ur, pot_rth) + 2 * keff / r**2 * new.vth
-            + g.dr(press.P) - (m.ur / dt + f[0]),
-            helm(new.vth, pot_rth) + 2 * keff / r**2 * new.ur
-            - keff * press.P / r - (m.vth / dt + f[1]),
-            helm(new.uz, pot_z) + g.dz(press.P) - (m.uz / dt + f[2]),
-            helm(new.vr, pot_rth) - 2 * keff / r**2 * new.uth
-            + g.dr(press.Q) - (m.vr / dt + f[3]),
-            helm(new.uth, pot_rth) - 2 * keff / r**2 * new.vr
-            + keff * press.Q / r - (m.uth / dt + f[4]),
-            helm(new.vz, pot_z) + g.dz(press.Q) - (m.vz / dt + f[5]),
+            helm(new[UR], pot_rth) + 2 * keff / r**2 * new[VTH]
+            + g.dr(press[P]) - (m[UR] / dt + f[0]),
+            helm(new[VTH], pot_rth) + 2 * keff / r**2 * new[UR]
+            - keff * press[P] / r - (m[VTH] / dt + f[1]),
+            helm(new[UZ], pot_z) + g.dz(press[P]) - (m[UZ] / dt + f[2]),
+            helm(new[VR], pot_rth) - 2 * keff / r**2 * new[UTH]
+            + g.dr(press[Q]) - (m[VR] / dt + f[3]),
+            helm(new[UTH], pot_rth) - 2 * keff / r**2 * new[VR]
+            + keff * press[Q] / r - (m[UTH] / dt + f[4]),
+            helm(new[VZ], pot_z) + g.dz(press[Q]) - (m[VZ] / dt + f[5]),
         ]
         scale = 1.0 / dt
         for rr in res:
             assert np.abs(rr[:-1, :]).max() / scale < 1e-10
-        div_c = g.dr(new.ur) + new.ur / r + keff * new.vth / r + g.dz(new.uz)
-        div_s = g.dr(new.vr) + new.vr / r - keff * new.uth / r + g.dz(new.vz)
+        div_c = g.dr(new[UR]) + new[UR] / r + keff * new[VTH] / r + g.dz(new[UZ])
+        div_s = g.dr(new[VR]) + new[VR] / r - keff * new[UTH] / r + g.dz(new[VZ])
         assert np.abs(div_c).max() < 1e-10
         assert np.abs(div_s).max() < 1e-10
-        for fields in new.fields():
+        for fields in new:
             assert np.abs(fields[-1, :]).max() == 0.0
 
     def test_manufactured_steady_state(self, grid_cheb, rng):
@@ -228,39 +229,39 @@ class TestDiscreteEquationResiduals:
 
         pot_rth = (1.0 + keff**2) / r**2
         pot_z = keff**2 / r**2
-        f = (
-            -lap(star.ur) + pot_rth * star.ur - nu**2 * g.dz_pow(star.ur, 2)
-            + 2 * keff / r**2 * star.vth,
-            -lap(star.vth) + pot_rth * star.vth - nu**2 * g.dz_pow(star.vth, 2)
-            + 2 * keff / r**2 * star.ur,
-            -lap(star.uz) + pot_z * star.uz - nu**2 * g.dz_pow(star.uz, 2),
-            -lap(star.vr) + pot_rth * star.vr - nu**2 * g.dz_pow(star.vr, 2)
-            - 2 * keff / r**2 * star.uth,
-            -lap(star.uth) + pot_rth * star.uth - nu**2 * g.dz_pow(star.uth, 2)
-            - 2 * keff / r**2 * star.vr,
-            -lap(star.vz) + pot_z * star.vz - nu**2 * g.dz_pow(star.vz, 2),
-        )
+        f = np.array([
+            -lap(star[UR]) + pot_rth * star[UR] - nu**2 * g.dz_pow(star[UR], 2)
+            + 2 * keff / r**2 * star[VTH],
+            -lap(star[VTH]) + pot_rth * star[VTH] - nu**2 * g.dz_pow(star[VTH], 2)
+            + 2 * keff / r**2 * star[UR],
+            -lap(star[UZ]) + pot_z * star[UZ] - nu**2 * g.dz_pow(star[UZ], 2),
+            -lap(star[VR]) + pot_rth * star[VR] - nu**2 * g.dz_pow(star[VR], 2)
+            - 2 * keff / r**2 * star[UTH],
+            -lap(star[UTH]) + pot_rth * star[UTH] - nu**2 * g.dz_pow(star[UTH], 2)
+            - 2 * keff / r**2 * star[VR],
+            -lap(star[VZ]) + pot_z * star[VZ] - nu**2 * g.dz_pow(star[VZ], 2),
+        ])
         new, press = stokes_step(cache, star, f, dt, keff)
-        scale = max(np.abs(fl).max() for fl in star.fields())
-        drift = max(np.abs(a - b).max() for a, b in zip(new.fields(), star.fields()))
+        scale = max(np.abs(fl).max() for fl in star)
+        drift = max(np.abs(a - b).max() for a, b in zip(new, star))
         assert drift / scale < 1e-9
-        assert np.abs(press.P).max() / scale < 1e-6
-        assert np.abs(press.Q).max() / scale < 1e-6
+        assert np.abs(press[P]).max() / scale < 1e-6
+        assert np.abs(press[Q]).max() / scale < 1e-6
 
 
 class TestFamilySymmetry:
     def test_mirrored_families_stay_mirrored(self, grid_cheb, rng):
         g = grid_cheb
         m = _rand_mode(g, 2, rng)
-        m.vr = m.ur.copy()
-        m.uth = -m.vth.copy()
-        m.vz = m.uz.copy()
+        m[VR] = m[UR].copy()
+        m[UTH] = -m[VTH].copy()
+        m[VZ] = m[UZ].copy()
         cache = StokesOpCache(g, 1.0)
         new, press = stokes_step(cache, m, None, 1e-3, 4)
-        assert np.abs(new.vr - new.ur).max() < 1e-12
-        assert np.abs(new.uth + new.vth).max() < 1e-12
-        assert np.abs(new.vz - new.uz).max() < 1e-12
-        assert np.abs(press.Q - press.P).max() < 1e-12
+        assert np.abs(new[VR] - new[UR]).max() < 1e-12
+        assert np.abs(new[UTH] + new[VTH]).max() < 1e-12
+        assert np.abs(new[VZ] - new[UZ]).max() < 1e-12
+        assert np.abs(press[Q] - press[P]).max() < 1e-12
 
 
 class TestEnergyInequality:
@@ -293,7 +294,7 @@ class TestDissipationWeights:
         g = grid_cheb
         m = _rand_mode(g, 1, rng)
         d1 = mode_dissipation(g, m, 0.0, 1)
-        grad_only = np.pi * sum(g.quad(g.dr(f) ** 2) for f in m.fields())
+        grad_only = np.pi * sum(g.quad(g.dr(f) ** 2) for f in m)
         assert d1 == pytest.approx(grad_only, rel=1e-13)
         d2 = mode_dissipation(g, m, 0.0, 2)
         assert d2 > d1
@@ -307,8 +308,8 @@ class TestProjection:
         cache = StokesOpCache(g, 1.0)
         p1, _ = project_divfree(cache, m, 6)
         p2, _ = project_divfree(cache, p1, 6)
-        assert max(np.abs(a - b).max() for a, b in zip(p1.fields(), p2.fields())) < 1e-12
-        div_c = g.dr(p1.ur) + p1.ur / r + 6 * p1.vth / r + g.dz(p1.uz)
+        assert max(np.abs(a - b).max() for a, b in zip(p1, p2)) < 1e-12
+        div_c = g.dr(p1[UR]) + p1[UR] / r + 6 * p1[VTH] / r + g.dz(p1[UZ])
         assert np.abs(div_c).max() < 1e-12
 
     def test_mean_projection_kills_radial_dc_only(self, grid_cheb, rng):
@@ -317,9 +318,9 @@ class TestProjection:
         m = _rand_mode(g, 0, rng)
         cache = StokesOpCache(g, 1.0)
         pm, _ = project_divfree(cache, m, 0)
-        assert np.abs(pm.uth - m.uth).max() < 1e-12
-        assert np.abs(np.fft.rfft(pm.ur, axis=1)[:, 0]).max() < 1e-13
-        assert np.abs(g.dr(pm.ur) + pm.ur / r + g.dz(pm.uz)).max() < 1e-12
+        assert np.abs(pm[UTH] - m[UTH]).max() < 1e-12
+        assert np.abs(np.fft.rfft(pm[UR], axis=1)[:, 0]).max() < 1e-13
+        assert np.abs(g.dr(pm[UR]) + pm[UR] / r + g.dz(pm[UZ])).max() < 1e-12
 
 
 class TestInvariance:
