@@ -6,7 +6,10 @@ configuration and a content hash of the package sources are embedded in
 every JSON report.  One process runs one experiment.
 
 Exit status: 0 when the command completed and its hard invariants held,
-1 when a hard invariant failed, 2 for configuration or input-file errors.
+1 when a hard invariant failed or a solver error stopped the command, 2 for
+configuration or input-file errors.  A solver error (CFL violation, failed
+divergence cleanup, singular operator or bin) still leaves the command's
+report, with a ``failure`` entry and ``invariants_held`` false.
 """
 
 from __future__ import annotations
@@ -36,16 +39,18 @@ from .functionals import (
     save_history,
     smallness_check,
 )
-from .grid import SCHEME_CHEBYSHEV, SCHEME_FD2, build_grid
+from .grid import SCHEME_CHEBYSHEV, SCHEME_FD2, CFLViolationError, build_grid
 from .inequalities import POINCARE_BOUND, SCAN_CHECKS, constant_scan
 from .nonlinear import flux_identity_residual
-from .oracle import ORACLE_MAX_NTHETA, OracleOpCache, oracle_step, \
-    reconstruct_to_full, relative_l2
+from .oracle import ORACLE_MAX_NTHETA, OracleOpCache, SingularBinError, \
+    oracle_step, reconstruct_to_full, relative_l2
 from .state import Params, divergence_residual, make_initial_state, \
     make_profile_divfree, make_random_divfree_state, param_problems
-from .stepper import SCHEME_BDF2, SCHEME_EULER, RunSinks, StepConfig, run
-from .stokes import StokesOpCache, apply_viscous_operator, linear_flow_uL, \
-    mode_energy, mode_invariance_check, stokes_evolve, stokes_step
+from .stepper import SCHEME_BDF2, SCHEME_EULER, DivergenceCleanupError, \
+    RunSinks, StepConfig, run
+from .stokes import SingularOperatorError, StokesOpCache, \
+    apply_viscous_operator, linear_flow_uL, mode_energy, \
+    mode_invariance_check, stokes_evolve, stokes_step
 
 RUN_MODES = ("ns", "ans", "stokes_only", "linear_flow")
 PROFILE_FAMILIES = ("poloidal", "file")
@@ -59,6 +64,20 @@ STEADY_TOL = 1e-8
 LEAKAGE_TOL = 1e-12
 IDENTITY_TOL = 1e-2
 MONOTONE_SLACK = 1e-12
+
+# the report each command writes to its output directory
+REPORT_FILES = {
+    "simulate": "simulate_report.json",
+    "stokes-test": "stokes_test_report.json",
+    "linear-flow": "linear_flow_report.json",
+    "inequality-scan": "inequality_scan.json",
+    "oracle-compare": "oracle_compare.json",
+    "decay-report": "decay_report.json",
+}
+
+# solver failures that stop a command with a failure report and exit 1
+SOLVER_ERRORS = (CFLViolationError, DivergenceCleanupError,
+                 SingularOperatorError, SingularBinError)
 
 
 class ConfigError(ValueError):
@@ -510,7 +529,7 @@ def _simulate_core(cfg: ExperimentConfig, params: Params,
             save_history(history, str(out_dir / "history.npz"))
         if cfg.write_decay:
             _write_json(_decay_json_dict(rep, cfg),
-                        out_dir / "decay_report.json")
+                        out_dir / REPORT_FILES["decay-report"])
     return {
         "invariants": invariants,
         "energy": energy,
@@ -558,7 +577,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         _write_json(summary, out_dir / "n_scaling_summary.json")
         report["n_scaling_summary"] = str(out_dir / "n_scaling_summary.json")
 
-    _write_json(report, out_dir / "simulate_report.json")
+    _write_json(report, out_dir / REPORT_FILES["simulate"])
     inv = core["invariants"]
     ok = _invariants_held(inv)
     _say(quiet, _check_line("divergence", inv["divergence_ok"],
@@ -570,7 +589,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         _say(quiet, _check_line("energy decay", inv["dissipative_ok"],
                                 inv["energy_growth"], MONOTONE_SLACK))
     _say(quiet, f"{'completed' if inv['completed'] else 'ABORTED'}; "
-                f"report: {out_dir / 'simulate_report.json'}")
+                f"report: {out_dir / REPORT_FILES['simulate']}")
     return 0 if ok else 1
 
 
@@ -642,10 +661,10 @@ def cmd_stokes_test(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     ok = all(c["pass"] for c in checks.values())
     report = {**_report_base("stokes-test", cfg), "checks": checks,
               "all_pass": ok}
-    _write_json(report, out_dir / "stokes_test_report.json")
+    _write_json(report, out_dir / REPORT_FILES["stokes-test"])
     for name, c in checks.items():
         _say(quiet, _check_line(name, c["pass"], c["value"], c["tol"]))
-    _say(quiet, f"report: {out_dir / 'stokes_test_report.json'}")
+    _say(quiet, f"report: {out_dir / REPORT_FILES['stokes-test']}")
     return 0 if ok else 1
 
 
@@ -676,11 +695,11 @@ def cmd_linear_flow(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     report["invariants"] = {"ratios_finite": finite,
                             "identity_ok": ident_ok,
                             "identity_residual": flow["identity_residual_max"]}
-    _write_json(report, out_dir / "linear_flow_report.json")
+    _write_json(report, out_dir / REPORT_FILES["linear-flow"])
     _say(quiet, _check_line("energy identity", ident_ok,
                             flow["identity_residual_max"], IDENTITY_TOL))
     _say(quiet, f"sup ratio j=0: {flow['ratio_sup'][0]:.4f}; "
-                f"report: {out_dir / 'linear_flow_report.json'}")
+                f"report: {out_dir / REPORT_FILES['linear-flow']}")
     return 0 if (finite and ident_ok) else 1
 
 
@@ -699,12 +718,12 @@ def cmd_inequality_scan(cfg: ExperimentConfig, out_dir: Path,
         ok = ok and scan["max_ratio"] <= POINCARE_BOUND
     report = {**scan, **_report_base("inequality-scan", cfg),
               "scan_schema": scan["schema"], "invariants_held": ok}
-    _write_json(report, out_dir / "inequality_scan.json")
+    _write_json(report, out_dir / REPORT_FILES["inequality-scan"])
     _say(quiet, _check_line("refinement stability", ok,
                             scan["refinement_delta"], 0.10))
     _say(quiet, f"max ratio {scan['max_ratio']:.4f}, median "
                 f"{scan['median_ratio']:.4f}; "
-                f"report: {out_dir / 'inequality_scan.json'}")
+                f"report: {out_dir / REPORT_FILES['inequality-scan']}")
     return 0 if ok else 1
 
 
@@ -736,9 +755,9 @@ def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
               "discrepancy": disc, "tol": cfg.oracle_tol,
               "n_steps": cfg.oracle_steps, "dt": cfg.oracle_dt,
               "n_theta": cfg.oracle_n_theta, "within_tol": ok}
-    _write_json(report, out_dir / "oracle_compare.json")
+    _write_json(report, out_dir / REPORT_FILES["oracle-compare"])
     _say(quiet, _check_line("solver vs oracle", ok, disc, cfg.oracle_tol))
-    _say(quiet, f"report: {out_dir / 'oracle_compare.json'}")
+    _say(quiet, f"report: {out_dir / REPORT_FILES['oracle-compare']}")
     return 0 if ok else 1
 
 
@@ -752,9 +771,10 @@ def cmd_decay_report(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
               file=sys.stderr)
         return 2
     rep = decay_report(history, cfg.params())
-    _write_json(_decay_json_dict(rep, cfg), out_dir / "decay_report.json")
+    _write_json(_decay_json_dict(rep, cfg),
+                out_dir / REPORT_FILES["decay-report"])
     _say(quiet, f"modes: {len(rep.per_mode)}, flags: {rep.pass_flags}; "
-                f"report: {out_dir / 'decay_report.json'}")
+                f"report: {out_dir / REPORT_FILES['decay-report']}")
     return 0 if rep.pass_flags.get("ratios_finite", False) else 1
 
 
@@ -812,6 +832,17 @@ def main(argv=None) -> int:
         for line in exc.problems:
             print(f"input error: {line}", file=sys.stderr)
         return 2
+    except SOLVER_ERRORS as exc:
+        failure = {"type": type(exc).__name__, "message": str(exc)}
+        print(f"run error: {failure['type']}: {failure['message']}",
+              file=sys.stderr)
+        # simulate hands linear_flow runs to the linear-flow command
+        command = "linear-flow" if args.command == "simulate" \
+            and cfg.mode == "linear_flow" else args.command
+        report = {**_report_base(command, cfg), "failure": failure,
+                  "invariants_held": False}
+        _write_json(report, out_dir / REPORT_FILES[command])
+        return 1
 
 
 if __name__ == "__main__":

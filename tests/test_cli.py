@@ -14,6 +14,10 @@ import numpy as np
 import pytest
 
 from cylmode import cli
+from cylmode.grid import CFLViolationError
+from cylmode.oracle import SingularBinError
+from cylmode.stepper import DivergenceCleanupError
+from cylmode.stokes import SingularOperatorError
 from cylmode.cli import (
     ConfigError,
     ExperimentConfig,
@@ -322,6 +326,42 @@ class TestDecayReportCommand:
         rc = cli.main(["decay-report", "--config", path])
         assert rc == 2
         assert "history" in capsys.readouterr().err
+
+
+class TestSolverFailures:
+    """A solver error leaves the command's report and exits 1."""
+
+    CASES = [
+        ("simulate", "run", CFLViolationError),
+        ("simulate", "run", DivergenceCleanupError),
+        ("stokes-test", "mode_invariance_check", SingularOperatorError),
+        ("oracle-compare", "oracle_step", SingularBinError),
+    ]
+
+    @pytest.mark.parametrize("command,target,error", CASES,
+                             ids=[c[2].__name__ for c in CASES])
+    def test_failure_report_and_exit_1(self, tmp_path, monkeypatch, capsys,
+                                       command, target, error):
+        def fail(*args, **kwargs):
+            raise error("injected at step 3")
+
+        monkeypatch.setattr(cli, target, fail)
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(
+            oracle={"n_theta": 28, "n_steps": 3, "dt": 0.001}))
+        rc = cli.main([command, "--config", path, "--out", str(out),
+                       "--quiet"])
+        assert rc == 1
+        name = error.__name__
+        assert capsys.readouterr().err == \
+            f"run error: {name}: injected at step 3\n"
+        rep = json.loads((out / cli.REPORT_FILES[command]).read_text())
+        assert rep["failure"] == {"type": name,
+                                  "message": "injected at step 3"}
+        assert rep["invariants_held"] is False
+        assert rep["command"] == command
+        assert rep["schema"] == "cylmode-report-v1"
+        assert rep["code_version"] == cli._code_version()
 
 
 class TestEntryPoint:

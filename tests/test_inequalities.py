@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import scan_reference
 from cylmode import inequalities as ineq
 
 PI = math.pi
@@ -385,3 +387,153 @@ class TestConstantScan:
         assert rep["p"] == 4.0
         assert 0.0 < rep["max_ratio"] < 100.0
         assert rep["refinement_delta"] <= 0.10
+
+
+def _assert_same_scan(batched, reference):
+    """Batched report against the per-trial one, to 1e-12 relative."""
+    numeric = ("max_ratio", "median_ratio", "refinement_delta")
+    assert {k: v for k, v in batched.items() if k not in numeric} \
+        == {k: v for k, v in reference.items() if k not in numeric}
+    for key in ("max_ratio", "median_ratio"):
+        assert batched[key] == pytest.approx(reference[key], rel=1e-12, abs=0.0)
+    # the drift is already relative to the max, and reads 0 to round-off
+    # when both grids integrate the family exactly, so its tolerance is
+    # absolute: 1e-12 of the max
+    assert batched["refinement_delta"] == pytest.approx(
+        reference["refinement_delta"], rel=0.0, abs=1e-12)
+
+
+# every check, each exponent it allows out of {2, 4, 8}, and each family
+_SCAN_CASES = [
+    ("isotropic", "poly_trig", 2.0),
+    ("isotropic", "poly_trig", 4.0),
+    ("isotropic", "poly_trig", 8.0),
+    ("isotropic", "radial_poly", 4.0),
+    ("isotropic", "zero", 4.0),
+    ("anisotropic", "poly_trig", 2.0),
+    ("anisotropic", "poly_trig", 4.0),
+    ("anisotropic", "zero", 4.0),
+    ("radial_quartic", "radial_poly", None),
+    ("radial_quartic", "zero", None),
+    ("radial", "radial_poly", 2.0),
+    ("radial", "radial_poly", 4.0),
+    ("radial", "radial_poly", 8.0),
+    ("radial", "zero", 8.0),
+    ("angular_poincare", "poly_trig", None),
+    ("angular_poincare", "zero", None),
+    ("vertical", "z_trig", None),
+    ("vertical", "zero", None),
+]
+
+
+class TestBatchedScanMatchesPerTrial:
+    """``constant_scan`` against the per-trial loop in ``scan_reference``.
+
+    The default grids put ten trials in a chunk, so 1 and 37 trials end on
+    a partial chunk and 300 trials span thirty full ones.
+    """
+
+    @pytest.mark.parametrize("trials", (1, 37))
+    @pytest.mark.parametrize("check,family,p", _SCAN_CASES)
+    def test_every_check_and_family(self, check, family, p, trials):
+        args = (family, check, trials, 2024)
+        _assert_same_scan(ineq.constant_scan(*args, p=p),
+                          scan_reference.constant_scan(*args, p=p))
+
+    @pytest.mark.parametrize("check,family,p", [
+        ("anisotropic", "poly_trig", 4.0),
+        ("isotropic", "radial_poly", 8.0),
+        ("angular_poincare", "poly_trig", None),
+    ])
+    def test_many_chunks(self, check, family, p):
+        args = (family, check, 300, 5)
+        _assert_same_scan(ineq.constant_scan(*args, p=p),
+                          scan_reference.constant_scan(*args, p=p))
+
+    def test_vertical_across_chunks(self):
+        # 2 * n_z = 256 fine samples a trial put 512 trials in a chunk
+        _assert_same_scan(ineq.constant_scan(None, "vertical", 600, 8),
+                          scan_reference.constant_scan(None, "vertical", 600, 8))
+
+    def test_coarse_grids(self):
+        # 16 angle nodes alias modes above 8: both routes must see the
+        # grid's own FFT derivative, not the exact one
+        kw = {"p": 4.0, "n_r": 12, "n_theta": 8}
+        _assert_same_scan(ineq.constant_scan(None, "isotropic", 37, 6, **kw),
+                          scan_reference.constant_scan(None, "isotropic", 37,
+                                                       6, **kw))
+
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch):
+        base = ineq.constant_scan(None, "anisotropic", 37, 3, p=4.0)
+        monkeypatch.setattr(ineq, "_CHUNK_BYTES", 1)  # one trial a chunk
+        single = ineq.constant_scan(None, "anisotropic", 37, 3, p=4.0)
+        _assert_same_scan(single, base)
+
+
+class TestScanKeepsPerTrialChecks:
+    """Every precondition the per-trial scan enforces still raises."""
+
+    @staticmethod
+    def _raises_like_reference(match, *args, **kwargs):
+        with pytest.raises(ValueError, match=match) as per_trial:
+            scan_reference.constant_scan(*args, **kwargs)
+        with pytest.raises(ValueError, match=match) as batched:
+            ineq.constant_scan(*args, **kwargs)
+        assert str(batched.value) == str(per_trial.value)
+
+    def _inject(self, monkeypatch, at_trial, term):
+        """Append ``term`` to the draw of one trial in each scan."""
+        real = ineq._draw_disk_terms
+        calls = []
+
+        def draw(rng, min_mode, max_mode):
+            terms = real(rng, min_mode, max_mode)
+            # both scans draw their 37 trials once each, in index order
+            if len(calls) % 37 == at_trial:
+                terms.append(term)
+            calls.append(None)
+            return terms
+
+        monkeypatch.setattr(ineq, "_draw_disk_terms", draw)
+
+    def test_mode_zero_term_in_anisotropic_scan(self, monkeypatch):
+        # one trial in the middle of the third chunk gets an angular mean
+        self._inject(monkeypatch, 23, (np.array([0.5, 1.0]), 0, "cos"))
+        self._raises_like_reference("zero angular mean",
+                                    None, "anisotropic", 37, 7, p=4.0)
+
+    def test_mode_zero_term_in_poincare_scan(self, monkeypatch):
+        self._inject(monkeypatch, 0, (np.array([1.0]), 0, "cos"))
+        self._raises_like_reference("zero angular mean",
+                                    None, "angular_poincare", 37, 7)
+
+    def test_angular_term_in_radial_scan(self, monkeypatch):
+        self._inject(monkeypatch, 36, (np.array([1.0, 0.0]), 2, "sin"))
+        self._raises_like_reference("radial input", None, "radial", 37, 7)
+
+    def test_aliased_z_mean_in_vertical_scan(self):
+        # on 4 z nodes cos(4 z) and cos(8 z) sample as constants
+        self._raises_like_reference("z-mean", None, "vertical", 37, 7, n_z=4)
+
+    def test_exponent_out_of_range(self):
+        self._raises_like_reference("exponent", None, "anisotropic", 3, 7,
+                                    p=6.5)
+        self._raises_like_reference("exponent", "zero", "radial", 3, 7, p=1.5)
+
+    def test_bad_vertical_grid(self):
+        self._raises_like_reference("even", None, "vertical", 3, 7, n_z=7)
+        # the per-trial scan divided by the period before checking it
+        with pytest.raises(ValueError, match="period"):
+            ineq.constant_scan(None, "vertical", 3, 7, period=0.0)
+
+
+def test_scan_memory_stays_chunk_sized():
+    """A long scan's traced peak stays near a few chunk-sized arrays."""
+    ineq.constant_scan(None, "anisotropic", 2, 7, p=4.0)  # warm caches
+    tracemalloc.start()
+    try:
+        ineq.constant_scan(None, "anisotropic", 1000, 7, p=4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
