@@ -10,17 +10,18 @@ zero) plus a ``(K+1, 2, n_r, n_z)`` pressure array indexed by ``P, Q``.
 The package evolves these coupled (r, z) systems with an IMEX scheme, verifies
 energy inequalities of the implicit Stokes blocks, cross-checks the mode
 convolutions against a full 3-D solver, and measures per-mode decay and
-anisotropic interpolation inequalities at desk scale.
+the constants of anisotropic disk inequalities at desk scale.
 
 Subpackage layout:
 
-- ``grid``          meridional collocation grid, derivatives, quadrature
+- ``grid``          meridional Chebyshev collocation grid, derivatives,
+                    quadrature
 - ``state``         parameters, profiles, mode states, checkpoints
 - ``diagnostics``   one derivative-and-quadrature pass per state
 - ``stokes``        implicit coupled mode Stokes solver and its checks
-- ``nonlinear``     quadratic term by convolution over harmonics, its checks
+- ``nonlinear``     quadratic term by convolution over harmonics, flux check
 - ``stepper``       IMEX time integration, CFL, energy budgets
-- ``functionals``   energy/dissipation functionals, decay reports
+- ``functionals``   energy/dissipation functionals, histories, decay reports
 - ``inequalities``  disk-grid interpolation inequality checkers
 - ``oracle``        independent full (r, theta, z) cross-check solver
 - ``cli``           command-line entry points
@@ -36,11 +37,8 @@ from .functionals import (
     decay_report,
     decay_weights,
     load_history,
-    mixed_norm_bounds,
     save_history,
     smallness_check,
-    write_report_csv,
-    write_report_json,
 )
 from .grid import CylGrid, build_grid
 from .inequalities import (
@@ -60,7 +58,7 @@ from .inequalities import (
     vertical_sup_ratio,
     write_scan_report,
 )
-from .nonlinear import assemble_quadratic_rhs, flux_identity_residual, triad_bound_check
+from .nonlinear import assemble_quadratic_rhs, flux_identity_residual
 from .oracle import (
     FullField,
     OracleOpCache,
@@ -126,7 +124,6 @@ __all__ = [
     "linear_flow_uL",
     "assemble_quadratic_rhs",
     "flux_identity_residual",
-    "triad_bound_check",
     "StepConfig",
     "RunSinks",
     "RunResult",
@@ -139,11 +136,8 @@ __all__ = [
     "decay_weights",
     "decay_report",
     "smallness_check",
-    "mixed_norm_bounds",
     "save_history",
     "load_history",
-    "write_report_json",
-    "write_report_csv",
     "DiskGrid",
     "TestFunction2D",
     "build_disk_grid",

@@ -7,9 +7,10 @@ every JSON report.  One process runs one experiment.
 
 Exit status: 0 when the command completed and its hard invariants held,
 1 when a hard invariant failed or a solver error stopped the command, 2 for
-configuration or input-file errors.  A solver error (CFL violation, failed
-divergence cleanup, singular operator or bin) still leaves the command's
-report, with a ``failure`` entry and ``invariants_held`` false.
+configuration or input errors, which write no report.  A solver error (CFL
+violation, failed divergence cleanup, singular operator or bin) still
+leaves the command's report, with a ``failure`` entry and
+``invariants_held`` false.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .functionals import (
     save_history,
     smallness_check,
 )
-from .grid import SCHEME_CHEBYSHEV, SCHEME_FD2, CFLViolationError, build_grid
+from .grid import CFLViolationError, build_grid
 from .inequalities import POINCARE_BOUND, SCAN_CHECKS, constant_scan
 from .nonlinear import flux_identity_residual
 from .oracle import ORACLE_MAX_NTHETA, OracleOpCache, SingularBinError, \
@@ -52,9 +53,8 @@ from .stokes import SingularOperatorError, StokesOpCache, \
     apply_viscous_operator, linear_flow_uL, mode_energy, \
     mode_invariance_check, stokes_evolve, stokes_step
 
-RUN_MODES = ("ns", "ans", "stokes_only", "linear_flow")
+RUN_MODES = ("ns", "ans", "stokes_only")
 PROFILE_FAMILIES = ("poloidal", "file")
-RADIAL_SCHEMES = (SCHEME_CHEBYSHEV, SCHEME_FD2)
 STEP_SCHEMES = (SCHEME_EULER, SCHEME_BDF2)
 OUT_DIR_ENV = "CYLMODE_OUT"
 
@@ -104,7 +104,6 @@ _CONFIG_FIELDS = (
     ("n_r", "grid", "n_r", "int", 48),
     ("n_z", "grid", "n_z", "int", 32),
     ("L_z", "grid", "L_z", "float", 2.0 * math.pi),
-    ("radial_scheme", "grid", "scheme", "str", SCHEME_CHEBYSHEV),
     ("dt", "step", "dt", "float", 1e-3),
     ("t_end", "step", "t_end", "float", 0.1),
     ("step_scheme", "step", "scheme", "str", SCHEME_EULER),
@@ -120,10 +119,6 @@ _CONFIG_FIELDS = (
     ("snapshot_every", "run", "snapshot_every", "int", 1),
     ("compare_N", "run", "compare_N", "int", 0),
     ("seed", "run", "seed", "int", 0),
-    ("write_budgets", "reports", "budgets", "bool", True),
-    ("write_history", "reports", "history", "bool", True),
-    ("write_decay", "reports", "decay", "bool", True),
-    ("mixed_norms", "reports", "mixed", "bool", False),
     ("scan_check", "scan", "check", "str", "anisotropic"),
     ("scan_family", "scan", "family", "str", ""),
     ("scan_trials", "scan", "trials", "int", 100),
@@ -158,7 +153,6 @@ class ExperimentConfig:
     n_r: int
     n_z: int
     L_z: float
-    radial_scheme: str
     dt: float
     t_end: float
     step_scheme: str
@@ -174,10 +168,6 @@ class ExperimentConfig:
     snapshot_every: int
     compare_N: int
     seed: int
-    write_budgets: bool
-    write_history: bool
-    write_decay: bool
-    mixed_norms: bool
     scan_check: str
     scan_family: str
     scan_trials: int
@@ -307,8 +297,6 @@ def validate_config(cfg: ExperimentConfig,
         bad.append("[grid] n_z must be even and >= 4")
     if not cfg.L_z > 0.0:
         bad.append("[grid] L_z must be positive")
-    if cfg.radial_scheme not in RADIAL_SCHEMES:
-        bad.append(f"[grid] scheme must be one of {RADIAL_SCHEMES}")
     if not cfg.dt > 0.0:
         bad.append("[step] dt must be positive")
     if cfg.t_end < 0.0:
@@ -335,10 +323,10 @@ def validate_config(cfg: ExperimentConfig,
         bad.append("[run] snapshot_every must be >= 1")
     if cfg.compare_N != 0 and cfg.compare_N < 2:
         bad.append("[run] compare_N must be 0 (off) or an integer >= 2")
-    if cfg.mode == "linear_flow" and cfg.N < 3:
-        bad.append("[run] linear_flow mode requires N >= 3")
     if command == "linear-flow" and cfg.N < 3:
         bad.append("linear-flow requires [params] N >= 3")
+    if command == "linear-flow" and 0 < cfg.compare_N < 3:
+        bad.append("linear-flow requires [run] compare_N >= 3 when set")
     if command == "inequality-scan":
         if cfg.scan_trials < 1:
             bad.append("[scan] trials must be >= 1")
@@ -421,8 +409,23 @@ def _check_line(name: str, ok: bool, value: float, tol: float) -> str:
     return f"[{flag}] {name}: {value:.3e} (tol {tol:.1e})"
 
 
-def _build_profile(cfg: ExperimentConfig, grid):
-    """Named family or an npz file with the four free profile components."""
+def _initial_data(cfg: ExperimentConfig, grid, params: Params):
+    """The configured profile and the mode-1 state it starts.
+
+    A profile the solver cannot start from (a component that does not
+    vanish at the wall) is an input error, not a solver failure.
+    """
+    components = _profile_components(cfg, grid)
+    try:
+        profile = make_profile_divfree(grid, *components)
+        return profile, make_initial_state(profile, params)
+    except ValueError as exc:
+        raise ConfigError([f"[profile] {exc}"]) from exc
+
+
+def _profile_components(cfg: ExperimentConfig, grid) -> list[np.ndarray]:
+    """The four free components ``a_r, a_z, b_r, b_z`` of the named family
+    or of an npz file, amplitude applied."""
     if cfg.profile_family == "poloidal":
         r = grid.r
         # every component carries an r factor: the profile rides a nonzero
@@ -432,7 +435,7 @@ def _build_profile(cfg: ExperimentConfig, grid):
         a_r = env[:, None] * np.sin(q * grid.z)[None, :]
         a_z = env[:, None] * np.cos(q * grid.z)[None, :]
         zero = np.zeros_like(a_r)
-        return make_profile_divfree(grid, a_r, a_z, zero, zero)
+        return [a_r, a_z, zero, zero]
     path = Path(cfg.profile_path)
     if not path.is_file():
         raise ConfigError([f"profile file not found: {cfg.profile_path}"])
@@ -448,7 +451,7 @@ def _build_profile(cfg: ExperimentConfig, grid):
     if any(a.shape != want for a in arrs):
         raise ConfigError(
             [f"profile arrays must have shape {want} to match the grid"])
-    return make_profile_divfree(grid, *[cfg.amplitude * a for a in arrs])
+    return [cfg.amplitude * a for a in arrs]
 
 
 def _decay_json_dict(rep: DecayReport, cfg: ExperimentConfig) -> dict:
@@ -464,12 +467,11 @@ def _decay_json_dict(rep: DecayReport, cfg: ExperimentConfig) -> dict:
 def _simulate_core(cfg: ExperimentConfig, params: Params,
                    out_dir: Path | None) -> dict:
     """One full run; artifacts are written only when out_dir is given."""
-    grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z, cfg.radial_scheme)
-    profile = _build_profile(cfg, grid)
-    state = make_initial_state(profile, params)
+    grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
+    profile, state = _initial_data(cfg, grid, params)
     smallness_values, smallness_ok = smallness_check(profile, params)
 
-    history = EnergyHistory(j_max=1, mixed=cfg.mixed_norms)
+    history = EnergyHistory(j_max=1)
     energies: list[float] = []
     count = 0
 
@@ -486,8 +488,7 @@ def _simulate_core(cfg: ExperimentConfig, params: Params,
                           budget_every=cfg.budget_every, nonlinear=nonlinear)
     sinks = RunSinks(
         on_snapshot=on_snapshot,
-        budget_csv=str(out_dir / "budgets.csv")
-        if out_dir and cfg.write_budgets else None,
+        budget_csv=str(out_dir / "budgets.csv") if out_dir else None,
         checkpoint_path=str(out_dir / "checkpoint.bin") if out_dir else None,
     )
     if out_dir:
@@ -525,11 +526,9 @@ def _simulate_core(cfg: ExperimentConfig, params: Params,
     }
     rep = decay_report(history, params)
     if out_dir:
-        if cfg.write_history:
-            save_history(history, str(out_dir / "history.npz"))
-        if cfg.write_decay:
-            _write_json(_decay_json_dict(rep, cfg),
-                        out_dir / REPORT_FILES["decay-report"])
+        save_history(history, str(out_dir / "history.npz"))
+        _write_json(_decay_json_dict(rep, cfg),
+                    out_dir / REPORT_FILES["decay-report"])
     return {
         "invariants": invariants,
         "energy": energy,
@@ -548,8 +547,6 @@ def _invariants_held(invariants: dict) -> bool:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
-    if cfg.mode == "linear_flow":
-        return cmd_linear_flow(cfg, out_dir, quiet)
     params = cfg.params()
     core = _simulate_core(cfg, params, out_dir)
     report = {**_report_base("simulate", cfg), **core}
@@ -596,7 +593,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 # -- stokes-test ---------------------------------------------------------------
 
 def cmd_stokes_test(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
-    grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z, cfg.radial_scheme)
+    grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
     checks: dict[str, dict] = {}
 
     def record(name: str, value: float, tol: float) -> None:
@@ -671,9 +668,9 @@ def cmd_stokes_test(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 # -- linear-flow ---------------------------------------------------------------
 
 def cmd_linear_flow(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
-    grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z, cfg.radial_scheme)
-    profile = _build_profile(cfg, grid)
+    grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
     params = cfg.params()
+    profile, _ = _initial_data(cfg, grid, params)
     n_steps = int(round(cfg.t_end / cfg.dt))
     flow = linear_flow_uL(profile, params, cfg.dt, n_steps)
     report = {**_report_base("linear-flow", cfg), "linear_flow": flow}
@@ -731,10 +728,9 @@ def cmd_inequality_scan(cfg: ExperimentConfig, out_dir: Path,
 
 def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
                        quiet: bool) -> int:
-    grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z, cfg.radial_scheme)
+    grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
     params = cfg.params()
-    profile = _build_profile(cfg, grid)
-    state = make_initial_state(profile, params)
+    _, state = _initial_data(cfg, grid, params)
 
     full = reconstruct_to_full(state, cfg.oracle_n_theta)
     cache = OracleOpCache(grid, cfg.oracle_n_theta, params.nu)
@@ -836,12 +832,9 @@ def main(argv=None) -> int:
         failure = {"type": type(exc).__name__, "message": str(exc)}
         print(f"run error: {failure['type']}: {failure['message']}",
               file=sys.stderr)
-        # simulate hands linear_flow runs to the linear-flow command
-        command = "linear-flow" if args.command == "simulate" \
-            and cfg.mode == "linear_flow" else args.command
-        report = {**_report_base(command, cfg), "failure": failure,
+        report = {**_report_base(args.command, cfg), "failure": failure,
                   "invariants_held": False}
-        _write_json(report, out_dir / REPORT_FILES[command])
+        _write_json(report, out_dir / REPORT_FILES[args.command])
         return 1
 
 

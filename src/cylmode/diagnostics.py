@@ -73,10 +73,6 @@ class ModeMeasures:
 
     - ``inst``: ``sum quad(f_j^2)``; ``dr_sq``/``dz_sq``: the same of
       ``dr f_j``/``dz f_j``; ``over_r``: ``quad((f_j / r)^2)`` per slot;
-    - ``l2v_sq``: the radial profile ``sum int f_j^2 dz``;
-    - ``sup_sq``, ``sup_grad_sq``, ``sup_pair_sq``: radial profiles of the
-      vertical maxima of ``sum f^2``, ``sum (dr f)^2 + (dz f)^2`` and
-      ``(ur^2 + uth^2) / r^2``;
     - ``cross``: ``quad((vr uth - ur vth) / r^2)``; ``div_sq``: ``quad`` of
       the squared divergence of both families; ``press``: the pressure
       work ``quad(dr P ur + dz P uz - kap P vth / r + dr Q vr + dz Q vz
@@ -90,10 +86,6 @@ class ModeMeasures:
     dr_sq: np.ndarray
     dz_sq: np.ndarray
     over_r: np.ndarray
-    l2v_sq: np.ndarray
-    sup_sq: np.ndarray
-    sup_grad_sq: np.ndarray
-    sup_pair_sq: np.ndarray
     cross: np.ndarray
     div_sq: np.ndarray
     press: np.ndarray
@@ -163,11 +155,8 @@ def measure_modes(grid: CylGrid, u: np.ndarray, k_eff, p=None,
     drs = grid.D_r @ vals
     u, du_r, du_z = vals[:, :, :6], drs[:, :, :6], dzs[:, :, :6]
     slot_sq = np.einsum("jmsrz,jmsrz->jmsr", u, u)
-    l2v = slot_sq.sum(axis=2) * grid.dz_weight
 
     u0, r0, z0 = u[0], du_r[0], du_z[0]
-    grad_pt = (np.einsum("msrz,msrz->mrz", r0, r0)
-               + np.einsum("msrz,msrz->mrz", z0, z0))
     kv = kap[:, None, None] * inv_r
     div_a = r0[:, UR] + u0[:, UR] * inv_r + z0[:, UZ] + kv * u0[:, VTH]
     div_b = r0[:, VR] + u0[:, VR] * inv_r + z0[:, VZ] - kv * u0[:, UTH]
@@ -186,15 +175,10 @@ def measure_modes(grid: CylGrid, u: np.ndarray, k_eff, p=None,
         j_max=j_max,
         mean=kap == 0.0,
         k_eff=kap,
-        inst=l2v @ grid.w_r,
+        inst=(slot_sq.sum(axis=2) * grid.dz_weight) @ grid.w_r,
         dr_sq=np.einsum("jmsrz,jmsrz->jmr", du_r, du_r) @ wq,
         dz_sq=np.einsum("jmsrz,jmsrz->jmr", du_z, du_z) @ wq,
         over_r=slot_sq @ wq_r2,
-        l2v_sq=l2v,
-        sup_sq=np.einsum("msrz,msrz->mrz", u0, u0).max(axis=-1),
-        sup_grad_sq=grad_pt.max(axis=-1),
-        sup_pair_sq=((u0[:, UR] ** 2 + u0[:, UTH] ** 2).max(axis=-1)
-                     * inv_r[:, 0] ** 2),
         cross=(dot(u0[:, VR], u0[:, UTH]) - dot(u0[:, UR], u0[:, VTH])) @ wq_r2,
         div_sq=(dot(div_a, div_a) + dot(div_b, div_b)) @ wq,
         press=press,

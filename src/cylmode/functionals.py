@@ -4,13 +4,13 @@ All coefficient-tuple norms here use the meridian measure ``r dr dz`` (no
 azimuthal factor): the mean triple and the six-tuples of the harmonics are
 treated as plain vector functions on the (r, z) strip.  Time-dependent
 quantities are tracked on snapshot times only; running integrals use the
-trapezoid rule (fourth powers for the quartic-in-time norms) and carry a
-recorded step-size error estimate.
+trapezoid rule and carry a recorded step-size error estimate.
+``DecayReport.to_json_dict`` is the decay report's JSON body; the command
+line adds the config echo and writes it.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,23 +33,20 @@ class _Channel:
 
     values: list = field(default_factory=list)
     integral: list = field(default_factory=list)
-    power: float = 1.0  # integrand is value**power (4 for quartic norms)
 
     def append(self, value: float, times: list) -> float:
-        v = float(value) ** self.power
+        v = float(value)
         if not self.integral:
             self.integral.append(0.0)
         else:
             dt = times[-1] - times[-2]
-            prev = float(self.values[-1]) ** self.power
-            self.integral.append(self.integral[-1] + 0.5 * dt * (v + prev))
-        self.values.append(float(value))
+            self.integral.append(self.integral[-1]
+                                 + 0.5 * dt * (v + self.values[-1]))
+        self.values.append(v)
         err = 0.0
         if len(self.values) >= 3:
             dt = times[-1] - times[-2]
-            a = float(self.values[-3]) ** self.power
-            b = float(self.values[-2]) ** self.power
-            err = abs(v - 2.0 * b + a) * dt / 12.0
+            err = abs(v - 2.0 * self.values[-2] + self.values[-3]) * dt / 12.0
         return err
 
 
@@ -60,15 +57,13 @@ class EnergyHistory:
     the instantaneous squared norm, its running sup, and running time
     integrals of the (r, z)-gradient, the radial derivative alone, the
     1/r-weighted norm, and (for the mean) the axis-sensitive component
-    pair.  With ``mixed=True`` the quartic-in-time horizontal norms used
-    by the interpolation diagnostics are accumulated as well.
+    pair.
     """
 
-    def __init__(self, j_max: int = 1, mixed: bool = False):
+    def __init__(self, j_max: int = 1):
         if j_max < 1:
             raise ValueError("j_max must be at least 1")
         self.j_max = int(j_max)
-        self.mixed = bool(mixed)
         self.times: list[float] = []
         self.grid: CylGrid | None = None
         self.K: int | None = None
@@ -77,9 +72,9 @@ class EnergyHistory:
         self._ch: dict = {}
 
     # channel naming: inst/(grad|dr|over_r)_int keyed by (j, k)
-    def _channel(self, name: str, power: float = 1.0) -> _Channel:
+    def _channel(self, name: str) -> _Channel:
         if name not in self._ch:
-            self._ch[name] = _Channel(power=power)
+            self._ch[name] = _Channel()
         return self._ch[name]
 
     def series(self, name: str) -> np.ndarray:
@@ -138,31 +133,8 @@ def accumulate(history: EnergyHistory, state: ModeState,
             if k == 0:
                 err += history._channel(f"axis_pair_{j}").append(
                     over[UR] + over[UTH], times)
-        if history.mixed:
-            err += _accumulate_mixed(history, g, ms, k, times)
     history.error_estimate += err
     return history
-
-
-def _accumulate_mixed(history: EnergyHistory, g: CylGrid, ms: ModeMeasures,
-                      k: int, times) -> float:
-    w = g.w_r
-    err = 0.0
-    for j in (0, 1):
-        l4h = float(w @ ms.l2v_sq[j, k] ** 2) ** 0.25
-        err += history._channel(f"l4t_l4h_l2v_{j}_{k}", power=4.0).append(
-            l4h, times)
-    err += history._channel(f"l4t_l4h_linfv_{k}", power=4.0).append(
-        float(w @ ms.sup_sq[k] ** 2) ** 0.25, times)
-    err += history._channel(f"l2t_l2h_linfv_grad_{k}", power=2.0).append(
-        math.sqrt(float(w @ ms.sup_grad_sq[k])), times)
-    if k == 0:
-        name, sup = "l2t_l2h_linfv_pair_0", ms.sup_pair_sq[0]
-    else:
-        name, sup = f"l2t_l2h_linfv_over_r_{k}", ms.sup_sq[k] / g.r**2
-    err += history._channel(name, power=2.0).append(
-        math.sqrt(float(w @ sup)), times)
-    return err
 
 
 # -- persistence ----------------------------------------------------------------
@@ -171,13 +143,11 @@ def save_history(history: EnergyHistory, path: str) -> None:
     g = history.grid
     meta = {
         "j_max": history.j_max,
-        "mixed": history.mixed,
         "K": history.K,
         "N": history.N,
         "grid": ({"n_r": g.n_r, "n_z": g.n_z, "L_z": g.L_z}
                  if g is not None else None),
         "error_estimate": history.error_estimate,
-        "powers": {name: ch.power for name, ch in history._ch.items()},
     }
     arrays = {"times": np.asarray(history.times)}
     for name, ch in history._ch.items():
@@ -187,9 +157,15 @@ def save_history(history: EnergyHistory, path: str) -> None:
 
 
 def load_history(path: str) -> EnergyHistory:
+    """Read a history written by :func:`save_history`.
+
+    The channels are the stored ``v_<name>``/``i_<name>`` array pairs;
+    any other meta keys (older files carry ``mixed`` and ``powers``) are
+    ignored.
+    """
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
-        hist = EnergyHistory(j_max=meta["j_max"], mixed=meta["mixed"])
+        hist = EnergyHistory(j_max=meta["j_max"])
         hist.K = meta["K"]
         hist.N = meta["N"]
         gmeta = meta.get("grid")
@@ -198,8 +174,8 @@ def load_history(path: str) -> EnergyHistory:
             hist.grid = SimpleNamespace(**gmeta)
         hist.error_estimate = meta["error_estimate"]
         hist.times = [float(t) for t in data["times"]]
-        for name, power in meta["powers"].items():
-            ch = _Channel(power=power)
+        for name in [f[2:] for f in data.files if f.startswith("v_")]:
+            ch = _Channel()
             ch.values = [float(v) for v in data[f"v_{name}"]]
             ch.integral = [float(v) for v in data[f"i_{name}"]]
             hist._ch[name] = ch
@@ -432,21 +408,6 @@ def decay_report(history: EnergyHistory, params: Params) -> DecayReport:
     )
 
 
-def write_report_json(report: DecayReport, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-
-
-def write_report_csv(report: DecayReport, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("k", "j", "sup_norm", "bound", "ratio"))
-        for row in report.per_mode:
-            w.writerow((row["k"], row["j"], row["sup_norm"],
-                        "" if row["bound"] is None else row["bound"],
-                        row["ratio"]))
-
-
 # -- smallness of the initial profile ---------------------------------------------
 
 def smallness_check(profile: InitProfile, params: Params) -> tuple[dict, bool]:
@@ -472,55 +433,6 @@ def smallness_check(profile: InitProfile, params: Params) -> tuple[dict, bool]:
     else:
         ok = lhs_ns <= params.small_eps
     return values, ok
-
-
-# -- interpolation-inequality diagnostics -----------------------------------------
-
-def mixed_norm_bounds(history: EnergyHistory, params: Params) -> dict:
-    """Measured ratios of the mixed-norm interpolation bounds.
-
-    Each entry is lhs / rhs with the right-hand side built from the final
-    weighted functionals; 0/0 is reported as 0.  Requires a history
-    accumulated with ``mixed=True``.
-    """
-    if not history.mixed:
-        raise ValueError("mixed-norm accumulation was not enabled")
-    if history.n_snapshots == 0:
-        raise ValueError("history is empty")
-    N, eta = params.N, params.eta
-    E = {j: compute_E(history, j, params) for j in (0, 1)}
-    quarter = (E[0] * E[1]) ** 0.25 if E[0] > 0 and E[1] > 0 else 0.0
-
-    def _ratio(lhs: float, rhs: float) -> float:
-        if rhs == 0.0:
-            return 0.0
-        return lhs / rhs
-
-    out = {"mean_l4_j0": None, "mean_l4_j1": None, "mode_l4": {},
-           "mean_inf": None, "mode_inf": {}, "mode_grad_inf": {}}
-    for j in (0, 1):
-        lhs = history.integral_at(f"l4t_l4h_l2v_{j}_0") ** 0.25
-        out[f"mean_l4_j{j}"] = _ratio(lhs, N ** (eta - 0.25)
-                                      * math.sqrt(E[j]))
-    for k in range(1, history.K + 1):
-        pref = k ** -1.25 * N ** (eta * (2 - k) - 0.25)
-        for j in (0, 1):
-            lhs = history.integral_at(f"l4t_l4h_l2v_{j}_{k}") ** 0.25
-            out["mode_l4"].setdefault(k, {})[j] = _ratio(
-                lhs, pref * math.sqrt(E[j]))
-        lhs_inf = history.integral_at(f"l4t_l4h_linfv_{k}") ** 0.25
-        out["mode_inf"][k] = _ratio(lhs_inf, pref * quarter)
-        lhs_grad = (math.sqrt(history.integral_at(
-                        f"l2t_l2h_linfv_grad_{k}"))
-                    + k * N * math.sqrt(history.integral_at(
-                        f"l2t_l2h_linfv_over_r_{k}")))
-        out["mode_grad_inf"][k] = _ratio(
-            lhs_grad, k ** -1.0 * N ** (eta * (2 - k)) * quarter)
-    lhs_mean = (history.integral_at("l4t_l4h_linfv_0") ** 0.25
-                + math.sqrt(history.integral_at("l2t_l2h_linfv_grad_0"))
-                + math.sqrt(history.integral_at("l2t_l2h_linfv_pair_0")))
-    out["mean_inf"] = _ratio(lhs_mean, N ** (eta - 0.25) * quarter)
-    return out
 
 
 # -- vertical Sobolev tracking ----------------------------------------------------

@@ -18,15 +18,12 @@ Conventions used throughout the package:
   (``THETA_FULL``) while a single ``cos``/``sin`` harmonic picks up ``pi``
   (``THETA_HALF``) from ``cos**2``/``sin**2``.
 
-Two radial schemes are provided.  ``chebyshev_gauss_lobatto_mapped`` places
-Chebyshev-Gauss-Lobatto points mapped to ``[0, 1]`` and drops the axis
-endpoint; differentiation is the barycentric collocation derivative on the
-kept nodes (exact for polynomials of degree ``n_r - 1``) and quadrature is
-Clenshaw-Curtis on the full node set with the ``r`` weight folded in (the
-dropped axis node carries zero weight in the ``r dr`` measure).
-``uniform_fd2`` uses uniformly spaced nodes with second-order differences
-and piecewise-linear product quadrature, with the cell ``[0, h]`` handled
-by linear extrapolation so that ``f = 1`` and ``f = r`` integrate exactly.
+The radial nodes are Chebyshev-Gauss-Lobatto points mapped to ``[0, 1]``
+with the axis endpoint dropped.  Differentiation is the barycentric
+collocation derivative on the kept nodes (exact for polynomials of degree
+``n_r - 1``) and quadrature is Clenshaw-Curtis on the full node set with
+the ``r`` weight folded in (the dropped axis node carries zero weight in
+the ``r dr`` measure).
 """
 
 from __future__ import annotations
@@ -35,9 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-SCHEME_CHEBYSHEV = "chebyshev_gauss_lobatto_mapped"
-SCHEME_FD2 = "uniform_fd2"
 
 #: azimuthal measure of an axisymmetric field over the full circle
 THETA_FULL = 2.0 * math.pi
@@ -74,7 +68,7 @@ def _diff_matrix_barycentric(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _chebyshev_nodes_weights(n_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes and ``r dr`` quadrature weights for the mapped scheme.
+    """Radial nodes and ``r dr`` quadrature weights.
 
     Builds the ``n_r + 1`` Gauss-Lobatto points on ``[0, 1]``, forms the
     Clenshaw-Curtis weights there, folds in the measure factor ``r`` and
@@ -101,33 +95,6 @@ def _chebyshev_nodes_weights(n_r: int) -> tuple[np.ndarray, np.ndarray]:
     return r_full[1:], w_r[1:]
 
 
-def _fd2_nodes_weights(n_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform nodes ``i*h`` and piecewise-linear ``r dr`` weights."""
-    h = 1.0 / n_r
-    r = h * np.arange(1, n_r + 1)
-    v = np.zeros(n_r)
-    v[1:-1] = h * r[1:-1]
-    v[0] = 0.5 * h * r[0] + h * h / 6.0  # right half-hat at r = h
-    v[-1] = 0.5 * h * r[-1] - h * h / 6.0  # left half-hat at r = 1
-    if n_r >= 2:
-        # cell [0, h]: integrate r times the linear extrapolant of f
-        v[0] += (2.0 / 3.0) * h * h
-        v[1] += -(1.0 / 6.0) * h * h
-    return r, v
-
-
-def _fd2_diff_matrix(r: np.ndarray) -> np.ndarray:
-    n = r.size
-    h = r[1] - r[0]
-    D = np.zeros((n, n))
-    for i in range(1, n - 1):
-        D[i, i - 1] = -0.5 / h
-        D[i, i + 1] = 0.5 / h
-    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D[-1, -1], D[-1, -2], D[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return D
-
-
 class CFLViolationError(RuntimeError):
     """Explicit advection would outrun the grid at the current dt.
 
@@ -143,7 +110,6 @@ class CylGrid:
     n_r: int
     n_z: int
     L_z: float
-    scheme: str
     r: np.ndarray = field(repr=False)
     z: np.ndarray = field(repr=False)
     D_r: np.ndarray = field(repr=False)
@@ -236,7 +202,7 @@ class CylGrid:
         return self.interp_z(self.interp_r(a, r_pt), z_pt)
 
 
-def build_grid(n_r: int, n_z: int, L_z: float, scheme: str = SCHEME_CHEBYSHEV) -> CylGrid:
+def build_grid(n_r: int, n_z: int, L_z: float) -> CylGrid:
     """Construct a :class:`CylGrid`.
 
     Parameters
@@ -248,8 +214,6 @@ def build_grid(n_r: int, n_z: int, L_z: float, scheme: str = SCHEME_CHEBYSHEV) -
         Number of vertical nodes, even and at least 4.
     L_z : float
         Vertical period, positive.
-    scheme : str
-        ``"chebyshev_gauss_lobatto_mapped"`` or ``"uniform_fd2"``.
     """
     if n_r < 4:
         raise ValueError("n_r must be >= 4")
@@ -257,17 +221,8 @@ def build_grid(n_r: int, n_z: int, L_z: float, scheme: str = SCHEME_CHEBYSHEV) -
         raise ValueError("n_z must be even and >= 4")
     if not L_z > 0.0:
         raise ValueError("L_z must be positive")
-    if scheme == SCHEME_CHEBYSHEV:
-        r, w = _chebyshev_nodes_weights(n_r)
-        bw = _barycentric_weights(r)
-        D = _diff_matrix_barycentric(r, bw)
-    elif scheme == SCHEME_FD2:
-        r, w = _fd2_nodes_weights(n_r)
-        D = _fd2_diff_matrix(r)
-        bw = _barycentric_weights(r)  # used only for point interpolation
-    else:
-        raise ValueError(f"unknown radial scheme {scheme!r}")
+    r, w = _chebyshev_nodes_weights(n_r)
+    bw = _barycentric_weights(r)
     z = (L_z / n_z) * np.arange(n_z)
-    return CylGrid(n_r=n_r, n_z=n_z, L_z=float(L_z), scheme=scheme,
-                   r=r, z=z, D_r=D, w_r=w, bary_w=bw)
-
+    return CylGrid(n_r=n_r, n_z=n_z, L_z=float(L_z), r=r, z=z,
+                   D_r=_diff_matrix_barycentric(r, bw), w_r=w, bary_w=bw)

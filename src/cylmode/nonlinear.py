@@ -25,13 +25,11 @@ up to quadrature error, which ``flux_identity_residual`` measures.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .diagnostics import (UR, UTH, UZ, VR, VTH, VZ, inner_quad,
                           measure_state)
-from .grid import THETA_FULL, THETA_HALF
 from .state import ModeState
 
 
@@ -93,40 +91,3 @@ def flux_identity_residual(state: ModeState) -> float:
     if scale == 0.0:
         return 0.0
     return abs(total) / scale
-
-
-def triad_bound_check(state: ModeState, k: int) -> tuple[float, float]:
-    """Work of the triad force on harmonic k against its crude majorant.
-
-    lhs is ``|<(triad force), u_k>|`` over the cylinder; rhs sums, over the
-    admissible pairs that actually feed harmonic k, the integral of
-    ``|u_k1| |u_k2| (|grad u_k| + kN |u_k / r|)`` with pointwise Euclidean
-    magnitudes over the six components.  The bilinear estimate asserts
-    lhs <= C rhs with an absolute constant; callers record the measured C.
-    """
-    g = state.grid
-    r = g.r[:, None]
-    N = state.params.N
-    m = state.u[k]
-    # without the mean, the quadratic term is the triad force alone
-    u = state.u.copy()
-    u[0] = 0.0
-    tri = assemble_quadratic_rhs(replace(state, u=u))[k]
-    lhs = abs(THETA_HALF * sum(g.quad(f * w) for f, w in zip(tri, m)))
-    mag = {}
-    pop = {j for j in range(1, state.params.K + 1) if np.any(state.u[j])}
-    for j in pop | {k}:
-        mag[j] = np.sqrt(sum(f * f for f in state.u[j]))
-    grad_k = np.sqrt(sum(g.dr(f) ** 2 + g.dz(f) ** 2 for f in m))
-    weight = grad_k + k * N * np.sqrt(sum(f * f for f in m)) / r
-    pairs = []
-    for k1 in range(1, k):
-        if k1 in pop and (k - k1) in pop:
-            pairs.append((k1, k - k1))
-    for k2 in range(1, state.params.K - k + 1):
-        if (k2 + k) in pop and k2 in pop:
-            pairs.append((k2 + k, k2))
-            pairs.append((k2, k2 + k))
-    rhs = sum(THETA_FULL * g.quad(mag[k1] * mag[k2] * weight)
-              for k1, k2 in pairs)
-    return lhs, rhs

@@ -44,7 +44,7 @@ import numpy as np
 
 from .diagnostics import (P, UR, UTH, UZ, VR, VTH, VZ, measure_state,
                           mode_energy)
-from .grid import CylGrid, build_grid, SCHEME_CHEBYSHEV, THETA_FULL
+from .grid import CylGrid, build_grid, THETA_FULL
 
 CHECKPOINT_MAGIC = b"CYLMODE1"
 
@@ -368,15 +368,13 @@ def save_checkpoint(state: ModeState, path: str) -> None:
         raise
 
 
-def load_checkpoint(path: str, params: Params | None = None,
-                    scheme: str = SCHEME_CHEBYSHEV) -> ModeState:
+def load_checkpoint(path: str, params: Params | None = None) -> ModeState:
     """Read a checkpoint.
 
     The header carries the grid size and the dynamical parameters
     ``(N, K, nu, delta, eta)``; the remaining functional parameters come
     from ``params`` when given (after a consistency check) and default
-    otherwise.  The radial scheme is not part of the format and must be
-    supplied for non-default grids.
+    otherwise.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -393,7 +391,7 @@ def load_checkpoint(path: str, params: Params | None = None,
                    eta=params.eta, K=params.K)
         if hdr != got:
             raise ValueError(f"checkpoint header {hdr} conflicts with params {got}")
-    grid = build_grid(n_r, n_z, L_z, scheme)
+    grid = build_grid(n_r, n_z, L_z)
     state = ModeState.zeros(grid, params, t=t)
     n = n_r * n_z
     end = 64 + 8 * n * (8 * K + 4)  # header: magic, 4 uint32, 5 float64

@@ -10,11 +10,6 @@ def grid_cheb():
     return build_grid(24, 32, 2.0 * np.pi)
 
 
-@pytest.fixture(scope="session")
-def grid_fd2():
-    return build_grid(96, 32, 2.0 * np.pi, scheme="uniform_fd2")
-
-
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)

@@ -71,44 +71,8 @@ def reference_accumulate(history: EnergyHistory,
                 pair = (g.quad((flds[0] / r) ** 2)
                         + g.quad((flds[1] / r) ** 2))
                 err += history._channel(f"axis_pair_{j}").append(pair, times)
-        if history.mixed:
-            err += _accumulate_mixed(history, g, k, base, times)
     history.error_estimate += err
     return history
-
-
-def _accumulate_mixed(history: EnergyHistory, g: CylGrid, k: int, base,
-                      times) -> float:
-    dz_w = g.dz_weight
-    r = g.r[:, None]
-    err = 0.0
-    for j in (0, 1):
-        flds = [g.dz_pow(f, j) for f in base] if j else list(base)
-        l2v_sq = sum(f * f for f in flds).sum(axis=1) * dz_w
-        l4h = float(g.w_r @ l2v_sq**2) ** 0.25
-        err += history._channel(f"l4t_l4h_l2v_{j}_{k}", power=4.0).append(
-            l4h, times)
-    mag_sq = sum(f * f for f in base)
-    linfv = np.sqrt(mag_sq.max(axis=1))
-    l4h_inf = float(g.w_r @ linfv**4) ** 0.25
-    err += history._channel(f"l4t_l4h_linfv_{k}", power=4.0).append(
-        l4h_inf, times)
-    grad_sq = sum(g.dr(f) ** 2 + g.dz(f) ** 2 for f in base)
-    h_grad = np.sqrt(grad_sq.max(axis=1))
-    err += history._channel(f"l2t_l2h_linfv_grad_{k}", power=2.0).append(
-        math.sqrt(float(g.w_r @ h_grad**2)), times)
-    if k == 0:
-        pair_sq = (base[0] / r) ** 2 + (base[1] / r) ** 2
-        h_pair = np.sqrt(pair_sq.max(axis=1))
-        err += history._channel("l2t_l2h_linfv_pair_0", power=2.0).append(
-            math.sqrt(float(g.w_r @ h_pair**2)), times)
-    else:
-        over_sq = sum((f / r) ** 2 for f in base)
-        h_over = np.sqrt(over_sq.max(axis=1))
-        err += history._channel(f"l2t_l2h_linfv_over_r_{k}",
-                                power=2.0).append(
-            math.sqrt(float(g.w_r @ h_over**2)), times)
-    return err
 
 
 # -- state ---------------------------------------------------------------------

@@ -8,6 +8,7 @@ and the cross-command determinism of the decay report.
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from cylmode.cli import (
     serialize_config,
     validate_config,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _ini(sections: dict) -> str:
@@ -106,6 +109,60 @@ class TestConfigGrammar:
         rc = cli.main(["simulate", "--config", str(tmp_path / "nope.ini")])
         assert rc == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("grid", "scheme", "chebyshev_gauss_lobatto_mapped"),
+        ("grid", "scheme", "uniform_fd2"),
+        ("reports", "budgets", "true"),
+        ("reports", "history", "true"),
+        ("reports", "decay", "true"),
+        ("reports", "mixed", "false"),
+    ])
+    def test_removed_keys_exit_2(self, tmp_path, capsys, section, key, value):
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(**{section: {key: value}}))
+        rc = cli.main(["simulate", "--config", path, "--out", str(out)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and all(line.startswith("config error: ")
+                             for line in lines)
+        assert any(f"[{section}]" in line for line in lines)
+        assert not out.exists()
+
+    def test_linear_flow_is_not_a_run_mode(self, tmp_path, capsys):
+        path = _write(tmp_path, _small(run={"mode": "linear_flow"}))
+        rc = cli.main(["simulate", "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error: [run] mode must be one of" in \
+            capsys.readouterr().err
+
+
+def _demo_configs():
+    """(path, command) of every demo config, from its ``Usage:`` line."""
+    out = []
+    for path in sorted((ROOT / "demos" / "configs").glob("*.ini")):
+        usage = re.search(r"Usage: cylmode (\S+) --config", path.read_text())
+        out.append((path, usage.group(1) if usage else None))
+    return out
+
+
+def _bench_configs():
+    """(path, command) of every benchmark config, from the workload table
+    of ``perfbench/run.py``."""
+    commands = {config: command for command, config in
+                re.findall(r'Workload\("([\w-]+)", "([\w.]+)"',
+                           (ROOT / "perfbench" / "run.py").read_text())}
+    return [(path, commands.get(path.name)) for path in
+            sorted((ROOT / "perfbench" / "configs").glob("*.ini"))]
+
+
+@pytest.mark.parametrize("path,command", _demo_configs() + _bench_configs(),
+                         ids=lambda v: str(v.relative_to(ROOT))
+                         if isinstance(v, Path) else v)
+def test_shipped_config_parses(path, command):
+    assert command in cli.REPORT_FILES, f"no command found for {path}"
+    load_config(str(path), command=command)
 
 
 class TestSimulate:
@@ -212,6 +269,37 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
 
 
+class TestProfileInputErrors:
+    """A profile the solver cannot start from exits 2 with no report."""
+
+    # (wall factor of a_r, what fails): a_r itself not vanishing at the
+    # wall, then a single zero that leaves the derived swirl nonzero there
+    PROFILES = [(lambda r: r, "a_r does not vanish"),
+                (lambda r: r * (1.0 - r**2), "vth does not vanish")]
+
+    @pytest.mark.parametrize("command",
+                             ["simulate", "linear-flow", "oracle-compare"])
+    @pytest.mark.parametrize("radial,message", PROFILES,
+                             ids=["a_r-at-wall", "single-zero"])
+    def test_exit_2_without_report(self, tmp_path, capsys, command, radial,
+                                   message):
+        grid = cli.build_grid(16, 16, 2.0 * math.pi)
+        a_r = radial(grid.r)[:, None] * np.sin(grid.z)[None, :]
+        zero = np.zeros_like(a_r)
+        npz = tmp_path / "profile.npz"
+        np.savez(npz, a_r=a_r, a_z=zero, b_r=zero, b_z=zero)
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(profile={"family": "file",
+                                                "path": str(npz)}))
+        rc = cli.main([command, "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: [profile] ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not (out / cli.REPORT_FILES[command]).exists()
+
+
 class TestStokesTestCommand:
     def test_battery_all_pass(self, tmp_path):
         out = tmp_path / "out"
@@ -235,7 +323,7 @@ class TestLinearFlowCommand:
         out = tmp_path / "out"
         path = _write(tmp_path, _small(
             params={"N": 4, "eta": 0.2, "K": 2, "delta": 0.1},
-            run={"mode": "linear_flow", "compare_N": 8}))
+            run={"compare_N": 8}))
         rc = cli.main(["linear-flow", "--config", path, "--out", str(out),
                        "--quiet"])
         assert rc == 0
@@ -248,11 +336,19 @@ class TestLinearFlowCommand:
         assert math.isfinite(rep["comparison"]["ratio_sup_drift"])
 
     def test_requires_three_fold_symmetry(self, tmp_path, capsys):
-        path = _write(tmp_path, _small(params={"N": 2, "eta": 0.2, "K": 2},
-                                       run={"mode": "linear_flow"}))
+        path = _write(tmp_path, _small(params={"N": 2, "eta": 0.2, "K": 2}))
         rc = cli.main(["linear-flow", "--config", path])
         assert rc == 2
         assert "N >= 3" in capsys.readouterr().err
+
+    def test_compare_n_needs_three_fold_symmetry(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(run={"compare_N": 2}))
+        rc = cli.main(["linear-flow", "--config", path, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: linear-flow requires [run] compare_N >= 3 when set"]
+        assert not out.exists()
 
 
 class TestInequalityScanCommand:

@@ -68,18 +68,16 @@ def _random_forces(st, seed):
 
 
 def _channel_key(name):
-    """(harmonic, family) of a history channel: squared forms and the
-    mixed norms have different scales."""
-    k = 0 if name.startswith("axis_pair") else int(name.rsplit("_", 1)[1])
-    return k, "mixed" if name.startswith(("l4t", "l2t")) else "sq"
+    """The harmonic of a history channel."""
+    return 0 if name.startswith("axis_pair") else int(name.rsplit("_", 1)[1])
 
 
 @pytest.mark.parametrize("K,cascade", CASES, ids=CASE_IDS)
 def test_history_channels_match_reference(grid, K, cascade):
     states = [_random_state(grid, K, cascade, seed=s, t=0.1 * s)
               for s in range(3)]
-    got = F.EnergyHistory(j_max=1, mixed=True)
-    want = F.EnergyHistory(j_max=1, mixed=True)
+    got = F.EnergyHistory(j_max=1)
+    want = F.EnergyHistory(j_max=1)
     for st in states:
         F.accumulate(got, st)
         ref.reference_accumulate(want, state_view(st))
@@ -98,7 +96,6 @@ def test_history_channels_match_reference(grid, K, cascade):
         np.testing.assert_allclose(got.integral_series(name),
                                    want.integral_series(name),
                                    rtol=0, atol=TOL * s, err_msg=name)
-        assert got._ch[name].power == want._ch[name].power
 
 
 @pytest.mark.parametrize("K,cascade", CASES, ids=CASE_IDS)
@@ -195,7 +192,7 @@ def test_one_step_grid_calls_do_not_grow_with_K(grid, monkeypatch, K):
     # derivative order: hundreds per step at these K
     p = Params(nu=1.0, N=3, delta=0.1, eta=0.2, K=K)
     st = make_random_divfree_state(grid, p, seed=1, amplitude=1e-3)
-    history = F.EnergyHistory(j_max=1, mixed=True)
+    history = F.EnergyHistory(j_max=1)
     rows = []
     counts = _count_grid_calls(monkeypatch)
     res = run(st, StepConfig(dt=1e-3, t_end=1e-3),

@@ -36,11 +36,11 @@ def _smooth_profile(grid, amplitude=1.0):
     return make_profile_divfree(grid, a_r, a_z, zero, zero)
 
 
-def _accumulate_run(grid, p, seed=3, n_steps=5, dt=1e-3, mixed=False,
-                    nonlinear=True, state=None):
+def _accumulate_run(grid, p, seed=3, n_steps=5, dt=1e-3, nonlinear=True,
+                    state=None):
     st = state if state is not None else make_random_divfree_state(
         grid, p, seed=seed, amplitude=1e-2)
-    hist = F.EnergyHistory(j_max=1, mixed=mixed)
+    hist = F.EnergyHistory(j_max=1)
     F.accumulate(hist, st)
     sink_hist = hist
 
@@ -117,7 +117,7 @@ class TestAccumulate:
 
     def test_history_roundtrip(self, grid, tmp_path):
         p = _params()
-        hist = _accumulate_run(grid, p, mixed=True)
+        hist = _accumulate_run(grid, p)
         path = str(tmp_path / "hist.npz")
         F.save_history(hist, path)
         loaded = F.load_history(path)
@@ -126,6 +126,28 @@ class TestAccumulate:
         for j in (0, 1):
             assert F.compute_E(loaded, j, p) == F.compute_E(hist, j, p)
             assert F.compute_D(loaded, j, p) == F.compute_D(hist, j, p)
+
+    def test_loads_history_with_mixed_and_powers_meta(self, grid, tmp_path):
+        # histories written with the mixed-norm switch in place carry
+        # "mixed" and "powers" meta keys; the channels are the stored arrays
+        p = _params()
+        hist = _accumulate_run(grid, p)
+        path = str(tmp_path / "hist.npz")
+        F.save_history(hist, path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        meta["mixed"] = False
+        meta["powers"] = {name: 1.0 for name in hist._ch}
+        np.savez(path, meta=json.dumps(meta), **arrays)
+        loaded = F.load_history(path)
+        assert list(loaded._ch) == list(hist._ch)
+        for name in hist._ch:
+            assert loaded.series(name).tolist() == hist.series(name).tolist()
+            assert (loaded.integral_series(name).tolist()
+                    == hist.integral_series(name).tolist())
+        assert (json.dumps(F.decay_report(loaded, p).to_json_dict())
+                == json.dumps(F.decay_report(hist, p).to_json_dict()))
 
 
 class TestWeightedFunctionals:
@@ -299,27 +321,13 @@ class TestDecayReport:
         assert rep.fitted["rate_j0"] == pytest.approx(rho, rel=1e-10)
         assert rep.fitted["rate_j1"] == pytest.approx(rho, rel=1e-10)
 
-    def test_json_and_csv_outputs(self, grid, tmp_path):
-        import csv
-
+    def test_json_and_csv_outputs(self, grid):
         p = _params()
         hist = _accumulate_run(grid, p)
-        rep = F.decay_report(hist, p)
-        d = rep.to_json_dict()
+        d = F.decay_report(hist, p).to_json_dict()
         assert d["schema"] == "cylmode-report-v1"
         assert set(d) == {"schema", "params", "per_mode", "ratios",
                           "pass_flags", "fitted", "metadata"}
-        jpath = str(tmp_path / "report.json")
-        F.write_report_json(rep, jpath)
-        with open(jpath) as fh:
-            assert json.load(fh) == json.loads(
-                json.dumps(rep.to_json_dict()))
-        cpath = str(tmp_path / "report.csv")
-        F.write_report_csv(rep, cpath)
-        with open(cpath, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["k", "j", "sup_norm", "bound", "ratio"]
-        assert len(rows) == 1 + 2 * p.K
 
     def test_report_deterministic(self, grid):
         p = _params()
@@ -364,44 +372,6 @@ class TestSmallness:
         vals, _ = F.smallness_check(prof, _params(nu=0.0))
         assert vals["ans_sum"] > 0.0 and vals["ans_geo"] > 0.0
         assert vals["ns"] > 0.0
-
-
-class TestMixedNormBounds:
-    def test_requires_mixed_accumulation(self, grid):
-        p = _params()
-        hist = _accumulate_run(grid, p, mixed=False)
-        with pytest.raises(ValueError, match="mixed"):
-            F.mixed_norm_bounds(hist, p)
-
-    def test_single_mode_run_finite_ratios(self, grid):
-        p = _params()
-        prof = _smooth_profile(grid, amplitude=1e-2)
-        st = make_initial_state(prof, p)
-        hist = _accumulate_run(grid, p, n_steps=5, nonlinear=False,
-                               state=st, mixed=True)
-        out = F.mixed_norm_bounds(hist, p)
-        assert out["mode_l4"][1][0] > 0.0
-        assert math.isfinite(out["mode_l4"][1][0])
-        assert math.isfinite(out["mean_inf"])
-        for k in range(1, p.K + 1):
-            assert math.isfinite(out["mode_grad_inf"][k])
-
-    def test_ratios_stable_under_refinement(self):
-        vals = {}
-        for n_r in (24, 48):
-            g = build_grid(n_r=n_r, n_z=32, L_z=2.0 * np.pi)
-            p = _params()
-            r = g.r
-            env = (1.0 - r**2) ** 2
-            a_r = 1e-2 * (env * r)[:, None] * np.sin(g.z)[None, :]
-            a_z = 1e-2 * env[:, None] * np.cos(g.z)[None, :]
-            zero = np.zeros_like(a_r)
-            prof = make_profile_divfree(g, a_r, a_z, zero, zero)
-            st = make_initial_state(prof, p)
-            hist = _accumulate_run(g, p, n_steps=5, nonlinear=False,
-                                   state=st, mixed=True)
-            vals[n_r] = F.mixed_norm_bounds(hist, p)["mode_l4"][1][0]
-        assert abs(vals[48] - vals[24]) <= 0.3 * abs(vals[24])
 
 
 class TestVerticalSobolev:

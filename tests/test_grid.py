@@ -23,12 +23,12 @@ def _fields(g):
 
 
 class TestQuadrature:
-    def test_unit_and_linear_moments_exact(self, grid_cheb, grid_fd2):
-        for g in (grid_cheb, grid_fd2):
-            one = np.ones((g.n_r, g.n_z))
-            r = g.r[:, None] * np.ones_like(one)
-            assert g.quad(one) == pytest.approx(g.L_z / 2.0, abs=1e-14)
-            assert g.quad(r) == pytest.approx(g.L_z / 3.0, abs=1e-14)
+    def test_unit_and_linear_moments_exact(self, grid_cheb):
+        g = grid_cheb
+        one = np.ones((g.n_r, g.n_z))
+        r = g.r[:, None] * np.ones_like(one)
+        assert g.quad(one) == pytest.approx(g.L_z / 2.0, abs=1e-14)
+        assert g.quad(r) == pytest.approx(g.L_z / 3.0, abs=1e-14)
 
     def test_weighted_exponential_integral_frozen(self, grid_cheb):
         r, z = _fields(grid_cheb)
@@ -43,15 +43,6 @@ class TestQuadrature:
             exact = grid_cheb.L_z / (a + 2.0)
             assert val == pytest.approx(exact, rel=1e-13)
 
-    def test_fd2_quadrature_second_order(self):
-        vals = []
-        for n in (64, 128):
-            g = build_grid(n, 8, 2.0 * np.pi, scheme="uniform_fd2")
-            r = g.r[:, None] * np.ones((1, g.n_z))
-            vals.append(abs(g.quad(np.sin(np.pi * r)) -
-                            g.L_z * 0.3183098861837906715))  # int_0^1 sin(pi r) r dr
-        assert vals[1] < vals[0] / 3.2
-
 
 class TestDerivatives:
     def test_radial_derivative_polynomial_exact(self, grid_cheb):
@@ -65,11 +56,6 @@ class TestDerivatives:
         r, _ = _fields(grid_cheb)
         f = (r**4 * np.ones((1, grid_cheb.n_z)))
         assert np.abs(grid_cheb.dr(grid_cheb.dr(f)) - 12.0 * r**2).max() < 1e-9
-
-    def test_fd2_radial_derivative_quadratic_exact(self, grid_fd2):
-        r, _ = _fields(grid_fd2)
-        f = r**2 * np.ones((1, grid_fd2.n_z))
-        assert np.abs(grid_fd2.dr(f) - 2.0 * r).max() < 1e-11
 
     def test_vertical_derivative_spectral(self, grid_cheb):
         r, z = _fields(grid_cheb)
@@ -138,11 +124,9 @@ class TestValidation:
             build_grid(16, 7, 2.0 * np.pi)  # odd n_z
         with pytest.raises(ValueError):
             build_grid(16, 32, 0.0)
-        with pytest.raises(ValueError):
-            build_grid(16, 32, 2.0 * np.pi, scheme="nope")
 
-    def test_axis_excluded_wall_included(self, grid_cheb, grid_fd2):
-        for g in (grid_cheb, grid_fd2):
-            assert g.r[0] > 0.0
-            assert g.r[-1] == pytest.approx(1.0, abs=1e-15)
-            assert np.all(np.diff(g.r) > 0.0)
+    def test_axis_excluded_wall_included(self, grid_cheb):
+        g = grid_cheb
+        assert g.r[0] > 0.0
+        assert g.r[-1] == pytest.approx(1.0, abs=1e-15)
+        assert np.all(np.diff(g.r) > 0.0)

@@ -258,6 +258,11 @@ class TestPointwiseWeight:
         f = ineq.disk_function(disk, np.zeros((disk.n_r, disk.n_theta)))
         assert ineq.pointwise_weight_ok(f)
 
+    def test_nan_node_fails(self, disk):
+        vals = _rand_fn(disk, np.random.default_rng(210)).values.copy()
+        vals[disk.n_r // 2, 3] = np.nan
+        assert not ineq.pointwise_weight_ok(ineq.TestFunction2D(disk, vals))
+
 
 class TestVerticalInterpolation:
     def test_single_mode_value(self):

@@ -12,17 +12,9 @@ from cylmode.state import (
     divergence_residual,
     make_random_divfree_state,
 )
-from cylmode.nonlinear import (
-    assemble_quadratic_rhs,
-    flux_identity_residual,
-    triad_bound_check,
-)
+from cylmode.nonlinear import assemble_quadratic_rhs, flux_identity_residual
 from modeview import force_array, state_view
 from quadratic_reference import reference_quadratic_rhs
-
-# unit constant of the bilinear work estimate; measured max lhs/rhs over
-# random divergence-free states was 0.013, so this has two decades of slack
-TRIAD_BOUND_CONST = 1.0
 
 
 def _params(K=4, N=3):
@@ -276,14 +268,3 @@ class TestFluxIdentity:
         for k in range(p.K + 1):
             for fa, fb in zip(a.u[k], b.u[k]):
                 np.testing.assert_array_equal(fa, fb)
-
-
-class TestTriadBound:
-    def test_work_bounded_by_majorant(self, grid_cheb):
-        p = _params()
-        for seed in range(10):
-            st = make_random_divfree_state(grid_cheb, p, seed=100 + seed)
-            for k in range(1, p.K + 1):
-                lhs, rhs = triad_bound_check(st, k)
-                assert rhs > 0.0
-                assert lhs <= TRIAD_BOUND_CONST * rhs
