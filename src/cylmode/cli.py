@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from .functionals import (
     save_history,
     smallness_check,
 )
-from .grid import CFLViolationError, build_grid
+from .grid import THETA_FULL, THETA_HALF, CFLViolationError, build_grid
 from .inequalities import POINCARE_BOUND, SCAN_CHECKS, constant_scan
 from .nonlinear import flux_identity_residual
 from .oracle import ORACLE_MAX_NTHETA, OracleOpCache, SingularBinError, \
@@ -116,7 +117,6 @@ _CONFIG_FIELDS = (
     ("z_waves", "profile", "z_waves", "int", 1),
     ("mode", "run", "mode", "str", "ns"),
     ("out_dir", "run", "out_dir", "str", "out"),
-    ("snapshot_every", "run", "snapshot_every", "int", 1),
     ("compare_N", "run", "compare_N", "int", 0),
     ("seed", "run", "seed", "int", 0),
     ("scan_check", "scan", "check", "str", "anisotropic"),
@@ -165,7 +165,6 @@ class ExperimentConfig:
     z_waves: int
     mode: str
     out_dir: str
-    snapshot_every: int
     compare_N: int
     seed: int
     scan_check: str
@@ -197,8 +196,6 @@ class ExperimentConfig:
 
 
 def _format_value(kind: str, value) -> str:
-    if kind == "bool":
-        return "true" if value else "false"
     if kind == "float":
         return repr(float(value))
     return str(value)
@@ -209,13 +206,6 @@ def _parse_value(kind: str, text: str):
         return int(text)
     if kind == "float":
         return float(text)
-    if kind == "bool":
-        low = text.strip().lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
     return text.strip()
 
 
@@ -319,8 +309,6 @@ def validate_config(cfg: ExperimentConfig,
         bad.append("[profile] z_waves must be >= 1")
     if cfg.mode not in RUN_MODES:
         bad.append(f"[run] mode must be one of {RUN_MODES}")
-    if cfg.snapshot_every < 1:
-        bad.append("[run] snapshot_every must be >= 1")
     if cfg.compare_N != 0 and cfg.compare_N < 2:
         bad.append("[run] compare_N must be 0 (off) or an integer >= 2")
     if command == "linear-flow" and cfg.N < 3:
@@ -472,22 +460,12 @@ def _simulate_core(cfg: ExperimentConfig, params: Params,
     smallness_values, smallness_ok = smallness_check(profile, params)
 
     history = EnergyHistory(j_max=1)
-    energies: list[float] = []
-    count = 0
-
-    def on_snapshot(st, measures):
-        nonlocal count
-        if count % cfg.snapshot_every == 0:
-            accumulate(history, st, measures)
-            energies.append(measures.total_l2_sq())
-        count += 1
-
     nonlinear = cfg.mode in ("ns", "ans")
     step_cfg = StepConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.step_scheme,
                           cfl_safety=cfg.cfl_safety, div_tol=cfg.div_tol,
                           budget_every=cfg.budget_every, nonlinear=nonlinear)
     sinks = RunSinks(
-        on_snapshot=on_snapshot,
+        on_snapshot=lambda st, measures: accumulate(history, st, measures),
         budget_csv=str(out_dir / "budgets.csv") if out_dir else None,
         checkpoint_path=str(out_dir / "checkpoint.bin") if out_dir else None,
     )
@@ -506,7 +484,11 @@ def _simulate_core(cfg: ExperimentConfig, params: Params,
         invariants["flux_residual"] = flux
         invariants["flux_ok"] = flux <= FLUX_TOL
     if not nonlinear and cfg.step_scheme == SCHEME_EULER:
-        # the implicit viscous step is dissipative for any dt
+        # the implicit viscous step is dissipative for any dt; the energy
+        # is ModeMeasures.total_l2_sq of each snapshot
+        theta = np.full(params.K + 1, THETA_HALF)
+        theta[0] = THETA_FULL
+        energies = [sum(theta * inst) for inst in history.values("inst")[:, 0]]
         worst = 0.0
         for a, b in zip(energies, energies[1:]):
             if a > 0.0:
@@ -536,7 +518,8 @@ def _simulate_core(cfg: ExperimentConfig, params: Params,
         "decay": rep.to_json_dict(),
         "run": {"n_steps": result.n_steps, "aborted": result.aborted,
                 "reason": result.reason, "cleanups": result.cleanups,
-                "final_time": result.state.t, "snapshots": len(energies)},
+                "final_time": result.state.t,
+                "snapshots": history.n_snapshots},
     }
 
 
@@ -762,10 +745,9 @@ def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
 def cmd_decay_report(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     try:
         history = load_history(cfg.history_path)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot load history {cfg.history_path!r}: {exc}",
-              file=sys.stderr)
-        return 2
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise ConfigError([f"[history] cannot load {cfg.history_path!r}: "
+                           f"{exc}"]) from exc
     rep = decay_report(history, cfg.params())
     _write_json(_decay_json_dict(rep, cfg),
                 out_dir / REPORT_FILES["decay-report"])
@@ -821,7 +803,6 @@ def main(argv=None) -> int:
             print(f"config error: {line}", file=sys.stderr)
         return 2
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[args.command](cfg, out_dir, args.quiet)
     except ConfigError as exc:

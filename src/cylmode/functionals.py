@@ -3,8 +3,11 @@
 All coefficient-tuple norms here use the meridian measure ``r dr dz`` (no
 azimuthal factor): the mean triple and the six-tuples of the harmonics are
 treated as plain vector functions on the (r, z) strip.  Time-dependent
-quantities are tracked on snapshot times only; running integrals use the
-trapezoid rule and carry a recorded step-size error estimate.
+quantities are tracked on snapshot times only: ``EnergyHistory`` keeps one
+per-harmonic row of each diagnostics form per snapshot, and running sups,
+trapezoid time integrals and their step-size error estimate are computed
+from those rows when read.  ``compute_E`` and ``compute_D`` are one
+weighted formula with two choices of gradient channel and harmonic weight.
 ``DecayReport.to_json_dict`` is the decay report's JSON body; the command
 line adds the config echo and writes it.
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,37 +30,21 @@ REPORT_SCHEMA = "cylmode-report-v1"
 
 # -- history accumulation ------------------------------------------------------
 
-@dataclass
-class _Channel:
-    """One scalar time series plus its running trapezoid integral."""
-
-    values: list = field(default_factory=list)
-    integral: list = field(default_factory=list)
-
-    def append(self, value: float, times: list) -> float:
-        v = float(value)
-        if not self.integral:
-            self.integral.append(0.0)
-        else:
-            dt = times[-1] - times[-2]
-            self.integral.append(self.integral[-1]
-                                 + 0.5 * dt * (v + self.values[-1]))
-        self.values.append(v)
-        err = 0.0
-        if len(self.values) >= 3:
-            dt = times[-1] - times[-2]
-            err = abs(v - 2.0 * self.values[-2] + self.values[-3]) * dt / 12.0
-        return err
+#: the stored rows of a snapshot: ``(j_max+1, K+1)`` per-harmonic forms and
+#: the mean's ``(j_max+1,)`` axis pair
+CHANNELS = ("inst", "grad", "dr", "over_r", "axis_pair")
 
 
 class EnergyHistory:
     """Running norms of a mode trajectory feeding the weighted functionals.
 
-    Tracks, per harmonic k and vertical-derivative order j <= j_max:
-    the instantaneous squared norm, its running sup, and running time
-    integrals of the (r, z)-gradient, the radial derivative alone, the
-    1/r-weighted norm, and (for the mean) the axis-sensitive component
-    pair.
+    Each snapshot stores, per vertical-derivative order j <= j_max and
+    harmonic k, the instantaneous squared norm (``inst``), the (r, z)
+    gradient (``grad``), the radial derivative alone (``dr``) and the
+    1/r-weighted norm (``over_r``), plus the mean's axis-sensitive
+    component pair (``axis_pair``, one value per j).  Running trapezoid
+    integrals, running sups and the integration error estimate are taken
+    from the stored rows when read.
     """
 
     def __init__(self, j_max: int = 1):
@@ -68,48 +55,76 @@ class EnergyHistory:
         self.grid: CylGrid | None = None
         self.K: int | None = None
         self.N: int | None = None
-        self.error_estimate = 0.0
-        self._ch: dict = {}
-
-    # channel naming: inst/(grad|dr|over_r)_int keyed by (j, k)
-    def _channel(self, name: str) -> _Channel:
-        if name not in self._ch:
-            self._ch[name] = _Channel()
-        return self._ch[name]
-
-    def series(self, name: str) -> np.ndarray:
-        return np.asarray(self._ch[name].values)
-
-    def integral_series(self, name: str) -> np.ndarray:
-        return np.asarray(self._ch[name].integral)
-
-    def value_at(self, name: str, idx: int = -1) -> float:
-        return self._ch[name].values[idx]
-
-    def integral_at(self, name: str, idx: int = -1) -> float:
-        return self._ch[name].integral[idx]
-
-    def sup_at(self, name: str, idx: int = -1) -> float:
-        vals = self._ch[name].values
-        if idx == -1:
-            idx = len(vals) - 1
-        return max(vals[:idx + 1])
+        self._rows: dict[str, list] = {name: [] for name in CHANNELS}
 
     @property
     def n_snapshots(self) -> int:
         return len(self.times)
 
+    def append(self, t: float, inst, grad, dr, over_r, axis_pair) -> None:
+        """Store one snapshot's rows at time ``t``."""
+        if self.times and t <= self.times[-1]:
+            raise ValueError(
+                f"snapshot time {t} does not advance past {self.times[-1]}")
+        self.times.append(float(t))
+        for name, row in zip(CHANNELS, (inst, grad, dr, over_r, axis_pair)):
+            self._rows[name].append(np.array(row, dtype=float))
+
+    def values(self, name: str) -> np.ndarray:
+        """A channel's rows stacked over snapshots: ``(snapshots, j_max+1,
+        K+1)``, or ``(snapshots, j_max+1)`` for ``axis_pair``."""
+        return np.array(self._rows[name])
+
+    def integrals(self, name: str) -> np.ndarray:
+        """Running trapezoid time integrals of a channel, 0 at the start."""
+        v = self.values(name)
+        out = np.zeros_like(v)
+        dt = np.diff(self.times).reshape((-1,) + (1,) * (v.ndim - 1))
+        np.cumsum(0.5 * dt * (v[1:] + v[:-1]), axis=0, out=out[1:])
+        return out
+
+    def sups(self, name: str) -> np.ndarray:
+        """Running sups of a channel over snapshots."""
+        return np.maximum.accumulate(self.values(name), axis=0)
+
+    @property
+    def error_estimate(self) -> float:
+        """Trapezoid step error ``|second difference| dt / 12`` summed
+        over the scalar channels in ``history.npz`` order, then over
+        snapshots."""
+        if self.n_snapshots < 3:
+            return 0.0
+        vals = {name: self.values(name) for name in CHANNELS}
+        v = np.stack([vals[name][at] for _, name, at in _members(self)],
+                     axis=1)
+        dt = np.diff(self.times)[1:, None]
+        terms = np.abs(v[2:] - 2.0 * v[1:-1] + v[:-2]) * dt / 12.0
+        # add.accumulate adds strictly left to right; np.sum adds pairwise
+        per_snapshot = np.add.accumulate(terms, axis=1)[:, -1]
+        return float(np.add.accumulate(per_snapshot)[-1])
+
+
+def _members(history: EnergyHistory):
+    """``(name, channel, index)`` of every scalar channel, in
+    ``history.npz`` member order: harmonic k, then order j, then
+    ``inst_<j>_<k>``, ``grad``, ``dr``, ``over_r`` and, for the mean,
+    ``axis_pair_<j>``.  ``index`` picks its series out of the channel's
+    stacked rows."""
+    for k in range(history.K + 1):
+        for j in range(history.j_max + 1):
+            for name in CHANNELS[:4]:
+                yield f"{name}_{j}_{k}", name, (..., j, k)
+            if k == 0:
+                yield f"axis_pair_{j}", "axis_pair", (..., j)
+
 
 def accumulate(history: EnergyHistory, state: ModeState,
                measures: ModeMeasures | None = None) -> EnergyHistory:
-    """Append one snapshot; advances every running integral.
+    """Append one snapshot of ``state`` to ``history``.
 
     ``measures`` is the state's diagnostics pass when the caller has one
     covering ``history.j_max``; otherwise it is taken here.
     """
-    if history.times and state.t <= history.times[-1]:
-        raise ValueError(
-            f"snapshot time {state.t} does not advance past {history.times[-1]}")
     g = state.grid
     p = state.params
     if history.grid is None:
@@ -119,27 +134,18 @@ def accumulate(history: EnergyHistory, state: ModeState,
     ms = measures
     if ms is None or ms.j_max < history.j_max:
         ms = measure_state(state, history.j_max)
-    history.times.append(float(state.t))
-    times = history.times
-    err = 0.0
-    for k in range(p.K + 1):
-        for j in range(history.j_max + 1):
-            over = ms.over_r[j, k]
-            err += history._channel(f"inst_{j}_{k}").append(ms.inst[j, k], times)
-            err += history._channel(f"grad_{j}_{k}").append(
-                ms.dr_sq[j, k] + ms.dz_sq[j, k], times)
-            err += history._channel(f"dr_{j}_{k}").append(ms.dr_sq[j, k], times)
-            err += history._channel(f"over_r_{j}_{k}").append(over.sum(), times)
-            if k == 0:
-                err += history._channel(f"axis_pair_{j}").append(
-                    over[UR] + over[UTH], times)
-    history.error_estimate += err
+    orders = slice(history.j_max + 1)
+    dr, over = ms.dr_sq[orders], ms.over_r[orders]
+    history.append(state.t, ms.inst[orders], dr + ms.dz_sq[orders], dr,
+                   over.sum(axis=-1), over[:, 0, UR] + over[:, 0, UTH])
     return history
 
 
 # -- persistence ----------------------------------------------------------------
 
 def save_history(history: EnergyHistory, path: str) -> None:
+    """Write ``times``, then for every scalar channel its values
+    ``v_<name>`` and running integral ``i_<name>``."""
     g = history.grid
     meta = {
         "j_max": history.j_max,
@@ -150,18 +156,21 @@ def save_history(history: EnergyHistory, path: str) -> None:
         "error_estimate": history.error_estimate,
     }
     arrays = {"times": np.asarray(history.times)}
-    for name, ch in history._ch.items():
-        arrays[f"v_{name}"] = np.asarray(ch.values)
-        arrays[f"i_{name}"] = np.asarray(ch.integral)
+    if history.times:
+        vals = {name: history.values(name) for name in CHANNELS}
+        ints = {name: history.integrals(name) for name in CHANNELS}
+        for member, name, at in _members(history):
+            arrays[f"v_{member}"] = vals[name][at]
+            arrays[f"i_{member}"] = ints[name][at]
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
 def load_history(path: str) -> EnergyHistory:
     """Read a history written by :func:`save_history`.
 
-    The channels are the stored ``v_<name>``/``i_<name>`` array pairs;
-    any other meta keys (older files carry ``mixed`` and ``powers``) are
-    ignored.
+    The rows are rebuilt from the stored ``v_<name>`` arrays; integrals
+    and the error estimate are recomputed from them.  Other members and
+    meta keys (older files carry ``mixed`` and ``powers``) are ignored.
     """
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
@@ -172,13 +181,16 @@ def load_history(path: str) -> EnergyHistory:
         if gmeta is not None:
             # dimensions only; a loaded history reports, it does not resume
             hist.grid = SimpleNamespace(**gmeta)
-        hist.error_estimate = meta["error_estimate"]
-        hist.times = [float(t) for t in data["times"]]
-        for name in [f[2:] for f in data.files if f.startswith("v_")]:
-            ch = _Channel()
-            ch.values = [float(v) for v in data[f"v_{name}"]]
-            ch.integral = [float(v) for v in data[f"i_{name}"]]
-            hist._ch[name] = ch
+        times = data["times"].tolist()
+        if not times:
+            return hist
+        shape = (len(times), hist.j_max + 1, hist.K + 1)
+        rows = {name: np.zeros(shape) for name in CHANNELS}
+        rows["axis_pair"] = np.zeros(shape[:2])
+        for member, name, at in _members(hist):
+            rows[name][at] = data[f"v_{member}"]
+    for i, t in enumerate(times):
+        hist.append(t, *(rows[name][i] for name in CHANNELS))
     return hist
 
 
@@ -191,56 +203,51 @@ def _require(history: EnergyHistory, j: int) -> None:
         raise ValueError(f"derivative order j = {j} out of range")
 
 
+def _weighted(history: EnergyHistory, j: int, params: Params, idx: int,
+              gradient: str, weight) -> float:
+    """Mean block N^(2(1/4 - eta)) (sup + gradient integral + axis-pair
+    integral) plus the sup over k >= 1 of ``weight(k)`` times (sup +
+    gradient integral + (k^2 N^2 / 2) times the 1/r integral)."""
+    _require(history, j)
+    N = params.N
+    sup = history.sups("inst")[idx, j]
+    grad = history.integrals(gradient)[idx, j]
+    over_r = history.integrals("over_r")[idx, j]
+    mean = sup[0] + grad[0] + history.integrals("axis_pair")[idx, j]
+    total = N ** (2.0 * (0.25 - params.eta)) * mean
+    best = 0.0
+    for k in range(1, params.K + 1):
+        block = sup[k] + grad[k] + 0.5 * (k * N) ** 2 * over_r[k]
+        best = max(best, weight(k) * block)
+    return float(total + best)
+
+
 def compute_E(history: EnergyHistory, j: int, params: Params,
               idx: int = -1) -> float:
     """Isotropic-regime weighted functional at snapshot ``idx``.
 
-    Mean block: sup of the squared norm plus time integrals of the (r, z)
-    gradient and the axis-pair weight, prefactor N^(2(1/4 - eta)).  Harmonic
-    block: sup over k of k^2 N^(2 eta (k-2)) times (sup + gradient integral
-    + (k^2 N^2 / 2) times the 1/r integral).
+    Gradient channel: the full (r, z) gradient.  Harmonic weight:
+    k^2 N^(2 eta (k-2)).
     """
-    _require(history, j)
-    N, eta, K = params.N, params.eta, params.K
-    mean = (history.sup_at(f"inst_{j}_0", idx)
-            + history.integral_at(f"grad_{j}_0", idx)
-            + history.integral_at(f"axis_pair_{j}", idx))
-    total = N ** (2.0 * (0.25 - eta)) * mean
-    best = 0.0
-    for k in range(1, K + 1):
-        block = (history.sup_at(f"inst_{j}_{k}", idx)
-                 + history.integral_at(f"grad_{j}_{k}", idx)
-                 + 0.5 * (k * N) ** 2
-                 * history.integral_at(f"over_r_{j}_{k}", idx))
-        best = max(best, k**2 * N ** (2.0 * eta * (k - 2)) * block)
-    return total + best
+    N, eta = params.N, params.eta
+    return _weighted(history, j, params, idx, "grad",
+                     lambda k: k**2 * N ** (2.0 * eta * (k - 2)))
 
 
 def compute_D(history: EnergyHistory, j: int, params: Params,
               idx: int = -1) -> float:
     """Anisotropic-regime weighted functional at snapshot ``idx``.
 
-    Differs from the isotropic one in the harmonic weight
-    k^(2 sigma (m-j)) N^(2 min{eta (k-2), (1/2 - eta - delta)(m-j)}) and in
-    using only the radial derivative integral (no vertical smoothing).
+    Gradient channel: the radial derivative only (no vertical smoothing).
+    Harmonic weight: k^(2 sigma (m-j)) N^(2 min{eta (k-2),
+    (1/2 - eta - delta)(m-j)}).
     """
-    _require(history, j)
     N, eta, delta = params.N, params.eta, params.delta
-    m, sigma, K = params.m, params.sigma, params.K
-    mean = (history.sup_at(f"inst_{j}_0", idx)
-            + history.integral_at(f"dr_{j}_0", idx)
-            + history.integral_at(f"axis_pair_{j}", idx))
-    total = N ** (2.0 * (0.25 - eta)) * mean
-    best = 0.0
-    for k in range(1, K + 1):
-        block = (history.sup_at(f"inst_{j}_{k}", idx)
-                 + history.integral_at(f"dr_{j}_{k}", idx)
-                 + 0.5 * (k * N) ** 2
-                 * history.integral_at(f"over_r_{j}_{k}", idx))
-        expo = min(eta * (k - 2), (0.5 - eta - delta) * (m - j))
-        best = max(best, k ** (2.0 * sigma * (m - j)) * N ** (2.0 * expo)
-                   * block)
-    return total + best
+    m, sigma = params.m, params.sigma
+    return _weighted(
+        history, j, params, idx, "dr",
+        lambda k: k ** (2.0 * sigma * (m - j))
+        * N ** (2.0 * min(eta * (k - 2), (0.5 - eta - delta) * (m - j))))
 
 
 # -- decay weights ---------------------------------------------------------------
@@ -340,16 +347,16 @@ def decay_report(history: EnergyHistory, params: Params) -> DecayReport:
     weights = decay_weights(params)
     anisotropic = params.nu == 0.0
 
+    first = history.values("inst")[0]
+    sup = history.sups("inst")[-1]
     per_mode = []
     fitted = {}
     ratios = {}
     sup0 = {}
     for j in range(min(history.j_max, 1) + 1):
         # reference amplitude per derivative order
-        alpha_norm = (math.sqrt(history.value_at(f"inst_{j}_1", 0))
-                      / N**delta)
-        sups = {k: math.sqrt(history.sup_at(f"inst_{j}_{k}"))
-                for k in range(1, K + 1)}
+        alpha_norm = math.sqrt(first[j, 1]) / N**delta
+        sups = {k: math.sqrt(sup[j, k]) for k in range(1, K + 1)}
         if j == 0:
             sup0 = sups
         calib = None
@@ -372,7 +379,7 @@ def decay_report(history: EnergyHistory, params: Params) -> DecayReport:
             ratio = (sups[k] / bound if bound else 0.0)
             per_mode.append({"k": k, "j": j, "sup_norm": sups[k],
                              "bound": bound, "ratio": ratio})
-        mean_sup = math.sqrt(history.sup_at(f"inst_{j}_0"))
+        mean_sup = math.sqrt(sup[j, 0])
         mean_ref = N ** (-0.25 + delta) * alpha_norm
         ratios[f"mean_mode_j{j}"] = (mean_sup / mean_ref
                                      if mean_ref > 0.0 else 0.0)
@@ -443,8 +450,4 @@ def vertical_sobolev_sq(history: EnergyHistory, ell: int,
     if ell > history.j_max:
         raise ValueError(f"history only tracks derivatives up to "
                          f"{history.j_max}")
-    total = 0.0
-    for k in range(history.K + 1):
-        for j in range(ell + 1):
-            total += history.value_at(f"inst_{j}_{k}", idx)
-    return total
+    return float(history.values("inst")[idx, :ell + 1].sum())

@@ -148,7 +148,7 @@ class CylGrid:
         ahat *= ik
         return np.fft.irfft(ahat, n=self.n_z, axis=-1)
 
-    # -- quadrature and norms ----------------------------------------------
+    # -- quadrature ---------------------------------------------------------
 
     @property
     def dz_weight(self) -> float:
@@ -157,25 +157,6 @@ class CylGrid:
     def quad(self, a: np.ndarray) -> float:
         """``\\int\\int a r dr dz`` by tensor quadrature."""
         return float(self.w_r @ a.sum(axis=1)) * self.dz_weight
-
-    def norm_mixed(self, a: np.ndarray, p: float, q: float) -> float:
-        """``L^p`` over the horizontal ball of the ``L^q`` vertical norm.
-
-        Finite ``p`` carries the axisymmetric theta factor ``(2 pi)^(1/p)``;
-        ``p = inf`` and ``q = inf`` are supremum norms on the nodes.
-        """
-        mag = np.abs(a)
-        if math.isinf(q):
-            g = mag.max(axis=1)
-        else:
-            g = (np.sum(mag**q, axis=1) * self.dz_weight) ** (1.0 / q)
-        if math.isinf(p):
-            return float(g.max())
-        return float((THETA_FULL * (self.w_r @ g**p)) ** (1.0 / p))
-
-    def l2(self, a: np.ndarray) -> float:
-        """Full-cylinder L2 norm of a theta-independent field."""
-        return math.sqrt(max(THETA_FULL * self.quad(a * a), 0.0))
 
     # -- interpolation ------------------------------------------------------
 

@@ -50,28 +50,23 @@ def reference_accumulate(history: EnergyHistory,
         history.grid, history.K, history.N = g, p.K, p.N
     elif history.grid is not g or history.K != p.K:
         raise ValueError("history bound to a different grid or truncation")
-    history.times.append(float(state.t))
-    times = history.times
-    err = 0.0
+    shape = (history.j_max + 1, p.K + 1)
+    inst, grad, dr_only, over_r = (np.zeros(shape) for _ in range(4))
+    pair = np.zeros(history.j_max + 1)
     r = g.r[:, None]
     for k in range(p.K + 1):
         base = _mode_fields(state, k)
         for j in range(history.j_max + 1):
             flds = [g.dz_pow(f, j) for f in base] if j else list(base)
-            inst = sum(g.quad(f * f) for f in flds)
-            grad = sum(g.quad(g.dr(f) ** 2) + g.quad(g.dz(f) ** 2)
-                       for f in flds)
-            dr_only = sum(g.quad(g.dr(f) ** 2) for f in flds)
-            over_r = sum(g.quad((f / r) ** 2) for f in flds)
-            err += history._channel(f"inst_{j}_{k}").append(inst, times)
-            err += history._channel(f"grad_{j}_{k}").append(grad, times)
-            err += history._channel(f"dr_{j}_{k}").append(dr_only, times)
-            err += history._channel(f"over_r_{j}_{k}").append(over_r, times)
+            inst[j, k] = sum(g.quad(f * f) for f in flds)
+            grad[j, k] = sum(g.quad(g.dr(f) ** 2) + g.quad(g.dz(f) ** 2)
+                             for f in flds)
+            dr_only[j, k] = sum(g.quad(g.dr(f) ** 2) for f in flds)
+            over_r[j, k] = sum(g.quad((f / r) ** 2) for f in flds)
             if k == 0:
-                pair = (g.quad((flds[0] / r) ** 2)
-                        + g.quad((flds[1] / r) ** 2))
-                err += history._channel(f"axis_pair_{j}").append(pair, times)
-    history.error_estimate += err
+                pair[j] = (g.quad((flds[0] / r) ** 2)
+                           + g.quad((flds[1] / r) ** 2))
+    history.append(state.t, inst, grad, dr_only, over_r, pair)
     return history
 
 

@@ -295,7 +295,7 @@ def test_criterion_09_mean_mode_scaling(grid48):
         result = run(state, cfg, sinks=RunSinks(on_snapshot=lambda st, ms:
                                                 accumulate(history, st, ms)))
         assert not result.aborted
-        return math.sqrt(history.sup_at("inst_0_0")) / alpha
+        return math.sqrt(history.sups("inst")[-1, 0, 0]) / alpha
 
     r8 = mean_sup(8)
     r16 = mean_sup(16)

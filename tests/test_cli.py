@@ -117,6 +117,7 @@ class TestConfigGrammar:
         ("reports", "history", "true"),
         ("reports", "decay", "true"),
         ("reports", "mixed", "false"),
+        ("run", "snapshot_every", "2"),
     ])
     def test_removed_keys_exit_2(self, tmp_path, capsys, section, key, value):
         out = tmp_path / "out"
@@ -298,6 +299,7 @@ class TestProfileInputErrors:
         assert message in err
         assert "Traceback" not in err
         assert not (out / cli.REPORT_FILES[command]).exists()
+        assert not out.exists()
 
 
 class TestStokesTestCommand:
@@ -417,11 +419,32 @@ class TestDecayReportCommand:
         assert first == second
 
     def test_missing_history_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
         path = _write(tmp_path, _small(
             history={"path": str(tmp_path / "ghost.npz")}))
-        rc = cli.main(["decay-report", "--config", path])
+        rc = cli.main(["decay-report", "--config", path, "--out", str(out)])
         assert rc == 2
-        assert "history" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("input error: [history] ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("write", [
+        lambda p: p.write_bytes(b"not an npz file"),
+        lambda p: p.write_bytes(b"PK\x03\x04 truncated"),
+        lambda p: np.savez(p, times=np.zeros(2)),
+    ], ids=["text", "truncated_zip", "no_meta"])
+    def test_unreadable_history_exits_2(self, tmp_path, capsys, write):
+        bad = tmp_path / "bad.npz"
+        write(bad)
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(history={"path": str(bad)}))
+        rc = cli.main(["decay-report", "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: [history] ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSolverFailures:

@@ -74,9 +74,10 @@ class TestAccumulate:
             st.t = 0.1 * i
             F.accumulate(hist, st)
         t_final = 0.5
-        for name in ("inst_0_1", "grad_1_2", "over_r_0_3", "axis_pair_0"):
-            v = hist.value_at(name)
-            assert hist.integral_at(name) == pytest.approx(
+        for name, at in (("inst", (0, 1)), ("grad", (1, 2)),
+                         ("over_r", (0, 3)), ("axis_pair", (0,))):
+            v = hist.values(name)[(-1, *at)]
+            assert hist.integrals(name)[(-1, *at)] == pytest.approx(
                 t_final * v, rel=1e-12)
 
     def test_decaying_mode_integral_oracle(self, grid):
@@ -94,8 +95,8 @@ class TestAccumulate:
                 m[:] = [math.exp(-lam * t) * f for f in m]
             F.accumulate(hist, st)
         exact_factor = (1.0 - math.exp(-2.0 * lam * t_end)) / (2.0 * lam)
-        got = hist.integral_at("inst_0_1")
-        want = exact_factor * hist.value_at("inst_0_1", 0)
+        got = hist.integrals("inst")[-1, 0, 1]
+        want = exact_factor * hist.values("inst")[0, 0, 1]
         # trapezoid error is second order in the snapshot spacing
         assert got == pytest.approx(want, rel=3.0 * dt**2)
         assert abs(got - want) <= 2.0 * hist.error_estimate
@@ -111,8 +112,8 @@ class TestAccumulate:
     def test_running_integrals_non_decreasing(self, grid):
         p = _params()
         hist = _accumulate_run(grid, p)
-        for name in ("grad_0_1", "dr_1_0", "over_r_0_2"):
-            series = hist.integral_series(name)
+        for name, j, k in (("grad", 0, 1), ("dr", 1, 0), ("over_r", 0, 2)):
+            series = hist.integrals(name)[:, j, k]
             assert np.all(np.diff(series) >= 0.0)
 
     def test_history_roundtrip(self, grid, tmp_path):
@@ -127,6 +128,45 @@ class TestAccumulate:
             assert F.compute_E(loaded, j, p) == F.compute_E(hist, j, p)
             assert F.compute_D(loaded, j, p) == F.compute_D(hist, j, p)
 
+    def test_saved_history_matches_scalar_loop(self, grid, tmp_path):
+        # the file holds one series per scalar channel in a fixed order,
+        # and its integrals and error estimate are the running sums taken
+        # one scalar at a time in that order
+        p = _params()
+        hist = _accumulate_run(grid, p, n_steps=6)
+        path = str(tmp_path / "hist.npz")
+        F.save_history(hist, path)
+        names = []
+        for k in range(p.K + 1):
+            for j in (0, 1):
+                names += [f"{c}_{j}_{k}" for c in ("inst", "grad", "dr",
+                                                    "over_r")]
+                if k == 0:
+                    names.append(f"axis_pair_{j}")
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        assert list(arrays) == ["meta", "times"] + [
+            f"{x}_{name}" for name in names for x in ("v", "i")]
+        times = arrays["times"].tolist()
+        values = {name: arrays[f"v_{name}"].tolist() for name in names}
+        integrals = {name: [0.0] for name in names}
+        estimate = 0.0
+        for i in range(1, len(times)):
+            dt = times[i] - times[i - 1]
+            err = 0.0
+            for name in names:
+                v = values[name]
+                integrals[name].append(integrals[name][-1]
+                                       + 0.5 * dt * (v[i] + v[i - 1]))
+                if i >= 2:
+                    err += abs(v[i] - 2.0 * v[i - 1] + v[i - 2]) * dt / 12.0
+            estimate += err
+        for name in names:
+            assert arrays[f"i_{name}"].tolist() == integrals[name], name
+        assert estimate > 0.0
+        assert json.loads(str(arrays["meta"]))["error_estimate"] == estimate
+        assert hist.error_estimate == estimate
+
     def test_loads_history_with_mixed_and_powers_meta(self, grid, tmp_path):
         # histories written with the mixed-norm switch in place carry
         # "mixed" and "powers" meta keys; the channels are the stored arrays
@@ -138,14 +178,14 @@ class TestAccumulate:
             arrays = {name: data[name] for name in data.files}
         meta = json.loads(str(arrays.pop("meta")))
         meta["mixed"] = False
-        meta["powers"] = {name: 1.0 for name in hist._ch}
+        meta["powers"] = {name[2:]: 1.0 for name in arrays
+                          if name.startswith("v_")}
         np.savez(path, meta=json.dumps(meta), **arrays)
         loaded = F.load_history(path)
-        assert list(loaded._ch) == list(hist._ch)
-        for name in hist._ch:
-            assert loaded.series(name).tolist() == hist.series(name).tolist()
-            assert (loaded.integral_series(name).tolist()
-                    == hist.integral_series(name).tolist())
+        for name in F.CHANNELS:
+            assert loaded.values(name).tolist() == hist.values(name).tolist()
+            assert (loaded.integrals(name).tolist()
+                    == hist.integrals(name).tolist())
         assert (json.dumps(F.decay_report(loaded, p).to_json_dict())
                 == json.dumps(F.decay_report(hist, p).to_json_dict()))
 
@@ -170,20 +210,16 @@ class TestWeightedFunctionals:
         # hand-set channel values recomputed against the printed formula
         p = _params(K=2, N=4, eta=0.2, delta=0.1, m=3, sigma=0.4)
         hist = F.EnergyHistory()
-        hist.times = [0.0]
         hist.K, hist.N = 2, 4
-        vals = {
-            "inst_0_0": 0.3, "grad_0_0": 0.2, "dr_0_0": 0.15,
-            "axis_pair_0": 0.1,
-            "inst_0_1": 2.0, "grad_0_1": 1.0, "dr_0_1": 0.7,
-            "over_r_0_1": 0.5,
-            "inst_0_2": 0.8, "grad_0_2": 0.4, "dr_0_2": 0.3,
-            "over_r_0_2": 0.25,
-        }
-        for name, v in vals.items():
-            ch = hist._channel(name)
-            ch.values = [v]
-            ch.integral = [v]  # pretend unit-time integrals
+        j1 = [0.0, 0.0, 0.0]  # order j = 1 is not read
+        rows = {"inst": [[0.3, 2.0, 0.8], j1],
+                "grad": [[0.2, 1.0, 0.4], j1],
+                "dr": [[0.15, 0.7, 0.3], j1],
+                "over_r": [[0.0, 0.5, 0.25], j1],
+                "axis_pair": [0.1, 0.0]}
+        # constant over unit time: every integral equals its value
+        for t in (0.0, 1.0):
+            hist.append(t, **rows)
         N, eta = 4.0, 0.2
         mean = N ** (2 * (0.25 - eta)) * (0.3 + 0.2 + 0.1)
         k1 = 1 * N ** (2 * eta * -1) * (2.0 + 1.0 + 0.5 * N**2 * 0.5)
@@ -305,18 +341,11 @@ class TestDecayReport:
         rho = 0.7
         p = _params(K=5)
         hist = F.EnergyHistory()
-        hist.times = [0.0]
         hist.K, hist.N = 5, p.N
-        for j in (0, 1):
-            for k in range(6):
-                ch = hist._channel(f"inst_{j}_{k}")
-                ch.values = [math.exp(-2.0 * rho * k)]
-                ch.integral = [0.0]
-            for name in (f"grad_{j}_0", f"dr_{j}_0", f"over_r_{j}_0",
-                         f"axis_pair_{j}"):
-                ch = hist._channel(name)
-                ch.values = [0.0]
-                ch.integral = [0.0]
+        inst = [[math.exp(-2.0 * rho * k) for k in range(6)]] * 2
+        zero = np.zeros((2, 6))
+        for t in (0.0, 1.0):
+            hist.append(t, inst, zero, zero, zero, [0.0, 0.0])
         rep = F.decay_report(hist, p)
         assert rep.fitted["rate_j0"] == pytest.approx(rho, rel=1e-10)
         assert rep.fitted["rate_j1"] == pytest.approx(rho, rel=1e-10)
@@ -378,7 +407,7 @@ class TestVerticalSobolev:
     def test_sums_instantaneous_norms(self, grid):
         p = _params()
         hist = _accumulate_run(grid, p)
-        want = sum(hist.value_at(f"inst_{j}_{k}")
+        want = sum(hist.values("inst")[-1, j, k]
                    for k in range(p.K + 1) for j in (0, 1))
         assert F.vertical_sobolev_sq(hist, 1) == pytest.approx(want)
         with pytest.raises(ValueError):

@@ -1,10 +1,9 @@
-"""Grid construction, derivatives, quadrature and mixed norms.
+"""Grid construction, derivatives, quadrature and interpolation.
 
-The two reference constants below were computed independently with
-30-digit arithmetic (mpmath): the solid-cylinder integral of
-``(1 - r^2)^2 exp(cos z)`` on ``L_z = 2 pi``, and the mixed horizontal-L4
-vertical-L2 norm of ``(1 - r^2) sin z``.  They pin the quadrature weights,
-the measure convention ``r dr dz`` and the theta factor of the mixed norm.
+The reference constant below was computed independently with 30-digit
+arithmetic (mpmath): the solid-cylinder integral of
+``(1 - r^2)^2 exp(cos z)`` on ``L_z = 2 pi``.  It pins the quadrature
+weights and the measure convention ``r dr dz``.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 from cylmode import build_grid
 
 INT_WEIGHTED_EXP = 1.3258210868354742124
-MIXED_L4_L2 = 1.5780468891595669142
 
 
 def _fields(g):
@@ -80,27 +78,6 @@ class TestDerivatives:
         a = g.dr(g.dz(f))
         b = g.dz(g.dr(f))
         assert np.abs(a - b).max() < 1e-10
-
-
-class TestNorms:
-    def test_mixed_norm_frozen(self, grid_cheb):
-        r, z = _fields(grid_cheb)
-        f = (1.0 - r**2) * np.sin(z)
-        assert grid_cheb.norm_mixed(f, 4, 2) == pytest.approx(
-            MIXED_L4_L2, rel=1e-13)
-
-    def test_l2_consistency(self, grid_cheb):
-        r, z = _fields(grid_cheb)
-        f = r * (1.0 - r**2) * np.cos(z)
-        direct = np.sqrt(2.0 * np.pi * grid_cheb.quad(f * f))
-        assert grid_cheb.norm_mixed(f, 2, 2) == pytest.approx(direct, rel=1e-14)
-        assert grid_cheb.l2(f) == pytest.approx(direct, rel=1e-14)
-
-    def test_sup_norms(self, grid_cheb):
-        r, z = _fields(grid_cheb)
-        f = (1.0 - r**2) * np.cos(z)
-        got = grid_cheb.norm_mixed(f, np.inf, np.inf)
-        assert got == pytest.approx(np.abs(f).max(), rel=1e-12)
 
 
 class TestInterpolation:
