@@ -56,7 +56,6 @@ from .inequalities import (
     radial_ratio,
     separable_disk_function,
     vertical_sup_ratio,
-    write_scan_report,
 )
 from .nonlinear import assemble_quadratic_rhs, flux_identity_residual
 from .oracle import (
@@ -152,7 +151,6 @@ __all__ = [
     "pointwise_weight_ok",
     "vertical_sup_ratio",
     "constant_scan",
-    "write_scan_report",
     "FullField",
     "OracleOpCache",
     "build_full_field",

@@ -35,7 +35,6 @@ used everywhere else in the package; scan reports carry that label.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,7 +62,6 @@ __all__ = [
     "pointwise_weight_ok",
     "vertical_sup_ratio",
     "constant_scan",
-    "write_scan_report",
     "SCAN_SCHEMA",
     "SCAN_CHECKS",
     "POINCARE_BOUND",
@@ -721,9 +719,3 @@ def constant_scan(family: str | None, check: str, trials: int, seed: int, *,
         report["grid"] = {"n_r": int(n_r), "n_theta": int(n_theta)}
         report["pointwise_weight_ok"] = weight_ok
     return report
-
-
-def write_scan_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

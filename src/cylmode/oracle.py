@@ -7,7 +7,8 @@ plain pointwise products in primitive variables, and the implicit viscous
 solve diagonalizes over Fourier bins in both periodic directions.  None of
 the harmonic bookkeeping (coupled cos/sin families, triad convolutions) is
 reused here, so agreement between the two paths is evidence against sign
-and coefficient errors in either.  Only the grid module is shared.
+and coefficient errors in either.  Only the grid and the block's
+velocity-column map (``stokes._velocity_columns``) are shared.
 
 Resolution is deliberately capped; this solver exists for desk-scale
 cross-checks, not production runs.
@@ -19,11 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
 from .grid import CFLViolationError, CylGrid, THETA_FULL
 from .state import ModeState, Params
+from .stokes import _velocity_columns
 
 #: hard cap on the azimuthal grid; the solver is a verification tool only
 ORACLE_MAX_NTHETA = 128
@@ -34,7 +35,7 @@ class UnresolvedWavenumberError(ValueError):
 
 
 class SingularBinError(RuntimeError):
-    """A Fourier-bin operator factorization failed its solve probe."""
+    """A Fourier-bin block is singular: a zero pivot or a failed probe."""
 
 
 # -- field container ----------------------------------------------------------
@@ -91,18 +92,11 @@ def _dth(f: np.ndarray) -> np.ndarray:
     return np.fft.irfft(c * ik[None, :, None], n=n, axis=1)
 
 
-def quad3(full_or_grid, theta_count_or_f, f: np.ndarray | None = None) -> float:
-    """``\\int a r dr dtheta dz`` over the solid cylinder.
-
-    Call as ``quad3(full, a)`` or ``quad3(grid, n_theta, a)``.
-    """
-    if f is None:
-        field, a = full_or_grid, theta_count_or_f
-        grid, n_theta = field.grid, field.n_theta
-    else:
-        grid, n_theta, a = full_or_grid, theta_count_or_f, f
-    radial = grid.w_r @ a.sum(axis=(1, 2))
-    return float(radial) * grid.dz_weight * (THETA_FULL / n_theta)
+def quad3(full: FullField, a: np.ndarray) -> float:
+    """``\\int a r dr dtheta dz`` over the solid cylinder of ``full``."""
+    g = full.grid
+    radial = g.w_r @ a.sum(axis=(1, 2))
+    return float(radial) * g.dz_weight * (THETA_FULL / full.n_theta)
 
 
 def full_l2(full: FullField) -> float:
@@ -235,25 +229,30 @@ def nonlinear_term_projection(full: FullField, params: Params,
 
 # -- implicit Fourier-bin solver -----------------------------------------------
 
-def _velocity_columns(n: int) -> np.ndarray:
-    """``W``: the 4n x 3n map placing the three velocity right-hand sides in
-    the momentum rows of a bin block, with the no-slip wall rows zeroed."""
-    W = np.eye(4 * n, 3 * n)
-    W[:, n - 1::n] = 0.0
-    return W
+def lu_factor(a: np.ndarray) -> np.ndarray:
+    """Identity: numpy has no public LU, so ``lu_solve`` factors.  The
+    benchmark tracer wraps this pair (not the stokes one) by name."""
+    return a
+
+
+def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^{-1} b`` by one LAPACK ``gesv`` (LU with partial pivoting)."""
+    return np.linalg.solve(a, b)
 
 
 def _bin_operator(A: np.ndarray, W: np.ndarray, rng, label: str) -> np.ndarray:
-    """LU-factor one bin block, probe it and return its map ``A^{-1} W``.
+    """Solve one bin block, probe it and return its map ``A^{-1} W``.
 
-    Two random probes share the map's triangular solves: a solution on all
-    4n unknowns must be recovered from its image, and a velocity
-    right-hand side ``b`` pushed through the formed map must leave a small
-    residual ``A (op b) - W b``.
+    Two random probes share the map's solve: a solution on all 4n
+    unknowns must be recovered from its image, and a velocity right-hand
+    side ``b`` pushed through the formed map must leave a small residual
+    ``A (op b) - W b``.  An exactly zero pivot fails the solve itself.
     """
-    lu_piv = lu_factor(A, check_finite=False)
     x = rng.standard_normal(A.shape[0])
-    sol = lu_solve(lu_piv, np.column_stack([W, A @ x]), check_finite=False)
+    try:
+        sol = lu_solve(lu_factor(A), np.column_stack([W, A @ x]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularBinError(f"zero pivot in oracle bin {label}") from exc
     op = sol[:, :-1]
     b = rng.standard_normal(W.shape[1])
     err = max(np.abs(sol[:, -1] - x).max() / np.abs(x).max(),
@@ -274,9 +273,9 @@ class OracleOpCache:
     Every bin block is exactly real under the diagonal similarity
     ``(u_th, u_z) = i (u_th', u_z')`` with the azimuthal and axial momentum
     rows scaled by ``-i``, so the blocks are assembled in that real form.
-    Each is LU-factored and probed once, turned into its real ``4n x 3n``
-    map from the velocity right-hand sides to ``(u_r, u_th', u_z', p)``,
-    and the factorization is dropped: a table is one
+    Each is solved once against the velocity columns and a probe, which
+    gives its real ``4n x 3n`` map from the velocity right-hand sides to
+    ``(u_r, u_th', u_z', p)``; no factorization is kept: a table is one
     ``(n_theta/2 + 1) n_z x 4n x 3n`` stack per ``(dt, diffusion)``.
     """
 

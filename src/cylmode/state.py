@@ -83,13 +83,13 @@ def param_problems(nu: float, N: int, delta: float, eta: float, K: int,
 class Params:
     """Physical and truncation parameters.
 
-    ``nu`` switches horizontal viscosity (1 -> isotropic Navier-Stokes,
-    0 -> vertical viscosity only); ``N`` is the base azimuthal wavenumber;
-    ``K`` the number of retained harmonics; ``delta``/``eta`` the initial
-    amplitude and decay-rate exponents; ``m``/``sigma`` the vertical
-    regularity order and harmonic decay exponent used by the anisotropic
-    functionals; ``small_eps`` the smallness threshold for data checks.
-    The ranges are those of :func:`param_problems`.
+    ``nu`` scales the vertical viscosity (1 -> isotropic Navier-Stokes,
+    0 -> horizontal viscosity only, (ANS)); ``N`` is the base azimuthal
+    wavenumber; ``K`` the number of retained harmonics; ``delta``/``eta``
+    the initial amplitude and decay-rate exponents; ``m``/``sigma`` the
+    vertical regularity order and harmonic decay exponent used by the
+    anisotropic functionals; ``small_eps`` the smallness threshold for
+    data checks.  The ranges are those of :func:`param_problems`.
     """
 
     nu: float

@@ -8,7 +8,10 @@ and the cross-command determinism of the decay report.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -495,3 +498,15 @@ class TestEntryPoint:
     def test_code_version_is_stable(self):
         assert cli._code_version() == cli._code_version()
         int(cli._code_version(), 16)
+
+    def test_import_loads_no_scipy(self):
+        # scipy.linalg alone costs more start-up than the rest of the
+        # package; the package solves with numpy and must not import it
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cylmode, cylmode.cli; print(sorted(m for m in "
+             "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -9,6 +9,7 @@ import pytest
 
 import scan_reference
 from cylmode import inequalities as ineq
+from cylmode.cli import _write_json
 
 PI = math.pi
 
@@ -344,7 +345,7 @@ class TestConstantScan:
     def test_report_json_roundtrip(self, tmp_path):
         rep = ineq.constant_scan(None, "isotropic", 10, 3, p=4.0)
         path = tmp_path / "scan.json"
-        ineq.write_scan_report(rep, path)
+        _write_json(rep, path)
         loaded = json.loads(path.read_text())
         assert loaded == rep
         assert loaded["schema"] == ineq.SCAN_SCHEMA

@@ -301,6 +301,18 @@ class TestBinOperators:
                            "probe")
         assert np.abs(op[:n]).max() == 0.0  # radial velocity pinned to zero
 
+    def test_zero_pivot_is_a_labelled_singular_bin(self, grid, cache):
+        # an exactly zero column stops the LU itself before any probe runs
+        n = grid.n_r
+        A = cache._coupled_block(1.0, 1.0, 1.0, 1.0, 1.0, 1e3)
+        A[:, 0] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(A, np.ones(A.shape[0]))
+        with pytest.raises(SingularBinError,
+                           match="zero pivot in oracle bin zeroed"):
+            _bin_operator(A, _velocity_columns(n), np.random.default_rng(0),
+                          "zeroed")
+
 
 class TestGuards:
     def test_azimuthal_cap(self, grid):

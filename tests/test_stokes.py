@@ -57,6 +57,16 @@ class TestBlockAssembly:
         with pytest.raises(SingularOperatorError):
             _factor_checked(A, np.random.default_rng(0), "probe")
 
+    def test_zero_pivot_is_a_labelled_singular_block(self, grid_cheb):
+        # an exactly zero column stops the LU itself before any probe runs
+        A = assemble_block(grid_cheb, 4, 1.0, 1.0, 1.0, 1e-3, True)
+        A[:, 0] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(A, np.ones(A.shape[0]))
+        with pytest.raises(SingularOperatorError,
+                           match="zero pivot in Stokes block zeroed"):
+            _factor_checked(A, np.random.default_rng(0), "zeroed")
+
     def test_coupled_blocks_well_conditioned(self, grid_cheb):
         cache = StokesOpCache(grid_cheb, 1.0)
         cache.factors(4, 1e-3)   # raises on any singular bin
@@ -121,8 +131,10 @@ class TestStackedOperators:
     def test_probe_checks_the_formed_operator(self, grid_cheb, monkeypatch):
         # a map that solves the full-row probe but is off by one part in
         # 1e5 on the velocity columns must be rejected
-        def skewed(lu, b, **kw):
-            x = scipy.linalg.lu_solve(lu, b, **kw)
+        solve = cylmode.stokes.lu_solve
+
+        def skewed(lu, b):
+            x = solve(lu, b)
             x[:, :-1] *= 1.0 + 1e-5
             return x
 
