@@ -16,16 +16,12 @@ import math
 import numpy as np
 
 from cylmode import (
-    EnergyHistory,
     Params,
-    RunSinks,
     StepConfig,
-    accumulate,
     build_grid,
-    decay_report,
     make_initial_state,
     make_profile_divfree,
-    run,
+    simulate_point,
     smallness_check,
 )
 
@@ -56,21 +52,19 @@ def main():
     profile = poloidal_profile(grid, 1.0)
     values, _ = smallness_check(profile, params)
     profile = profile.scaled(0.09 / values["ns"])
-    values, ok = smallness_check(profile, params)
-    print(f"amplitude gate: {values['ns']:.3f} <= {params.small_eps} "
-          f"-> {'pass' if ok else 'FAIL'}")
 
-    state = make_initial_state(profile, params)
-    history = EnergyHistory(j_max=1)
     cfg = StepConfig(dt=args.dt, t_end=args.t_end, budget_every=1,
                      nonlinear=True)
-    result = run(state, cfg,
-                 sinks=RunSinks(on_snapshot=lambda st, ms:
-                                accumulate(history, st, ms)))
+    point = simulate_point(profile, make_initial_state(profile, params), cfg)
+    gate = point.smallness
+    print(f"amplitude gate: {gate['values']['ns']:.3f} <= {params.small_eps} "
+          f"-> {'pass' if gate['satisfied'] else 'FAIL'}")
+    result = point.run
     print(f"ran {result.n_steps} steps to t = {result.state.t:.3f} "
-          f"(aborted: {result.aborted})")
+          f"(aborted: {result.aborted}; invariants held: "
+          f"{point.invariants_held})")
 
-    rep = decay_report(history, params)
+    rep = point.decay
     print(f"\n{'k':>3} {'sup_t |u_k|':>14} {'envelope':>14} {'ratio':>10}")
     for row in rep.per_mode:
         if row["j"] == 0:

@@ -82,7 +82,8 @@ from .state import (
     save_checkpoint,
     load_checkpoint,
 )
-from .stepper import RunResult, RunSinks, StepConfig, run
+from .stepper import (PointResult, RunResult, RunSinks, StepConfig, run,
+                      simulate_point)
 from .stokes import (
     StokesOpCache,
     apply_viscous_operator,
@@ -127,6 +128,8 @@ __all__ = [
     "RunSinks",
     "RunResult",
     "run",
+    "PointResult",
+    "simulate_point",
     "EnergyHistory",
     "DecayReport",
     "accumulate",

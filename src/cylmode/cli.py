@@ -7,7 +7,8 @@ every JSON report.  One process runs one experiment.
 
 Exit status: 0 when the command completed and its hard invariants held,
 1 when a hard invariant failed or a solver error stopped the command, 2 for
-configuration or input errors, which write no report.  A solver error (CFL
+configuration or input errors, which write no report.  Every report but
+``decay-report``'s carries ``invariants_held``.  A solver error (CFL
 violation, failed divergence cleanup, singular operator or bin) still
 leaves the command's report, with a ``failure`` entry and
 ``invariants_held`` false.
@@ -32,24 +33,18 @@ import numpy as np
 from .functionals import (
     REPORT_SCHEMA,
     DecayReport,
-    EnergyHistory,
-    accumulate,
-    compute_D,
-    compute_E,
     decay_report,
     load_history,
     save_history,
-    smallness_check,
 )
-from .grid import THETA_FULL, THETA_HALF, CFLViolationError, build_grid
+from .grid import CFLViolationError, build_grid
 from .inequalities import POINCARE_BOUND, SCAN_CHECKS, constant_scan
-from .nonlinear import flux_identity_residual
 from .oracle import ORACLE_MAX_NTHETA, OracleOpCache, SingularBinError, \
     oracle_step, reconstruct_to_full, relative_l2
 from .state import Params, divergence_residual, make_initial_state, \
     make_profile_divfree, make_random_divfree_state, param_problems
-from .stepper import SCHEME_BDF2, SCHEME_EULER, DivergenceCleanupError, \
-    RunSinks, StepConfig, run
+from .stepper import FLUX_TOL, MONOTONE_SLACK, SCHEME_BDF2, SCHEME_EULER, \
+    DivergenceCleanupError, RunSinks, StepConfig, run, simulate_point
 from .stokes import SingularOperatorError, StokesOpCache, \
     apply_viscous_operator, linear_flow_uL, mode_energy, \
     mode_invariance_check, stokes_evolve, stokes_step
@@ -59,12 +54,10 @@ PROFILE_FAMILIES = ("poloidal", "file")
 STEP_SCHEMES = (SCHEME_EULER, SCHEME_BDF2)
 OUT_DIR_ENV = "CYLMODE_OUT"
 
-# hard-invariant tolerances shared by the commands
-FLUX_TOL = 1e-8
+# hard-invariant tolerances of the linear commands
 STEADY_TOL = 1e-8
 LEAKAGE_TOL = 1e-12
 IDENTITY_TOL = 1e-2
-MONOTONE_SLACK = 1e-12
 
 # the report each command writes to its output directory
 REPORT_FILES = {
@@ -452,105 +445,43 @@ def _decay_json_dict(rep: DecayReport, cfg: ExperimentConfig) -> dict:
 
 # -- simulate ------------------------------------------------------------------
 
-def _simulate_core(cfg: ExperimentConfig, params: Params,
-                   out_dir: Path | None) -> dict:
-    """One full run; artifacts are written only when out_dir is given."""
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
-    profile, state = _initial_data(cfg, grid, params)
-    smallness_values, smallness_ok = smallness_check(profile, params)
-
-    history = EnergyHistory(j_max=1)
-    nonlinear = cfg.mode in ("ns", "ans")
+    profile, state = _initial_data(cfg, grid, cfg.params())
     step_cfg = StepConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.step_scheme,
                           cfl_safety=cfg.cfl_safety, div_tol=cfg.div_tol,
-                          budget_every=cfg.budget_every, nonlinear=nonlinear)
-    sinks = RunSinks(
-        on_snapshot=lambda st, measures: accumulate(history, st, measures),
-        budget_csv=str(out_dir / "budgets.csv") if out_dir else None,
-        checkpoint_path=str(out_dir / "checkpoint.bin") if out_dir else None,
-    )
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    result = run(state, step_cfg, sinks)
-
-    div = float(np.max(divergence_residual(result.state)))
-    invariants = {
-        "completed": not result.aborted,
-        "divergence_residual": div,
-        "divergence_ok": div <= cfg.div_tol,
-    }
-    if nonlinear:
-        flux = flux_identity_residual(result.state)
-        invariants["flux_residual"] = flux
-        invariants["flux_ok"] = flux <= FLUX_TOL
-    if not nonlinear and cfg.step_scheme == SCHEME_EULER:
-        # the implicit viscous step is dissipative for any dt; the energy
-        # is ModeMeasures.total_l2_sq of each snapshot
-        theta = np.full(params.K + 1, THETA_HALF)
-        theta[0] = THETA_FULL
-        energies = [sum(theta * inst) for inst in history.values("inst")[:, 0]]
-        worst = 0.0
-        for a, b in zip(energies, energies[1:]):
-            if a > 0.0:
-                worst = max(worst, (b - a) / a)
-        invariants["energy_growth"] = worst
-        invariants["dissipative_ok"] = worst <= MONOTONE_SLACK
-
-    energy = {
-        "initial": {"E0": compute_E(history, 0, params, idx=0),
-                    "E1": compute_E(history, 1, params, idx=0),
-                    "D0": compute_D(history, 0, params, idx=0),
-                    "D1": compute_D(history, 1, params, idx=0)},
-        "final": {"E0": compute_E(history, 0, params),
-                  "E1": compute_E(history, 1, params),
-                  "D0": compute_D(history, 0, params),
-                  "D1": compute_D(history, 1, params)},
-    }
-    rep = decay_report(history, params)
-    if out_dir:
-        save_history(history, str(out_dir / "history.npz"))
-        _write_json(_decay_json_dict(rep, cfg),
-                    out_dir / REPORT_FILES["decay-report"])
-    return {
-        "invariants": invariants,
-        "energy": energy,
-        "smallness": {"values": smallness_values, "satisfied": smallness_ok},
-        "decay": rep.to_json_dict(),
-        "run": {"n_steps": result.n_steps, "aborted": result.aborted,
-                "reason": result.reason, "cleanups": result.cleanups,
-                "final_time": result.state.t,
-                "snapshots": history.n_snapshots},
-    }
-
-
-def _invariants_held(invariants: dict) -> bool:
-    flags = [v for k, v in invariants.items() if k.endswith(("_ok",))]
-    flags.append(invariants["completed"])
-    return all(flags)
-
-
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
-    params = cfg.params()
-    core = _simulate_core(cfg, params, out_dir)
-    report = {**_report_base("simulate", cfg), **core}
+                          budget_every=cfg.budget_every,
+                          nonlinear=cfg.mode in ("ns", "ans"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    point = simulate_point(profile, state, step_cfg, RunSinks(
+        budget_csv=str(out_dir / "budgets.csv"),
+        checkpoint_path=str(out_dir / "checkpoint.bin")))
+    save_history(point.history, str(out_dir / "history.npz"))
+    _write_json(_decay_json_dict(point.decay, cfg),
+                out_dir / REPORT_FILES["decay-report"])
+    result, inv = point.run, point.invariants
+    report = {**_report_base("simulate", cfg), "invariants": inv,
+              "invariants_held": point.invariants_held,
+              "energy": point.energy, "smallness": point.smallness,
+              "decay": point.decay.to_json_dict(),
+              "run": {"n_steps": result.n_steps, "aborted": result.aborted,
+                      "reason": result.reason, "cleanups": result.cleanups,
+                      "final_time": result.state.t,
+                      "snapshots": point.history.n_snapshots}}
 
     if cfg.compare_N:
         alt = dataclasses.replace(cfg, N=cfg.compare_N, compare_N=0)
-        alt_core = _simulate_core(alt, alt.params(), None)
-        rows = []
-        base_rows = {(r["k"], r["j"]): r for r in core["decay"]["per_mode"]}
-        for r in alt_core["decay"]["per_mode"]:
-            b = base_rows.get((r["k"], r["j"]))
-            if b is None:
-                continue
-            measured = r["sup_norm"] / b["sup_norm"] if b["sup_norm"] else 0.0
-            predicted = 0.0
-            if b.get("bound") and r.get("bound"):
-                predicted = r["bound"] / b["bound"]
-            rows.append({"k": r["k"], "j": r["j"],
-                         "sup_base": b["sup_norm"], "sup_alt": r["sup_norm"],
-                         "measured_ratio": measured,
-                         "predicted_ratio": predicted})
+        _, alt_state = _initial_data(alt, grid, alt.params())
+        alt_point = simulate_point(profile, alt_state, step_cfg)
+        # both runs keep the same harmonics, so their rows pair up in order
+        rows = [{"k": b["k"], "j": b["j"],
+                 "sup_base": b["sup_norm"], "sup_alt": r["sup_norm"],
+                 "measured_ratio": (r["sup_norm"] / b["sup_norm"]
+                                    if b["sup_norm"] else 0.0),
+                 "predicted_ratio": (r["bound"] / b["bound"]
+                                     if b["bound"] and r["bound"] else 0.0)}
+                for b, r in zip(point.decay.per_mode,
+                                alt_point.decay.per_mode)]
         summary = {**_report_base("simulate", cfg),
                    "comparison": {"N_base": cfg.N, "N_alt": cfg.compare_N,
                                   "per_mode": rows}}
@@ -558,8 +489,6 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         report["n_scaling_summary"] = str(out_dir / "n_scaling_summary.json")
 
     _write_json(report, out_dir / REPORT_FILES["simulate"])
-    inv = core["invariants"]
-    ok = _invariants_held(inv)
     _say(quiet, _check_line("divergence", inv["divergence_ok"],
                             inv["divergence_residual"], cfg.div_tol))
     if "flux_ok" in inv:
@@ -568,9 +497,17 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     if "dissipative_ok" in inv:
         _say(quiet, _check_line("energy decay", inv["dissipative_ok"],
                                 inv["energy_growth"], MONOTONE_SLACK))
+    # the theorems assume small data; a run outside the gate is still run
+    gates = ("ans_sum", "ans_geo") if cfg.nu == 0.0 else ("ns",)
+    values = point.smallness["values"]
+    _say(quiet, "smallness (informational): "
+                + ", ".join(f"{g} {values[g]:.3e}" for g in gates)
+                + f" against small_eps {cfg.small_eps:.1e}; "
+                + ("inside" if point.smallness["satisfied"] else "outside")
+                + " the theorem's gate")
     _say(quiet, f"{'completed' if inv['completed'] else 'ABORTED'}; "
                 f"report: {out_dir / REPORT_FILES['simulate']}")
-    return 0 if ok else 1
+    return 0 if point.invariants_held else 1
 
 
 # -- stokes-test ---------------------------------------------------------------
@@ -640,7 +577,7 @@ def cmd_stokes_test(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 
     ok = all(c["pass"] for c in checks.values())
     report = {**_report_base("stokes-test", cfg), "checks": checks,
-              "all_pass": ok}
+              "invariants_held": ok}
     _write_json(report, out_dir / REPORT_FILES["stokes-test"])
     for name, c in checks.items():
         _say(quiet, _check_line(name, c["pass"], c["value"], c["tol"]))
@@ -675,12 +612,13 @@ def cmd_linear_flow(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     report["invariants"] = {"ratios_finite": finite,
                             "identity_ok": ident_ok,
                             "identity_residual": flow["identity_residual_max"]}
+    report["invariants_held"] = finite and ident_ok
     _write_json(report, out_dir / REPORT_FILES["linear-flow"])
     _say(quiet, _check_line("energy identity", ident_ok,
                             flow["identity_residual_max"], IDENTITY_TOL))
     _say(quiet, f"sup ratio j=0: {flow['ratio_sup'][0]:.4f}; "
                 f"report: {out_dir / REPORT_FILES['linear-flow']}")
-    return 0 if (finite and ident_ok) else 1
+    return 0 if report["invariants_held"] else 1
 
 
 # -- inequality-scan -----------------------------------------------------------
@@ -733,7 +671,7 @@ def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
     report = {**_report_base("oracle-compare", cfg),
               "discrepancy": disc, "tol": cfg.oracle_tol,
               "n_steps": cfg.oracle_steps, "dt": cfg.oracle_dt,
-              "n_theta": cfg.oracle_n_theta, "within_tol": ok}
+              "n_theta": cfg.oracle_n_theta, "invariants_held": ok}
     _write_json(report, out_dir / REPORT_FILES["oracle-compare"])
     _say(quiet, _check_line("solver vs oracle", ok, disc, cfg.oracle_tol))
     _say(quiet, f"report: {out_dir / REPORT_FILES['oracle-compare']}")

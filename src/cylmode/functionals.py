@@ -203,28 +203,31 @@ def _require(history: EnergyHistory, j: int) -> None:
         raise ValueError(f"derivative order j = {j} out of range")
 
 
-def _weighted(history: EnergyHistory, j: int, params: Params, idx: int,
-              gradient: str, weight) -> float:
+def _weighted(history: EnergyHistory, j: int, params: Params, idx,
+              gradient: str, weight):
     """Mean block N^(2(1/4 - eta)) (sup + gradient integral + axis-pair
     integral) plus the sup over k >= 1 of ``weight(k)`` times (sup +
-    gradient integral + (k^2 N^2 / 2) times the 1/r integral)."""
+    gradient integral + (k^2 N^2 / 2) times the 1/r integral), at one
+    snapshot index ``idx`` (a float) or at each of a sequence (an array)."""
     _require(history, j)
     N = params.N
-    sup = history.sups("inst")[idx, j]
-    grad = history.integrals(gradient)[idx, j]
-    over_r = history.integrals("over_r")[idx, j]
-    mean = sup[0] + grad[0] + history.integrals("axis_pair")[idx, j]
+    at = np.asarray(idx)
+    # harmonic first, so that row k holds harmonic k at every index asked
+    sup = history.sups("inst")[at, j].T
+    grad = history.integrals(gradient)[at, j].T
+    over_r = history.integrals("over_r")[at, j].T
+    mean = sup[0] + grad[0] + history.integrals("axis_pair")[at, j]
     total = N ** (2.0 * (0.25 - params.eta)) * mean
     best = 0.0
     for k in range(1, params.K + 1):
         block = sup[k] + grad[k] + 0.5 * (k * N) ** 2 * over_r[k]
-        best = max(best, weight(k) * block)
-    return float(total + best)
+        best = np.maximum(best, weight(k) * block)
+    value = total + best
+    return float(value) if at.ndim == 0 else value
 
 
-def compute_E(history: EnergyHistory, j: int, params: Params,
-              idx: int = -1) -> float:
-    """Isotropic-regime weighted functional at snapshot ``idx``.
+def compute_E(history: EnergyHistory, j: int, params: Params, idx=-1):
+    """Isotropic-regime weighted functional at snapshot(s) ``idx``.
 
     Gradient channel: the full (r, z) gradient.  Harmonic weight:
     k^2 N^(2 eta (k-2)).
@@ -234,9 +237,8 @@ def compute_E(history: EnergyHistory, j: int, params: Params,
                      lambda k: k**2 * N ** (2.0 * eta * (k - 2)))
 
 
-def compute_D(history: EnergyHistory, j: int, params: Params,
-              idx: int = -1) -> float:
-    """Anisotropic-regime weighted functional at snapshot ``idx``.
+def compute_D(history: EnergyHistory, j: int, params: Params, idx=-1):
+    """Anisotropic-regime weighted functional at snapshot(s) ``idx``.
 
     Gradient channel: the radial derivative only (no vertical smoothing).
     Harmonic weight: k^(2 sigma (m-j)) N^(2 min{eta (k-2),
@@ -254,38 +256,23 @@ def compute_D(history: EnergyHistory, j: int, params: Params,
 
 @dataclass
 class DecayWeights:
-    """Per-harmonic decay prefactors and the rate-cap thresholds."""
+    """The rate-cap thresholds of the per-harmonic decay envelopes."""
 
-    theta: dict[int, float]
-    theta_tilde: dict[int, float]
     A: dict[int, float]
 
 
 def decay_weights(params: Params) -> DecayWeights:
-    """Predicted per-harmonic decay weights for k = 1..K.
-
-    theta_k = k^(-sigma m) N^(-min{eta (k-2), (1/2 - eta - delta) m}) and
-    its (m-1)-order variant; A_j is the harmonic index beyond which the
-    exponential-in-k decay saturates (infinite when eta = 0, since the
-    rate never saturates without azimuthal gain).
-    """
-    N, eta, delta = params.N, params.eta, params.delta
-    m, sigma, K = params.m, params.sigma, params.K
-    theta = {}
-    tilde = {}
-    for k in range(1, K + 1):
-        theta[k] = (k ** (-sigma * m)
-                    * N ** (-min(eta * (k - 2), (0.5 - eta - delta) * m)))
-        tilde[k] = (k ** (-sigma * (m - 1))
-                    * N ** (-min(eta * (k - 2),
-                                 (0.5 - eta - delta) * (m - 1))))
+    """A_j, the harmonic index beyond which the exponential-in-k decay
+    saturates (infinite when eta = 0, since the rate never saturates
+    without azimuthal gain)."""
+    eta, delta, m = params.eta, params.delta, params.m
     A = {}
     for j in (0, 1):
         if eta == 0.0:
             A[j] = math.inf
         else:
             A[j] = math.floor((0.5 - eta - delta) * (m - j) / eta) + 2
-    return DecayWeights(theta, tilde, A)
+    return DecayWeights(A)
 
 
 # -- decay report ----------------------------------------------------------------
@@ -441,13 +428,3 @@ def smallness_check(profile: InitProfile, params: Params) -> tuple[dict, bool]:
         ok = lhs_ns <= params.small_eps
     return values, ok
 
-
-# -- vertical Sobolev tracking ----------------------------------------------------
-
-def vertical_sobolev_sq(history: EnergyHistory, ell: int,
-                        idx: int = -1) -> float:
-    """Squared vertical Sobolev norm of order ell summed over harmonics."""
-    if ell > history.j_max:
-        raise ValueError(f"history only tracks derivatives up to "
-                         f"{history.j_max}")
-    return float(history.values("inst")[idx, :ell + 1].sum())

@@ -7,23 +7,27 @@ discrete divergence constraint up to a configured tolerance.  Per-step
 energy budgets decompose the discrete energy identity into dissipation
 channels, nonlinear transfer, and pressure work, with the scheme-induced
 remainder reported as an imbalance instead of silently dropped.
+``simulate_point`` runs one trajectory and measures it: invariants,
+smallness gate, weighted functionals and decay report.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .diagnostics import (UR, UTH, UZ, VR, VTH, VZ, ModeMeasures, inner_quad,
                           measure_state)
-from .grid import CFLViolationError
-from .state import ModeState, save_checkpoint
+from .functionals import (DecayReport, EnergyHistory, accumulate, compute_D,
+                          compute_E, decay_report, smallness_check)
+from .grid import THETA_FULL, THETA_HALF, CFLViolationError
+from .state import InitProfile, ModeState, divergence_residual, save_checkpoint
 from .stokes import StokesOpCache, project_divfree, stokes_step
-from .nonlinear import assemble_quadratic_rhs
+from .nonlinear import assemble_quadratic_rhs, flux_identity_residual
 
 SCHEME_EULER = "imex_euler"
 SCHEME_BDF2 = "imex_bdf2"
@@ -331,3 +335,78 @@ def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
                          reason="kinetic energy grew past 10x its initial value",
                          failure_time=state.t, cleanups=session.cleanups_total)
     return RunResult(state, n_steps, cleanups=session.cleanups_total)
+
+
+# -- one simulation point -----------------------------------------------------
+
+# hard-invariant tolerances of a simulation point
+FLUX_TOL = 1e-8
+MONOTONE_SLACK = 1e-12
+
+
+@dataclass
+class PointResult:
+    """What one simulation point measured; ``energy`` holds E0, E1, D0 and
+    D1 at the first (``initial``) and last (``final``) snapshot."""
+
+    run: RunResult
+    history: EnergyHistory
+    invariants: dict
+    smallness: dict
+    energy: dict
+    decay: DecayReport
+
+    @property
+    def invariants_held(self) -> bool:
+        """The run completed and every ``*_ok`` invariant holds."""
+        return self.invariants["completed"] and all(
+            v for k, v in self.invariants.items() if k.endswith("_ok"))
+
+
+def simulate_point(profile: InitProfile, state0: ModeState, cfg: StepConfig,
+                   sinks: RunSinks | None = None) -> PointResult:
+    """Run ``state0``, started from ``profile``, to ``cfg.t_end`` and
+    measure the trajectory.
+
+    Does no I/O of its own: the budget CSV and checkpoint paths of
+    ``sinks`` go to ``run``; its snapshot sink is replaced by the history.
+    """
+    params = state0.params
+    smallness_values, smallness_ok = smallness_check(profile, params)
+    history = EnergyHistory(j_max=1)
+    sinks = replace(sinks or RunSinks(), on_snapshot=lambda st, measures:
+                    accumulate(history, st, measures))
+    result = run(state0, cfg, sinks)
+
+    div = float(np.max(divergence_residual(result.state)))
+    invariants = {
+        "completed": not result.aborted,
+        "divergence_residual": div,
+        "divergence_ok": div <= cfg.div_tol,
+    }
+    if cfg.nonlinear:
+        flux = flux_identity_residual(result.state)
+        invariants["flux_residual"] = flux
+        invariants["flux_ok"] = flux <= FLUX_TOL
+    elif cfg.scheme == SCHEME_EULER:
+        # the implicit viscous step is dissipative for any dt; the energy
+        # is ModeMeasures.total_l2_sq of each snapshot
+        theta = np.where(np.arange(params.K + 1) == 0, THETA_FULL, THETA_HALF)
+        energies = [sum(theta * inst) for inst in history.values("inst")[:, 0]]
+        worst = 0.0
+        for a, b in zip(energies, energies[1:]):
+            if a > 0.0:
+                worst = max(worst, (b - a) / a)
+        invariants["energy_growth"] = worst
+        invariants["dissipative_ok"] = worst <= MONOTONE_SLACK
+
+    # each functional evaluated once, at the first and the last snapshot
+    ends = {f"{name}{j}": functional(history, j, params, idx=[0, -1])
+            for name, functional in (("E", compute_E), ("D", compute_D))
+            for j in (0, 1)}
+    energy = {when: {name: float(v[i]) for name, v in ends.items()}
+              for i, when in enumerate(("initial", "final"))}
+    return PointResult(
+        run=result, history=history, invariants=invariants,
+        smallness={"values": smallness_values, "satisfied": smallness_ok},
+        energy=energy, decay=decay_report(history, params))

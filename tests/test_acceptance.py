@@ -19,7 +19,6 @@ from cylmode.functionals import (
     EnergyHistory,
     accumulate,
     compute_E,
-    decay_report,
     smallness_check,
 )
 from cylmode.grid import build_grid
@@ -48,7 +47,7 @@ from cylmode.state import (
     make_profile_divfree,
     make_random_divfree_state,
 )
-from cylmode.stepper import StepConfig, RunSinks, run
+from cylmode.stepper import StepConfig, RunSinks, run, simulate_point
 from cylmode.stokes import (
     StokesOpCache,
     apply_viscous_operator,
@@ -256,21 +255,17 @@ def test_criterion_08_per_harmonic_decay_trend(grid48):
     values, small_ok = smallness_check(profile, params)
     assert small_ok and values["ns"] <= 0.1
 
-    state = make_initial_state(profile, params)
-    history = EnergyHistory(j_max=1)
     # accumulate every step: the harmonic's fast initial transient must be
     # resolved by the running time integrals, not smeared by coarse sampling
     cfg = StepConfig(dt=2.5e-3, t_end=1.0, budget_every=1, nonlinear=True)
-    result = run(state, cfg, sinks=RunSinks(on_snapshot=lambda st, ms:
-                                            accumulate(history, st, ms)))
-    rep = decay_report(history, params)
-    rate = rep.fitted["rate_j0"]
+    point = simulate_point(profile, make_initial_state(profile, params), cfg)
+    rate = point.decay.fitted["rate_j0"]
     need = params.eta * math.log(params.N)
-    e_vals = [compute_E(history, 0, params, idx=i)
-              for i in range(history.n_snapshots)]
+    history = point.history
+    e_vals = compute_E(history, 0, params, idx=range(history.n_snapshots))
     e_ok = max(e_vals) <= 2.0 * e_vals[0]
     elapsed = time.perf_counter() - t0
-    ok = (not result.aborted and rate is not None and rate >= need
+    ok = (not point.run.aborted and rate is not None and rate >= need
           and e_ok and elapsed < 600.0)
     _verdict(8, "per-harmonic decay trend", ok,
              f"fitted log-decay per harmonic = {rate:.3f} "

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylmode import cli
+from cylmode import cli, stepper
 from cylmode.grid import CFLViolationError
 from cylmode.oracle import SingularBinError
-from cylmode.stepper import DivergenceCleanupError
+from cylmode.stepper import DivergenceCleanupError, StepConfig, simulate_point
 from cylmode.stokes import SingularOperatorError
 from cylmode.cli import (
     ConfigError,
@@ -179,6 +179,7 @@ class TestSimulate:
         rep = json.loads((out / "simulate_report.json").read_text())
         inv = rep["invariants"]
         assert inv["completed"] and inv["divergence_ok"] and inv["flux_ok"]
+        assert rep["invariants_held"] is True
         assert rep["config"]["params"]["N"] == 4
         assert len(rep["code_version"]) == 16
         for artifact in ("budgets.csv", "checkpoint.bin", "history.npz",
@@ -223,6 +224,42 @@ class TestSimulate:
         assert "config error: [params] nu must lie in [0, 1]" in err
         assert "Traceback" not in err
         assert not (out / "simulate_report.json").exists()
+
+    def test_simulate_point_matches_report(self, tmp_path):
+        # the command writes what simulate_point measures, nothing else
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small())
+        assert cli.main(["simulate", "--config", path, "--out", str(out),
+                         "--quiet"]) == 0
+        rep = json.loads((out / "simulate_report.json").read_text())
+        cfg = load_config(path)
+        grid = cli.build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
+        profile, state = cli._initial_data(cfg, grid, cfg.params())
+        point = simulate_point(profile, state, StepConfig(
+            dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.step_scheme,
+            cfl_safety=cfg.cfl_safety, div_tol=cfg.div_tol,
+            budget_every=cfg.budget_every, nonlinear=True))
+        assert point.energy == rep["energy"]
+        assert point.invariants == rep["invariants"]
+        assert point.invariants_held is rep["invariants_held"] is True
+        assert point.decay.per_mode == rep["decay"]["per_mode"]
+
+    def test_ans_outside_gate_is_informational(self, tmp_path, capsys):
+        # a run outside the theorem's smallness gate still exits 0 and
+        # says so on one line that is not a PASS/FAIL check
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(run={"mode": "ans"},
+                                       step={"dt": 0.002, "t_end": 0.004}))
+        assert cli.main(["simulate", "--config", path, "--out",
+                         str(out)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("smallness")]
+        assert len(lines) == 1
+        assert "ans_sum" in lines[0] and "ans_geo" in lines[0]
+        assert lines[0].endswith("outside the theorem's gate")
+        rep = json.loads((out / "simulate_report.json").read_text())
+        assert rep["smallness"]["satisfied"] is False
+        assert rep["invariants_held"] is True
 
     def test_ns_populates_higher_harmonics(self, tmp_path):
         out = tmp_path / "out"
@@ -313,7 +350,7 @@ class TestStokesTestCommand:
                        "--quiet"])
         assert rc == 0
         rep = json.loads((out / "stokes_test_report.json").read_text())
-        assert rep["all_pass"] is True
+        assert rep["invariants_held"] is True
         names = set(rep["checks"])
         for tag in ("nu1", "nu0"):
             for stem in ("harmonic_invariance", "unconditional_decay",
@@ -337,6 +374,7 @@ class TestLinearFlowCommand:
         assert len(flow["ratio_sup"]) == 4  # orders j = 0 .. m
         assert all(math.isfinite(v) and v >= 0.0 for v in flow["ratio_sup"])
         assert rep["invariants"]["identity_ok"]
+        assert rep["invariants_held"] is True
         assert rep["comparison"]["N_alt"] == 8
         assert math.isfinite(rep["comparison"]["ratio_sup_drift"])
 
@@ -396,7 +434,7 @@ class TestOracleCompareCommand:
                        "--quiet"])
         assert rc == 0
         rep = json.loads((out / "oracle_compare.json").read_text())
-        assert rep["within_tol"] is True
+        assert rep["invariants_held"] is True
         assert 0.0 <= rep["discrepancy"] <= rep["tol"]
 
     def test_unresolvable_truncation_rejected(self, tmp_path, capsys):
@@ -453,21 +491,22 @@ class TestDecayReportCommand:
 class TestSolverFailures:
     """A solver error leaves the command's report and exits 1."""
 
+    # simulate runs through stepper.simulate_point, which calls stepper.run
     CASES = [
-        ("simulate", "run", CFLViolationError),
-        ("simulate", "run", DivergenceCleanupError),
-        ("stokes-test", "mode_invariance_check", SingularOperatorError),
-        ("oracle-compare", "oracle_step", SingularBinError),
+        ("simulate", stepper, "run", CFLViolationError),
+        ("simulate", stepper, "run", DivergenceCleanupError),
+        ("stokes-test", cli, "mode_invariance_check", SingularOperatorError),
+        ("oracle-compare", cli, "oracle_step", SingularBinError),
     ]
 
-    @pytest.mark.parametrize("command,target,error", CASES,
-                             ids=[c[2].__name__ for c in CASES])
+    @pytest.mark.parametrize("command,module,target,error", CASES,
+                             ids=[c[3].__name__ for c in CASES])
     def test_failure_report_and_exit_1(self, tmp_path, monkeypatch, capsys,
-                                       command, target, error):
+                                       command, module, target, error):
         def fail(*args, **kwargs):
             raise error("injected at step 3")
 
-        monkeypatch.setattr(cli, target, fail)
+        monkeypatch.setattr(module, target, fail)
         out = tmp_path / "out"
         path = _write(tmp_path, _small(
             oracle={"n_theta": 28, "n_steps": 3, "dt": 0.001}))
