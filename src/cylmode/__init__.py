@@ -18,9 +18,11 @@ Subpackage layout:
                     quadrature
 - ``state``         parameters, profiles, mode states, checkpoints
 - ``diagnostics``   one derivative-and-quadrature pass per state
-- ``stokes``        implicit coupled mode Stokes solver and its checks
+- ``stokes``        implicit coupled mode Stokes solver, single-harmonic
+                    evolution and linear flow
 - ``nonlinear``     quadratic term by convolution over harmonics, flux check
-- ``stepper``       IMEX time integration, CFL, energy budgets
+- ``stepper``       IMEX time integration, CFL, energy budgets, harmonic
+                    invariance
 - ``functionals``   energy/dissipation functionals, histories, decay reports
 - ``inequalities``  disk-grid interpolation inequality checkers
 - ``oracle``        independent full (r, theta, z) cross-check solver
@@ -82,14 +84,13 @@ from .state import (
     save_checkpoint,
     load_checkpoint,
 )
-from .stepper import (PointResult, RunResult, RunSinks, StepConfig, run,
-                      simulate_point)
+from .stepper import (PointResult, RunResult, RunSinks, StepConfig,
+                      mode_invariance_check, run, simulate_point)
 from .stokes import (
     StokesOpCache,
     apply_viscous_operator,
     linear_flow_uL,
     mode_energy,
-    mode_invariance_check,
     stokes_evolve,
     stokes_step,
 )

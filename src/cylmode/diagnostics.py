@@ -23,6 +23,8 @@ several times faster than an rfft / irfft round trip over the stack.
 ``ModeMeasures`` stores the forms as plain meridional quadratures; its
 readers that report norms over the solid cylinder fold in the azimuthal
 measure ``theta`` (``2 pi`` for the mean, ``pi`` for a harmonic).
+``energy_ledger`` is the one formula of the discrete energy identity over
+a step, for the run's energy budget and the single-harmonic Stokes check.
 """
 
 from __future__ import annotations
@@ -137,6 +139,26 @@ class ModeMeasures:
         theta = self.theta
         return {"grad": theta * grad, "pot": theta * pot,
                 "cross": theta * cross, "dissipation": theta * diss}
+
+
+def energy_ledger(e_old, after: ModeMeasures, nu: float, dt: float,
+                  transfer=0.0) -> tuple[np.ndarray, ...]:
+    """Per-row budget columns ``energy, dissipation_r, dissipation_z,
+    weighted_r, transfer, pressure_work, imbalance`` of one step, from the
+    pre-step energies, the post-step pass with pressure and the explicit
+    forcing work.  The imbalance ``E_new - E_old + 2 dt (dissipation +
+    pressure work - transfer)`` of an unforced backward-Euler step is
+    minus the scheme's damping ``E(u_new - u_old)``, up to round-off."""
+    theta = after.theta
+    terms = after.quadform_terms(nu)
+    diss_r = theta * after.dr_sq[0]
+    diss_z = theta * nu**2 * after.dz_sq[0]
+    weighted = terms["pot"] - terms["cross"]
+    pw = after.pressure_work()
+    e_new = after.energy()
+    imbalance = (e_new - e_old
+                 + 2.0 * dt * (diss_r + diss_z + weighted + pw - transfer))
+    return e_new, diss_r, diss_z, weighted, transfer, pw, imbalance
 
 
 def measure_modes(grid: CylGrid, u: np.ndarray, k_eff, p=None,

@@ -228,17 +228,6 @@ class TestFunction2D:
     def peak(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def is_zero(self) -> bool:
-        return self.peak == 0.0
-
-    def angular_mean_relative(self) -> float:
-        """Largest per-radius angular mean, relative to the peak."""
-        return float(_relative(_angular_mean(self.values), self.peak))
-
-    def angular_variation_relative(self) -> float:
-        """Largest deviation from the per-radius angular mean, relative."""
-        return float(_relative(_angular_variation(self.values), self.peak))
-
 
 def disk_function(grid: DiskGrid, values: np.ndarray) -> TestFunction2D:
     """Wrap full (r, theta) samples, enforcing the zero boundary trace."""

@@ -9,6 +9,7 @@ channels, nonlinear transfer, and pressure work, with the scheme-induced
 remainder reported as an imbalance instead of silently dropped.
 ``simulate_point`` runs one trajectory and measures it: invariants,
 smallness gate, weighted functionals and decay report.
+``mode_invariance_check`` runs the linear flow through the same ``step``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import (UR, UTH, UZ, VR, VTH, VZ, ModeMeasures, inner_quad,
-                          measure_state)
+from .diagnostics import (UR, UTH, UZ, VR, VTH, VZ, ModeMeasures,
+                          energy_ledger, inner_quad, measure_state)
 from .functionals import (DecayReport, EnergyHistory, accumulate, compute_D,
                           compute_E, decay_report, smallness_check)
-from .grid import THETA_FULL, THETA_HALF, CFLViolationError
-from .state import InitProfile, ModeState, divergence_residual, save_checkpoint
+from .grid import THETA_FULL, THETA_HALF, CFLViolationError, CylGrid
+from .state import (InitProfile, ModeState, Params, divergence_residual,
+                    save_checkpoint)
 from .stokes import StokesOpCache, project_divfree, stokes_step
 from .nonlinear import assemble_quadratic_rhs, flux_identity_residual
 
@@ -221,28 +223,18 @@ def energy_budget(state_before: ModeState, state_after: ModeState,
     pre-step state, a ``(K+1, 6, n_r, n_z)`` array (None for a purely
     viscous run, making the transfer exactly zero); ``before``/``after``
     are the states' diagnostics passes, taken here when not given.  The
-    imbalance column is the identity remainder ``E_new - E_old + 2 dt
-    (dissipation + pressure work - transfer)``; for backward Euler it
-    collects the scheme's ``||u_new - u_old||^2`` damping and the transfer
-    offset, both second order per step.
+    columns are ``diagnostics.energy_ledger``'s; for backward Euler the
+    imbalance collects the scheme's ``||u_new - u_old||^2`` damping and
+    the transfer offset, both second order per step.
     """
     p = state_before.params
     before = before or measure_state(state_before, 0)
     after = after or measure_state(state_after, 0)
-    theta = after.theta
-    terms = after.quadform_terms(p.nu)
-    diss_r = theta * after.dr_sq[0]
-    diss_z = theta * p.nu**2 * after.dz_sq[0]
-    weighted = terms["pot"] - terms["cross"]
     transfer = np.zeros(p.K + 1)
     if forces is not None:
-        transfer = theta * inner_quad(state_before.grid, forces,
-                                     state_before.u)
-    pw = after.pressure_work()
-    e_new = after.energy()
-    imbalance = (e_new - before.energy()
-                 + 2.0 * dt * (diss_r + diss_z + weighted + pw - transfer))
-    cols = (e_new, diss_r, diss_z, weighted, transfer, pw, imbalance)
+        transfer = after.theta * inner_quad(state_before.grid, forces,
+                                            state_before.u)
+    cols = energy_ledger(before.energy(), after, p.nu, dt, transfer)
     return [BudgetRow(state_after.t, k, *(float(c[k]) for c in cols))
             for k in range(p.K + 1)]
 
@@ -266,11 +258,10 @@ class RunSinks:
     """Where run() sends its diagnostics; all fields optional.
 
     ``on_snapshot`` receives a state and its diagnostics pass; budget rows
-    are computed only when ``on_budget`` or ``budget_csv`` reads them.
+    are computed only when ``budget_csv`` takes them.
     """
 
     on_snapshot: Callable[[ModeState, ModeMeasures], None] | None = None
-    on_budget: Callable[[list[BudgetRow]], None] | None = None
     budget_csv: str | None = None
     checkpoint_path: str | None = None
 
@@ -299,7 +290,6 @@ def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
     n_steps = int(round(cfg.t_end / cfg.dt))
     state = state0.copy()
     session = make_session(state)
-    budgets = sinks.budget_csv or sinks.on_budget
     if sinks.budget_csv:
         write_budget_header(sinks.budget_csv)
     meas = measure_state(state)
@@ -312,15 +302,11 @@ def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
             new = step(state, cfg, session, forcing=forcing)
             new_meas = session.measures
             if n % cfg.budget_every == 0:
-                if budgets:
+                if sinks.budget_csv:
                     # step() stashes the quadratic rhs it evaluated at the
                     # pre-step state, which is exactly the transfer integrand
-                    rows = energy_budget(state, new, session.prev_rhs, cfg.dt,
-                                         meas, new_meas)
-                    if sinks.budget_csv:
-                        append_budget_rows(sinks.budget_csv, rows)
-                    if sinks.on_budget:
-                        sinks.on_budget(rows)
+                    append_budget_rows(sinks.budget_csv, energy_budget(
+                        state, new, session.prev_rhs, cfg.dt, meas, new_meas))
                 if sinks.on_snapshot:
                     sinks.on_snapshot(new, new_meas)
             state, meas = new, new_meas
@@ -335,6 +321,46 @@ def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
                          reason="kinetic energy grew past 10x its initial value",
                          failure_time=state.t, cleanups=session.cleanups_total)
     return RunResult(state, n_steps, cleanups=session.cleanups_total)
+
+
+# -- linear-flow checks --------------------------------------------------------
+
+def energy_growth(energies) -> float:
+    """Worst relative one-step growth ``(E_{n+1} - E_n) / E_n`` of an
+    energy sequence, over the steps from a positive energy (0 when none
+    grows); ``inf`` when an energy is not finite."""
+    e = np.asarray(energies, dtype=float)
+    a, b = e[:-1], e[1:]
+    growth = np.divide(b - a, a, out=np.zeros_like(a), where=a > 0.0)
+    return float(growth.max(initial=0.0)) if np.isfinite(e).all() else math.inf
+
+
+def mode_invariance_check(grid: CylGrid, params: Params, k0: int, dt: float,
+                          n_steps: int, seed: int = 0) -> float:
+    """Leakage of a state populated only at harmonic k0 under the linear
+    flow, stepped by ``run`` with ``nonlinear=False``.
+
+    Returns the worst ratio ``||mode k|| / ||mode k0||`` over the
+    snapshots for k != k0; ``inf`` when an energy is not finite or when
+    harmonic k0 vanishes while another does not.
+    """
+    rng = np.random.default_rng(seed)
+    state = ModeState.zeros(grid, params)
+    env = grid.r[:, None] * (1.0 - grid.r[:, None] ** 2) ** 2
+    q = 2 * np.pi * grid.z / grid.L_z
+    for s in [UR, UTH, UZ] if k0 == 0 else range(6):
+        coef = rng.standard_normal(3)
+        state.u[k0, s] = env * (coef[0] + coef[1] * np.cos(q)
+                                + coef[2] * np.sin(q))[None, :]
+    energies = []
+    run(state, StepConfig(dt=dt, t_end=n_steps * dt, nonlinear=False),
+        RunSinks(on_snapshot=lambda _, measures:
+                 energies.append(measures.energy())))
+    e = np.array(energies)
+    own, other = e[:, k0], np.delete(e, k0, axis=1).max(axis=1)
+    ratio = np.divide(other, own, out=np.where(other > 0.0, math.inf, 0.0),
+                      where=own > 0.0)
+    return math.sqrt(ratio.max()) if np.isfinite(e).all() else math.inf
 
 
 # -- one simulation point -----------------------------------------------------
@@ -392,12 +418,8 @@ def simulate_point(profile: InitProfile, state0: ModeState, cfg: StepConfig,
         # the implicit viscous step is dissipative for any dt; the energy
         # is ModeMeasures.total_l2_sq of each snapshot
         theta = np.where(np.arange(params.K + 1) == 0, THETA_FULL, THETA_HALF)
-        energies = [sum(theta * inst) for inst in history.values("inst")[:, 0]]
-        worst = 0.0
-        for a, b in zip(energies, energies[1:]):
-            if a > 0.0:
-                worst = max(worst, (b - a) / a)
-        invariants["energy_growth"] = worst
+        invariants["energy_growth"] = worst = energy_growth(
+            [sum(theta * inst) for inst in history.values("inst")[:, 0]])
         invariants["dissipative_ok"] = worst <= MONOTONE_SLACK
 
     # each functional evaluated once, at the first and the last snapshot

@@ -34,19 +34,25 @@ cache keeps only the resulting real ``4n x 3n`` maps to ``(a, b, c', p)``,
 one ``(bins, 4n, 3n)`` stack per ``(kap, dt, diffusion)``, and a solve is
 one vertical FFT, one batched ``matmul`` with real and imaginary parts
 (and the cosine and sine families) as columns, and one inverse FFT.
+
+``stokes_evolve`` is the one single-harmonic time loop: it measures every
+snapshot with its pressure and closes the backward-Euler energy identity
+of each step with ``diagnostics.energy_ledger``, the formula the run's
+energy budget uses, plus the scheme's damping ``E(u_new - u_old)``.
+``linear_flow_uL`` reads its measures.  Harmonic invariance is checked on
+the production stepper, by ``stepper.mode_invariance_check``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import (P, UR, UTH, UZ, ModeMeasures, measure_modes,
-                          measure_state, mode_energy)
-from .grid import CylGrid, THETA_FULL, THETA_HALF
-from .state import ModeState, Params
+from .diagnostics import (P, UR, UTH, UZ, ModeMeasures, energy_ledger,
+                          measure_modes, mode_energy)
+from .grid import CylGrid, THETA_HALF
+from .state import Params, make_initial_state
 
 
 class SingularOperatorError(RuntimeError):
@@ -331,116 +337,51 @@ def apply_viscous_operator(grid: CylGrid, u: np.ndarray, nu: float,
                      axial(vz)])
 
 
-# -- energy monitors ---------------------------------------------------------
-
-def mode_dissipation(grid: CylGrid, u: np.ndarray, nu: float, k_eff: int) -> float:
-    """Weighted dissipation rate with the ``(k_eff - 1)**2`` radial weight.
-
-    Matches the coercive part of the mode energy identity: the meridional
-    gradient plus, for ``k_eff >= 1``, ``(k_eff - 1)^2 ||w/r||^2`` over all
-    six fields, and for the mean the ``(u_r, u_th)/r`` terms.
-    """
-    terms = measure_modes(grid, u[None], [k_eff], j_max=0).quadform_terms(nu)
-    return float(terms["dissipation"][0])
-
-
-def _identity_residual(grid: CylGrid, old: np.ndarray, new: np.ndarray,
-                       k_eff: int, e_old: float, after: ModeMeasures,
-                       nu: float, dt: float, fwork: float = 0.0) -> float:
-    """Remainder of the backward-Euler energy identity over one step, per
-    unit time; ``after`` is the pass over ``new`` with its pressure."""
-    terms = {name: v[0] for name, v in after.quadform_terms(nu).items()}
-    return float((after.energy()[0] - e_old) / dt
-                 + mode_energy(grid, new - old, k_eff) / dt
-                 + 2.0 * (terms["grad"] + terms["pot"]) - 2.0 * terms["cross"]
-                 + 2.0 * after.pressure_work()[0] - 2.0 * fwork)
-
-
-# -- evolution drivers -------------------------------------------------------
+# -- single-harmonic evolution ----------------------------------------------
 
 @dataclass
 class StokesHistory:
-    """Running monitors of a single-harmonic Stokes evolution.
+    """Each snapshot's diagnostics pass (the initial one without pressure)
+    and each step's backward-Euler energy-identity remainder per unit
+    time: the budget's imbalance (``diagnostics.energy_ledger``) plus the
+    scheme's damping ``E(u_new - u_old)``, over ``dt``."""
 
-    ``diss_integral`` accumulates ``dt * dissipation(w_new)`` with the
-    right-endpoint rule, the one consistent with the backward-Euler energy
-    identity, so the reported inequality is structural rather than a
-    quadrature accident.
-    """
-
-    times: list[float] = field(default_factory=list)
-    energy: list[float] = field(default_factory=list)
-    diss_integral: list[float] = field(default_factory=list)
+    dt: float
+    nu: float
+    measures: list[ModeMeasures]
     identity_residual: list[float] = field(default_factory=list)
+
+    @property
+    def energy(self) -> np.ndarray:
+        return np.array([m.energy()[0] for m in self.measures])
+
+    @property
+    def diss_integral(self) -> np.ndarray:
+        """``dt * dissipation(w_new)`` summed by the right-endpoint rule,
+        under which backward Euler keeps ``E + 2 int D <= E(0)``."""
+        diss = [m.quadform_terms(self.nu)["dissipation"][0]
+                for m in self.measures[1:]]
+        return np.concatenate([[0.0], np.cumsum(self.dt * np.array(diss))])
 
 
 def stokes_evolve(cache: StokesOpCache, u0: np.ndarray, dt: float,
-                  n_steps: int, k_eff: int, forcing=None,
-                  with_identity: bool = False) -> tuple[np.ndarray, StokesHistory]:
-    """Evolve one harmonic ``u0`` (6 slots) under the implicit Stokes flow.
-
-    ``forcing`` may be None, a constant ``(6, n_r, n_z)`` array, or a
-    callable ``t -> array`` evaluated at the start of each step.
-    """
+                  n_steps: int, k_eff: int, j_max: int = 0) -> StokesHistory:
+    """Evolve one harmonic ``u0`` (6 slots) under the unforced implicit
+    Stokes flow, measuring every snapshot to vertical order ``j_max``."""
     g = cache.grid
-    hist = StokesHistory()
-    u = u0.copy()
-    run_diss = 0.0
-    hist.times.append(0.0)
-    hist.energy.append(mode_energy(g, u, k_eff))
-    hist.diss_integral.append(0.0)
-    t = 0.0
+    hist = StokesHistory(dt, cache.nu,
+                         [measure_modes(g, u0[None], [k_eff], j_max=j_max)])
+    u = u0
     for _ in range(n_steps):
-        f = forcing(t) if callable(forcing) else forcing
-        new, press = stokes_step(cache, u, f, dt, k_eff)
-        after = measure_modes(g, new[None], [k_eff],
-                              press[None] if with_identity else None, j_max=0)
-        if with_identity:
-            fwork = 0.0
-            if f is not None:
-                theta = THETA_FULL if k_eff == 0 else THETA_HALF
-                fwork = theta * sum(g.quad(fi * wi) for fi, wi in zip(f, new))
-            hist.identity_residual.append(_identity_residual(
-                g, u, new, k_eff, hist.energy[-1], after, cache.nu, dt, fwork))
+        new, press = stokes_step(cache, u, None, dt, k_eff)
+        after = measure_modes(g, new[None], [k_eff], press[None], j_max=j_max)
+        imbalance = energy_ledger(hist.measures[-1].energy(), after,
+                                  cache.nu, dt)[-1][0]
+        hist.identity_residual.append(
+            float(imbalance + mode_energy(g, new - u, k_eff)) / dt)
+        hist.measures.append(after)
         u = new
-        t += dt
-        run_diss += dt * float(after.quadform_terms(cache.nu)["dissipation"][0])
-        hist.times.append(t)
-        hist.energy.append(float(after.energy()[0]))
-        hist.diss_integral.append(run_diss)
-    return u, hist
-
-
-def mode_invariance_check(grid: CylGrid, params: Params, k0: int, dt: float,
-                          n_steps: int, seed: int = 0) -> float:
-    """Leakage of a state populated only at harmonic k0 under Stokes flow.
-
-    Every harmonic is stepped with its own effective wavenumber ``k N``;
-    the return value is the worst ratio ``||mode k|| / ||mode k0||`` over
-    the run for k != k0.
-    """
-    rng = np.random.default_rng(seed)
-    state = ModeState.zeros(grid, params)
-    env = grid.r[:, None] * (1.0 - grid.r[:, None] ** 2) ** 2
-    slots = [UR, UTH, UZ] if k0 == 0 else range(6)
-    for s in slots:
-        coef = rng.standard_normal(3)
-        zpart = (coef[0] + coef[1] * np.cos(2 * np.pi * grid.z / grid.L_z)
-                 + coef[2] * np.sin(2 * np.pi * grid.z / grid.L_z))
-        state.u[k0, s] = env * zpart[None, :]
-    cache = StokesOpCache(grid, params.nu)
-    leak = 0.0
-    for _ in range(n_steps):
-        for k in range(params.K + 1):
-            state.u[k], state.p[k] = stokes_step(
-                cache, state.u[k], None, dt, k * params.N)
-        e = measure_state(state, 0).energy()
-        worst = np.delete(e, k0).max()
-        if e[k0] > 0.0:
-            leak = max(leak, math.sqrt(worst / e[k0]))
-        elif worst > 0.0:
-            leak = math.inf
-    return leak
+    return hist
 
 
 def linear_flow_uL(profile, params: Params, dt: float, n_steps: int,
@@ -453,37 +394,29 @@ def linear_flow_uL(profile, params: Params, dt: float, n_steps: int,
     ``N >= 3``.  Reports, per vertical derivative order j, the supremum of
     ``||dz^j u_L||^2``, the dissipation integrals and their ratios to
     ``N^{2 delta} ||dz^j alpha||^2``, plus the worst discrete energy
-    identity residual.
+    identity residual relative to the pre-step energy per unit time.
     """
-    from .state import make_initial_state
-
     if params.N < 3:
         raise ValueError("linear flow requires N >= 3")
     if j_max is None:
         j_max = params.m
-    g = profile.grid
-    state = make_initial_state(profile, params)
-    cache = StokesOpCache(g, 0.0)
     N = params.N
-    u = state.u[1]
-    before = measure_modes(g, u[None], [N], j_max=j_max)
-    sup_sq = THETA_HALF * before.inst[:, 0]
-    int_dr = np.zeros(j_max + 1)
-    int_over_r = np.zeros(j_max + 1)
-    ident_max = 0.0
-    for _ in range(n_steps):
-        new, press = stokes_step(cache, u, None, dt, N)
-        after = measure_modes(g, new[None], [N], press[None], j_max=j_max)
-        e_prev = float(before.energy()[0])
-        resid = _identity_residual(g, u, new, N, e_prev, after, 0.0, dt)
-        ident_max = max(ident_max, abs(resid) / max(e_prev / dt, 1e-300))
-        sup_sq = np.maximum(sup_sq, THETA_HALF * after.inst[:, 0])
-        int_dr += dt * THETA_HALF * after.dr_sq[:, 0]
-        int_over_r += dt * THETA_HALF * after.over_r[:, 0].sum(axis=-1)
-        u, before = new, after
+    hist = stokes_evolve(StokesOpCache(profile.grid, 0.0),
+                         make_initial_state(profile, params).u[1], dt,
+                         n_steps, N, j_max)
+    inst, dr_sq, over_r = (
+        np.array([read(m) for m in hist.measures])
+        for read in (lambda m: m.inst[:, 0], lambda m: m.dr_sq[:, 0],
+                     lambda m: m.over_r[:, 0].sum(axis=-1)))
+    sup_sq = THETA_HALF * inst.max(axis=0)
+    # right-endpoint sums over the steps
+    int_dr = (dt * THETA_HALF * dr_sq[1:]).sum(axis=0)
+    int_over_r = (dt * THETA_HALF * over_r[1:]).sum(axis=0)
+    ident_max = float(np.max(np.abs(hist.identity_residual) / np.maximum(
+        hist.energy[:-1] / dt, 1e-300), initial=0.0))
     prof_sq = np.array([profile.norm_dz(j) ** 2 for j in range(j_max + 1)])
     fac = float(N) ** (2.0 * params.delta) * prof_sq
-    report = {
+    return {
         "N": N,
         "j": list(range(j_max + 1)),
         "sup_sq": sup_sq.tolist(),
@@ -495,4 +428,3 @@ def linear_flow_uL(profile, params: Params, dt: float, n_steps: int,
         "ratio_over_r": (N**2 * int_over_r / fac).tolist(),
         "identity_residual_max": ident_max,
     }
-    return report

@@ -12,8 +12,9 @@ The formulas are those of ``functionals.accumulate``,
 ``pressure_work``, ``nonlinear.flux_identity_residual`` and
 ``stepper.energy_budget`` as they stood before the pass replaced them,
 with one correction: the budget's weighted column is ``pot - cross``, the
-sign of the discrete energy identity that
-``stokes_evolve(with_identity=True)`` checks (it read ``pot + cross``).
+sign of the discrete energy identity that ``stokes_evolve`` checks (it
+read ``pot + cross``).  The dissipation is now
+``ModeMeasures.quadform_terms``' ``dissipation`` entry.
 States, modes and pressures come in as the named views of ``modeview``;
 forces as ``{k: fields}`` dicts (``modeview.force_dict``).
 """

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylmode import cli, stepper
+from cylmode import cli, stepper, stokes
 from cylmode.grid import CFLViolationError
 from cylmode.oracle import SingularBinError
 from cylmode.stepper import DivergenceCleanupError, StepConfig, simulate_point
@@ -358,6 +358,30 @@ class TestStokesTestCommand:
                 assert f"{stem}_{tag}" in names
         for c in rep["checks"].values():
             assert c["pass"] and c["value"] <= c["tol"]
+
+
+    def test_nan_solver_fails_every_check(self, tmp_path, monkeypatch):
+        # a solver returning NaN must not read as a passing check: running
+        # maxima and leakage ratios have to carry the NaN to a FAIL
+        def nan_step(cache, u, forcing, dt, k_eff, diffusion=True):
+            return (np.full_like(u, np.nan),
+                    np.full((2,) + u.shape[1:], np.nan))
+
+        for module in (stokes, stepper, cli):
+            monkeypatch.setattr(module, "stokes_step", nan_step)
+        path = _write(tmp_path, _small())
+        out = tmp_path / "out"
+        rc = cli.main(["stokes-test", "--config", path, "--out", str(out),
+                       "--quiet"])
+        assert rc == 1
+        rep = json.loads((out / "stokes_test_report.json").read_text())
+        assert len(rep["checks"]) == 10
+        assert [n for n, c in rep["checks"].items() if c["pass"]] == []
+        rc = cli.main(["linear-flow", "--config", path, "--out", str(out),
+                       "--quiet"])
+        assert rc == 1
+        rep = json.loads((out / "linear_flow_report.json").read_text())
+        assert rep["invariants"]["identity_ok"] is False
 
 
 class TestLinearFlowCommand:

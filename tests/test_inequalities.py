@@ -24,6 +24,18 @@ def disk_fine():
     return ineq.build_disk_grid(96, 128)
 
 
+def _angular_mean_relative(f):
+    """Largest per-radius angular mean, relative to the peak, as the
+    checkers' zero-mean precondition measures it."""
+    return float(ineq._relative(ineq._angular_mean(f.values), f.peak))
+
+
+def _angular_variation_relative(f):
+    """Largest deviation from the per-radius angular mean, relative, as
+    the checkers' radial precondition measures it."""
+    return float(ineq._relative(ineq._angular_variation(f.values), f.peak))
+
+
 def _rand_fn(grid, rng, min_mode=1, n_terms=3):
     """Boundary-respecting random poly x trig trial function."""
     vals = np.zeros((grid.n_r, grid.n_theta))
@@ -79,17 +91,17 @@ class TestTrialFunctions:
         g = disk.r * (1.0 - disk.r**2)
         radial = ineq.radial_disk_function(disk, g)
         # columns are bit-identical but the mean reduction still rounds
-        assert radial.angular_variation_relative() < 1e-15
+        assert _angular_variation_relative(radial) < 1e-15
         wavy = ineq.separable_disk_function(disk, g, mode=2, kind="sin")
-        assert wavy.angular_mean_relative() < 1e-15
-        assert wavy.angular_variation_relative() > 0.5
+        assert _angular_mean_relative(wavy) < 1e-15
+        assert _angular_variation_relative(wavy) > 0.5
         with pytest.raises(ValueError, match="kind"):
             ineq.separable_disk_function(disk, g, mode=1, kind="tan")
 
     def test_zero_function_properties(self, disk):
         f = ineq.disk_function(disk, np.zeros((disk.n_r, disk.n_theta)))
-        assert f.is_zero()
-        assert f.angular_mean_relative() == 0.0
+        assert f.peak == 0.0
+        assert _angular_mean_relative(f) == 0.0
 
 
 class TestIsotropicRatio:

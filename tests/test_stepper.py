@@ -196,13 +196,16 @@ class TestBudgets:
             float(row[0])
             assert int(row[1]) in range(p.K + 1)
 
-    def test_budget_every_thins_output(self, grid):
+    def test_budget_every_thins_output(self, grid, tmp_path):
         p = _params()
         st = _rand_state(grid, p, seed=3)
-        batches = []
+        path = tmp_path / "budget.csv"
         cfg = StepConfig(dt=1e-3, t_end=6e-3, budget_every=3)
-        run(st, cfg, sinks=RunSinks(on_budget=batches.append))
-        assert len(batches) == 2
+        run(st, cfg, sinks=RunSinks(budget_csv=str(path)))
+        # one batch of K + 1 rows per budget step
+        times = [row.split(",")[0] for row in path.read_text().splitlines()[1:]]
+        assert len(times) == 2 * (p.K + 1)
+        assert len(set(times)) == 2
 
 
 class TestConvergence:
