@@ -183,6 +183,21 @@ class CylGrid:
         return self.interp_z(self.interp_r(a, r_pt), z_pt)
 
 
+def raise_problems(problems: list[str]) -> None:
+    """Raise the problems a rule function found as one ``ValueError``; the
+    CLI prints the same texts, one a line, under their section."""
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
+def grid_problems(n_r: int, n_z: int, L_z: float) -> list[str]:
+    """Every violated range of the meridional grid sizes."""
+    return [text for ok, text in (
+        (n_r >= 4, "n_r must be >= 4"),
+        (n_z >= 4 and n_z % 2 == 0, "n_z must be even and >= 4"),
+        (0.0 < L_z < math.inf, "L_z must be positive and finite")) if not ok]
+
+
 def build_grid(n_r: int, n_z: int, L_z: float) -> CylGrid:
     """Construct a :class:`CylGrid`.
 
@@ -194,14 +209,11 @@ def build_grid(n_r: int, n_z: int, L_z: float) -> CylGrid:
     n_z : int
         Number of vertical nodes, even and at least 4.
     L_z : float
-        Vertical period, positive.
+        Vertical period, positive and finite.
+
+    The ranges are those of :func:`grid_problems`.
     """
-    if n_r < 4:
-        raise ValueError("n_r must be >= 4")
-    if n_z < 4 or n_z % 2 != 0:
-        raise ValueError("n_z must be even and >= 4")
-    if not L_z > 0.0:
-        raise ValueError("L_z must be positive")
+    raise_problems(grid_problems(n_r, n_z, L_z))
     r, w = _chebyshev_nodes_weights(n_r)
     bw = _barycentric_weights(r)
     z = (L_z / n_z) * np.arange(n_z)

@@ -45,6 +45,7 @@ from .grid import (
     _barycentric_weights,
     _chebyshev_nodes_weights,
     _diff_matrix_barycentric,
+    raise_problems,
 )
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
     "pointwise_weight_ok",
     "vertical_sup_ratio",
     "constant_scan",
+    "scan_problems",
     "SCAN_SCHEMA",
     "SCAN_CHECKS",
     "POINCARE_BOUND",
@@ -137,11 +139,15 @@ class DiskGrid:
         return np.fft.irfft(spec * (1j * m), n=self.n_theta, axis=1)
 
 
+def _disk_grid_problems(n_r: int, n_theta: int) -> list[str]:
+    return [text for ok, text in (
+        (n_r >= 4, "n_r must be >= 4"),
+        (n_theta >= 8 and n_theta % 2 == 0, "n_theta must be even and >= 8"))
+        if not ok]
+
+
 def build_disk_grid(n_r: int = 48, n_theta: int = 64) -> DiskGrid:
-    if n_r < 4:
-        raise ValueError("n_r must be >= 4")
-    if n_theta < 8 or n_theta % 2 != 0:
-        raise ValueError("n_theta must be even and >= 8")
+    raise_problems(_disk_grid_problems(n_r, n_theta))
     r, w = _chebyshev_nodes_weights(n_r)
     D = _diff_matrix_barycentric(r, _barycentric_weights(r))
     theta = (2.0 * math.pi / n_theta) * np.arange(n_theta)
@@ -201,12 +207,12 @@ def _require_hypotheses(check: str, values: np.ndarray,
         raise ValueError("radial input required: values vary with the angle")
 
 
-def _check_exponent(check: str, p: float) -> None:
+def _exponent_problems(check: str, p: float) -> list[str]:
     if check == "anisotropic":
-        if not 2.0 <= p <= 6.0:
-            raise ValueError("exponent p must satisfy 2 <= p <= 6")
-    elif not 2.0 <= p < math.inf:
-        raise ValueError("exponent p must satisfy 2 <= p < inf")
+        ok, text = 2.0 <= p <= 6.0, "exponent p must satisfy 2 <= p <= 6"
+    else:
+        ok, text = 2.0 <= p < math.inf, "exponent p must satisfy 2 <= p < inf"
+    return [] if ok else [text]
 
 
 # -- trial functions ----------------------------------------------------------
@@ -320,7 +326,7 @@ def isotropic_ratio(f: TestFunction2D, p: float) -> float:
     Returns ||f||_p / (||f||_2^(2/p) * ||grad f||_2^(1 - 2/p)) for
     2 <= p < inf; the gradient squares to (d_r f)^2 + (d_theta f / r)^2.
     """
-    _check_exponent("isotropic", p)
+    raise_problems(_exponent_problems("isotropic", p))
     return _point_quotient(f, "isotropic", p)
 
 
@@ -336,7 +342,7 @@ def anisotropic_ratio(f: TestFunction2D, p: float) -> float:
     right-hand side avoid the vertical direction entirely, which is why a
     zero angular mean is a hard precondition.
     """
-    _check_exponent("anisotropic", p)
+    raise_problems(_exponent_problems("anisotropic", p))
     return _point_quotient(f, "anisotropic", p)
 
 
@@ -357,7 +363,7 @@ def radial_ratio(f: TestFunction2D, p: float) -> float:
     e = 1/2 - 1/p on both weighted factors and 2/p on the plain norm; the
     quartic restriction of the split-derivative bound does not apply here.
     """
-    _check_exponent("radial", p)
+    raise_problems(_exponent_problems("radial", p))
     return _point_quotient(f, "radial", p)
 
 
@@ -375,11 +381,11 @@ def pointwise_weight_ok(f: TestFunction2D) -> bool:
     return _weight_ok(np.abs(f.values))
 
 
-def _check_z_grid(n_z: int, period: float) -> None:
-    if n_z < 4 or n_z % 2 != 0:
-        raise ValueError("need an even number of z samples, at least 4")
-    if not period > 0.0:
-        raise ValueError("period must be positive")
+def _z_grid_problems(n_z: int, period: float) -> list[str]:
+    return [text for ok, text in (
+        (n_z >= 4 and n_z % 2 == 0, "n_z must be even and >= 4"),
+        (0.0 < period < math.inf, "period must be positive and finite"))
+        if not ok]
 
 
 def _require_zero_z_mean(values: np.ndarray,
@@ -420,7 +426,7 @@ def vertical_sup_ratio(values: np.ndarray, period: float,
     """
     v = np.atleast_2d(np.asarray(values, dtype=float))
     n_z = v.shape[1]
-    _check_z_grid(n_z, period)
+    raise_problems(_z_grid_problems(n_z, period))
     peak = float(np.max(np.abs(v)))
     if peak == 0.0:
         return 0.0
@@ -454,6 +460,31 @@ _FAMILIES_FOR_CHECK = {
     "radial": ("radial_poly", "zero"),
     "vertical": ("z_trig", "zero"),
 }
+
+
+def scan_problems(check: str, family: str | None, trials: int,
+                  p: float | None, n_r: int, n_theta: int, n_z: int,
+                  period: float) -> list[str]:
+    """Every violated range of a :func:`constant_scan` request.
+
+    ``family`` None is the check's default family and ``p`` None is 4.
+    Every grid size is checked whichever check is named, and ``p`` is held
+    to the exponent range of the check's own checker (2 <= p <= 6 for
+    ``anisotropic``, 2 <= p < inf otherwise) even where the check fixes it.
+    """
+    problems = []
+    if check not in SCAN_CHECKS:
+        problems.append(f"check must be one of {SCAN_CHECKS}, got {check!r}")
+    elif family is not None and family not in _FAMILIES_FOR_CHECK[check]:
+        problems.append(f"family {family!r} incompatible with check "
+                        f"{check!r} (expected one of "
+                        f"{_FAMILIES_FOR_CHECK[check]})")
+    if trials < 1:
+        problems.append("trials must be >= 1")
+    problems += _exponent_problems(check, 4.0 if p is None else p)
+    return (problems + _disk_grid_problems(n_r, n_theta)
+            + _z_grid_problems(n_z, period))
+
 
 # generated radial parts are (1 - r^2) * poly(deg <= 10), total degree <= 12;
 # trig modes stay <= 8 so the base grids integrate all even powers exactly
@@ -624,7 +655,8 @@ def constant_scan(family: str | None, check: str, trials: int, seed: int, *,
     single trig modes (<= 8) with log-uniform amplitudes, smooth enough for
     the quadrature error to be negligible against the 10 percent stability
     budget.  On every generated disk function the node-wise weight bound
-    |f| <= |f / r| is verified exactly.
+    |f| <= |f / r| is verified exactly.  The accepted inputs are those
+    of :func:`scan_problems`.
 
     Trials are drawn and evaluated in chunks: each chunk's coefficient
     tensor gives point values on both grids by basis-table products, its
@@ -635,29 +667,18 @@ def constant_scan(family: str | None, check: str, trials: int, seed: int, *,
     stays near ``_CHUNK_BYTES``, so memory does not grow with ``trials``;
     only the two quotient vectors span all trials.
     """
-    if check not in SCAN_CHECKS:
-        raise ValueError(f"unknown check {check!r}; expected one of {SCAN_CHECKS}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    allowed = _FAMILIES_FOR_CHECK[check]
-    family_name = family if family is not None else allowed[0]
-    if family_name not in allowed:
-        raise ValueError(
-            f"family {family_name!r} incompatible with check {check!r}; "
-            f"expected one of {allowed}"
-        )
-
+    raise_problems(scan_problems(check, family, trials, p, n_r, n_theta,
+                                 n_z, period))
+    family_name = _FAMILIES_FOR_CHECK[check][0] if family is None else family
     if check == "radial_quartic":
         p_eff: float | None = 4.0
     elif check in ("angular_poincare", "vertical"):
         p_eff = None
     else:
         p_eff = 4.0 if p is None else float(p)
-        _check_exponent(check, p_eff)
 
     vertical = check == "vertical"
     if vertical:
-        _check_z_grid(n_z, period)
         chunk = _chunk_trials(trials, 2 * n_z)
         levels = (_z_basis(n_z, period), _z_basis(2 * n_z, period))
     else:

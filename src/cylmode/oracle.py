@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
-from .grid import CFLViolationError, CylGrid, THETA_FULL
+from .grid import CFLViolationError, CylGrid, THETA_FULL, raise_problems
 from .state import ModeState, Params
 from .stokes import _velocity_columns
 
@@ -65,14 +65,17 @@ class FullField:
                          self.t)
 
 
+def n_theta_problems(n_theta: int) -> list[str]:
+    """Every violated range of the oracle's azimuthal node count."""
+    return [text for ok, text in (
+        (n_theta >= 4 and n_theta % 2 == 0, "n_theta must be even and >= 4"),
+        (n_theta <= ORACLE_MAX_NTHETA,
+         f"n_theta must be <= {ORACLE_MAX_NTHETA}")) if not ok]
+
+
 def build_full_field(grid: CylGrid, n_theta: int) -> FullField:
     """Zero field on a uniform azimuthal grid of ``n_theta`` nodes."""
-    if n_theta < 4 or n_theta % 2 != 0:
-        raise ValueError("n_theta must be an even integer >= 4")
-    if n_theta > ORACLE_MAX_NTHETA:
-        raise ValueError(
-            f"n_theta = {n_theta} exceeds the verification cap "
-            f"{ORACLE_MAX_NTHETA}")
+    raise_problems(n_theta_problems(n_theta))
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     shape = (grid.n_r, n_theta, grid.n_z)
     return FullField(grid, theta, np.zeros(shape), np.zeros(shape),
@@ -280,8 +283,7 @@ class OracleOpCache:
     """
 
     def __init__(self, grid: CylGrid, n_theta: int, nu: float):
-        if n_theta > ORACLE_MAX_NTHETA:
-            raise ValueError("azimuthal resolution exceeds the oracle cap")
+        raise_problems(n_theta_problems(n_theta))
         self.grid = grid
         self.n_theta = n_theta
         self.nu = float(nu)
@@ -289,8 +291,7 @@ class OracleOpCache:
         n_z = grid.n_z
         self._m = np.arange(n_theta // 2 + 1)
         self._m1 = self._m.astype(float)
-        if n_theta % 2 == 0:
-            self._m1[-1] = 0.0
+        self._m1[-1] = 0.0  # n_theta is even: the Nyquist bin
         zeta = 2.0 * math.pi / grid.L_z * np.fft.fftfreq(n_z) * n_z
         self._zeta1 = zeta.copy()
         if n_z % 2 == 0:

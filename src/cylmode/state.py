@@ -44,7 +44,7 @@ import numpy as np
 
 from .diagnostics import (P, UR, UTH, UZ, VR, VTH, VZ, measure_state,
                           mode_energy)
-from .grid import CylGrid, build_grid, THETA_FULL
+from .grid import CylGrid, build_grid, raise_problems, THETA_FULL
 
 CHECKPOINT_MAGIC = b"CYLMODE1"
 
@@ -102,10 +102,9 @@ class Params:
     small_eps: float = 0.1
 
     def __post_init__(self):
-        errs = param_problems(self.nu, self.N, self.delta, self.eta, self.K,
-                              self.m, self.sigma, self.small_eps)
-        if errs:
-            raise ValueError("; ".join(errs))
+        raise_problems(param_problems(self.nu, self.N, self.delta, self.eta,
+                                      self.K, self.m, self.sigma,
+                                      self.small_eps))
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "K", int(self.K))
         object.__setattr__(self, "m", int(self.m))

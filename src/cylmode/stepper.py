@@ -25,7 +25,8 @@ from .diagnostics import (UR, UTH, UZ, VR, VTH, VZ, ModeMeasures,
                           energy_ledger, inner_quad, measure_state)
 from .functionals import (DecayReport, EnergyHistory, accumulate, compute_D,
                           compute_E, decay_report, smallness_check)
-from .grid import THETA_FULL, THETA_HALF, CFLViolationError, CylGrid
+from .grid import THETA_FULL, THETA_HALF, CFLViolationError, CylGrid, \
+    raise_problems
 from .state import (InitProfile, ModeState, Params, divergence_residual,
                     save_checkpoint)
 from .stokes import StokesOpCache, project_divfree, stokes_step
@@ -33,6 +34,7 @@ from .nonlinear import assemble_quadratic_rhs, flux_identity_residual
 
 SCHEME_EULER = "imex_euler"
 SCHEME_BDF2 = "imex_bdf2"
+STEP_SCHEMES = (SCHEME_EULER, SCHEME_BDF2)
 
 BUDGET_COLUMNS = ("t", "k", "energy", "dissipation_r", "dissipation_z",
                   "weighted_r", "transfer", "pressure_work", "imbalance")
@@ -44,7 +46,8 @@ class DivergenceCleanupError(RuntimeError):
 
 @dataclass
 class StepConfig:
-    """Time integration settings."""
+    """Time integration settings; the ranges are those of
+    :func:`step_problems`."""
 
     dt: float
     t_end: float
@@ -55,18 +58,24 @@ class StepConfig:
     nonlinear: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.scheme not in (SCHEME_EULER, SCHEME_BDF2):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.div_tol <= 0.0:
-            raise ValueError("div_tol must be positive")
-        if self.budget_every < 1:
-            raise ValueError("budget_every must be >= 1")
+        raise_problems(step_problems(self.dt, self.t_end, self.scheme,
+                                     self.cfl_safety, self.div_tol,
+                                     self.budget_every))
+
+
+def step_problems(dt: float, t_end: float, scheme: str, cfl_safety: float,
+                  div_tol: float, budget_every: int) -> list[str]:
+    """Every violated range of the time-integration settings."""
+    return [text for ok, text in (
+        (dt > 0.0, "dt must be positive"),
+        (0.0 <= t_end < math.inf, "t_end must be finite and >= 0"),
+        # the step count round(t_end / dt) must exist
+        (not (dt > 0.0 and 0.0 <= t_end < math.inf) or t_end / dt < math.inf,
+         "t_end / dt must be finite"),
+        (scheme in STEP_SCHEMES, f"scheme must be one of {STEP_SCHEMES}"),
+        (0.0 < cfl_safety <= 1.0, "cfl_safety must lie in (0, 1]"),
+        (div_tol > 0.0, "div_tol must be positive"),
+        (budget_every >= 1, "budget_every must be >= 1")) if not ok]
 
 
 @dataclass

@@ -129,20 +129,6 @@ def _real_block(grid: CylGrid, kappa: int, nu: float, zeta1: float,
     return A
 
 
-def assemble_block(grid: CylGrid, kappa: int, nu: float, zeta1: float,
-                   zeta2: float, dt: float, diffusion: bool = True) -> np.ndarray:
-    """Dense complex matrix of one (harmonic, vertical wavenumber) block.
-
-    The physical form of the real block the solver factors: the axial
-    momentum row is scaled back by ``i`` and the axial column by ``-i``.
-    """
-    n = grid.n_r
-    A = _real_block(grid, kappa, nu, zeta1, zeta2, dt, diffusion).astype(complex)
-    A[2 * n:3 * n, :] *= 1j
-    A[:, 2 * n:3 * n] *= -1j
-    return A
-
-
 def _mean_dc_block(grid: CylGrid, nu: float, zeta2: float, dt: float,
                    diffusion: bool) -> np.ndarray:
     """Decoupled block of the doubly degenerate bin (kappa = 0 and no

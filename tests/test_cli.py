@@ -27,9 +27,11 @@ from cylmode.cli import (
     ExperimentConfig,
     load_config,
     parse_config,
-    serialize_config,
     validate_config,
 )
+from cylmode.grid import build_grid
+from cylmode.inequalities import constant_scan
+from cylmode.oracle import OracleOpCache
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,16 +66,13 @@ def _write(tmp_path: Path, sections: dict, name: str = "exp.ini") -> str:
 
 class TestConfigGrammar:
     def test_round_trip_identity(self, tmp_path):
-        # parse -> serialize -> parse must be the identity
+        # parse -> render the resolved sections -> parse is the identity
         path = _write(tmp_path, _small(
             step={"dt": 0.00125, "t_end": 0.01},
             profile={"amplitude": 0.37},
             history={"path": str(tmp_path / "h.npz")}))
         cfg = load_config(path)
-        text = serialize_config(cfg)
-        cfg2 = parse_config(text)
-        assert cfg2 == cfg
-        assert serialize_config(cfg2) == text
+        assert parse_config(_ini(cfg.as_dict())) == cfg
 
     def test_defaults_parse_clean(self):
         cfg = parse_config("")
@@ -132,6 +131,61 @@ class TestConfigGrammar:
                              for line in lines)
         assert any(f"[{section}]" in line for line in lines)
         assert not out.exists()
+
+    # configs that validation once let through to a traceback from the
+    # library or, for an infinite period, to a passing scan of zeros
+    @pytest.mark.parametrize("command,section,over", [
+        ("inequality-scan", "scan",
+         {"scan": {"check": "anisotropic", "p": 8, "seed": 1}}),
+        ("inequality-scan", "scan",
+         {"scan": {"check": "isotropic", "p": "inf", "seed": 1}}),
+        ("inequality-scan", "scan",
+         {"scan": {"check": "vertical", "family": "poly_trig", "seed": 1}}),
+        ("simulate", "step", {"step": {"t_end": "nan"}}),
+        ("simulate", "step", {"step": {"t_end": "inf"}}),
+        ("stokes-test", "run", {"run": {"seed": -1}}),
+        ("simulate", "step", {"step": {"dt": "1e-310", "t_end": 1}}),
+        ("inequality-scan", "scan",
+         {"scan": {"check": "vertical", "period": "inf", "seed": 1}}),
+    ], ids=["anisotropic-p8", "isotropic-pinf", "vertical-poly_trig",
+            "t_end-nan", "t_end-inf", "run-seed-negative",
+            "step-count-overflow", "period-inf"])
+    def test_library_rule_is_a_config_error(self, tmp_path, capsys, command,
+                                            section, over):
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(**over))
+        rc = cli.main([command, "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert lines and all(line.startswith(f"config error: [{section}] ")
+                             for line in lines)
+        assert not out.exists()
+
+    # one bad value per rule group: (config sections, constructor call)
+    CONSTRUCTOR_CASES = [
+        ({"grid": {"n_z": 7}}, "simulate",
+         lambda: build_grid(16, 7, 2.0 * math.pi)),
+        ({"step": {"t_end": "nan"}}, "simulate",
+         lambda: StepConfig(dt=0.002, t_end=math.nan)),
+        ({"scan": {"check": "anisotropic", "p": 8, "seed": 1}},
+         "inequality-scan",
+         lambda: constant_scan(None, "anisotropic", 100, 1, p=8.0)),
+        ({"oracle": {"n_theta": 29}}, "oracle-compare",
+         lambda: OracleOpCache(build_grid(16, 16, 2.0 * math.pi), 29, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("over,command,construct", CONSTRUCTOR_CASES,
+                             ids=["grid", "step", "scan", "oracle"])
+    def test_constructor_and_cli_share_rule_text(self, over, command,
+                                                 construct):
+        section = next(iter(over))
+        with pytest.raises(ConfigError) as cli_err:
+            parse_config(_ini(_small(**over)), command)
+        with pytest.raises(ValueError) as lib_err:
+            construct()
+        assert cli_err.value.problems == [f"[{section}] {lib_err.value}"]
 
     def test_linear_flow_is_not_a_run_mode(self, tmp_path, capsys):
         path = _write(tmp_path, _small(run={"mode": "linear_flow"}))
@@ -401,6 +455,26 @@ class TestLinearFlowCommand:
         assert rep["invariants_held"] is True
         assert rep["comparison"]["N_alt"] == 8
         assert math.isfinite(rep["comparison"]["ratio_sup_drift"])
+
+    def test_nan_ratio_reads_as_nan_drift(self, tmp_path, monkeypatch):
+        # a NaN ratio in the compare_N run is not zero drift
+        real = cli.linear_flow_uL
+
+        def nan_alt(profile, params, dt, n_steps):
+            flow = real(profile, params, dt, n_steps)
+            if params.N == 8:
+                flow["ratio_sup"][1] = math.nan
+            return flow
+
+        monkeypatch.setattr(cli, "linear_flow_uL", nan_alt)
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(
+            params={"N": 4, "eta": 0.2, "K": 2, "delta": 0.1},
+            run={"compare_N": 8}))
+        cli.main(["linear-flow", "--config", path, "--out", str(out),
+                  "--quiet"])
+        rep = json.loads((out / "linear_flow_report.json").read_text())
+        assert math.isnan(rep["comparison"]["ratio_sup_drift"])
 
     def test_requires_three_fold_symmetry(self, tmp_path, capsys):
         path = _write(tmp_path, _small(params={"N": 2, "eta": 0.2, "K": 2}))

@@ -20,9 +20,9 @@ from cylmode.stepper import mode_invariance_check
 from cylmode.stokes import (
     SingularOperatorError,
     StokesOpCache,
-    assemble_block,
     _factor_checked,
     _mean_dc_block,
+    _real_block,
     _solve_family,
     _zeta_tables,
     stokes_step,
@@ -31,6 +31,19 @@ from cylmode.stokes import (
     mode_energy,
     linear_flow_uL,
 )
+
+
+def assemble_block(grid, kappa, nu, zeta1, zeta2, dt, diffusion=True):
+    """Dense complex matrix of one (harmonic, vertical wavenumber) block.
+
+    The physical form of the real block the solver factors: the axial
+    momentum row is scaled back by ``i`` and the axial column by ``-i``.
+    """
+    n = grid.n_r
+    A = _real_block(grid, kappa, nu, zeta1, zeta2, dt, diffusion).astype(complex)
+    A[2 * n:3 * n, :] *= 1j
+    A[:, 2 * n:3 * n] *= -1j
+    return A
 
 
 def _rand_mode(g, k, rng):
