@@ -28,7 +28,9 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
+import time
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -274,8 +276,8 @@ def validate_config(cfg: ExperimentConfig,
         bad.append(f"[profile] family must be one of {PROFILE_FAMILIES}")
     if cfg.profile_family == "file" and not cfg.profile_path:
         bad.append("[profile] path is required when family = file")
-    if not cfg.amplitude > 0.0:
-        bad.append("[profile] amplitude must be positive")
+    if not 0.0 < cfg.amplitude < math.inf:
+        bad.append("[profile] amplitude must be positive and finite")
     if cfg.z_waves < 1:
         bad.append("[profile] z_waves must be >= 1")
     if cfg.mode not in RUN_MODES:
@@ -420,9 +422,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
                           budget_every=cfg.budget_every,
                           nonlinear=cfg.mode in ("ns", "ans"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    start = time.perf_counter()
     point = simulate_point(profile, state, step_cfg, RunSinks(
         budget_csv=str(out_dir / "budgets.csv"),
         checkpoint_path=str(out_dir / "checkpoint.bin")))
+    step_wall_s = time.perf_counter() - start
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+              - before.ru_minflt)
     save_history(point.history, str(out_dir / "history.npz"))
     _write_json(_decay_json_dict(point.decay, cfg),
                 out_dir / REPORT_FILES["decay-report"])
@@ -434,7 +441,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
               "run": {"n_steps": result.n_steps, "aborted": result.aborted,
                       "reason": result.reason, "cleanups": result.cleanups,
                       "final_time": result.state.t,
-                      "snapshots": point.history.n_snapshots}}
+                      "snapshots": point.history.n_snapshots,
+                      # informational: where the point's time and memory
+                      # traffic went, not an invariant
+                      "step_wall_s": step_wall_s,
+                      "minor_page_faults": faults}}
 
     if cfg.compare_N:
         alt = dataclasses.replace(cfg, N=cfg.compare_N, compare_N=0)

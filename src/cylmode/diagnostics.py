@@ -16,9 +16,18 @@ leading one keeps its own relative accuracy.
 
 The vertical matrices are ``CylGrid.dz_pow`` and ``CylGrid.dz`` applied to
 the identity: order j multiplies by ``(i zeta)^j`` with the Nyquist bin
-zeroed for odd j, and the ``dz`` of an order-j field zeroes it always.  At
-the grid sizes used here a product with a dense ``n_z x n_z`` matrix is
-several times faster than an rfft / irfft round trip over the stack.
+zeroed for odd j, and the ``dz`` of an order-j field zeroes it always.
+Order 0 is the field itself and ``dz^j`` of an odd order is the same
+matrix as ``dz dz^(j-1)``, so only the distinct matrices are applied: two
+products for ``j_max = 1``, one for ``j_max = 0``.  At the grid sizes used
+here a product with a dense ``n_z x n_z`` matrix is several times faster
+than an rfft / irfft round trip over the stack.
+
+A pass over a whole state can fill its stacks in a ``StepWorkspace``, the
+scratch memory that one trajectory's steps share with the quadratic
+kernel.  Nothing a pass returns lives there: ``ModeMeasures.dr_u``, the
+radial derivatives of the velocity slots that the next step's quadratic
+term reads, is a fresh array per pass.
 
 ``ModeMeasures`` stores the forms as plain meridional quadratures; its
 readers that report norms over the solid cylinder fold in the azimuthal
@@ -30,6 +39,7 @@ a step, for the run's energy budget and the single-harmonic Stokes check.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,21 +58,71 @@ def inner_quad(grid: CylGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("msrz,msrz->mr", a, b) @ grid.w_r * grid.dz_weight
 
 
+class StepWorkspace:
+    """Scratch memory of one trajectory's quadratic kernel and diagnostics
+    pass.
+
+    The two never run at the same time, so every call lays its arrays end
+    to end from the start of one block.  The block grows to the largest
+    call and then stays: its size follows from the ``(K, n_r, n_z)`` of the
+    states it serves, so after a trajectory's first step no call allocates
+    scratch.  A call overwrites the arrays of the call before it, so
+    nothing a caller keeps may live here.
+    """
+
+    def __init__(self):
+        self._block = np.empty(0)
+        self._views: dict = {}
+
+    def arrays(self, *specs) -> list[np.ndarray]:
+        """Uninitialised arrays of the given ``(shape, dtype)`` pairs."""
+        views = self._views.get(specs)
+        if views is None:
+            sizes = [math.prod(shape) * np.dtype(dtype).itemsize
+                     for shape, dtype in specs]
+            # each array starts on a 64-byte boundary of the block
+            starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes])
+            if starts[-1] > self._block.nbytes:
+                self._block = np.empty(int(starts[-1]) // 8)
+                self._views.clear()
+            raw = self._block.view(np.uint8)
+            views = self._views[specs] = [
+                raw[start:start + size].view(dtype).reshape(shape)
+                for (shape, dtype), size, start in zip(specs, sizes, starts)]
+        return views
+
+
+def _rows(rows: list[int]):
+    """A slice for a run of consecutive rows, else the row list."""
+    consecutive = list(range(rows[0], rows[-1] + 1))
+    return slice(rows[0], rows[-1] + 1) if rows == consecutive else rows
+
+
 @functools.lru_cache(maxsize=8)
-def _vertical_operators(n: int, L_z: float, j_max: int) -> np.ndarray:
-    """Matrices that right-multiply a field on ``n`` vertical nodes to give
-    ``dz^j`` for j = 0..j_max, then ``dz dz^j`` for j = 0..j_max: the
-    grid's spectral derivatives applied to the identity (read-only)."""
+def _vertical_operators(n: int, L_z: float, j_max: int):
+    """The distinct matrices that right-multiply a field on ``n`` vertical
+    nodes to give ``dz^j`` and ``dz dz^j`` for j = 0..j_max, and where each
+    of those lands in the product stack ``[f, f @ ops[0], f @ ops[1],
+    ...]``: ``dz^j f`` is row ``val_rows[j]`` and ``dz dz^j f`` row
+    ``dz_rows[j]``.
+
+    The matrices are the grid's spectral derivatives applied to the
+    identity (read-only).  Order 0 is row 0, the field itself; an odd order
+    of ``dz_pow`` is the ``dz`` of the order below, so the two share a row.
+    The rows are a slice when consecutive, as for ``j_max <= 1``.
+    """
     ik = 1j * (2.0 * np.pi / L_z) * np.arange(n // 2 + 1)
-    orders = list(range(j_max + 1)) + list(range(1, j_max + 2))
-    mult = np.array([ik**o for o in orders])
-    # n_z is even: odd orders of dz_pow, and every dz, drop the Nyquist bin
-    drop = [o % 2 == 1 for o in orders[:j_max + 1]] + [True] * (j_max + 1)
-    mult[np.array(drop), -1] = 0.0
+    # (order, Nyquist bin dropped): n_z is even, so odd orders of dz_pow,
+    # and every dz, drop the Nyquist bin
+    vals = [(j, j % 2 == 1) for j in range(j_max + 1)]
+    dzs = [(j + 1, True) for j in range(j_max + 1)]
+    keys = [(0, False)] + sorted(set(vals + dzs) - {(0, False)})
+    mult = np.array([ik**order for order, _ in keys[1:]])
+    mult[np.array([drop for _, drop in keys[1:]]), -1] = 0.0
     ops = np.fft.irfft(np.fft.rfft(np.eye(n)) * mult[:, None], n=n)
-    ops[0] = np.eye(n)
     ops.flags.writeable = False
-    return ops
+    return (ops, _rows([keys.index(key) for key in vals]),
+            _rows([keys.index(key) for key in dzs]))
 
 
 @dataclass(frozen=True)
@@ -78,7 +138,9 @@ class ModeMeasures:
     - ``cross``: ``quad((vr uth - ur vth) / r^2)``; ``div_sq``: ``quad`` of
       the squared divergence of both families; ``press``: the pressure
       work ``quad(dr P ur + dz P uz - kap P vth / r + dr Q vr + dz Q vz
-      + kap Q uth / r)``, zero when the pass had no pressures.
+      + kap Q uth / r)``, zero when the pass had no pressures;
+    - ``dr_u``: the ``(M, 6, n_r, n_z)`` radial derivatives of the velocity
+      slots, order 0, in a fresh array of this pass.
     """
 
     j_max: int
@@ -91,6 +153,7 @@ class ModeMeasures:
     cross: np.ndarray
     div_sq: np.ndarray
     press: np.ndarray
+    dr_u: np.ndarray
 
     @property
     def theta(self) -> np.ndarray:
@@ -162,19 +225,27 @@ def energy_ledger(e_old, after: ModeMeasures, nu: float, dt: float,
 
 
 def measure_modes(grid: CylGrid, u: np.ndarray, k_eff, p=None,
-                  j_max: int = 1) -> ModeMeasures:
+                  j_max: int = 1, ws: StepWorkspace | None = None
+                  ) -> ModeMeasures:
     """One pass over the ``(M, 6, n_r, n_z)`` velocity array ``u`` with
     effective azimuthal wavenumbers ``k_eff`` (0 marks a mean row) and,
-    optionally, the ``(M, 2, n_r, n_z)`` pressures ``p``."""
-    a = np.ascontiguousarray(u) if p is None else np.concatenate([u, p], axis=1)
+    optionally, the ``(M, 2, n_r, n_z)`` pressures ``p``; the derivative
+    stacks live in ``ws`` when given."""
     kap = np.asarray(k_eff, dtype=float)
     inv_r = 1.0 / grid.r[:, None]
     wq = grid.w_r * grid.dz_weight
     wq_r, wq_r2 = wq / grid.r, wq / grid.r**2
 
-    zd = a @ _vertical_operators(grid.n_z, grid.L_z, j_max)[:, None, None]
-    vals, dzs = zd[:j_max + 1], zd[j_max + 1:]
-    drs = grid.D_r @ vals
+    ops, val_rows, dz_rows = _vertical_operators(grid.n_z, grid.L_z, j_max)
+    shape = (len(u), 6 if p is None else 8, grid.n_r, grid.n_z)
+    zd, drs = (ws or StepWorkspace()).arrays(
+        ((1 + len(ops),) + shape, float), ((j_max + 1,) + shape, float))
+    zd[0, :, :6] = u
+    if p is not None:
+        zd[0, :, 6:] = p
+    np.matmul(zd[0], ops[:, None, None], out=zd[1:])
+    vals, dzs = zd[val_rows], zd[dz_rows]
+    np.matmul(grid.D_r, vals, out=drs)
     u, du_r, du_z = vals[:, :, :6], drs[:, :, :6], dzs[:, :, :6]
     slot_sq = np.einsum("jmsrz,jmsrz->jmsr", u, u)
 
@@ -204,15 +275,17 @@ def measure_modes(grid: CylGrid, u: np.ndarray, k_eff, p=None,
         cross=(dot(u0[:, VR], u0[:, UTH]) - dot(u0[:, UR], u0[:, VTH])) @ wq_r2,
         div_sq=(dot(div_a, div_a) + dot(div_b, div_b)) @ wq,
         press=press,
+        dr_u=drs[0, :, :6].copy(),
     )
 
 
-def measure_state(state, j_max: int = 1) -> ModeMeasures:
+def measure_state(state, j_max: int = 1,
+                  ws: StepWorkspace | None = None) -> ModeMeasures:
     """The pass over every harmonic of a ``ModeState``, pressures included;
     row k is harmonic k with ``kap = k N``."""
     return measure_modes(state.grid, state.u,
                          state.params.N * np.arange(len(state.u)), state.p,
-                         j_max)
+                         j_max, ws)
 
 
 def mode_energy(grid: CylGrid, u: np.ndarray, k_eff: float, j: int = 0) -> float:

@@ -56,6 +56,8 @@ class EnergyHistory:
         self.K: int | None = None
         self.N: int | None = None
         self._rows: dict[str, list] = {name: [] for name in CHANNELS}
+        # (snapshot count, error estimate) of the last evaluation
+        self._estimate = (0, 0.0)
 
     @property
     def n_snapshots(self) -> int:
@@ -91,7 +93,13 @@ class EnergyHistory:
     def error_estimate(self) -> float:
         """Trapezoid step error ``|second difference| dt / 12`` summed
         over the scalar channels in ``history.npz`` order, then over
-        snapshots."""
+        snapshots.  Evaluated once per snapshot count, so a run's decay
+        report and its saved history share one evaluation."""
+        if self._estimate[0] != self.n_snapshots:
+            self._estimate = (self.n_snapshots, self._error_estimate())
+        return self._estimate[1]
+
+    def _error_estimate(self) -> float:
         if self.n_snapshots < 3:
             return 0.0
         vals = {name: self.values(name) for name in CHANNELS}

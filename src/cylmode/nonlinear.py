@@ -28,50 +28,77 @@ import math
 
 import numpy as np
 
-from .diagnostics import (UR, UTH, UZ, VR, VTH, VZ, inner_quad,
-                          measure_state)
+from .diagnostics import (UR, UTH, UZ, VR, VTH, VZ, StepWorkspace,
+                          inner_quad, measure_state)
 from .state import ModeState
 
+#: slots of the cosine and sine families, by component r, th, z
+_FAMILIES = np.array([[UR, UTH, UZ], [VR, VTH, VZ]])
 
-def _two_sided(a: np.ndarray) -> np.ndarray:
-    """Complex coefficients of harmonics -K..K (index k + K) from a real
-    stack with axes (k, cos/sin, ...) over harmonics 0..K."""
-    c = 0.5 * (a[:, 0] - 1j * a[:, 1])
+
+def _two_sided(a: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` the complex coefficients of harmonics -K..K (index
+    k + K) of a real stack with axes (k, cos/sin, ...) over harmonics
+    0..K."""
+    K = len(a) - 1
+    c = out[K:]
+    # 0.5 (a_cos - i a_sin), part by part: the same bits up to signed zeros
+    np.multiply(a[:, 0], 0.5, out=c.real)
+    np.multiply(a[:, 1], -0.5, out=c.imag)
     c[0] = a[0, 0]
-    return np.concatenate([c[:0:-1].conj(), c])
+    np.conjugate(c[:0:-1], out=out[:K])
 
 
-def assemble_quadratic_rhs(state: ModeState) -> np.ndarray:
+def assemble_quadratic_rhs(state: ModeState, dr_u: np.ndarray | None = None,
+                           ws: StepWorkspace | None = None) -> np.ndarray:
     """Complete explicit quadratic right-hand side for every harmonic.
 
-    Returns a ``(K+1, 6, n_r, n_z)`` array in the slot layout of
-    ``ModeState.u``; the mean's sine slots are zero.
+    ``dr_u`` is the state's radial derivative stack ``ModeMeasures.dr_u``
+    from its diagnostics pass, taken here when not given; the scratch
+    arrays live in ``ws`` when given.  Returns a fresh ``(K+1, 6, n_r,
+    n_z)`` array in the slot layout of ``ModeState.u``; the mean's sine
+    slots are zero.
     """
     g = state.grid
     K, N = state.params.K, state.params.N
-    # axes (k, cos/sin, component r/th/z, r, z)
-    X = state.u[:, [[UR, UTH, UZ], [VR, VTH, VZ]]]
-    u = _two_sided(X)
+    fields = (g.n_r, g.n_z)
+    # axes (k, cos/sin, component r/th/z, r, z) and, two-sided, (k, component)
+    X, dX, u, grad, out, term = (ws or StepWorkspace()).arrays(
+        ((K + 1, 2, 3) + fields, float), ((K + 1, 2, 3) + fields, float),
+        ((2 * K + 1, 3) + fields, complex),
+        ((2 * K + 1, 3, 3) + fields, complex),
+        ((K + 1, 3) + fields, complex), ((K + 1, 3) + fields, complex))
+    np.take(state.u, _FAMILIES, axis=1, out=X, mode="clip")
+    if dr_u is None:
+        np.matmul(g.D_r, X, out=dX)
+    else:
+        np.take(dr_u, _FAMILIES, axis=1, out=dX, mode="clip")
+    _two_sided(X, u)
     # gradient rows along r, th, z; the th row is (d_th u + curvature) / r
-    grad = np.empty((2 * K + 1, 3) + u.shape[1:], dtype=complex)
-    grad[:, 0] = _two_sided(g.D_r @ X)
-    grad[:, 2] = _two_sided(g.dz(X))
+    _two_sided(dX, grad[:, 0])
+    _two_sided(g.dz(X), grad[:, 2])
     th = grad[:, 1]
     np.multiply(1j * N * np.arange(-K, K + 1)[:, None, None, None], u,
                 out=th)
     th[:, 0] -= u[:, 1]
     th[:, 1] += u[:, 0]
-    th /= g.r[:, None]
-    out = np.zeros((K + 1,) + u.shape[1:], dtype=complex)
+    # numpy divides a complex by a real r as by r + 0j, which comes to a
+    # product with 1 / r; taken on the real and imaginary parts it gives
+    # the same bits, up to signed zeros, at a quarter of the cost
+    parts = th.view(float)
+    np.multiply(parts, (1.0 / g.r)[:, None], out=parts)
+    out.fill(0.0)
     for p in range(-K, K + 1):
         n = K + 1 + min(p, 0)  # targets k = 0..n-1, partners q = k - p
-        out[:n] -= np.einsum("arz,kairz->kirz", u[K + p],
-                             grad[K - p:K - p + n])
+        np.einsum("arz,kairz->kirz", u[K + p], grad[K - p:K - p + n],
+                  out=term[:n])
+        out[:n] -= term[:n]
     out[1:] *= 2.0
     rhs = np.empty_like(state.u)
-    rhs[:, [UR, UTH, UZ]] = out.real
-    rhs[:, [VR, VTH, VZ]] = -out.imag
-    rhs[0, [VR, VTH, VZ]] = 0.0
+    rhs[:, _FAMILIES[0]] = out.real
+    np.negative(out.imag, out=out.imag)
+    rhs[:, _FAMILIES[1]] = out.imag
+    rhs[0, _FAMILIES[1]] = 0.0
     return rhs
 
 
@@ -82,8 +109,8 @@ def flux_identity_residual(state: ModeState) -> float:
     net work; the return value is ``|sum_k <rhs_k, u_k>|`` over the solid
     cylinder divided by ``||u||^2 ||grad u||``.
     """
-    rhs = assemble_quadratic_rhs(state)
     ms = measure_state(state, 0)
+    rhs = assemble_quadratic_rhs(state, ms.dr_u)
     total = float(np.sum(ms.theta * inner_quad(state.grid, rhs, state.u)))
     grad_sq = float(np.sum(ms.theta * (
         ms.dr_sq[0] + ms.dz_sq[0] + ms.k_eff**2 * ms.over_r[0].sum(axis=-1))))

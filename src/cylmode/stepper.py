@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .diagnostics import (UR, UTH, UZ, VR, VTH, VZ, ModeMeasures,
-                          energy_ledger, inner_quad, measure_state)
+                          StepWorkspace, energy_ledger, inner_quad,
+                          measure_state)
 from .functionals import (DecayReport, EnergyHistory, accumulate, compute_D,
                           compute_E, decay_report, smallness_check)
 from .grid import THETA_FULL, THETA_HALF, CFLViolationError, CylGrid, \
@@ -80,8 +81,13 @@ def step_problems(dt: float, t_end: float, scheme: str, cfl_safety: float,
 
 @dataclass
 class StepSession:
-    """Mutable bookkeeping shared by consecutive steps of one trajectory;
-    ``measures`` is the diagnostics pass over the state last returned."""
+    """Mutable bookkeeping shared by consecutive steps of one trajectory.
+
+    Each step must be handed the state the step before returned.
+    ``measures`` is the diagnostics pass over that state, whose radial
+    derivatives the next step's quadratic term reads; ``workspace`` holds
+    the scratch arrays of the quadratic term and the passes.
+    """
 
     cache: StokesOpCache
     prev_state: ModeState | None = None
@@ -90,6 +96,7 @@ class StepSession:
     step_count: int = 0
     cleanup_streak: int = 0
     cleanups_total: int = 0
+    workspace: StepWorkspace = field(default_factory=StepWorkspace)
 
 
 def make_session(state: ModeState) -> StepSession:
@@ -144,7 +151,9 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
     in the slot layout of ``ModeState.u``.  The CFL estimate is refreshed
     every 10 steps.  If the post-step divergence residual exceeds
     ``cfg.div_tol`` the state is re-projected once; more than 3
-    consecutive steps needing cleanup raise.
+    consecutive steps needing cleanup raise.  The quadratic term reads the
+    radial derivatives of ``session.measures``, the pass over ``state``
+    that the step before (or ``run``) left there.
     """
     if session is None:
         session = make_session(state)
@@ -155,16 +164,26 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
     p = state.params
     t_new = state.t + cfg.dt
 
-    quad = assemble_quadratic_rhs(state) if cfg.nonlinear else None
+    ws = session.workspace
+    quad = None
+    if cfg.nonlinear:
+        dr_u = None if session.measures is None else session.measures.dr_u
+        quad = assemble_quadratic_rhs(state, dr_u, ws)
     rhs, work, dt_eff = quad, state.u, cfg.dt
     if cfg.scheme == SCHEME_BDF2 and session.prev_state is not None:
         # second-order: w = (4 u^n - u^{n-1}) / 3 stepped with 2 dt / 3,
-        # quadratic terms extrapolated as 2 S^n - S^{n-1}
-        work = (4.0 * state.u - session.prev_state.u) / 3.0
+        # quadratic terms extrapolated as 2 S^n - S^{n-1}; both live in the
+        # workspace until the pass after the solves
+        work, extrap = ws.arrays((state.u.shape, float),
+                                 (state.u.shape, float))
+        np.multiply(4.0, state.u, out=work)
+        work -= session.prev_state.u
+        work /= 3.0
         dt_eff = 2.0 * cfg.dt / 3.0
         if quad is not None:
-            rhs = 2.0 * quad if session.prev_rhs is None \
-                else 2.0 * quad - session.prev_rhs
+            rhs = np.multiply(2.0, quad, out=extrap)
+            if session.prev_rhs is not None:
+                rhs -= session.prev_rhs
     if forcing is not None:
         ext = forcing(t_new)
         rhs = ext if rhs is None else rhs + ext
@@ -175,7 +194,7 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
             session.cache, work[k], None if rhs is None else rhs[k], dt_eff,
             k * p.N)
 
-    meas = measure_state(new)
+    meas = measure_state(new, ws=ws)
     res = meas.divergence_residual()
     if float(res.max()) > cfg.div_tol:
         for k in range(p.K + 1):
@@ -186,7 +205,7 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
             raise DivergenceCleanupError(
                 "divergence cleanup required more than 3 consecutive steps; "
                 f"residual reached {float(res.max()):.3e}")
-        meas = measure_state(new)
+        meas = measure_state(new, ws=ws)
         res = meas.divergence_residual()
         if float(res.max()) > cfg.div_tol:
             raise DivergenceCleanupError(
@@ -301,7 +320,8 @@ def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
     session = make_session(state)
     if sinks.budget_csv:
         write_budget_header(sinks.budget_csv)
-    meas = measure_state(state)
+    # a run, a restart included, starts from a fresh pass
+    meas = session.measures = measure_state(state)
     if sinks.on_snapshot:
         sinks.on_snapshot(state, meas)
     e0 = meas.total_l2_sq()

@@ -4,7 +4,7 @@
 removed one is listed under ``missing`` and its per-layer metrics silently
 drop out of the benchmark result.  This runs the tracer on a small
 ``simulate`` and checks that every per-layer metric ``BENCHMARK.json``
-declares is measured.
+declares is measured, and that the quadratic term is traced on every call.
 """
 
 import json
@@ -58,3 +58,8 @@ def test_traced_simulate_reports_every_layer_metric(tmp_path):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     declared = {m["name"] for m in bench["per_layer"]} - DERIVED
     assert sorted(declared - set(result["metrics"])) == []
+    # one quadratic term per step and one for the flux check: a kernel
+    # reached through a helper the tracer does not wrap would read less
+    metrics = result["metrics"]
+    assert metrics["stepper.steps"] == 2
+    assert metrics["nonlinear.quadratic_calls"] == metrics["stepper.steps"] + 1

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylmode import cli, stepper, stokes
+from cylmode import cli, functionals, stepper, stokes
 from cylmode.grid import CFLViolationError
 from cylmode.oracle import SingularBinError
 from cylmode.stepper import DivergenceCleanupError, StepConfig, simulate_point
@@ -133,7 +133,8 @@ class TestConfigGrammar:
         assert not out.exists()
 
     # configs that validation once let through to a traceback from the
-    # library or, for an infinite period, to a passing scan of zeros
+    # library, for an infinite period to a passing scan of zeros, and for
+    # an infinite amplitude to a run of an all-NaN state
     @pytest.mark.parametrize("command,section,over", [
         ("inequality-scan", "scan",
          {"scan": {"check": "anisotropic", "p": 8, "seed": 1}}),
@@ -147,9 +148,10 @@ class TestConfigGrammar:
         ("simulate", "step", {"step": {"dt": "1e-310", "t_end": 1}}),
         ("inequality-scan", "scan",
          {"scan": {"check": "vertical", "period": "inf", "seed": 1}}),
+        ("simulate", "profile", {"profile": {"amplitude": "inf"}}),
     ], ids=["anisotropic-p8", "isotropic-pinf", "vertical-poly_trig",
             "t_end-nan", "t_end-inf", "run-seed-negative",
-            "step-count-overflow", "period-inf"])
+            "step-count-overflow", "period-inf", "amplitude-inf"])
     def test_library_rule_is_a_config_error(self, tmp_path, capsys, command,
                                             section, over):
         out = tmp_path / "out"
@@ -236,9 +238,35 @@ class TestSimulate:
         assert rep["invariants_held"] is True
         assert rep["config"]["params"]["N"] == 4
         assert len(rep["code_version"]) == 16
+        # informational cost of the point, not an invariant
+        assert rep["run"]["step_wall_s"] > 0.0
+        assert isinstance(rep["run"]["minor_page_faults"], int)
+        assert rep["run"]["minor_page_faults"] >= 0
         for artifact in ("budgets.csv", "checkpoint.bin", "history.npz",
                          "decay_report.json"):
             assert (out / artifact).is_file()
+
+    def test_error_estimate_evaluated_once(self, tmp_path, monkeypatch):
+        # the decay report and the saved history share one evaluation
+        calls = []
+        original = functionals.EnergyHistory._error_estimate
+
+        def counted(history):
+            calls.append(history.n_snapshots)
+            return original(history)
+
+        monkeypatch.setattr(functionals.EnergyHistory, "_error_estimate",
+                            counted)
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small())
+        assert cli.main(["simulate", "--config", path, "--out", str(out),
+                         "--quiet"]) == 0
+        assert calls == [6]
+        rep = json.loads((out / "decay_report.json").read_text())
+        with np.load(out / "history.npz") as data:
+            meta = json.loads(str(data["meta"]))
+        estimate = rep["metadata"]["integration_error_estimate"]
+        assert estimate == meta["error_estimate"] > 0.0
 
     def test_t_end_zero_reports_initial_functionals(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -7,13 +7,17 @@ cascading ones whose harmonic k is scaled by 1e-4^k, so that a harmonic
 far below the leading one must keep its own relative accuracy.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cylmode import diagnostics
 from cylmode import functionals as F
 from cylmode import stepper
 from cylmode.diagnostics import (P, Q, UR, UTH, UZ, VR, VTH, VZ,
-                                 measure_modes, measure_state)
+                                 ModeMeasures, StepWorkspace, measure_modes,
+                                 measure_state)
 from cylmode.grid import CylGrid, build_grid
 from cylmode.nonlinear import flux_identity_residual
 from cylmode.state import (
@@ -177,6 +181,48 @@ def test_mode_readers_match_reference(grid, K, cascade):
             assert abs(got[name][0] - v) <= TOL * s, (k, name)
         pw = ref.reference_pressure_work(grid, m, sv.pressures[k], k * N)
         assert abs(measure_state(st).pressure_work()[k] - pw) <= TOL * s
+
+
+def _every_vertical_operator(n, L_z, j_max):
+    """The pass's vertical operators with no product shared: one matrix
+    for each of ``dz^j`` and ``dz dz^j``, j = 0..j_max, the identity
+    included, laid out like ``diagnostics._vertical_operators``."""
+    ik = 1j * (2.0 * np.pi / L_z) * np.arange(n // 2 + 1)
+    orders = list(range(j_max + 1)) + list(range(1, j_max + 2))
+    mult = np.array([ik**o for o in orders])
+    drop = [o % 2 == 1 for o in orders[:j_max + 1]] + [True] * (j_max + 1)
+    mult[np.array(drop), -1] = 0.0
+    ops = np.fft.irfft(np.fft.rfft(np.eye(n)) * mult[:, None], n=n)
+    ops[0] = np.eye(n)
+    return ops, slice(1, j_max + 2), slice(j_max + 2, 2 * j_max + 3)
+
+
+@pytest.mark.parametrize("j_max", [0, 1, 2, 3])
+@pytest.mark.parametrize("pressure", [False, True])
+def test_distinct_vertical_products_match_every_product(grid, monkeypatch,
+                                                        j_max, pressure):
+    # the pass applies each distinct vertical matrix once and reads order 0
+    # from the field itself; it must equal the pass that applies all
+    # 2 (j_max + 1) matrices, identity included
+    st = _random_state(grid, 4, False, seed=9)
+    k_eff = st.params.N * np.arange(len(st.u))
+    p = st.p if pressure else None
+    ops = diagnostics._vertical_operators(grid.n_z, grid.L_z, j_max)[0]
+    assert len(ops) == {0: 1, 1: 2, 2: 4, 3: 5}[j_max]
+    got = measure_modes(grid, st.u, k_eff, p, j_max, StepWorkspace())
+    monkeypatch.setattr(diagnostics, "_vertical_operators",
+                        _every_vertical_operator)
+    want = measure_modes(grid, st.u, k_eff, p, j_max)
+    for field in dataclasses.fields(ModeMeasures):
+        assert np.array_equal(getattr(got, field.name),
+                              getattr(want, field.name)), field.name
+
+
+def test_pass_keeps_the_radial_derivatives_of_the_velocity(grid):
+    st = _random_state(grid, 4, True, seed=10)
+    dr_u = measure_state(st, 0).dr_u
+    assert dr_u.shape == st.u.shape
+    np.testing.assert_array_equal(dr_u, grid.D_r @ st.u)
 
 
 def _count_grid_calls(monkeypatch):

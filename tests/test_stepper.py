@@ -1,12 +1,14 @@
-"""Time integration: scheme orders, budgets, restart, and guard rails."""
+"""Time integration: scheme orders, budgets, restart, the shared step
+workspace, and guard rails."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 import cylmode.stepper
-from cylmode.diagnostics import UR, UTH, UZ, VR, VTH, VZ
+from cylmode.diagnostics import UR, UTH, UZ, VR, VTH, VZ, ModeMeasures
 from cylmode.grid import build_grid, THETA_FULL, THETA_HALF
 from cylmode.state import (
     ModeState,
@@ -22,6 +24,7 @@ from cylmode.stepper import (
     BUDGET_COLUMNS,
     CFLViolationError,
     DivergenceCleanupError,
+    STEP_SCHEMES,
     RunSinks,
     StepConfig,
     cfl_limit,
@@ -283,6 +286,51 @@ class TestRestartAndParallel:
         final = run(resumed, StepConfig(dt=dt, t_end=4 * dt)).state
         assert final.t == pytest.approx(straight.t)
         assert _max_diff(final, straight) == 0.0
+
+
+class TestStepWorkspace:
+    """Each step's quadratic term reads the radial derivatives of the
+    diagnostics pass before it, and the step's scratch arrays live in one
+    workspace; nothing a step hands out may change under a later step."""
+
+    @pytest.mark.parametrize("scheme", STEP_SCHEMES)
+    def test_shared_radial_derivatives_leave_checkpoint_unchanged(
+            self, grid, tmp_path, monkeypatch, scheme):
+        st = _rand_state(grid, _params(), seed=12)
+        cfg = StepConfig(dt=1e-3, t_end=5e-3, scheme=scheme)
+        shared, own = tmp_path / "shared.bin", tmp_path / "own.bin"
+        run(st, cfg, RunSinks(checkpoint_path=str(shared)))
+        handed = []
+
+        def own_product(state, dr_u=None, ws=None):
+            handed.append(dr_u is not None)
+            return assemble_quadratic_rhs(state, None, ws)
+
+        monkeypatch.setattr(cylmode.stepper, "assemble_quadratic_rhs",
+                            own_product)
+        run(st, cfg, RunSinks(checkpoint_path=str(own)))
+        assert handed == [True] * 5
+        assert shared.read_bytes() == own.read_bytes()
+
+    @pytest.mark.parametrize("scheme", STEP_SCHEMES)
+    def test_step_results_outlive_later_steps(self, grid, scheme):
+        st = _rand_state(grid, _params(), seed=13)
+        cfg = StepConfig(dt=1e-3, t_end=1.0, scheme=scheme)
+        ses = make_session(st)
+        first = step(st, cfg, ses)
+        rhs, meas = ses.prev_rhs, ses.measures
+        kept = [a.copy() for a in (first.u, first.p, rhs)]
+        kept_meas = {f.name: np.copy(getattr(meas, f.name))
+                     for f in dataclasses.fields(ModeMeasures)}
+        block = ses.workspace._block
+        cur = first
+        for _ in range(2):  # the second reads prev_rhs on BDF2
+            cur = step(cur, cfg, ses)
+        assert ses.workspace._block is block  # sized by the first step
+        for a, b in zip((first.u, first.p, rhs), kept):
+            np.testing.assert_array_equal(a, b)
+        for name, value in kept_meas.items():
+            np.testing.assert_array_equal(getattr(meas, name), value)
 
 
 class TestGuards:
