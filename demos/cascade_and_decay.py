@@ -13,28 +13,15 @@ Run:  python3 demos/cascade_and_decay.py [--big-n 8] [--t-end 0.5]
 import argparse
 import math
 
-import numpy as np
-
 from cylmode import (
     Params,
     StepConfig,
     build_grid,
     make_initial_state,
-    make_profile_divfree,
+    poloidal_profile,
     simulate_point,
     smallness_check,
 )
-
-
-def poloidal_profile(grid, amplitude, z_waves=1):
-    # r factor: data on a nonzero harmonic must vanish on the axis
-    r = grid.r
-    env = amplitude * r * (1.0 - r**2) ** 2
-    q = 2.0 * math.pi * z_waves / grid.L_z
-    a_r = env[:, None] * np.sin(q * grid.z)[None, :]
-    a_z = env[:, None] * np.cos(q * grid.z)[None, :]
-    zero = np.zeros_like(a_r)
-    return make_profile_divfree(grid, a_r, a_z, zero, zero)
 
 
 def main():

@@ -13,9 +13,7 @@ Run:  python3 demos/linear_flow_ratios.py [--steps 200]
 import argparse
 import math
 
-import numpy as np
-
-from cylmode import Params, build_grid, make_profile_divfree
+from cylmode import Params, build_grid, poloidal_profile
 from cylmode.stokes import linear_flow_uL
 
 
@@ -27,12 +25,7 @@ def main():
     args = ap.parse_args()
 
     grid = build_grid(32, 32, 2.0 * math.pi)
-    r = grid.r
-    env = 0.5 * r * (1.0 - r**2) ** 2
-    a_r = env[:, None] * np.sin(grid.z)[None, :]
-    a_z = env[:, None] * np.cos(grid.z)[None, :]
-    zero = np.zeros_like(a_r)
-    profile = make_profile_divfree(grid, a_r, a_z, zero, zero)
+    profile = poloidal_profile(grid, 0.5)
 
     print(f"{args.steps} steps of dt = {args.dt}, delta = {args.delta}")
     header = f"{'N':>4} {'sup j=0':>10} {'sup j=1':>10} " \

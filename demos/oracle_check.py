@@ -12,16 +12,14 @@ Run:  python3 demos/oracle_check.py [--steps 100]
 import argparse
 import math
 
-import numpy as np
-
 from cylmode import (
     OracleOpCache,
     Params,
     StepConfig,
     build_grid,
     make_initial_state,
-    make_profile_divfree,
     oracle_step,
+    poloidal_profile,
     reconstruct_to_full,
     relative_l2,
     run,
@@ -37,12 +35,7 @@ def main():
 
     grid = build_grid(24, 16, 2.0 * math.pi)
     params = Params(nu=1.0, N=4, delta=0.0, eta=0.2, K=3)
-    r = grid.r
-    env = 0.05 * r * (1.0 - r**2) ** 2
-    a_r = env[:, None] * np.sin(grid.z)[None, :]
-    a_z = env[:, None] * np.cos(grid.z)[None, :]
-    zero = np.zeros_like(a_r)
-    profile = make_profile_divfree(grid, a_r, a_z, zero, zero)
+    profile = poloidal_profile(grid, 0.05)
 
     cache = OracleOpCache(grid, args.n_theta, params.nu)
 

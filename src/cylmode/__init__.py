@@ -64,9 +64,6 @@ from .oracle import (
     FullField,
     OracleOpCache,
     build_full_field,
-    full_divergence,
-    full_l2,
-    nonlinear_term_projection,
     oracle_step,
     project_to_modes,
     reconstruct_to_full,
@@ -80,7 +77,7 @@ from .state import (
     make_initial_state,
     make_random_divfree_state,
     divergence_residual,
-    reconstruct_point,
+    poloidal_profile,
     save_checkpoint,
     load_checkpoint,
 )
@@ -113,7 +110,7 @@ __all__ = [
     "make_initial_state",
     "make_random_divfree_state",
     "divergence_residual",
-    "reconstruct_point",
+    "poloidal_profile",
     "save_checkpoint",
     "load_checkpoint",
     "StokesOpCache",
@@ -160,10 +157,7 @@ __all__ = [
     "build_full_field",
     "project_to_modes",
     "reconstruct_to_full",
-    "nonlinear_term_projection",
     "oracle_step",
-    "full_l2",
-    "full_divergence",
     "relative_l2",
 ]
 

@@ -10,9 +10,10 @@ Exit status: 0 when the command completed and its hard invariants held,
 configuration or input errors, which write no report.  Each section's
 ranges have one home, a rule function of the module that uses them:
 ``state.param_problems``, ``grid.grid_problems``, ``stepper.step_problems``,
-``inequalities.scan_problems`` and ``oracle.n_theta_problems``.  The
-library constructors raise from the same functions, so a config that
-validates is not refused by the library.  Every report but
+``inequalities.scan_problems``, ``oracle.n_theta_problems`` and
+``stokes.linear_flow_problems``.  The library constructors raise from the
+same functions, so a config that validates is not refused by the
+library.  Every report but
 ``decay-report``'s carries ``invariants_held``.  A solver error (CFL
 violation, failed divergence cleanup, singular operator or bin) still
 leaves the command's report, with a ``failure`` entry and
@@ -49,12 +50,14 @@ from .inequalities import POINCARE_BOUND, constant_scan, scan_problems
 from .oracle import OracleOpCache, SingularBinError, n_theta_problems, \
     oracle_step, reconstruct_to_full, relative_l2
 from .state import Params, divergence_residual, make_initial_state, \
-    make_profile_divfree, make_random_divfree_state, param_problems
+    make_profile_divfree, make_random_divfree_state, param_problems, \
+    poloidal_profile
 from .stepper import FLUX_TOL, MONOTONE_SLACK, SCHEME_EULER, \
     DivergenceCleanupError, RunSinks, StepConfig, energy_growth, \
     mode_invariance_check, run, simulate_point, step_problems
 from .stokes import SingularOperatorError, StokesOpCache, \
-    apply_viscous_operator, linear_flow_uL, stokes_evolve, stokes_step
+    apply_viscous_operator, linear_flow_problems, linear_flow_uL, \
+    stokes_evolve, stokes_step
 
 RUN_MODES = ("ns", "ans", "stokes_only")
 PROFILE_FAMILIES = ("poloidal", "file")
@@ -90,108 +93,85 @@ class ConfigError(ValueError):
 
 # -- configuration -------------------------------------------------------------
 
-# (attribute, section, key, kind, default); nu's None default is resolved
-# from the run mode during parsing and never survives into the dataclass
-_CONFIG_FIELDS = (
-    ("nu", "params", "nu", "float", None),
-    ("N", "params", "N", "int", 8),
-    ("delta", "params", "delta", "float", 0.0),
-    ("eta", "params", "eta", "float", 0.25),
-    ("K", "params", "K", "int", 3),
-    ("m", "params", "m", "int", 3),
-    ("sigma", "params", "sigma", "float", 0.4),
-    ("small_eps", "params", "small_eps", "float", 0.1),
-    ("n_r", "grid", "n_r", "int", 48),
-    ("n_z", "grid", "n_z", "int", 32),
-    ("L_z", "grid", "L_z", "float", 2.0 * math.pi),
-    ("dt", "step", "dt", "float", 1e-3),
-    ("t_end", "step", "t_end", "float", 0.1),
-    ("step_scheme", "step", "scheme", "str", SCHEME_EULER),
-    ("cfl_safety", "step", "cfl_safety", "float", 0.9),
-    ("div_tol", "step", "div_tol", "float", 1e-9),
-    ("budget_every", "step", "budget_every", "int", 1),
-    ("profile_family", "profile", "family", "str", "poloidal"),
-    ("profile_path", "profile", "path", "str", ""),
-    ("amplitude", "profile", "amplitude", "float", 1.0),
-    ("z_waves", "profile", "z_waves", "int", 1),
-    ("mode", "run", "mode", "str", "ns"),
-    ("out_dir", "run", "out_dir", "str", "out"),
-    ("compare_N", "run", "compare_N", "int", 0),
-    ("seed", "run", "seed", "int", 0),
-    ("scan_check", "scan", "check", "str", "anisotropic"),
-    ("scan_family", "scan", "family", "str", ""),
-    ("scan_trials", "scan", "trials", "int", 100),
-    ("scan_seed", "scan", "seed", "int", -1),
-    ("scan_p", "scan", "p", "float", 4.0),
-    ("scan_n_r", "scan", "n_r", "int", 48),
-    ("scan_n_theta", "scan", "n_theta", "int", 64),
-    ("scan_n_z", "scan", "n_z", "int", 128),
-    ("scan_period", "scan", "period", "float", 2.0 * math.pi),
-    ("oracle_n_theta", "oracle", "n_theta", "int", 36),
-    ("oracle_steps", "oracle", "n_steps", "int", 10),
-    ("oracle_dt", "oracle", "dt", "float", 1e-3),
-    ("oracle_tol", "oracle", "tol", "float", 1e-2),
-    ("history_path", "history", "path", "str", ""),
-)
-
-_SECTIONS = tuple(dict.fromkeys(f[1] for f in _CONFIG_FIELDS))
+def _key(section: str, key: str, default):
+    """A config field: its INI section and key and the value an absent key
+    takes; the annotation (``float``, ``int`` or ``str``) is how it
+    parses."""
+    return dataclasses.field(
+        metadata={"section": section, "key": key, "default": default})
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment description; one INI file round-trips."""
+    """Fully resolved experiment description; one INI file round-trips.
 
-    nu: float
-    N: int
-    delta: float
-    eta: float
-    K: int
-    m: int
-    sigma: float
-    small_eps: float
-    n_r: int
-    n_z: int
-    L_z: float
-    dt: float
-    t_end: float
-    step_scheme: str
-    cfl_safety: float
-    div_tol: float
-    budget_every: int
-    profile_family: str
-    profile_path: str
-    amplitude: float
-    z_waves: int
-    mode: str
-    out_dir: str
-    compare_N: int
-    seed: int
-    scan_check: str
-    scan_family: str
-    scan_trials: int
-    scan_seed: int
-    scan_p: float
-    scan_n_r: int
-    scan_n_theta: int
-    scan_n_z: int
-    scan_period: float
-    oracle_n_theta: int
-    oracle_steps: int
-    oracle_dt: float
-    oracle_tol: float
-    history_path: str
+    Each field declares its own section, key and default.  nu's None
+    default is resolved from the run mode during parsing and never survives
+    into the dataclass.
+    """
+
+    nu: float = _key("params", "nu", None)
+    N: int = _key("params", "N", 8)
+    delta: float = _key("params", "delta", 0.0)
+    eta: float = _key("params", "eta", 0.25)
+    K: int = _key("params", "K", 3)
+    m: int = _key("params", "m", 3)
+    sigma: float = _key("params", "sigma", 0.4)
+    small_eps: float = _key("params", "small_eps", 0.1)
+
+    n_r: int = _key("grid", "n_r", 48)
+    n_z: int = _key("grid", "n_z", 32)
+    L_z: float = _key("grid", "L_z", 2.0 * math.pi)
+
+    dt: float = _key("step", "dt", 1e-3)
+    t_end: float = _key("step", "t_end", 0.1)
+    step_scheme: str = _key("step", "scheme", SCHEME_EULER)
+    cfl_safety: float = _key("step", "cfl_safety", 0.9)
+    div_tol: float = _key("step", "div_tol", 1e-9)
+    budget_every: int = _key("step", "budget_every", 1)
+
+    profile_family: str = _key("profile", "family", "poloidal")
+    profile_path: str = _key("profile", "path", "")
+    amplitude: float = _key("profile", "amplitude", 1.0)
+    z_waves: int = _key("profile", "z_waves", 1)
+
+    mode: str = _key("run", "mode", "ns")
+    out_dir: str = _key("run", "out_dir", "out")
+    compare_N: int = _key("run", "compare_N", 0)
+    seed: int = _key("run", "seed", 0)
+
+    scan_check: str = _key("scan", "check", "anisotropic")
+    scan_family: str = _key("scan", "family", "")
+    scan_trials: int = _key("scan", "trials", 100)
+    scan_seed: int = _key("scan", "seed", -1)
+    scan_p: float = _key("scan", "p", 4.0)
+    scan_n_r: int = _key("scan", "n_r", 48)
+    scan_n_theta: int = _key("scan", "n_theta", 64)
+    scan_n_z: int = _key("scan", "n_z", 128)
+    scan_period: float = _key("scan", "period", 2.0 * math.pi)
+
+    oracle_n_theta: int = _key("oracle", "n_theta", 36)
+    oracle_steps: int = _key("oracle", "n_steps", 10)
+    oracle_dt: float = _key("oracle", "dt", 1e-3)
+    oracle_tol: float = _key("oracle", "tol", 1e-2)
+
+    history_path: str = _key("history", "path", "")
 
     def as_dict(self) -> dict:
         """Nested {section: {key: value}} mirror of the INI layout."""
         out: dict[str, dict] = {s: {} for s in _SECTIONS}
-        for attr, section, key, _, _ in _CONFIG_FIELDS:
-            out[section][key] = getattr(self, attr)
+        for f in dataclasses.fields(self):
+            out[f.metadata["section"]][f.metadata["key"]] = getattr(self, f.name)
         return out
 
     def params(self) -> Params:
         return Params(nu=self.nu, N=self.N, delta=self.delta, eta=self.eta,
                       K=self.K, m=self.m, sigma=self.sigma,
                       small_eps=self.small_eps)
+
+
+_SECTIONS = tuple(dict.fromkeys(f.metadata["section"]
+                                for f in dataclasses.fields(ExperimentConfig)))
 
 
 def _parse_value(kind: str, text: str):
@@ -212,7 +192,8 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError([f"config syntax: {exc}"]) from exc
 
-    known = {(f[1], f[2]): f for f in _CONFIG_FIELDS}
+    fields = dataclasses.fields(ExperimentConfig)
+    known = {(f.metadata["section"], f.metadata["key"]) for f in fields}
     for section in parser.sections():
         if section not in _SECTIONS:
             problems.append(f"unknown section [{section}]")
@@ -222,17 +203,16 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
                 problems.append(f"unknown key {key!r} in section [{section}]")
 
     values: dict[str, object] = {}
-    for attr, section, key, kind, default in _CONFIG_FIELDS:
+    for f in fields:
+        section, key = f.metadata["section"], f.metadata["key"]
+        values[f.name] = f.metadata["default"]
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
-                values[attr] = _parse_value(kind, raw)
+                values[f.name] = _parse_value(f.type, raw)
             except ValueError:
                 problems.append(
-                    f"[{section}] {key}: cannot parse {raw!r} as {kind}")
-                values[attr] = default
-        else:
-            values[attr] = default
+                    f"[{section}] {key}: cannot parse {raw!r} as {f.type}")
 
     # the run mode pins the vertical-viscosity coefficient
     mode = values.get("mode")
@@ -286,8 +266,8 @@ def validate_config(cfg: ExperimentConfig,
         bad.append("[run] compare_N must be 0 (off) or an integer >= 2")
     if cfg.seed < 0:
         bad.append("[run] seed must be >= 0")
-    if command == "linear-flow" and cfg.N < 3:
-        bad.append("linear-flow requires [params] N >= 3")
+    if command == "linear-flow":
+        bad += _in_section("params", linear_flow_problems(cfg.N))
     if command == "linear-flow" and 0 < cfg.compare_N < 3:
         bad.append("linear-flow requires [run] compare_N >= 3 when set")
     if command == "inequality-scan":
@@ -365,27 +345,21 @@ def _initial_data(cfg: ExperimentConfig, grid, params: Params):
     A profile the solver cannot start from (a component that does not
     vanish at the wall) is an input error, not a solver failure.
     """
-    components = _profile_components(cfg, grid)
+    components = (_file_components(cfg, grid)
+                  if cfg.profile_family == "file" else None)
     try:
-        profile = make_profile_divfree(grid, *components)
+        if components is None:
+            profile = poloidal_profile(grid, cfg.amplitude, cfg.z_waves)
+        else:
+            profile = make_profile_divfree(grid, *components)
         return profile, make_initial_state(profile, params)
     except ValueError as exc:
         raise ConfigError([f"[profile] {exc}"]) from exc
 
 
-def _profile_components(cfg: ExperimentConfig, grid) -> list[np.ndarray]:
-    """The four free components ``a_r, a_z, b_r, b_z`` of the named family
-    or of an npz file, amplitude applied."""
-    if cfg.profile_family == "poloidal":
-        r = grid.r
-        # every component carries an r factor: the profile rides a nonzero
-        # azimuthal harmonic, so fields must vanish on the axis
-        env = cfg.amplitude * r * (1.0 - r**2) ** 2
-        q = 2.0 * math.pi * cfg.z_waves / grid.L_z
-        a_r = env[:, None] * np.sin(q * grid.z)[None, :]
-        a_z = env[:, None] * np.cos(q * grid.z)[None, :]
-        zero = np.zeros_like(a_r)
-        return [a_r, a_z, zero, zero]
+def _file_components(cfg: ExperimentConfig, grid) -> list[np.ndarray]:
+    """The four free components ``a_r, a_z, b_r, b_z`` of the npz profile
+    file, amplitude applied."""
     path = Path(cfg.profile_path)
     if not path.is_file():
         raise ConfigError([f"profile file not found: {cfg.profile_path}"])

@@ -15,13 +15,14 @@ spectral differentiation matrices, all radial ones from one broadcast
 leading one keeps its own relative accuracy.
 
 The vertical matrices are ``CylGrid.dz_pow`` and ``CylGrid.dz`` applied to
-the identity: order j multiplies by ``(i zeta)^j`` with the Nyquist bin
-zeroed for odd j, and the ``dz`` of an order-j field zeroes it always.
-Order 0 is the field itself and ``dz^j`` of an odd order is the same
-matrix as ``dz dz^(j-1)``, so only the distinct matrices are applied: two
-products for ``j_max = 1``, one for ``j_max = 0``.  At the grid sizes used
-here a product with a dense ``n_z x n_z`` matrix is several times faster
-than an rfft / irfft round trip over the stack.
+the identity, so they follow the grid's Nyquist rule (``grid`` module
+docstring); the ``dz`` of an order-j field carries the first-order symbol
+on top of order j's.  Order 0 is the field itself and ``dz^j`` of an odd
+order is the same matrix as ``dz dz^(j-1)``, so only the distinct
+matrices are applied: two products for ``j_max = 1``, one for
+``j_max = 0``.  At the grid sizes used here a product with a dense
+``n_z x n_z`` matrix is several times faster than an rfft / irfft round
+trip over the stack.
 
 A pass over a whole state can fill its stacks in a ``StepWorkspace``, the
 scratch memory that one trajectory's steps share with the quadratic
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CylGrid, THETA_FULL, THETA_HALF
+from .grid import CylGrid, THETA_FULL, THETA_HALF, spectral_symbol
 
 #: slot indices of the six velocity fields in ``ModeState.u``
 UR, VTH, UZ, VR, UTH, VZ = range(6)
@@ -106,23 +107,30 @@ def _vertical_operators(n: int, L_z: float, j_max: int):
     ...]``: ``dz^j f`` is row ``val_rows[j]`` and ``dz dz^j f`` row
     ``dz_rows[j]``.
 
-    The matrices are the grid's spectral derivatives applied to the
-    identity (read-only).  Order 0 is row 0, the field itself; an odd order
-    of ``dz_pow`` is the ``dz`` of the order below, so the two share a row.
-    The rows are a slice when consecutive, as for ``j_max <= 1``.
+    The matrices are the grid's spectral symbols applied to the identity
+    (read-only): ``dz^j`` multiplies by ``spectral_symbol(.., j)`` and
+    ``dz dz^j`` by that times the first-order symbol.  Order 0 is row 0,
+    the field itself, and equal multipliers share a row: ``dz dz^j`` of an
+    even j is ``dz^(j+1)``.  The rows are a slice when consecutive, as for
+    ``j_max <= 1``.
     """
-    ik = 1j * (2.0 * np.pi / L_z) * np.arange(n // 2 + 1)
-    # (order, Nyquist bin dropped): n_z is even, so odd orders of dz_pow,
-    # and every dz, drop the Nyquist bin
-    vals = [(j, j % 2 == 1) for j in range(j_max + 1)]
-    dzs = [(j + 1, True) for j in range(j_max + 1)]
-    keys = [(0, False)] + sorted(set(vals + dzs) - {(0, False)})
-    mult = np.array([ik**order for order, _ in keys[1:]])
-    mult[np.array([drop for _, drop in keys[1:]]), -1] = 0.0
-    ops = np.fft.irfft(np.fft.rfft(np.eye(n)) * mult[:, None], n=n)
+    vals = [spectral_symbol(n, L_z, j) for j in range(j_max + 1)]
+    dz = spectral_symbol(n, L_z, 1)
+    mults = [vals[0]]  # order 0: row 0 is the field itself
+
+    def row(mult):
+        for i, known in enumerate(mults):
+            if np.array_equal(known, mult):
+                return i
+        mults.append(mult)
+        return len(mults) - 1
+
+    val_rows = [row(mult) for mult in vals]
+    dz_rows = [row(dz * mult) for mult in vals]
+    ops = np.fft.irfft(np.fft.rfft(np.eye(n)) * np.array(mults[1:])[:, None],
+                       n=n)
     ops.flags.writeable = False
-    return (ops, _rows([keys.index(key) for key in vals]),
-            _rows([keys.index(key) for key in dzs]))
+    return ops, _rows(val_rows), _rows(dz_rows)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,17 @@ with the axis endpoint dropped.  Differentiation is the barycentric
 collocation derivative on the kept nodes (exact for polynomials of degree
 ``n_r - 1``) and quadrature is Clenshaw-Curtis on the full node set with
 the ``r`` weight folded in (the dropped axis node carries zero weight in
-the ``r dr`` measure).
+the ``r dr`` measure).  ``radial_nodes`` builds that node set once for
+this grid and for the disk grid of ``inequalities``.
+
+Every spectral derivative in the package follows one rule, the Nyquist
+rule of ``spectral_symbol``: on ``n`` periodic nodes over a period ``P``,
+rfft bin m is multiplied by ``(i 2 pi m / P)^order``, except that an odd
+order is zero at the Nyquist bin of an even ``n``, which has no
+consistent real representative of an odd derivative; an even order keeps
+its true value there.  The vertical derivatives here, the azimuthal ones
+of the oracle and the disk grid, the implicit solvers' wavenumber tables
+and the diagnostics pass's vertical matrices all read that symbol.
 """
 
 from __future__ import annotations
@@ -39,40 +49,39 @@ THETA_FULL = 2.0 * math.pi
 THETA_HALF = math.pi
 
 
-def _barycentric_weights(x: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation weights for arbitrary distinct nodes.
-
-    Computed in log space so that clustered Chebyshev-type node sets with a
-    few hundred points do not underflow; the returned weights are scaled to
-    unit maximum magnitude (any common factor cancels in the barycentric
-    formulas).
-    """
-    n = x.size
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    logw = -np.sum(np.log(np.abs(diff)), axis=1)
-    sign = np.where((np.sum(diff < 0.0, axis=1) % 2) == 0, 1.0, -1.0)
-    logw -= logw.max()
-    return sign * np.exp(logw)
+def spectral_symbol(n: int, period: float, order: int) -> np.ndarray:
+    """Multipliers ``(i 2 pi m / period)^order`` of the rfft bins m of
+    ``n`` periodic nodes, with the Nyquist bin zeroed for an odd order
+    (see the module docstring)."""
+    ik = (1j * (2.0 * np.pi / period) * np.arange(n // 2 + 1)) ** order
+    if n % 2 == 0 and order % 2 == 1:
+        ik[-1] = 0.0
+    return ik
 
 
-def _diff_matrix_barycentric(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Collocation differentiation matrix from barycentric weights."""
-    n = x.size
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    D = (w[None, :] / w[:, None]) / dx
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -D.sum(axis=1))
-    return D
+def spectral_derivative(a: np.ndarray, period: float, order: int,
+                        axis: int = -1) -> np.ndarray:
+    """``order``-th derivative of periodic samples along ``axis`` by one
+    rfft round trip with :func:`spectral_symbol`; order 0 returns ``a``."""
+    if order == 0:
+        return a
+    n = a.shape[axis]
+    ahat = np.fft.rfft(a, axis=axis)
+    shape = [1] * ahat.ndim
+    shape[axis] = -1
+    ahat *= spectral_symbol(n, period, order).reshape(shape)
+    return np.fft.irfft(ahat, n=n, axis=axis)
 
 
-def _chebyshev_nodes_weights(n_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes and ``r dr`` quadrature weights.
+def radial_nodes(n_r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radial nodes ``r``, their ``r dr`` quadrature weights ``w_r`` and the
+    collocation derivative matrix ``D_r``.
 
     Builds the ``n_r + 1`` Gauss-Lobatto points on ``[0, 1]``, forms the
     Clenshaw-Curtis weights there, folds in the measure factor ``r`` and
     drops the axis node (whose weighted contribution is identically zero).
+    ``D_r`` comes from the barycentric weights of the kept nodes, computed
+    in log space so that a few hundred clustered nodes do not underflow.
     """
     n = n_r  # polynomial degree of the full node set
     j = np.arange(n + 1)
@@ -80,7 +89,6 @@ def _chebyshev_nodes_weights(n_r: int) -> tuple[np.ndarray, np.ndarray]:
     # Clenshaw-Curtis weights on [-1, 1] via exact Chebyshev moments.
     k = np.arange(0, n + 1, 2)
     moments = 2.0 / (1.0 - k.astype(float) ** 2)
-    moments[k == 1] = 0.0  # unreachable (k even), kept for clarity
     gamma = np.ones(k.size)
     gamma[0] = 0.5
     if n % 2 == 0 and k[-1] == n:
@@ -91,8 +99,19 @@ def _chebyshev_nodes_weights(n_r: int) -> tuple[np.ndarray, np.ndarray]:
     cosmat = np.cos(np.outer(k, j * np.pi / n))
     w_cc = (2.0 / n) * delta * ((gamma * moments) @ cosmat)
     w_cc *= 0.5  # map [-1, 1] -> [0, 1]
-    w_r = w_cc * r_full
-    return r_full[1:], w_r[1:]
+    r, w_r = r_full[1:], (w_cc * r_full)[1:]
+
+    diff = r[:, None] - r[None, :]
+    np.fill_diagonal(diff, 1.0)
+    # barycentric weights, scaled to unit maximum magnitude
+    logw = -np.sum(np.log(np.abs(diff)), axis=1)
+    sign = np.where((np.sum(diff < 0.0, axis=1) % 2) == 0, 1.0, -1.0)
+    logw -= logw.max()
+    bw = sign * np.exp(logw)
+    D = (bw[None, :] / bw[:, None]) / diff
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    return r, w_r, D
 
 
 class CFLViolationError(RuntimeError):
@@ -114,7 +133,6 @@ class CylGrid:
     z: np.ndarray = field(repr=False)
     D_r: np.ndarray = field(repr=False)
     w_r: np.ndarray = field(repr=False)  # weights for int f r dr
-    bary_w: np.ndarray = field(repr=False)
 
     # -- derivatives -------------------------------------------------------
 
@@ -123,30 +141,12 @@ class CylGrid:
         return np.einsum("ij,j...->i...", self.D_r, a)
 
     def dz(self, a: np.ndarray) -> np.ndarray:
-        """Spectral vertical derivative along the last axis.
-
-        The Nyquist mode of an odd-order derivative has no consistent real
-        representative and is set to zero.
-        """
-        ahat = np.fft.rfft(a, axis=-1)
-        m = np.arange(ahat.shape[-1])
-        ik = 1j * (2.0 * np.pi / self.L_z) * m
-        if self.n_z % 2 == 0:
-            ik[-1] = 0.0
-        ahat *= ik
-        return np.fft.irfft(ahat, n=self.n_z, axis=-1)
+        """Spectral vertical derivative along the last axis."""
+        return spectral_derivative(a, self.L_z, 1)
 
     def dz_pow(self, a: np.ndarray, j: int) -> np.ndarray:
         """j-th vertical derivative (single FFT round trip)."""
-        if j == 0:
-            return a
-        ahat = np.fft.rfft(a, axis=-1)
-        m = np.arange(ahat.shape[-1])
-        ik = (1j * (2.0 * np.pi / self.L_z) * m) ** j
-        if self.n_z % 2 == 0 and j % 2 == 1:
-            ik[-1] = 0.0
-        ahat *= ik
-        return np.fft.irfft(ahat, n=self.n_z, axis=-1)
+        return spectral_derivative(a, self.L_z, j)
 
     # -- quadrature ---------------------------------------------------------
 
@@ -157,30 +157,6 @@ class CylGrid:
     def quad(self, a: np.ndarray) -> float:
         """``\\int\\int a r dr dz`` by tensor quadrature."""
         return float(self.w_r @ a.sum(axis=1)) * self.dz_weight
-
-    # -- interpolation ------------------------------------------------------
-
-    def interp_r(self, a: np.ndarray, r_pt: float) -> np.ndarray:
-        """Barycentric radial interpolation of (possibly stacked) values."""
-        hit = np.nonzero(np.abs(self.r - r_pt) < 1e-14)[0]
-        if hit.size:
-            return np.asarray(a)[hit[0]]
-        c = self.bary_w / (r_pt - self.r)
-        return np.einsum("i,i...->...", c, np.asarray(a)) / c.sum()
-
-    def interp_z(self, g: np.ndarray, z_pt: float) -> float:
-        """Trigonometric interpolation of a vertical profile."""
-        ghat = np.fft.rfft(g) / self.n_z
-        m = np.arange(ghat.shape[-1])
-        phase = np.exp(1j * (2.0 * np.pi / self.L_z) * m * z_pt)
-        val = ghat[0].real + 2.0 * np.sum(ghat[1:] * phase[1:]).real
-        if self.n_z % 2 == 0:
-            # the doubled Nyquist term counted it twice; correct to cos form
-            val -= (ghat[-1] * phase[-1]).real
-        return float(val)
-
-    def interp(self, a: np.ndarray, r_pt: float, z_pt: float) -> float:
-        return self.interp_z(self.interp_r(a, r_pt), z_pt)
 
 
 def raise_problems(problems: list[str]) -> None:
@@ -214,8 +190,6 @@ def build_grid(n_r: int, n_z: int, L_z: float) -> CylGrid:
     The ranges are those of :func:`grid_problems`.
     """
     raise_problems(grid_problems(n_r, n_z, L_z))
-    r, w = _chebyshev_nodes_weights(n_r)
-    bw = _barycentric_weights(r)
+    r, w, D = radial_nodes(n_r)
     z = (L_z / n_z) * np.arange(n_z)
-    return CylGrid(n_r=n_r, n_z=n_z, L_z=float(L_z), r=r, z=z,
-                   D_r=_diff_matrix_barycentric(r, bw), w_r=w, bary_w=bw)
+    return CylGrid(n_r=n_r, n_z=n_z, L_z=float(L_z), r=r, z=z, D_r=D, w_r=w)

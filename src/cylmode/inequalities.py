@@ -3,9 +3,11 @@
 The solver works with azimuthal harmonics and never needs an angle grid;
 the functional estimates behind the per-mode decay predictions are
 genuinely two dimensional.  This module therefore carries its own
-(r, theta) tensor grid: mapped Chebyshev nodes in radius (axis node
+(r, theta) tensor grid: the meridional grid's radial nodes (axis node
 dropped, wall node exactly at r = 1) and a uniform periodic angle grid
-differentiated through the FFT.
+differentiated through the FFT.  Angular and vertical derivatives are
+``grid.spectral_derivative``, under the Nyquist rule the ``grid`` module
+docstring states.
 
 Each checker returns the dimensionless quotient
 
@@ -41,12 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (
-    _barycentric_weights,
-    _chebyshev_nodes_weights,
-    _diff_matrix_barycentric,
-    raise_problems,
-)
+from .grid import radial_nodes, raise_problems, spectral_derivative
 
 __all__ = [
     "DiskGrid",
@@ -101,10 +98,11 @@ class DiskGrid:
 
     Radial nodes are mapped Chebyshev points on (0, 1]: the axis node is
     dropped (its r-weighted quadrature weight vanishes identically) and the
-    wall node sits exactly at 1.  Angle nodes are uniform on [0, 2*pi); the
+    wall node sits exactly at 1; nodes, weights and ``D_r`` are
+    ``grid.radial_nodes``.  Angle nodes are uniform on [0, 2*pi); the
     implied rectangle rule is exact for trigonometric polynomials of degree
-    below the node count, and angular derivatives go through the FFT with
-    the Nyquist column dropped.
+    below the node count, and angular derivatives are the grid's spectral
+    derivative (``grid`` module docstring for its Nyquist rule).
     """
 
     n_r: int
@@ -131,12 +129,8 @@ class DiskGrid:
         return self.D_r @ np.asarray(values, dtype=float)
 
     def dtheta(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        spec = np.fft.rfft(v, axis=1)
-        m = np.arange(spec.shape[1], dtype=float)
-        if self.n_theta % 2 == 0:
-            m[-1] = 0.0  # Nyquist mode carries no odd-derivative information
-        return np.fft.irfft(spec * (1j * m), n=self.n_theta, axis=1)
+        return spectral_derivative(np.asarray(values, dtype=float),
+                                   2.0 * math.pi, 1, axis=1)
 
 
 def _disk_grid_problems(n_r: int, n_theta: int) -> list[str]:
@@ -148,8 +142,7 @@ def _disk_grid_problems(n_r: int, n_theta: int) -> list[str]:
 
 def build_disk_grid(n_r: int = 48, n_theta: int = 64) -> DiskGrid:
     raise_problems(_disk_grid_problems(n_r, n_theta))
-    r, w = _chebyshev_nodes_weights(n_r)
-    D = _diff_matrix_barycentric(r, _barycentric_weights(r))
+    r, w, D = radial_nodes(n_r)
     theta = (2.0 * math.pi / n_theta) * np.arange(n_theta)
     return DiskGrid(n_r=n_r, n_theta=n_theta, r=r, w_r=w, D_r=D, theta=theta)
 
@@ -394,15 +387,6 @@ def _require_zero_z_mean(values: np.ndarray,
         raise ValueError("zero z-mean required by the periodic analogue")
 
 
-def _dz(values: np.ndarray, period: float) -> np.ndarray:
-    """Spectral d/dz along the last axis, Nyquist mode dropped."""
-    n_z = values.shape[-1]
-    spec = np.fft.rfft(values, axis=-1)
-    k = (2.0 * math.pi / period) * np.arange(spec.shape[-1], dtype=float)
-    k[-1] = 0.0  # Nyquist mode carries no odd-derivative information
-    return np.fft.irfft(spec * (1j * k), n=n_z, axis=-1)
-
-
 def _vertical_quotient(sup: np.ndarray, l2_sq: np.ndarray,
                        l2d_sq: np.ndarray) -> np.ndarray:
     """max_z |f| / (||f||_2 ||d_z f||_2)^(1/2) per row; 0 where rhs is 0."""
@@ -432,7 +416,7 @@ def vertical_sup_ratio(values: np.ndarray, period: float,
         return 0.0
     if enforce_zero_mean:
         _require_zero_z_mean(v, peak)
-    dz = _dz(v, period)
+    dz = spectral_derivative(v, period, 1)
     dw = period / n_z
     ratios = _vertical_quotient(np.max(np.abs(v), axis=1),
                                 np.sum(v * v, axis=1) * dw,
@@ -630,8 +614,8 @@ def _z_basis(n_z: int, period: float) -> _ZBasis:
     arg = (2.0 * math.pi / period) * m * z
     trig = np.stack([np.cos(arg), np.sin(arg)], axis=1).reshape(-1, n_z)
     dw = period / n_z
-    return _ZBasis(trig=trig, forms=tuple(dw * (t @ t.T)
-                                          for t in (trig, _dz(trig, period))))
+    dz = spectral_derivative(trig, period, 1)
+    return _ZBasis(trig=trig, forms=tuple(dw * (t @ t.T) for t in (trig, dz)))
 
 
 def _vertical_chunk(basis: _ZBasis, c: np.ndarray) -> np.ndarray:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
-from .grid import CFLViolationError, CylGrid, THETA_FULL, raise_problems
+from .grid import (CFLViolationError, CylGrid, THETA_FULL, raise_problems,
+                   spectral_derivative, spectral_symbol)
 from .state import ModeState, Params
 from .stokes import _velocity_columns
 
@@ -85,14 +86,8 @@ def build_full_field(grid: CylGrid, n_theta: int) -> FullField:
 # -- azimuthal spectral helpers ------------------------------------------------
 
 def _dth(f: np.ndarray) -> np.ndarray:
-    """Azimuthal derivative along axis 1 (Nyquist of the odd derivative
-    zeroed, matching the vertical convention of the grid module)."""
-    n = f.shape[1]
-    c = np.fft.rfft(f, axis=1)
-    ik = 1j * np.arange(c.shape[1], dtype=float)
-    if n % 2 == 0:
-        ik[-1] = 0.0
-    return np.fft.irfft(c * ik[None, :, None], n=n, axis=1)
+    """Azimuthal derivative along axis 1."""
+    return spectral_derivative(f, 2.0 * math.pi, 1, axis=1)
 
 
 def quad3(full: FullField, a: np.ndarray) -> float:
@@ -100,12 +95,6 @@ def quad3(full: FullField, a: np.ndarray) -> float:
     g = full.grid
     radial = g.w_r @ a.sum(axis=(1, 2))
     return float(radial) * g.dz_weight * (THETA_FULL / full.n_theta)
-
-
-def full_l2(full: FullField) -> float:
-    """L2 norm of the velocity over the solid cylinder."""
-    s = sum(quad3(full, f * f) for f in full.velocity())
-    return math.sqrt(max(s, 0.0))
 
 
 def relative_l2(a: FullField, b: FullField) -> float:
@@ -116,14 +105,6 @@ def relative_l2(a: FullField, b: FullField) -> float:
     if ref == 0.0:
         return math.sqrt(max(diff, 0.0))
     return math.sqrt(max(diff, 0.0) / ref)
-
-
-def full_divergence(full: FullField) -> np.ndarray:
-    """Pointwise three-dimensional divergence in cylinder coordinates."""
-    g = full.grid
-    r = g.r[:, None, None]
-    return (g.dr(full.ur) + full.ur / r + _dth(full.uth) / r
-            + g.dz(full.uz))
 
 
 # -- transforms between the full grid and harmonic coefficients ---------------
@@ -207,29 +188,6 @@ def nonlinear_term(full: FullField) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return n_r, n_th, n_z
 
 
-def nonlinear_term_projection(full: FullField, params: Params,
-                              k: int) -> np.ndarray:
-    """Quadratic terms projected onto one retained harmonic.
-
-    Returns six fields in the slot layout of ``ModeState.u``; for
-    ``k = 0`` the azimuthal average of the terms driving the mean lands in
-    ``(ur, uth, uz)`` and the sine slots are zero.  This is the audit
-    oracle for the convolution-based assembly.
-    """
-    _check_resolution(full.n_theta, params)
-    out = np.zeros((6,) + full.ur.shape[::2])
-    n_theta = full.n_theta
-    two = 2.0 / n_theta
-    for f, cos, sin in zip(nonlinear_term(full), (UR, UTH, UZ), (VR, VTH, VZ)):
-        c = np.fft.rfft(f, axis=1)[:, k * params.N, :]
-        if k == 0:
-            out[cos] = c.real / n_theta
-        else:
-            out[cos] = two * c.real
-            out[sin] = -two * c.imag
-    return out
-
-
 # -- implicit Fourier-bin solver -----------------------------------------------
 
 def lu_factor(a: np.ndarray) -> np.ndarray:
@@ -269,9 +227,9 @@ class OracleOpCache:
     """Real operator stacks of the per-bin implicit solves, reused across steps.
 
     Bins run over the azimuthal half-spectrum (real transform) crossed with
-    the full vertical spectrum; first-order symbols vanish on Nyquist bins
-    while the even-order viscous symbols keep their true magnitude, matching
-    the derivative conventions of the grid module.
+    the full vertical spectrum; the first-order and viscous wavenumbers
+    are parts of the grid's spectral symbols, so the Nyquist rule of the
+    ``grid`` module docstring holds here too.
 
     Every bin block is exactly real under the diagonal similarity
     ``(u_th, u_z) = i (u_th', u_z')`` with the azimuthal and axial momentum
@@ -288,15 +246,12 @@ class OracleOpCache:
         self.n_theta = n_theta
         self.nu = float(nu)
         self._tables: dict = {}
-        n_z = grid.n_z
-        self._m = np.arange(n_theta // 2 + 1)
-        self._m1 = self._m.astype(float)
-        self._m1[-1] = 0.0  # n_theta is even: the Nyquist bin
-        zeta = 2.0 * math.pi / grid.L_z * np.fft.fftfreq(n_z) * n_z
-        self._zeta1 = zeta.copy()
-        if n_z % 2 == 0:
-            self._zeta1[n_z // 2] = 0.0
-        self._zeta2 = zeta**2
+        # first-order and squared wavenumbers per bin: azimuthal over the
+        # rfft half, vertical over zeta >= 0 (``_build`` mirrors the rest)
+        self._m1 = spectral_symbol(n_theta, 2.0 * math.pi, 1).imag
+        self._m2 = -spectral_symbol(n_theta, 2.0 * math.pi, 2).real
+        self._zeta1 = spectral_symbol(grid.n_z, grid.L_z, 1).imag
+        self._zeta2 = -spectral_symbol(grid.n_z, grid.L_z, 2).real
         self._lap0 = grid.D_r @ grid.D_r + (1.0 / grid.r)[:, None] * grid.D_r
 
     def factors(self, dt: float, diffusion: bool = True) -> np.ndarray:
@@ -372,22 +327,19 @@ class OracleOpCache:
         is the one at ``zeta`` with the signs of the ``u_z'`` row and column
         flipped, and so is its operator."""
         n = self.grid.n_r
-        n_z = self._zeta1.size
+        n_z = self.grid.n_z
         W = _velocity_columns(n)
         rng = np.random.default_rng(1)
         s = 1.0 if diffusion else 0.0
         idt = 1.0 / dt
-        ops = np.empty((self._m.size, n_z, 4 * n, 3 * n))
-        for mi, m in enumerate(self._m):
-            m1 = self._m1[mi]
-            m2 = float(m) ** 2
-            for zi in range(n_z // 2 + 1):
-                z1, z2 = self._zeta1[zi], self._zeta2[zi]
+        ops = np.empty((self._m1.size, n_z, 4 * n, 3 * n))
+        for m, (m1, m2) in enumerate(zip(self._m1, self._m2)):
+            for zi, (z1, z2) in enumerate(zip(self._zeta1, self._zeta2)):
                 if m1 == 0.0 and z1 == 0.0:
                     A = self._decoupled_block(m2, z2, s, idt)
                 else:
                     A = self._coupled_block(m1, m2, z1, z2, s, idt)
-                ops[mi, zi] = _bin_operator(A, W, rng, f"(m={m}, zbin={zi})")
+                ops[m, zi] = _bin_operator(A, W, rng, f"(m={m}, zbin={zi})")
         flip = np.ones(4 * n)
         flip[2 * n:3 * n] = -1.0
         mirror = np.arange(n_z // 2 + 1, n_z)

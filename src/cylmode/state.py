@@ -162,6 +162,25 @@ def make_profile_divfree(grid: CylGrid, a_r: np.ndarray, a_z: np.ndarray,
                        b_r=b_r, b_th=b_th, b_z=b_z)
 
 
+def poloidal_profile(grid: CylGrid, amplitude: float,
+                     z_waves: int = 1) -> InitProfile:
+    """The poloidal start profile: ``a_r = A r (1 - r^2)^2 sin(q z)`` and
+    ``a_z = A r (1 - r^2)^2 cos(q z)`` with ``q = 2 pi z_waves / L_z``, no
+    ``b`` components, completed by :func:`make_profile_divfree`.
+
+    The ``r`` factor keeps every component zero on the axis, as data on a
+    nonzero azimuthal harmonic must be, and the radial component has the
+    double zero at the wall that :func:`make_initial_state` asks for.
+    """
+    r = grid.r
+    env = amplitude * r * (1.0 - r**2) ** 2
+    q = 2.0 * math.pi * z_waves / grid.L_z
+    a_r = env[:, None] * np.sin(q * grid.z)[None, :]
+    a_z = env[:, None] * np.cos(q * grid.z)[None, :]
+    zero = np.zeros_like(a_r)
+    return make_profile_divfree(grid, a_r, a_z, zero, zero)
+
+
 @dataclass
 class ModeState:
     """All retained coefficient fields at one time: ``u`` is
@@ -191,14 +210,12 @@ class ModeState:
         return measure_state(self, 0).total_l2_sq()
 
 
-def make_initial_state(profile: InitProfile, params: Params,
-                       check_boundary: bool = True) -> ModeState:
+def make_initial_state(profile: InitProfile, params: Params) -> ModeState:
     """Mode-1 initial data from a divergence-free profile.
 
     All six resulting mode-1 fields must vanish at r = 1 (the azimuthal
     ones inherit this only from profiles whose radial components have a
-    double zero at the wall); violations raise unless ``check_boundary``
-    is disabled for diagnostic states.
+    double zero at the wall); violations raise.
     """
     g = profile.grid
     state = ModeState.zeros(g, params, t=0.0)
@@ -211,14 +228,13 @@ def make_initial_state(profile: InitProfile, params: Params,
     m1[VR] = amp * profile.b_r
     m1[UTH] = amp * (profile.a_th / N)
     m1[VZ] = amp * profile.b_z
-    if check_boundary:
-        scale = np.abs(m1).max() or 1.0
-        for name, f in zip(FIELD_ORDER, m1):
-            if np.abs(f[-1]).max() > 1e-10 * scale:
-                raise ValueError(
-                    f"mode-1 field {name} does not vanish at r = 1; radial "
-                    "profile components need a double zero at the wall"
-                )
+    scale = np.abs(m1).max() or 1.0
+    for name, f in zip(FIELD_ORDER, m1):
+        if np.abs(f[-1]).max() > 1e-10 * scale:
+            raise ValueError(
+                f"mode-1 field {name} does not vanish at r = 1; radial "
+                "profile components need a double zero at the wall"
+            )
     return state
 
 
@@ -319,20 +335,6 @@ def divergence_residual(state: ModeState) -> np.ndarray:
     L2 norms; a zero harmonic reports zero residual.
     """
     return measure_state(state, 0).divergence_residual()
-
-
-def reconstruct_point(state: ModeState, r_pt: float, theta: float, z_pt: float) -> np.ndarray:
-    """Velocity vector ``(u_r, u_th, u_z)`` at one physical point."""
-    g = state.grid
-    N = state.params.N
-    vals = np.array([g.interp(state.u[0, s], r_pt, z_pt) for s in MEAN_SLOTS])
-    for k in range(1, state.params.K + 1):
-        m = state.u[k]
-        c, s = math.cos(k * N * theta), math.sin(k * N * theta)
-        vals[0] += c * g.interp(m[UR], r_pt, z_pt) + s * g.interp(m[VR], r_pt, z_pt)
-        vals[1] += c * g.interp(m[UTH], r_pt, z_pt) + s * g.interp(m[VTH], r_pt, z_pt)
-        vals[2] += c * g.interp(m[UZ], r_pt, z_pt) + s * g.interp(m[VZ], r_pt, z_pt)
-    return vals
 
 
 # -- checkpoints -------------------------------------------------------------

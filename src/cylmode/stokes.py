@@ -20,9 +20,10 @@ that of Lopez, Marques & Shen, J. Comput. Phys. 176 (2002).
 Momentum equations are collocated at interior nodes, the wall rows impose
 the no-slip condition, and the divergence is collocated at every node; at
 ``kap = zeta = 0`` the wall divergence row is replaced by a zero-mean
-pressure gauge.  First-order ``i zeta`` terms use the same zeroed-Nyquist
-convention as the grid's spectral derivative, so the solver and the
-explicit operators see one and the same discretization.
+pressure gauge.  The ``i zeta`` and ``zeta^2`` tables are the parts of the
+grid's spectral symbols, under the Nyquist rule the ``grid`` module
+docstring states, so the solver and the explicit operators see one and
+the same discretization.
 
 Every block is exactly real under the diagonal similarity ``c = i c'``
 with the axial momentum row scaled by ``-i``: ``i zeta`` becomes ``zeta``
@@ -51,7 +52,7 @@ import numpy as np
 
 from .diagnostics import (P, UR, UTH, UZ, ModeMeasures, energy_ledger,
                           measure_modes, mode_energy)
-from .grid import CylGrid, THETA_HALF
+from .grid import CylGrid, THETA_HALF, raise_problems, spectral_symbol
 from .state import Params, make_initial_state
 
 
@@ -71,17 +72,10 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _zeta_tables(grid: CylGrid) -> tuple[np.ndarray, np.ndarray]:
-    """First-order and squared vertical wavenumbers per rfft bin.
-
-    The Nyquist bin carries zero in first-order terms (matching ``dz``)
-    but its true square in the viscous term (matching ``dz_pow(.., 2)``).
-    """
-    m = np.arange(grid.n_z // 2 + 1)
-    zeta = (2.0 * np.pi / grid.L_z) * m
-    zeta1 = zeta.copy()
-    if grid.n_z % 2 == 0:
-        zeta1[-1] = 0.0
-    return zeta1, zeta**2
+    """First-order and squared vertical wavenumbers per rfft bin: the
+    parts of the grid's first- and second-order spectral symbols."""
+    return (spectral_symbol(grid.n_z, grid.L_z, 1).imag,
+            -spectral_symbol(grid.n_z, grid.L_z, 2).real)
 
 
 def _helmholtz(grid: CylGrid, pot: np.ndarray, dt: float, s: float) -> np.ndarray:
@@ -370,20 +364,25 @@ def stokes_evolve(cache: StokesOpCache, u0: np.ndarray, dt: float,
     return hist
 
 
+def linear_flow_problems(N: int) -> list[str]:
+    """Every violated range of the linear flow's base wavenumber."""
+    return [] if N >= 3 else ["linear flow requires N >= 3"]
+
+
 def linear_flow_uL(profile, params: Params, dt: float, n_steps: int,
                    j_max: int | None = None) -> dict:
     """Evolve the purely horizontal single-harmonic linear flow.
 
     The linear flow damps the base harmonic N with the horizontal operator
     only (no vertical viscosity at any nu), so it is the ``nu = 0`` Stokes
-    evolution at ``k_eff = N`` of the mode-1 scaled data.  Requires
-    ``N >= 3``.  Reports, per vertical derivative order j, the supremum of
-    ``||dz^j u_L||^2``, the dissipation integrals and their ratios to
-    ``N^{2 delta} ||dz^j alpha||^2``, plus the worst discrete energy
-    identity residual relative to the pre-step energy per unit time.
+    evolution at ``k_eff = N`` of the mode-1 scaled data; ``N`` is in the
+    range of :func:`linear_flow_problems`.  Reports, per vertical
+    derivative order j, the supremum of ``||dz^j u_L||^2``, the
+    dissipation integrals and their ratios to ``N^{2 delta} ||dz^j
+    alpha||^2``, plus the worst discrete energy identity residual relative
+    to the pre-step energy per unit time.
     """
-    if params.N < 3:
-        raise ValueError("linear flow requires N >= 3")
+    raise_problems(linear_flow_problems(params.N))
     if j_max is None:
         j_max = params.m
     N = params.N

@@ -23,6 +23,11 @@ Advection by the mean flow is kept separate in ``mean_transport``.
 ``reference_quadratic_rhs`` adds the pieces up per harmonic as
 ``{0: (u_r, u_th, u_z), k: six slots}``.  States come in as the named
 views of ``modeview``.
+
+``nonlinear_term_projection`` is a second, pointwise reference: the full
+grid oracle's quadratic terms projected onto one harmonic.  It reads only
+the oracle and the slot layout, so it stays independent of the mode
+solver.
 """
 
 from __future__ import annotations
@@ -31,7 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cylmode.diagnostics import UR, UTH, UZ, VR, VTH, VZ
 from cylmode.grid import CylGrid
+from cylmode.oracle import FullField, _check_resolution, nonlinear_term
+from cylmode.state import Params
 from modeview import ModeView, StateView
 
 
@@ -277,4 +285,28 @@ def reference_quadratic_rhs(state: StateView) -> dict[int, tuple[np.ndarray, ...
         trans = mean_transport(state, k, g)
         out[k] = tuple(a + b + c for a, b, c in
                        zip(tri.fields(), cpl.fields(), trans))
+    return out
+
+
+def nonlinear_term_projection(full: FullField, params: Params,
+                              k: int) -> np.ndarray:
+    """Quadratic terms of the full-grid oracle projected onto one retained
+    harmonic.
+
+    Returns six fields in the slot layout of ``ModeState.u``; for
+    ``k = 0`` the azimuthal average of the terms driving the mean lands in
+    ``(ur, uth, uz)`` and the sine slots are zero.  This is the audit
+    oracle for the convolution-based assembly.
+    """
+    _check_resolution(full.n_theta, params)
+    out = np.zeros((6,) + full.ur.shape[::2])
+    n_theta = full.n_theta
+    two = 2.0 / n_theta
+    for f, cos, sin in zip(nonlinear_term(full), (UR, UTH, UZ), (VR, VTH, VZ)):
+        c = np.fft.rfft(f, axis=1)[:, k * params.N, :]
+        if k == 0:
+            out[cos] = c.real / n_theta
+        else:
+            out[cos] = two * c.real
+            out[sin] = -two * c.imag
     return out

@@ -35,7 +35,6 @@ from cylmode.inequalities import (
 from cylmode.nonlinear import assemble_quadratic_rhs, flux_identity_residual
 from cylmode.oracle import (
     OracleOpCache,
-    nonlinear_term_projection,
     oracle_step,
     reconstruct_to_full,
     relative_l2,
@@ -44,12 +43,13 @@ from cylmode.state import (
     Params,
     divergence_residual,
     make_initial_state,
-    make_profile_divfree,
     make_random_divfree_state,
+    poloidal_profile,
 )
 from cylmode.stepper import (StepConfig, RunSinks, mode_invariance_check,
                              run, simulate_point)
 from cylmode.stokes import StokesOpCache, apply_viscous_operator, stokes_evolve
+from quadratic_reference import nonlinear_term_projection
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -61,18 +61,6 @@ def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def grid48():
     return build_grid(48, 32, 2.0 * math.pi)
-
-
-def _poloidal_profile(grid, amplitude: float, z_waves: int = 1):
-    # the r factor keeps all components zero on the axis, as required of
-    # data riding a nonzero azimuthal harmonic
-    r = grid.r
-    env = amplitude * r * (1.0 - r**2) ** 2
-    q = 2.0 * math.pi * z_waves / grid.L_z
-    a_r = env[:, None] * np.sin(q * grid.z)[None, :]
-    a_z = env[:, None] * np.cos(q * grid.z)[None, :]
-    zero = np.zeros_like(a_r)
-    return make_profile_divfree(grid, a_r, a_z, zero, zero)
 
 
 def test_criterion_01_viscous_energy_inequality(grid48):
@@ -116,7 +104,7 @@ def test_criterion_03_divergence_preservation(grid48):
     # a full nonlinear run keeps every harmonic divergence-free at every
     # snapshot, not just at the final time
     params = Params(nu=1.0, N=4, delta=0.0, eta=0.2, K=3)
-    profile = _poloidal_profile(grid48, 0.3)
+    profile = poloidal_profile(grid48, 0.3)
     state = make_initial_state(profile, params)
     worst = 0.0
 
@@ -182,7 +170,7 @@ def test_criterion_06_reference_trajectory_agreement():
     # angular-grid reference, and the gap scales linearly in dt
     grid = build_grid(24, 16, 2.0 * math.pi)
     params = Params(nu=1.0, N=4, delta=0.0, eta=0.2, K=3)
-    profile = _poloidal_profile(grid, 0.05)
+    profile = poloidal_profile(grid, 0.05)
     n_theta = 40
     n_steps = 200
     dt = 5e-4
@@ -244,7 +232,7 @@ def test_criterion_08_per_harmonic_decay_trend(grid48):
     t0 = time.perf_counter()
     params = Params(nu=1.0, N=8, delta=0.0, eta=0.25, K=6, small_eps=0.1)
     grid = build_grid(32, 32, 2.0 * math.pi)
-    profile = _poloidal_profile(grid, 1.0)
+    profile = poloidal_profile(grid, 1.0)
     values, _ = smallness_check(profile, params)
     # the amplitude gate is linear in the profile scale: aim just under it
     profile = profile.scaled(0.09 * params.small_eps / values["ns"] * 10.0)
@@ -274,7 +262,7 @@ def test_criterion_09_mean_mode_scaling(grid48):
     # the nonlinearly generated mean mode weakens as the symmetry index
     # grows: fitted exponent of N at most -0.15
     base = Params(nu=1.0, N=8, delta=0.0, eta=0.25, K=3)
-    profile = _poloidal_profile(grid48, 0.3)
+    profile = poloidal_profile(grid48, 0.3)
     alpha = profile.norm_dz(0)
 
     def mean_sup(N):

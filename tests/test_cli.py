@@ -6,6 +6,7 @@ exhaustive validation), each subcommand's exit status and report artifacts,
 and the cross-command determinism of the decay report.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from cylmode.cli import (
 from cylmode.grid import build_grid
 from cylmode.inequalities import constant_scan
 from cylmode.oracle import OracleOpCache
+from cylmode.state import poloidal_profile
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,6 +79,16 @@ class TestConfigGrammar:
     def test_defaults_parse_clean(self):
         cfg = parse_config("")
         assert cfg.N == 8 and cfg.mode == "ns" and cfg.nu == 1.0
+
+    def test_each_field_declares_its_key_once(self):
+        fields = dataclasses.fields(ExperimentConfig)
+        keys = [(f.metadata["section"], f.metadata["key"]) for f in fields]
+        assert len(set(keys)) == len(keys)
+        cfg = parse_config("")
+        for f in fields:
+            assert f.type in ("float", "int", "str")
+            if f.name != "nu":  # resolved from the run mode
+                assert getattr(cfg, f.name) == f.metadata["default"]
         assert validate_config(cfg) == []
 
     def test_unknown_section_and_key_rejected(self):
@@ -392,6 +404,17 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
 
 
+def test_poloidal_family_is_the_state_profile(tmp_path):
+    path = _write(tmp_path, _small(profile={"amplitude": 0.3,
+                                            "z_waves": 2}))
+    cfg = load_config(path)
+    grid = cli.build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
+    profile, _ = cli._initial_data(cfg, grid, cfg.params())
+    want = poloidal_profile(grid, 0.3, 2)
+    for got, ref in zip(profile.fields(), want.fields()):
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestProfileInputErrors:
     """A profile the solver cannot start from exits 2 with no report."""
 
@@ -509,6 +532,17 @@ class TestLinearFlowCommand:
         rc = cli.main(["linear-flow", "--config", path])
         assert rc == 2
         assert "N >= 3" in capsys.readouterr().err
+
+    def test_base_wavenumber_rule_prints_under_params(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(params={"N": 2, "eta": 0.2, "K": 2}))
+        rc = cli.main(["linear-flow", "--config", path, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: [params] {text}"
+            for text in stokes.linear_flow_problems(2)]
+        assert not out.exists()
 
     def test_compare_n_needs_three_fold_symmetry(self, tmp_path, capsys):
         out = tmp_path / "out"

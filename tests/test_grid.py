@@ -1,4 +1,4 @@
-"""Grid construction, derivatives, quadrature and interpolation.
+"""Grid construction, derivatives and quadrature.
 
 The reference constant below was computed independently with 30-digit
 arithmetic (mpmath): the solid-cylinder integral of
@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 from cylmode import build_grid
+from cylmode.grid import radial_nodes, spectral_derivative, spectral_symbol
+from cylmode.inequalities import build_disk_grid
+from cylmode.oracle import OracleOpCache
+from cylmode.stokes import _zeta_tables
 
 INT_WEIGHTED_EXP = 1.3258210868354742124
 
@@ -80,17 +84,67 @@ class TestDerivatives:
         assert np.abs(a - b).max() < 1e-10
 
 
-class TestInterpolation:
-    def test_node_and_offnode_values(self, grid_cheb):
+class TestNyquistRule:
+    """The one spectral-derivative rule every module reads."""
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17])
+    def test_symbol_drops_nyquist_for_odd_orders_only(self, n):
+        period = 3.7
+        zeta = 2.0 * np.pi / period * np.arange(n // 2 + 1)
+        for order in range(5):
+            sym = spectral_symbol(n, period, order)
+            assert sym.shape == (n // 2 + 1,)
+            want = (1j * zeta) ** order
+            np.testing.assert_allclose(sym[:-1], want[:-1], rtol=1e-14)
+            if n % 2 == 0 and order % 2 == 1:
+                assert sym[-1] == 0.0
+            else:
+                # an odd n has no Nyquist bin; an even order keeps it
+                assert sym[-1] != 0.0
+                assert sym[-1] == pytest.approx(want[-1], rel=1e-14)
+
+    def test_dz_pow_is_spectral_derivative_bit_for_bit(self, grid_cheb, rng):
         g = grid_cheb
-        r, z = _fields(g)
-        f = r**3 * np.cos(2.0 * z)
-        # exact node hit
-        assert g.interp(f, g.r[5], g.z[7]) == pytest.approx(
-            f[5, 7], rel=1e-14, abs=1e-15)
-        # between nodes: polynomial x trig data is reproduced exactly
-        assert g.interp(f, 0.37, 1.234) == pytest.approx(
-            0.37**3 * np.cos(2.468), rel=1e-12)
+        f = rng.standard_normal((g.n_r, g.n_z))
+        for j in range(4):
+            got, want = g.dz_pow(f, j), spectral_derivative(f, g.L_z, j)
+            assert got.tobytes() == want.tobytes()
+        assert g.dz(f).tobytes() == spectral_derivative(f, g.L_z, 1).tobytes()
+
+    def test_derivative_along_any_axis(self, rng):
+        f = rng.standard_normal((5, 12, 3))
+        moved = spectral_derivative(np.moveaxis(f, 1, -1), 2.0, 3)
+        np.testing.assert_array_equal(
+            spectral_derivative(f, 2.0, 3, axis=1), np.moveaxis(moved, -1, 1))
+
+    def test_solver_tables_are_the_symbol_parts(self, grid_cheb):
+        g = grid_cheb
+        parts = (spectral_symbol(g.n_z, g.L_z, 1).imag,
+                 -spectral_symbol(g.n_z, g.L_z, 2).real)
+        for got, want in zip(_zeta_tables(g), parts):
+            np.testing.assert_array_equal(got, want)
+        n_theta = 12
+        cache = OracleOpCache(g, n_theta, 1.0)
+        np.testing.assert_array_equal(cache._zeta1, parts[0])
+        np.testing.assert_array_equal(cache._zeta2, parts[1])
+        np.testing.assert_array_equal(
+            cache._m1, spectral_symbol(n_theta, 2.0 * np.pi, 1).imag)
+        np.testing.assert_array_equal(
+            cache._m2, -spectral_symbol(n_theta, 2.0 * np.pi, 2).real)
+        # the azimuthal period is 2 pi: the tables are the plain bin index,
+        # with the first-order Nyquist bin dropped
+        np.testing.assert_array_equal(cache._m2, np.arange(7.0) ** 2)
+        np.testing.assert_array_equal(cache._m1, [0, 1, 2, 3, 4, 5, 0])
+
+
+class TestRadialNodes:
+    def test_meridional_and_disk_grids_share_the_node_set(self, grid_cheb):
+        r, w_r, D_r = radial_nodes(grid_cheb.n_r)
+        disk = build_disk_grid(grid_cheb.n_r, 16)
+        for grid in (grid_cheb, disk):
+            np.testing.assert_array_equal(grid.r, r)
+            np.testing.assert_array_equal(grid.w_r, w_r)
+            np.testing.assert_array_equal(grid.D_r, D_r)
 
 
 class TestValidation:

@@ -1,6 +1,5 @@
 """Mode state containers, initial data, divergence checks, checkpoints."""
 
-import math
 import os
 import struct
 
@@ -17,7 +16,7 @@ from cylmode.state import (
     make_initial_state,
     make_random_divfree_state,
     divergence_residual,
-    reconstruct_point,
+    poloidal_profile,
     save_checkpoint,
     load_checkpoint,
 )
@@ -71,6 +70,20 @@ class TestProfile:
             make_profile_divfree(g, bad, np.zeros_like(bad),
                                  np.zeros_like(bad), np.zeros_like(bad))
 
+    def test_poloidal_profile(self, grid_cheb):
+        g = grid_cheb
+        r = g.r[:, None]
+        z = g.z[None, :]
+        prof = poloidal_profile(g, 0.3, z_waves=2)
+        env = 0.3 * r * (1.0 - r**2) ** 2
+        assert np.abs(prof.a_r - env * np.sin(2.0 * z)).max() < 1e-15
+        assert np.abs(prof.a_z - env * np.cos(2.0 * z)).max() < 1e-15
+        assert not prof.b_r.any() and not prof.b_z.any()
+        # the double zero at the wall makes it a valid start
+        st = make_initial_state(prof, Params(nu=1.0, N=4, delta=0.0,
+                                             eta=0.25, K=2))
+        assert divergence_residual(st)[1] < 1e-12
+
     def test_vertical_norms_monotone_in_derivatives(self, grid_cheb):
         prof = _profile(grid_cheb)
         # single vertical harmonics: each d/dz multiplies norms by <= 2 here
@@ -121,44 +134,6 @@ class TestInitialState:
         r = g.r[:, None]
         st2.u[1, UR] = st2.u[1, UR] + r * (1.0 - r)
         assert divergence_residual(st2)[1] > 1e-3
-
-
-class TestReconstruction:
-    def test_matches_mode_sum_convention(self, grid_cheb):
-        g = grid_cheb
-        prof = _profile(g)
-        p = Params(nu=1.0, N=8, delta=0.0, eta=0.25, K=4)
-        st = make_initial_state(prof, p)
-        m1 = st.u[1]
-        rp, th, zp = 0.5, 0.3, 1.1
-        c, s = math.cos(p.N * th), math.sin(p.N * th)
-        want = np.array([
-            g.interp(m1[UR], rp, zp) * c + g.interp(m1[VR], rp, zp) * s,
-            g.interp(m1[UTH], rp, zp) * c + g.interp(m1[VTH], rp, zp) * s,
-            g.interp(m1[UZ], rp, zp) * c + g.interp(m1[VZ], rp, zp) * s,
-        ])
-        got = reconstruct_point(st, rp, th, zp)
-        assert np.abs(got - want).max() < 1e-13
-
-    def test_pointwise_divergence_of_reconstruction(self, grid_cheb):
-        # central differences of the reconstructed velocity satisfy the full
-        # cylindrical divergence, tying mode divergences to the physical field
-        g = grid_cheb
-        prof = _profile(g)
-        p = Params(nu=1.0, N=8, delta=0.0, eta=0.25, K=4)
-        st = make_initial_state(prof, p)
-        rp, th, zp = 0.5, 0.3, 1.1
-        h = 1e-5
-
-        def u(rr, tt, zz):
-            return reconstruct_point(st, rr, tt, zz)
-
-        u0 = u(rp, th, zp)
-        div = ((u(rp + h, th, zp)[0] - u(rp - h, th, zp)[0]) / (2 * h)
-               + u0[0] / rp
-               + (u(rp, th + h, zp)[1] - u(rp, th - h, zp)[1]) / (2 * h) / rp
-               + (u(rp, th, zp + h)[2] - u(rp, th, zp - h)[2]) / (2 * h))
-        assert abs(div) < 1e-8
 
 
 class TestNormConventions:

@@ -29,6 +29,7 @@ from cylmode.stokes import (
     stokes_evolve,
     project_divfree,
     mode_energy,
+    linear_flow_problems,
     linear_flow_uL,
 )
 
@@ -377,5 +378,9 @@ class TestLinearFlow:
         from cylmode.state import make_profile_divfree
         prof = make_profile_divfree(g, z0, z0, z0, z0)
         p = Params(nu=1.0, N=2, delta=0.0, eta=0.25, K=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="N >= 3"):
             linear_flow_uL(prof, p, dt=1e-3, n_steps=2)
+
+    def test_base_wavenumber_rule_has_one_home(self):
+        assert linear_flow_problems(2) == ["linear flow requires N >= 3"]
+        assert linear_flow_problems(3) == []
