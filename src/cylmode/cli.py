@@ -17,7 +17,8 @@ library.  Every report but
 ``decay-report``'s carries ``invariants_held``.  A solver error (CFL
 violation, failed divergence cleanup, singular operator or bin) still
 leaves the command's report, with a ``failure`` entry and
-``invariants_held`` false.
+``invariants_held`` false; an error raised in a time loop adds the 1-based
+``step`` it stopped at and the time ``t`` that step started from.
 """
 
 from __future__ import annotations
@@ -45,19 +46,18 @@ from .functionals import (
     load_history,
     save_history,
 )
-from .grid import CFLViolationError, build_grid, grid_problems
+from .grid import build_grid, grid_problems
 from .inequalities import POINCARE_BOUND, constant_scan, scan_problems
 from .oracle import OracleOpCache, SingularBinError, n_theta_problems, \
     oracle_step, reconstruct_to_full, relative_l2
 from .state import Params, divergence_residual, make_initial_state, \
     make_profile_divfree, make_random_divfree_state, param_problems, \
     poloidal_profile
-from .stepper import FLUX_TOL, MONOTONE_SLACK, SCHEME_EULER, \
-    DivergenceCleanupError, RunSinks, StepConfig, energy_growth, \
+from .stepper import FLUX_TOL, MONOTONE_SLACK, SCHEME_EULER, STEP_ERRORS, \
+    RunSinks, StepConfig, energy_growth, mark_failure, \
     mode_invariance_check, run, simulate_point, step_problems
-from .stokes import SingularOperatorError, StokesOpCache, \
-    apply_viscous_operator, linear_flow_problems, linear_flow_uL, \
-    stokes_evolve, stokes_step
+from .stokes import StokesOpCache, apply_viscous_operator, \
+    linear_flow_problems, linear_flow_uL, stokes_evolve, stokes_step
 
 RUN_MODES = ("ns", "ans", "stokes_only")
 PROFILE_FAMILIES = ("poloidal", "file")
@@ -79,8 +79,7 @@ REPORT_FILES = {
 }
 
 # solver failures that stop a command with a failure report and exit 1
-SOLVER_ERRORS = (CFLViolationError, DivergenceCleanupError,
-                 SingularOperatorError, SingularBinError)
+SOLVER_ERRORS = STEP_ERRORS + (SingularBinError,)
 
 
 class ConfigError(ValueError):
@@ -601,9 +600,13 @@ def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
 
     full = reconstruct_to_full(state, cfg.oracle_n_theta)
     cache = OracleOpCache(grid, cfg.oracle_n_theta, params.nu)
-    for _ in range(cfg.oracle_steps):
-        full = oracle_step(full, params, cfg.oracle_dt, cache,
-                           cfl_safety=cfg.cfl_safety)
+    for n in range(1, cfg.oracle_steps + 1):
+        try:
+            full = oracle_step(full, params, cfg.oracle_dt, cache,
+                               cfl_safety=cfg.cfl_safety)
+        except SOLVER_ERRORS as exc:
+            mark_failure(exc, n, full.t)
+            raise
 
     step_cfg = StepConfig(dt=cfg.oracle_dt,
                           t_end=cfg.oracle_steps * cfg.oracle_dt,
@@ -695,7 +698,11 @@ def main(argv=None) -> int:
         return 2
     except SOLVER_ERRORS as exc:
         failure = {"type": type(exc).__name__, "message": str(exc)}
-        print(f"run error: {failure['type']}: {failure['message']}",
+        where = ""
+        if hasattr(exc, "step"):
+            failure.update(step=exc.step, t=exc.t)
+            where = f" (step {exc.step}, t = {exc.t:.6g})"
+        print(f"run error: {failure['type']}: {failure['message']}{where}",
               file=sys.stderr)
         report = {**_report_base(args.command, cfg), "failure": failure,
                   "invariants_held": False}

@@ -7,8 +7,9 @@ plain pointwise products in primitive variables, and the implicit viscous
 solve diagonalizes over Fourier bins in both periodic directions.  None of
 the harmonic bookkeeping (coupled cos/sin families, triad convolutions) is
 reused here, so agreement between the two paths is evidence against sign
-and coefficient errors in either.  Only the grid and the block's
-velocity-column map (``stokes._velocity_columns``) are shared.
+and coefficient errors in either.  Only the grid, the block's
+velocity-column map (``stokes._velocity_columns``) and the scratch-memory
+class ``diagnostics.StepWorkspace`` are shared.
 
 Resolution is deliberately capped; this solver exists for desk-scale
 cross-checks, not production runs.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
+from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ, StepWorkspace
 from .grid import (CFLViolationError, CylGrid, THETA_FULL, raise_problems,
                    spectral_derivative, spectral_symbol)
 from .state import ModeState, Params
@@ -236,8 +237,12 @@ class OracleOpCache:
     rows scaled by ``-i``, so the blocks are assembled in that real form.
     Each is solved once against the velocity columns and a probe, which
     gives its real ``4n x 3n`` map from the velocity right-hand sides to
-    ``(u_r, u_th', u_z', p)``; no factorization is kept: a table is one
-    ``(n_theta/2 + 1) n_z x 4n x 3n`` stack per ``(dt, diffusion)``.
+    ``(u_r, u_th', u_z', p)``; no factorization is kept.  The block at
+    ``-zeta`` is the one at ``zeta`` with the signs of the ``u_z'`` row and
+    column flipped, so only the bins with ``zeta >= 0`` are stored: a table
+    is one ``(n_theta/2 + 1)(n_z/2 + 1) x 4n x 3n`` stack per
+    ``(dt, diffusion)``, and ``_solve_all_bins`` applies each map to its
+    mirror bin too.
     """
 
     def __init__(self, grid: CylGrid, n_theta: int, nu: float):
@@ -246,8 +251,10 @@ class OracleOpCache:
         self.n_theta = n_theta
         self.nu = float(nu)
         self._tables: dict = {}
-        # first-order and squared wavenumbers per bin: azimuthal over the
-        # rfft half, vertical over zeta >= 0 (``_build`` mirrors the rest)
+        # scratch of the bin solves that read the tables
+        self.workspace = StepWorkspace()
+        # first-order and squared wavenumbers per stored bin: azimuthal
+        # over the rfft half, vertical over zeta >= 0
         self._m1 = spectral_symbol(n_theta, 2.0 * math.pi, 1).imag
         self._m2 = -spectral_symbol(n_theta, 2.0 * math.pi, 2).real
         self._zeta1 = spectral_symbol(grid.n_z, grid.L_z, 1).imag
@@ -323,16 +330,15 @@ class OracleOpCache:
         return A
 
     def _build(self, dt: float, diffusion: bool) -> np.ndarray:
-        """Operators of the bins with ``zeta >= 0``; the block at ``-zeta``
-        is the one at ``zeta`` with the signs of the ``u_z'`` row and column
-        flipped, and so is its operator."""
+        """Operators of the bins with ``zeta >= 0``, azimuthal bin major;
+        the bins with ``zeta < 0`` are not stored (see the class
+        docstring)."""
         n = self.grid.n_r
-        n_z = self.grid.n_z
         W = _velocity_columns(n)
         rng = np.random.default_rng(1)
         s = 1.0 if diffusion else 0.0
         idt = 1.0 / dt
-        ops = np.empty((self._m1.size, n_z, 4 * n, 3 * n))
+        ops = np.empty((self._m1.size, self._zeta1.size, 4 * n, 3 * n))
         for m, (m1, m2) in enumerate(zip(self._m1, self._m2)):
             for zi, (z1, z2) in enumerate(zip(self._zeta1, self._zeta2)):
                 if m1 == 0.0 and z1 == 0.0:
@@ -340,29 +346,44 @@ class OracleOpCache:
                 else:
                     A = self._coupled_block(m1, m2, z1, z2, s, idt)
                 ops[m, zi] = _bin_operator(A, W, rng, f"(m={m}, zbin={zi})")
-        flip = np.ones(4 * n)
-        flip[2 * n:3 * n] = -1.0
-        mirror = np.arange(n_z // 2 + 1, n_z)
-        ops[:, mirror] = ops[:, n_z - mirror] * np.outer(flip, flip[:3 * n])
         return ops.reshape(-1, 4 * n, 3 * n)
 
 
-def _solve_all_bins(table: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_all_bins(table: np.ndarray, rhs: np.ndarray,
+                    ws: StepWorkspace | None = None) -> np.ndarray:
     """Implicit solve of every Fourier bin at once.
 
     ``rhs`` stacks the physical velocity right-hand sides as
     ``(3, n_r, n_theta, n_z)``; the return value stacks the physical
-    ``(u_r, u_th, u_z, p)`` as ``(4, n_r, n_theta, n_z)``.
+    ``(u_r, u_th, u_z, p)`` as ``(4, n_r, n_theta, n_z)``.  ``table`` holds
+    the bins with ``zeta >= 0`` only.  Each stored bin ``zeta`` takes two
+    complex columns in one product: its own right-hand side, and that of
+    its mirror bin ``n_z - zeta`` with the ``u_z'`` block negated, whose
+    solution comes back with its ``u_z'`` rows negated.  The bins
+    ``zeta = 0`` and Nyquist are their own mirrors, so their second column
+    is zero.  The spectra, columns and products live in ``ws``; only the
+    return value is a fresh array.
     """
     _, n, n_theta, n_z = rhs.shape
-    c = np.fft.fft(np.fft.rfft(rhs, axis=2), axis=3)
+    n_m, half = n_theta // 2 + 1, n_z // 2 + 1
+    c, cols, x, out = (ws or StepWorkspace()).arrays(
+        ((3, n, n_m, n_z), complex), ((n_m, half, 3, n, 2), complex),
+        ((n_m * half, 4 * n, 4), np.float64), ((4, n, n_m, n_z), complex))
+    np.fft.fft(np.fft.rfft(rhs, axis=2, out=c), axis=3, out=c)
     c[1:] *= -1j  # azimuthal and axial momentum rows of the real form
-    n_m = c.shape[2]
-    cols = np.ascontiguousarray(c.transpose(2, 3, 0, 1)).reshape(-1, 3 * n, 1)
-    x = (table @ cols.view(np.float64)).view(complex).reshape(n_m, n_z, 4, n)
-    x = np.ascontiguousarray(x.transpose(2, 3, 0, 1))
-    x[1:3] *= 1j  # (u_th, u_z) = i (u_th', u_z')
-    return np.fft.irfft(np.fft.ifft(x, axis=3), n=n_theta, axis=2)
+    c[2, ..., half:] *= -1.0  # the mirror bins' u_z' blocks
+    # column 0 of stored bin zeta is that bin, column 1 the bin n_z - zeta
+    pairs = cols.transpose(2, 3, 0, 1, 4)
+    pairs[..., 0] = c[..., :half]
+    pairs[..., 1:-1, 1] = c[..., :half - 1:-1]
+    pairs[..., [0, -1], 1] = 0.0
+    np.matmul(table, cols.reshape(-1, 3 * n, 2).view(np.float64), out=x)
+    sol = x.view(complex).reshape(n_m, half, 4, n, 2).transpose(2, 3, 0, 1, 4)
+    out[..., :half] = sol[..., 0]
+    out[..., half:] = sol[..., -2:0:-1, 1]
+    out[2, ..., half:] *= -1.0  # the mirror bins' u_z' rows
+    out[1:3] *= 1j  # (u_th, u_z) = i (u_th', u_z')
+    return np.fft.irfft(np.fft.ifft(out, axis=3, out=out), n=n_theta, axis=2)
 
 
 def check_cfl(full: FullField, dt: float, safety: float = 0.9) -> float:
@@ -402,13 +423,14 @@ def oracle_step(full: FullField, params: Params, dt: float,
     idt = 1.0 / dt
 
     # implicit viscous solve with pressure
-    mid_v = _solve_all_bins(step_table, np.stack(full.velocity()) * idt)
+    mid_v = _solve_all_bins(step_table, np.stack(full.velocity()) * idt,
+                            cache.workspace)
     mid = FullField(g, full.theta, *mid_v[:3], full.P, full.t)
 
     # explicit advection, then projection back to the divergence-free
     # constraint
     star = mid_v[:3] + dt * np.stack(nonlinear_term(mid))
-    proj = _solve_all_bins(proj_table, star)
+    proj = _solve_all_bins(proj_table, star, cache.workspace)
     out = FullField(g, full.theta, *proj[:3], mid_v[3] + idt * proj[3],
                     full.t + dt)
     return out

@@ -30,7 +30,8 @@ from .grid import THETA_FULL, THETA_HALF, CFLViolationError, CylGrid, \
     raise_problems
 from .state import (InitProfile, ModeState, Params, divergence_residual,
                     save_checkpoint)
-from .stokes import StokesOpCache, project_divfree, stokes_step
+from .stokes import SingularOperatorError, StokesOpCache, project_divfree, \
+    stokes_step
 from .nonlinear import assemble_quadratic_rhs, flux_identity_residual
 
 SCHEME_EULER = "imex_euler"
@@ -43,6 +44,11 @@ BUDGET_COLUMNS = ("t", "k", "energy", "dissipation_r", "dissipation_z",
 
 class DivergenceCleanupError(RuntimeError):
     """Projection cleanup was needed too many steps in a row."""
+
+
+#: the errors a step can stop a run with; :func:`run` marks where
+STEP_ERRORS = (CFLViolationError, DivergenceCleanupError,
+               SingularOperatorError)
 
 
 @dataclass
@@ -304,15 +310,22 @@ class RunResult:
     cleanups: int = 0
 
 
+def mark_failure(exc: Exception, step: int, t: float) -> None:
+    """Attach to ``exc`` the 1-based ``step`` of a time loop that raised it
+    and the time ``t`` that step started from, the last good state's."""
+    exc.step, exc.t = step, float(t)
+
+
 def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
         forcing: Callable[[float], np.ndarray] | None = None) -> RunResult:
     """Integrate to ``cfg.t_end``, feeding diagnostics to the sinks.
 
     The checkpoint, if a path is given, is written once: from the final
     state, from the state an abort stopped at, or, when a step raises,
-    from the last good state before the error propagates.  Runs abort
-    with a flagged result when kinetic energy exceeds 10x its initial
-    value.
+    from the last good state before the error propagates.  A
+    ``STEP_ERRORS`` error raised in the step loop carries where it stopped
+    (:func:`mark_failure`).  Runs abort with a flagged result when kinetic
+    energy exceeds 10x its initial value.
     """
     sinks = sinks or RunSinks()
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -342,6 +355,9 @@ def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
             if e0 > 0.0 and meas.total_l2_sq() > 10.0 * e0:
                 aborted_at = n
                 break
+    except STEP_ERRORS as exc:
+        mark_failure(exc, n, state.t)
+        raise
     finally:
         if sinks.checkpoint_path:
             save_checkpoint(state, sinks.checkpoint_path)

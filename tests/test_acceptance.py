@@ -26,7 +26,6 @@ from cylmode.inequalities import (
     anisotropic_ratio,
     build_disk_grid,
     constant_scan,
-    disk_function,
     isotropic_ratio,
     radial_disk_function,
     radial_ratio,

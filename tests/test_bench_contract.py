@@ -4,7 +4,9 @@
 removed one is listed under ``missing`` and its per-layer metrics silently
 drop out of the benchmark result.  This runs the tracer on a small
 ``simulate`` and checks that every per-layer metric ``BENCHMARK.json``
-declares is measured, and that the quadratic term is traced on every call.
+declares is measured, and that the quadratic term is traced on every call;
+and on a small ``oracle-compare``, that every oracle step, bin factorization
+and bin solve is traced.
 """
 
 import json
@@ -37,9 +39,17 @@ amplitude = 0.05
 """
 
 
-def test_traced_simulate_reports_every_layer_metric(tmp_path):
+ORACLE_CONFIG = CONFIG + """
+[oracle]
+n_theta = 28
+n_steps = 2
+"""
+
+
+def _traced(tmp_path, command: str, config_text: str) -> dict:
+    """The ``layers.py`` result of one traced ``command`` on the config."""
     config = tmp_path / "small.ini"
-    config.write_text(CONFIG, encoding="utf-8")
+    config.write_text(config_text, encoding="utf-8")
     layers = tmp_path / "layers.json"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -47,14 +57,18 @@ def test_traced_simulate_reports_every_layer_metric(tmp_path):
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "layers.py"), str(layers),
-         str(tmp_path / "spans.npz"), "--", "simulate", "--config",
+         str(tmp_path / "spans.npz"), "--", command, "--config",
          str(config), "--out", str(tmp_path / "out"), "--quiet"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-
     result = json.loads(layers.read_text(encoding="utf-8"))
     assert result["exit_code"] == 0
     assert result["missing"] == []
+    return result
+
+
+def test_traced_simulate_reports_every_layer_metric(tmp_path):
+    result = _traced(tmp_path, "simulate", CONFIG)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     declared = {m["name"] for m in bench["per_layer"]} - DERIVED
     assert sorted(declared - set(result["metrics"])) == []
@@ -63,3 +77,15 @@ def test_traced_simulate_reports_every_layer_metric(tmp_path):
     metrics = result["metrics"]
     assert metrics["stepper.steps"] == 2
     assert metrics["nonlinear.quadratic_calls"] == metrics["stepper.steps"] + 1
+
+
+def test_traced_oracle_compare_reports_the_bin_layers(tmp_path):
+    # one factorization per stored bin (zeta >= 0) of each of the two
+    # tables, and the bin solves traced: a solve moved into a helper the
+    # tracer does not wrap would read 0 s
+    metrics = _traced(tmp_path, "oracle-compare", ORACLE_CONFIG)["metrics"]
+    n_theta, n_z = 28, 8
+    assert metrics["oracle.step_calls"] == 2
+    assert metrics["oracle.lu_factors"] == \
+        2 * (n_theta // 2 + 1) * (n_z // 2 + 1)
+    assert metrics["oracle.bin_solve_s"] > 0.0

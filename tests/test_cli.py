@@ -651,18 +651,22 @@ class TestDecayReportCommand:
 class TestSolverFailures:
     """A solver error leaves the command's report and exits 1."""
 
-    # simulate runs through stepper.simulate_point, which calls stepper.run
+    # simulate runs through stepper.simulate_point, which calls stepper.run;
+    # an error from inside a time loop also carries its step and time
     CASES = [
-        ("simulate", stepper, "run", CFLViolationError),
-        ("simulate", stepper, "run", DivergenceCleanupError),
-        ("stokes-test", cli, "mode_invariance_check", SingularOperatorError),
-        ("oracle-compare", cli, "oracle_step", SingularBinError),
+        ("simulate", stepper, "run", CFLViolationError, {}),
+        ("simulate", stepper, "run", DivergenceCleanupError, {}),
+        ("stokes-test", cli, "mode_invariance_check", SingularOperatorError,
+         {}),
+        ("oracle-compare", cli, "oracle_step", SingularBinError,
+         {"step": 1, "t": 0.0}),
     ]
 
-    @pytest.mark.parametrize("command,module,target,error", CASES,
+    @pytest.mark.parametrize("command,module,target,error,where", CASES,
                              ids=[c[3].__name__ for c in CASES])
     def test_failure_report_and_exit_1(self, tmp_path, monkeypatch, capsys,
-                                       command, module, target, error):
+                                       command, module, target, error,
+                                       where):
         def fail(*args, **kwargs):
             raise error("injected at step 3")
 
@@ -674,15 +678,55 @@ class TestSolverFailures:
                        "--quiet"])
         assert rc == 1
         name = error.__name__
+        suffix = " (step 1, t = 0)" if where else ""
         assert capsys.readouterr().err == \
-            f"run error: {name}: injected at step 3\n"
+            f"run error: {name}: injected at step 3{suffix}\n"
         rep = json.loads((out / cli.REPORT_FILES[command]).read_text())
         assert rep["failure"] == {"type": name,
-                                  "message": "injected at step 3"}
+                                  "message": "injected at step 3", **where}
         assert rep["invariants_held"] is False
         assert rep["command"] == command
         assert rep["schema"] == "cylmode-report-v1"
         assert rep["code_version"] == cli._code_version()
+
+    # the real step, failing on its third call
+    IN_LOOP = [
+        ("simulate", stepper, "step", CFLViolationError, 0.002),
+        ("oracle-compare", cli, "oracle_step", SingularBinError, 0.001),
+    ]
+
+    @pytest.mark.parametrize("command,module,target,error,dt", IN_LOOP,
+                             ids=[c[0] for c in IN_LOOP])
+    def test_failure_carries_step_and_time(self, tmp_path, monkeypatch,
+                                           capsys, command, module, target,
+                                           error, dt):
+        real = getattr(module, target)
+        calls = []
+
+        def third_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, target, third_fails)
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(
+            step={"dt": dt, "t_end": 5 * dt},
+            oracle={"n_theta": 28, "n_steps": 5, "dt": dt}))
+        rc = cli.main([command, "--config", path, "--out", str(out),
+                       "--quiet"])
+        assert rc == 1
+        assert len(calls) == 3
+        rep = json.loads((out / cli.REPORT_FILES[command]).read_text())
+        # the third step failed from the state the second one left
+        assert rep["failure"] == {"type": error.__name__,
+                                  "message": "injected", "step": 3,
+                                  "t": pytest.approx(2 * dt, rel=1e-14)}
+        assert rep["invariants_held"] is False
+        assert capsys.readouterr().err == (
+            f"run error: {error.__name__}: injected "
+            f"(step 3, t = {2 * dt:.6g})\n")
 
 
 class TestEntryPoint:

@@ -2,7 +2,6 @@
 and the global energy-flux identity on divergence-free states."""
 
 import numpy as np
-import pytest
 
 from cylmode.diagnostics import UR, UTH, UZ, VTH, VZ
 from cylmode.grid import build_grid

@@ -268,11 +268,14 @@ def _complex_bin_solve(grid, nu, m, m1, z1, z2, s, idt, fr, fth, fz):
 
 
 class TestBinOperators:
+    # n_z = 4 has a single mirrored pair (zeta = +-1), so an off-by-one in
+    # the mirror index cannot hide behind the other bins
+    @pytest.mark.parametrize("n_z", [4, 8, 10])
     @pytest.mark.parametrize("diffusion", [True, False])
-    def test_matches_dense_complex_solve(self, diffusion):
+    def test_matches_dense_complex_solve(self, diffusion, n_z):
         # every bin of the real stacked route, mirrored -zeta bins and the
         # decoupled bins included, against a dense complex solve
-        grid = build_grid(n_r=10, n_z=8, L_z=2.0 * np.pi)
+        grid = build_grid(n_r=10, n_z=n_z, L_z=2.0 * np.pi)
         n_theta, nu = 8, 0.7
         dt = 1e-3 if diffusion else 1.0
         cache = OracleOpCache(grid, n_theta, nu)
@@ -298,7 +301,10 @@ class TestBinOperators:
         ops = cache.factors(1e-3)
         n = grid.n_r
         assert ops.dtype == np.float64
-        assert ops.shape == ((N_THETA // 2 + 1) * grid.n_z, 4 * n, 3 * n)
+        # the zeta >= 0 bins only: the -zeta bins are solved from these
+        bins = (N_THETA // 2 + 1) * (grid.n_z // 2 + 1)
+        assert ops.shape == (bins, 4 * n, 3 * n)
+        assert ops.nbytes == bins * 4 * n * 3 * n * 8
         assert cache.factors(1e-3) is ops
 
     def test_singular_bin_rejected(self, grid, cache):

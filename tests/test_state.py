@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import cylmode.state
-from cylmode import build_grid
 from cylmode.diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
 from cylmode.state import (
     Params,

@@ -2,7 +2,6 @@
 workspace, and guard rails."""
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from cylmode.state import (
     make_random_divfree_state,
     save_checkpoint,
 )
-from cylmode.stokes import apply_viscous_operator, mode_energy
+from cylmode.stokes import apply_viscous_operator
 from cylmode.nonlinear import assemble_quadratic_rhs
 from cylmode.stepper import (
     BUDGET_COLUMNS,
@@ -424,8 +423,10 @@ class TestGuards:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cylmode.stepper, "step", third_step_fails)
-        with pytest.raises(CFLViolationError, match="injected"):
+        with pytest.raises(CFLViolationError, match="injected") as info:
             run(st, cfg, sinks=RunSinks(checkpoint_path=path))
+        # the error names the step that failed and the time it started from
+        assert (info.value.step, info.value.t) == (3, good.t)
         saved = load_checkpoint(path, params=p)
         assert saved.t == good.t
         assert saved.u.tobytes() == good.u.tobytes()

@@ -13,7 +13,6 @@ from scipy.special import j0, j1, jn_zeros
 
 import cylmode.stokes
 
-from cylmode import build_grid
 from cylmode.diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ, measure_modes
 from cylmode.state import Params
 from cylmode.stepper import mode_invariance_check
@@ -28,7 +27,6 @@ from cylmode.stokes import (
     stokes_step,
     stokes_evolve,
     project_divfree,
-    mode_energy,
     linear_flow_problems,
     linear_flow_uL,
 )
