@@ -61,14 +61,14 @@ def inner_quad(grid: CylGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class StepWorkspace:
     """Scratch memory of one trajectory's quadratic kernel and diagnostics
-    pass, or of one oracle's bin solves (``oracle.OracleOpCache``).
+    pass.
 
-    The users of one workspace never run at the same time, so every call
-    lays its arrays end to end from the start of one block.  The block
-    grows to the largest call and then stays: its size follows from the
-    shapes of the fields it serves, so after a trajectory's first step no
-    call allocates scratch.  A call overwrites the arrays of the call
-    before it, so nothing a caller keeps may live here.
+    The two never run at the same time, so every call lays its arrays end
+    to end from the start of one block.  The block grows to the largest
+    call and then stays: its size follows from the ``(K, n_r, n_z)`` of the
+    states it serves, so after a trajectory's first step no call allocates
+    scratch.  A call overwrites the arrays of the call before it, so
+    nothing a caller keeps may live here.
     """
 
     def __init__(self):

@@ -7,9 +7,8 @@ plain pointwise products in primitive variables, and the implicit viscous
 solve diagonalizes over Fourier bins in both periodic directions.  None of
 the harmonic bookkeeping (coupled cos/sin families, triad convolutions) is
 reused here, so agreement between the two paths is evidence against sign
-and coefficient errors in either.  Only the grid, the block's
-velocity-column map (``stokes._velocity_columns``) and the scratch-memory
-class ``diagnostics.StepWorkspace`` are shared.
+and coefficient errors in either.  Only the grid and the block's
+velocity-column map (``stokes._velocity_columns``) are shared.
 
 Resolution is deliberately capped; this solver exists for desk-scale
 cross-checks, not production runs.
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ, StepWorkspace
+from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
 from .grid import (CFLViolationError, CylGrid, THETA_FULL, raise_problems,
                    spectral_derivative, spectral_symbol)
 from .state import ModeState, Params
@@ -251,8 +250,6 @@ class OracleOpCache:
         self.n_theta = n_theta
         self.nu = float(nu)
         self._tables: dict = {}
-        # scratch of the bin solves that read the tables
-        self.workspace = StepWorkspace()
         # first-order and squared wavenumbers per stored bin: azimuthal
         # over the rfft half, vertical over zeta >= 0
         self._m1 = spectral_symbol(n_theta, 2.0 * math.pi, 1).imag
@@ -349,8 +346,7 @@ class OracleOpCache:
         return ops.reshape(-1, 4 * n, 3 * n)
 
 
-def _solve_all_bins(table: np.ndarray, rhs: np.ndarray,
-                    ws: StepWorkspace | None = None) -> np.ndarray:
+def _solve_all_bins(table: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Implicit solve of every Fourier bin at once.
 
     ``rhs`` stacks the physical velocity right-hand sides as
@@ -361,29 +357,26 @@ def _solve_all_bins(table: np.ndarray, rhs: np.ndarray,
     its mirror bin ``n_z - zeta`` with the ``u_z'`` block negated, whose
     solution comes back with its ``u_z'`` rows negated.  The bins
     ``zeta = 0`` and Nyquist are their own mirrors, so their second column
-    is zero.  The spectra, columns and products live in ``ws``; only the
-    return value is a fresh array.
+    is zero.
     """
     _, n, n_theta, n_z = rhs.shape
     n_m, half = n_theta // 2 + 1, n_z // 2 + 1
-    c, cols, x, out = (ws or StepWorkspace()).arrays(
-        ((3, n, n_m, n_z), complex), ((n_m, half, 3, n, 2), complex),
-        ((n_m * half, 4 * n, 4), np.float64), ((4, n, n_m, n_z), complex))
-    np.fft.fft(np.fft.rfft(rhs, axis=2, out=c), axis=3, out=c)
+    c = np.fft.fft(np.fft.rfft(rhs, axis=2), axis=3)
     c[1:] *= -1j  # azimuthal and axial momentum rows of the real form
     c[2, ..., half:] *= -1.0  # the mirror bins' u_z' blocks
     # column 0 of stored bin zeta is that bin, column 1 the bin n_z - zeta
+    cols = np.zeros((n_m, half, 3, n, 2), complex)
     pairs = cols.transpose(2, 3, 0, 1, 4)
     pairs[..., 0] = c[..., :half]
     pairs[..., 1:-1, 1] = c[..., :half - 1:-1]
-    pairs[..., [0, -1], 1] = 0.0
-    np.matmul(table, cols.reshape(-1, 3 * n, 2).view(np.float64), out=x)
+    x = table @ cols.reshape(-1, 3 * n, 2).view(np.float64)
     sol = x.view(complex).reshape(n_m, half, 4, n, 2).transpose(2, 3, 0, 1, 4)
+    out = np.empty((4, n, n_m, n_z), complex)
     out[..., :half] = sol[..., 0]
     out[..., half:] = sol[..., -2:0:-1, 1]
     out[2, ..., half:] *= -1.0  # the mirror bins' u_z' rows
     out[1:3] *= 1j  # (u_th, u_z) = i (u_th', u_z')
-    return np.fft.irfft(np.fft.ifft(out, axis=3, out=out), n=n_theta, axis=2)
+    return np.fft.irfft(np.fft.ifft(out, axis=3), n=n_theta, axis=2)
 
 
 def check_cfl(full: FullField, dt: float, safety: float = 0.9) -> float:
@@ -423,14 +416,13 @@ def oracle_step(full: FullField, params: Params, dt: float,
     idt = 1.0 / dt
 
     # implicit viscous solve with pressure
-    mid_v = _solve_all_bins(step_table, np.stack(full.velocity()) * idt,
-                            cache.workspace)
+    mid_v = _solve_all_bins(step_table, np.stack(full.velocity()) * idt)
     mid = FullField(g, full.theta, *mid_v[:3], full.P, full.t)
 
     # explicit advection, then projection back to the divergence-free
     # constraint
     star = mid_v[:3] + dt * np.stack(nonlinear_term(mid))
-    proj = _solve_all_bins(proj_table, star, cache.workspace)
+    proj = _solve_all_bins(proj_table, star)
     out = FullField(g, full.theta, *proj[:3], mid_v[3] + idt * proj[3],
                     full.t + dt)
     return out
