@@ -48,8 +48,8 @@ from .functionals import (
 )
 from .grid import build_grid, grid_problems
 from .inequalities import POINCARE_BOUND, constant_scan, scan_problems
-from .oracle import OracleOpCache, SingularBinError, n_theta_problems, \
-    oracle_step, reconstruct_to_full, relative_l2
+from .oracle import FullField, OracleOpCache, SingularBinError, \
+    n_theta_problems, oracle_step, reconstruct_to_full, relative_l2
 from .state import Params, divergence_residual, make_initial_state, \
     make_profile_divfree, make_random_divfree_state, param_problems, \
     poloidal_profile
@@ -285,8 +285,15 @@ def validate_config(cfg: ExperimentConfig,
         bad += _in_section("oracle", n_theta_problems(cfg.oracle_n_theta))
         if cfg.oracle_steps < 1:
             bad.append("[oracle] n_steps must be >= 1")
-        if not cfg.oracle_dt > 0.0:
-            bad.append("[oracle] dt must be positive")
+        # the rule of the mode loop's StepConfig, for its dt and its
+        # t_end = n_steps * dt; its other settings are [step]'s
+        bad += _in_section("oracle", [
+            problem + (" (t_end = n_steps * dt)"
+                       if problem.startswith("t_end") else "")
+            for problem in step_problems(
+                cfg.oracle_dt, cfg.oracle_steps * cfg.oracle_dt,
+                SCHEME_EULER, cfg.cfl_safety, cfg.div_tol, 1)
+            if problem.startswith(("dt", "t_end"))])
         if not cfg.oracle_tol > 0.0:
             bad.append("[oracle] tol must be positive")
     if command == "decay-report" and not cfg.history_path:
@@ -592,12 +599,10 @@ def cmd_inequality_scan(cfg: ExperimentConfig, out_dir: Path,
 
 # -- oracle-compare ------------------------------------------------------------
 
-def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
-                       quiet: bool) -> int:
-    grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
-    params = cfg.params()
-    _, state = _initial_data(cfg, grid, params)
-
+def _oracle_trajectory(cfg: ExperimentConfig, grid, params: Params,
+                       state) -> FullField:
+    """The oracle's steps from ``state``; its operator tables are freed on
+    return, before the mode loop runs."""
     full = reconstruct_to_full(state, cfg.oracle_n_theta)
     cache = OracleOpCache(grid, cfg.oracle_n_theta, params.nu)
     for n in range(1, cfg.oracle_steps + 1):
@@ -607,12 +612,29 @@ def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
         except SOLVER_ERRORS as exc:
             mark_failure(exc, n, full.t)
             raise
+    return full
+
+
+def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
+                       quiet: bool) -> int:
+    grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
+    params = cfg.params()
+    _, state = _initial_data(cfg, grid, params)
+
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    start = time.perf_counter()
+    full = _oracle_trajectory(cfg, grid, params, state)
+    oracle_wall_s = time.perf_counter() - start
 
     step_cfg = StepConfig(dt=cfg.oracle_dt,
                           t_end=cfg.oracle_steps * cfg.oracle_dt,
                           scheme=SCHEME_EULER, cfl_safety=cfg.cfl_safety,
                           div_tol=cfg.div_tol, nonlinear=True)
+    start = time.perf_counter()
     result = run(state, step_cfg)
+    mode_wall_s = time.perf_counter() - start
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+              - before.ru_minflt)
     ref = reconstruct_to_full(result.state, cfg.oracle_n_theta)
     disc = relative_l2(full, ref)
     ok = disc <= cfg.oracle_tol
@@ -620,7 +642,12 @@ def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
     report = {**_report_base("oracle-compare", cfg),
               "discrepancy": disc, "tol": cfg.oracle_tol,
               "n_steps": cfg.oracle_steps, "dt": cfg.oracle_dt,
-              "n_theta": cfg.oracle_n_theta, "invariants_held": ok}
+              "n_theta": cfg.oracle_n_theta, "invariants_held": ok,
+              # informational: where the two loops' time and memory
+              # traffic went, not an invariant
+              "run": {"oracle_wall_s": oracle_wall_s,
+                      "mode_wall_s": mode_wall_s,
+                      "minor_page_faults": faults}}
     _write_json(report, out_dir / REPORT_FILES["oracle-compare"])
     _say(quiet, _check_line("solver vs oracle", ok, disc, cfg.oracle_tol))
     _say(quiet, f"report: {out_dir / REPORT_FILES['oracle-compare']}")

@@ -492,7 +492,9 @@ def _draw_disk_terms(rng: np.random.Generator, min_mode: int,
     for _ in range(int(rng.integers(1, 5))):
         deg = int(rng.integers(0, _MAX_POLY_DEG + 1))
         coeffs = rng.normal(size=deg + 1)
-        amp = 10.0 ** rng.uniform(-2.0, 2.0) * rng.choice([-1.0, 1.0])
+        amp = 10.0 ** rng.uniform(-2.0, 2.0)
+        # the draw of rng.choice([-1.0, 1.0]) at a sixth of its cost
+        amp *= (-1.0, 1.0)[rng.integers(0, 2)]
         mode = int(rng.integers(min_mode, max_mode + 1))
         kind = "cos" if mode == 0 or rng.integers(0, 2) == 0 else "sin"
         terms.append((amp * coeffs, mode, kind))

@@ -10,20 +10,28 @@ reused here, so agreement between the two paths is evidence against sign
 and coefficient errors in either.  Only the grid and the block's
 velocity-column map (``stokes._velocity_columns``) are shared.
 
+At the desk-scale sizes used here a small dense product beats an FFT
+round trip, so a step takes every periodic transform and derivative as
+one: the bin solve's theta and z transforms are real matrices built from
+``np.fft`` on the identity (``BinTransforms``), and the quadratic terms'
+theta and z derivatives are ``spectral_symbol`` on the identity.  The bin
+solve's intermediate stages live in buffers its cache keeps.
+
 Resolution is deliberately capped; this solver exists for desk-scale
 cross-checks, not production runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
+from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ, StepWorkspace
 from .grid import (CFLViolationError, CylGrid, THETA_FULL, raise_problems,
-                   spectral_derivative, spectral_symbol)
+                   spectral_symbol)
 from .state import ModeState, Params
 from .stokes import _velocity_columns
 
@@ -83,12 +91,7 @@ def build_full_field(grid: CylGrid, n_theta: int) -> FullField:
                      np.zeros(shape), np.zeros(shape))
 
 
-# -- azimuthal spectral helpers ------------------------------------------------
-
-def _dth(f: np.ndarray) -> np.ndarray:
-    """Azimuthal derivative along axis 1."""
-    return spectral_derivative(f, 2.0 * math.pi, 1, axis=1)
-
+# -- quadrature and norms over the cylinder ------------------------------------
 
 def quad3(full: FullField, a: np.ndarray) -> float:
     """``\\int a r dr dtheta dz`` over the solid cylinder of ``full``."""
@@ -165,27 +168,56 @@ def reconstruct_to_full(state: ModeState, n_theta: int) -> FullField:
 
 # -- pointwise quadratic terms -------------------------------------------------
 
-def nonlinear_term(full: FullField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=8)
+def _derivative_matrix(n: int, period: float) -> np.ndarray:
+    """The read-only matrix that right-multiplies samples on ``n`` periodic
+    nodes to give their first spectral derivative: ``spectral_symbol``
+    applied to the identity, so the grid's Nyquist rule holds."""
+    op = np.fft.irfft(np.fft.rfft(np.eye(n)) * spectral_symbol(n, period, 1),
+                      n=n)
+    op.flags.writeable = False
+    return op
+
+
+def _velocity(full: FullField) -> np.ndarray:
+    """The velocity as one ``(3, n_r, n_theta, n_z)`` array: the first rows
+    of the array a solve returned when the components are still its views,
+    else a stacked copy."""
+    u = full.ur.base
+    if u is not None and u.ndim == 4 and len(u) >= 3 and all(
+            f.base is u and f.__array_interface__ == u[i].__array_interface__
+            for i, f in enumerate(full.velocity())):
+        return u[:3]
+    return np.stack(full.velocity())
+
+
+def nonlinear_term(full: FullField) -> np.ndarray:
     """Advection and curvature terms of the momentum equations, pointwise.
 
     Returns the right-hand-side contributions (so the advective transport
-    carries a minus sign): for the radial component
-    ``-(u.grad) u_r + u_theta**2 / r``, for the azimuthal component
-    ``-(u.grad) u_theta - u_r u_theta / r``, and ``-(u.grad) u_z`` for the
-    axial one, with ``u.grad = u_r d_r + (u_theta / r) d_th + u_z d_z``.
+    carries a minus sign), stacked ``(3, n_r, n_theta, n_z)``: for the
+    radial component ``-(u.grad) u_r + u_theta**2 / r``, for the azimuthal
+    component ``-(u.grad) u_theta - u_r u_theta / r``, and ``-(u.grad) u_z``
+    for the axial one, with ``u.grad = u_r d_r + (u_theta / r) d_th + u_z
+    d_z``.  Each derivative of the three components is one product with a
+    dense matrix: ``D_r``, and the spectral theta and z derivatives.
     """
     g = full.grid
-    r = g.r[:, None, None]
-    ur, uth, uz = full.velocity()
-    uth_over_r = uth / r
-
-    def adv(f: np.ndarray) -> np.ndarray:
-        return ur * g.dr(f) + uth_over_r * _dth(f) + uz * g.dz(f)
-
-    n_r = -adv(ur) + uth * uth_over_r
-    n_th = -adv(uth) - ur * uth_over_r
-    n_z = -adv(uz)
-    return n_r, n_th, n_z
+    u = _velocity(full)
+    ur, uth, uz = u
+    uth_over_r = uth / g.r[:, None, None]
+    adv = np.matmul(g.D_r, u.reshape(3, g.n_r, -1)).reshape(u.shape)
+    adv *= ur
+    d_th = np.matmul(_derivative_matrix(full.n_theta, 2.0 * math.pi).T, u)
+    d_th *= uth_over_r
+    adv += d_th
+    d_z = np.matmul(u, _derivative_matrix(g.n_z, g.L_z), out=d_th)
+    d_z *= uz
+    adv += d_z
+    out = np.negative(adv, out=adv)
+    out[0] += uth * uth_over_r
+    out[1] -= ur * uth_over_r
+    return out
 
 
 # -- implicit Fourier-bin solver -----------------------------------------------
@@ -241,7 +273,8 @@ class OracleOpCache:
     column flipped, so only the bins with ``zeta >= 0`` are stored: a table
     is one ``(n_theta/2 + 1)(n_z/2 + 1) x 4n x 3n`` stack per
     ``(dt, diffusion)``, and ``_solve_all_bins`` applies each map to its
-    mirror bin too.
+    mirror bin too.  ``transforms`` holds the transform matrices of those
+    solves and their buffers, one set that both tables share.
     """
 
     def __init__(self, grid: CylGrid, n_theta: int, nu: float):
@@ -257,6 +290,7 @@ class OracleOpCache:
         self._zeta1 = spectral_symbol(grid.n_z, grid.L_z, 1).imag
         self._zeta2 = -spectral_symbol(grid.n_z, grid.L_z, 2).real
         self._lap0 = grid.D_r @ grid.D_r + (1.0 / grid.r)[:, None] * grid.D_r
+        self.transforms = BinTransforms(n_theta, grid.n_z)
 
     def factors(self, dt: float, diffusion: bool = True) -> np.ndarray:
         key = (float(dt), bool(diffusion))
@@ -346,37 +380,130 @@ class OracleOpCache:
         return ops.reshape(-1, 4 * n, 3 * n)
 
 
-def _solve_all_bins(table: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading entries of the flat buffer ``buf`` as an array of
+    ``shape``."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+class BinTransforms:
+    """The bin solve's theta and z transforms as small real matrix products.
+
+    ``columns`` takes the physical velocity right-hand sides to the paired
+    columns of the table product and ``fields`` takes the table's solutions
+    back to physical ``(u_r, u_th, u_z, p)``.  Each transform is one
+    product with a real matrix built from ``np.fft`` applied to the
+    identity, so numpy's convention holds:
+
+    - theta: ``theta_fwd`` left-multiplies the ``n_theta`` nodes to the
+      rfft half-spectrum as rows ``(m, real or imaginary part)``, and
+      ``theta_inv`` maps those rows back, dropping the imaginary parts of
+      the DC and Nyquist bins as ``irfft`` does;
+    - z: ``z_fwd[c]`` right-multiplies the real and imaginary half-spectrum
+      of momentum row c on the ``n_z`` nodes, ``[re; im]``, to its paired
+      columns ``(zeta, column, real or imaginary part)`` of the stored
+      bins, and ``z_inv[c]`` maps the solution columns of unknown c back.
+      Column 0 of stored bin ``zeta`` is that bin and column 1 its mirror
+      ``n_z - zeta``, zero for ``zeta = 0`` and Nyquist.  The ``-i`` row
+      factors of the real form, the ``i`` of ``(u_th, u_z) = i (u_th',
+      u_z')`` and the mirror's ``u_z'`` sign (see ``OracleOpCache``) are
+      folded in.
+
+    The stages alternate between the two buffers of ``buffers``, one
+    ``StepWorkspace`` block, so after the first solve no stage allocates.
+    ``columns`` returns a view of the first buffer, overwritten by the
+    next call; ``fields`` returns a fresh array.
+    """
+
+    def __init__(self, n_theta: int, n_z: int):
+        n_m, half = n_theta // 2 + 1, n_z // 2 + 1
+        self.n_theta, self.n_z, self.n_m, self.half = n_theta, n_z, n_m, half
+        spec = np.fft.rfft(np.eye(n_theta), axis=0)  # [m, theta]
+        self.theta_fwd = np.stack([spec.real, spec.imag], axis=1).reshape(
+            2 * n_m, n_theta)
+        eye = np.eye(n_m)
+        self.theta_inv = np.stack(
+            [np.fft.irfft(eye, n=n_theta, axis=0),
+             np.fft.irfft(1j * eye, n=n_theta, axis=0)], axis=2).reshape(
+                 n_theta, 2 * n_m)
+        fft = np.fft.fft(np.eye(n_z), axis=1)  # [z, zeta]
+        ifft = np.fft.ifft(np.eye(n_z), axis=1)  # [zeta, z]
+        mirror = np.arange(1, half - 1)  # stored bins with a mirror
+        z_fwd, z_inv = [], []
+        # (row factor, unknown factor, mirror sign) of (u_r, u_th, u_z, p)
+        for row, unknown, sign in ((1.0, 1.0, 1.0), (-1j, 1j, 1.0),
+                                   (-1j, 1j, -1.0), (None, 1.0, 1.0)):
+            if row is not None:
+                g = np.zeros((n_z, half, 2), complex)
+                g[:, :, 0] = row * fft[:, :half]
+                g[:, mirror, 1] = row * sign * fft[:, n_z - mirror]
+                g = g.reshape(n_z, 2 * half)
+                z_fwd.append(np.concatenate(
+                    [g.view(np.float64), (1j * g).view(np.float64)]))
+            h = np.zeros((half, 2, n_z), complex)
+            h[:, 0] = unknown * ifft[:half]
+            h[mirror, 1] = unknown * sign * ifft[n_z - mirror]
+            h = np.stack([h, 1j * h], axis=2).reshape(4 * half, n_z)
+            z_inv.append(np.concatenate([h.real, h.imag], axis=1))
+        self.z_fwd, self.z_inv = np.stack(z_fwd), np.stack(z_inv)
+        self.workspace = StepWorkspace()
+
+    def buffers(self, n: int) -> list[np.ndarray]:
+        """Two flat buffers, each the size of the largest stage: the table
+        product, ``4n x 4`` per stored bin."""
+        size = self.n_m * self.half * 16 * n
+        return self.workspace.arrays(((size,), float), ((size,), float))
+
+    def columns(self, rhs: np.ndarray) -> np.ndarray:
+        """Paired columns ``(bins, 3n, 4)`` of the ``(3, n, n_theta, n_z)``
+        right-hand sides, stored bins azimuthal bin major; a view of the
+        first buffer."""
+        n, n_m, half = rhs.shape[1], self.n_m, self.half
+        a, b = self.buffers(n)
+        spec = np.matmul(self.theta_fwd, rhs,
+                         out=_head(a, 3, n, 2 * n_m, self.n_z))
+        pairs = np.matmul(spec.reshape(3, n * n_m, 2 * self.n_z), self.z_fwd,
+                          out=_head(b, 3, n * n_m, 4 * half))
+        cols = _head(a, n_m, half, 3, n, 4)
+        np.copyto(cols, pairs.reshape(3, n, n_m, half, 4)
+                  .transpose(2, 3, 0, 1, 4))
+        return cols.reshape(n_m * half, 3 * n, 4)
+
+    def fields(self, x: np.ndarray) -> np.ndarray:
+        """Physical ``(4, n, n_theta, n_z)`` fields of the ``(bins, 4n, 4)``
+        solution columns ``x``, which must not live in the first buffer."""
+        n, n_m, half = x.shape[1] // 4, self.n_m, self.half
+        a, b = self.buffers(n)
+        rows = _head(a, 4, n, n_m, half, 4)
+        np.copyto(rows, x.reshape(n_m, half, 4, n, 4)
+                  .transpose(2, 3, 0, 1, 4))
+        spec = np.matmul(rows.reshape(4, n * n_m, 4 * half), self.z_inv,
+                         out=_head(b, 4, n * n_m, 2 * self.n_z))
+        out = np.empty((4, n, self.n_theta, self.n_z))
+        np.matmul(self.theta_inv, spec.reshape(4 * n, 2 * n_m, self.n_z),
+                  out=out.reshape(4 * n, self.n_theta, self.n_z))
+        return out
+
+
+def _solve_all_bins(table: np.ndarray, rhs: np.ndarray,
+                    transforms: BinTransforms) -> np.ndarray:
     """Implicit solve of every Fourier bin at once.
 
     ``rhs`` stacks the physical velocity right-hand sides as
-    ``(3, n_r, n_theta, n_z)``; the return value stacks the physical
-    ``(u_r, u_th, u_z, p)`` as ``(4, n_r, n_theta, n_z)``.  ``table`` holds
-    the bins with ``zeta >= 0`` only.  Each stored bin ``zeta`` takes two
-    complex columns in one product: its own right-hand side, and that of
-    its mirror bin ``n_z - zeta`` with the ``u_z'`` block negated, whose
-    solution comes back with its ``u_z'`` rows negated.  The bins
-    ``zeta = 0`` and Nyquist are their own mirrors, so their second column
-    is zero.
+    ``(3, n_r, n_theta, n_z)``; the return value, a fresh array, stacks
+    the physical ``(u_r, u_th, u_z, p)`` as ``(4, n_r, n_theta, n_z)``.
+    ``table`` holds the bins with ``zeta >= 0`` only.  Each stored bin
+    ``zeta`` takes two complex columns in one product: its own right-hand
+    side, and that of its mirror bin ``n_z - zeta`` with the ``u_z'``
+    block negated, whose solution comes back with its ``u_z'`` rows
+    negated.  The bins ``zeta = 0`` and Nyquist are their own mirrors, so
+    their second column is zero.  ``transforms`` maps to and from those
+    columns in its buffers, and the product lands in its second buffer.
     """
-    _, n, n_theta, n_z = rhs.shape
-    n_m, half = n_theta // 2 + 1, n_z // 2 + 1
-    c = np.fft.fft(np.fft.rfft(rhs, axis=2), axis=3)
-    c[1:] *= -1j  # azimuthal and axial momentum rows of the real form
-    c[2, ..., half:] *= -1.0  # the mirror bins' u_z' blocks
-    # column 0 of stored bin zeta is that bin, column 1 the bin n_z - zeta
-    cols = np.zeros((n_m, half, 3, n, 2), complex)
-    pairs = cols.transpose(2, 3, 0, 1, 4)
-    pairs[..., 0] = c[..., :half]
-    pairs[..., 1:-1, 1] = c[..., :half - 1:-1]
-    x = table @ cols.reshape(-1, 3 * n, 2).view(np.float64)
-    sol = x.view(complex).reshape(n_m, half, 4, n, 2).transpose(2, 3, 0, 1, 4)
-    out = np.empty((4, n, n_m, n_z), complex)
-    out[..., :half] = sol[..., 0]
-    out[..., half:] = sol[..., -2:0:-1, 1]
-    out[2, ..., half:] *= -1.0  # the mirror bins' u_z' rows
-    out[1:3] *= 1j  # (u_th, u_z) = i (u_th', u_z')
-    return np.fft.irfft(np.fft.ifft(out, axis=3), n=n_theta, axis=2)
+    cols = transforms.columns(rhs)
+    second = transforms.buffers(rhs.shape[1])[1]
+    x = np.matmul(table, cols, out=_head(second, *table.shape[:2], 4))
+    return transforms.fields(x)
 
 
 def check_cfl(full: FullField, dt: float, safety: float = 0.9) -> float:
@@ -393,7 +520,7 @@ def check_cfl(full: FullField, dt: float, safety: float = 0.9) -> float:
     )
     if cfl > safety:
         raise CFLViolationError(
-            f"advective CFL {cfl:.3f} exceeds safety factor {safety}")
+            f"advective CFL {cfl:.3g} exceeds safety factor {safety}")
     return cfl
 
 
@@ -416,13 +543,15 @@ def oracle_step(full: FullField, params: Params, dt: float,
     idt = 1.0 / dt
 
     # implicit viscous solve with pressure
-    mid_v = _solve_all_bins(step_table, np.stack(full.velocity()) * idt)
+    mid_v = _solve_all_bins(step_table, _velocity(full) * idt,
+                            cache.transforms)
     mid = FullField(g, full.theta, *mid_v[:3], full.P, full.t)
 
     # explicit advection, then projection back to the divergence-free
     # constraint
-    star = mid_v[:3] + dt * np.stack(nonlinear_term(mid))
-    proj = _solve_all_bins(proj_table, star)
-    out = FullField(g, full.theta, *proj[:3], mid_v[3] + idt * proj[3],
-                    full.t + dt)
-    return out
+    star = nonlinear_term(mid)
+    star *= dt
+    star += mid_v[:3]
+    proj = _solve_all_bins(proj_table, star, cache.transforms)
+    return FullField(g, full.theta, *proj[:3], mid_v[3] + idt * proj[3],
+                     full.t + dt)

@@ -37,6 +37,21 @@ from cylmode.inequalities import (
 )
 
 
+def draw_disk_terms(rng: np.random.Generator, min_mode: int,
+                    max_mode: int) -> list[tuple[np.ndarray, int, str]]:
+    """The package's ``_draw_disk_terms`` as it was written first, with the
+    sign drawn by ``rng.choice``; the draws must stay the same."""
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        deg = int(rng.integers(0, ineq._MAX_POLY_DEG + 1))
+        coeffs = rng.normal(size=deg + 1)
+        amp = 10.0 ** rng.uniform(-2.0, 2.0) * rng.choice([-1.0, 1.0])
+        mode = int(rng.integers(min_mode, max_mode + 1))
+        kind = "cos" if mode == 0 or rng.integers(0, 2) == 0 else "sin"
+        terms.append((amp * coeffs, mode, kind))
+    return terms
+
+
 def _eval_disk_terms(grid, terms) -> np.ndarray:
     vals = np.zeros((grid.n_r, grid.n_theta))
     boundary = 1.0 - grid.r ** 2  # exact zero at the wall node

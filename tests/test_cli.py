@@ -145,8 +145,9 @@ class TestConfigGrammar:
         assert not out.exists()
 
     # configs that validation once let through to a traceback from the
-    # library, for an infinite period to a passing scan of zeros, and for
-    # an infinite amplitude to a run of an all-NaN state
+    # library, for an infinite period to a passing scan of zeros, for an
+    # infinite amplitude to a run of an all-NaN state, and for an infinite
+    # oracle dt to the mode loop's StepConfig after the oracle's steps
     @pytest.mark.parametrize("command,section,over", [
         ("inequality-scan", "scan",
          {"scan": {"check": "anisotropic", "p": 8, "seed": 1}}),
@@ -161,9 +162,12 @@ class TestConfigGrammar:
         ("inequality-scan", "scan",
          {"scan": {"check": "vertical", "period": "inf", "seed": 1}}),
         ("simulate", "profile", {"profile": {"amplitude": "inf"}}),
+        ("oracle-compare", "oracle",
+         {"oracle": {"n_theta": 28, "n_steps": 2, "dt": "inf"}}),
     ], ids=["anisotropic-p8", "isotropic-pinf", "vertical-poly_trig",
             "t_end-nan", "t_end-inf", "run-seed-negative",
-            "step-count-overflow", "period-inf", "amplitude-inf"])
+            "step-count-overflow", "period-inf", "amplitude-inf",
+            "oracle-dt-inf"])
     def test_library_rule_is_a_config_error(self, tmp_path, capsys, command,
                                             section, over):
         out = tmp_path / "out"
@@ -596,6 +600,13 @@ class TestOracleCompareCommand:
         rep = json.loads((out / "oracle_compare.json").read_text())
         assert rep["invariants_held"] is True
         assert 0.0 <= rep["discrepancy"] <= rep["tol"]
+        # informational timings and faults of the two loops, no *_ok name
+        run = rep["run"]
+        assert set(run) == {"oracle_wall_s", "mode_wall_s",
+                            "minor_page_faults"}
+        assert run["oracle_wall_s"] > 0.0 and run["mode_wall_s"] > 0.0
+        assert isinstance(run["minor_page_faults"], int)
+        assert run["minor_page_faults"] >= 0
 
     def test_unresolvable_truncation_rejected(self, tmp_path, capsys):
         # n_theta = 20 cannot resolve 3*K*N = 24 azimuthal content

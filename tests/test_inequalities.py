@@ -488,6 +488,26 @@ class TestBatchedScanMatchesPerTrial:
         _assert_same_scan(single, base)
 
 
+# (min_mode, max_mode) of the radial_poly family and of poly_trig with and
+# without the zero-mean checks' min_mode = 1
+@pytest.mark.parametrize("modes", [(0, 0), (0, 8), (1, 8)],
+                         ids=["radial_poly", "poly_trig", "poly_trig-mode1"])
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_disk_draws_match_choice_reference(seed, modes):
+    for index in range(40):
+        rng = np.random.default_rng([seed, index])
+        ref_rng = np.random.default_rng([seed, index])
+        got = ineq._draw_disk_terms(rng, *modes)
+        want = scan_reference.draw_disk_terms(ref_rng, *modes)
+        assert len(got) == len(want)
+        for (coeffs, mode, kind), (ref_coeffs, ref_mode, ref_kind) in zip(
+                got, want):
+            assert np.array_equal(coeffs, ref_coeffs)
+            assert (mode, kind) == (ref_mode, ref_kind)
+        # both consumed the same stream
+        assert rng.random() == ref_rng.random()
+
+
 class TestScanKeepsPerTrialChecks:
     """Every precondition the per-trial scan enforces still raises."""
 

@@ -7,11 +7,12 @@ import pytest
 import scipy.linalg
 
 from cylmode.diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
-from cylmode.grid import build_grid
+from cylmode.grid import build_grid, spectral_derivative
 from cylmode.state import ModeState, Params, make_random_divfree_state
 from cylmode.nonlinear import assemble_quadratic_rhs
 from cylmode.stepper import StepConfig, run
 from cylmode.oracle import (
+    BinTransforms,
     CFLViolationError,
     ORACLE_MAX_NTHETA,
     OracleOpCache,
@@ -25,7 +26,6 @@ from cylmode.oracle import (
     reconstruct_to_full,
     relative_l2,
     _bin_operator,
-    _dth,
     _solve_all_bins,
     _velocity_columns,
 )
@@ -57,6 +57,11 @@ def full_l2(full):
     """L2 norm of the velocity over the solid cylinder."""
     s = sum(quad3(full, f * f) for f in full.velocity())
     return math.sqrt(max(s, 0.0))
+
+
+def _dth(f):
+    """Azimuthal derivative along axis 1 by an rfft round trip."""
+    return spectral_derivative(f, 2.0 * np.pi, 1, axis=1)
 
 
 def full_divergence(full):
@@ -270,18 +275,22 @@ def _complex_bin_solve(grid, nu, m, m1, z1, z2, s, idt, fr, fth, fz):
 class TestBinOperators:
     # n_z = 4 has a single mirrored pair (zeta = +-1), so an off-by-one in
     # the mirror index cannot hide behind the other bins
+    # three azimuthal sizes (5, 6 and 7 rfft bins), so the theta matrices'
+    # (m, re/im) row order is checked beyond one shape
     @pytest.mark.parametrize("n_z", [4, 8, 10])
     @pytest.mark.parametrize("diffusion", [True, False])
-    def test_matches_dense_complex_solve(self, diffusion, n_z):
+    @pytest.mark.parametrize("n_theta", [8, 10, 12])
+    def test_matches_dense_complex_solve(self, n_theta, diffusion, n_z):
         # every bin of the real stacked route, mirrored -zeta bins and the
         # decoupled bins included, against a dense complex solve
         grid = build_grid(n_r=10, n_z=n_z, L_z=2.0 * np.pi)
-        n_theta, nu = 8, 0.7
+        nu = 0.7
         dt = 1e-3 if diffusion else 1.0
         cache = OracleOpCache(grid, n_theta, nu)
         rhs = np.random.default_rng(7).standard_normal(
             (3, grid.n_r, n_theta, grid.n_z))
-        got = _solve_all_bins(cache.factors(dt, diffusion), rhs)
+        got = _solve_all_bins(cache.factors(dt, diffusion), rhs,
+                              cache.transforms)
         c = np.fft.fft(np.fft.rfft(rhs, axis=2), axis=3)
         m = np.arange(n_theta // 2 + 1)
         m1 = np.where(m == n_theta // 2, 0.0, m)
@@ -296,6 +305,19 @@ class TestBinOperators:
         want = np.fft.irfft(np.fft.ifft(want, axis=3), n=n_theta, axis=2)
         for a, b in zip(got, want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_solve_returns_arrays_no_later_solve_touches(self, grid, cache):
+        # both tables share the cache's buffers; a result must not live there
+        rhs = np.random.default_rng(3).standard_normal(
+            (3, grid.n_r, N_THETA, grid.n_z))
+        step = _solve_all_bins(cache.factors(1e-3), rhs, cache.transforms)
+        kept = step.copy()
+        proj = _solve_all_bins(cache.factors(1.0, diffusion=False), 2.0 * rhs,
+                               cache.transforms)
+        assert np.array_equal(step, kept)
+        assert not np.shares_memory(step, proj)
+        assert np.array_equal(
+            _solve_all_bins(cache.factors(1e-3), rhs, cache.transforms), kept)
 
     def test_table_is_one_real_stack(self, grid, cache):
         ops = cache.factors(1e-3)
@@ -331,6 +353,58 @@ class TestBinOperators:
                            match="zero pivot in oracle bin zeroed"):
             _bin_operator(A, _velocity_columns(n), np.random.default_rng(0),
                           "zeroed")
+
+
+def _fft_columns(rhs):
+    """Paired columns of the bin solve by FFTs: ``rfft`` over theta, ``fft``
+    over z, the real form's ``-i`` rows and the mirror's ``u_z'`` sign."""
+    _, n, n_theta, n_z = rhs.shape
+    n_m, half = n_theta // 2 + 1, n_z // 2 + 1
+    c = np.fft.fft(np.fft.rfft(rhs, axis=2), axis=3)
+    c[1:] *= -1j
+    c[2, ..., half:] *= -1.0
+    cols = np.zeros((n_m, half, 3, n, 2), complex)
+    for zeta in range(half):
+        cols[:, zeta, ..., 0] = np.moveaxis(c[..., zeta], 2, 0)
+        if 0 < zeta < half - 1:
+            cols[:, zeta, ..., 1] = np.moveaxis(c[..., n_z - zeta], 2, 0)
+    return cols.reshape(-1, 3 * n, 2).view(np.float64)
+
+
+def _fft_fields(x, n_theta, n_z):
+    """Physical fields of the solution columns ``x`` by inverse FFTs."""
+    n = x.shape[1] // 4
+    n_m, half = n_theta // 2 + 1, n_z // 2 + 1
+    sol = x.view(complex).reshape(n_m, half, 4, n, 2)
+    spec = np.zeros((4, n, n_m, n_z), complex)
+    for zeta in range(half):
+        spec[..., zeta] = np.moveaxis(sol[:, zeta, ..., 0], 0, 2)
+        if 0 < zeta < half - 1:
+            spec[..., n_z - zeta] = np.moveaxis(sol[:, zeta, ..., 1], 0, 2)
+    spec[2, ..., half:] *= -1.0
+    spec[1:3] *= 1j
+    return np.fft.irfft(np.fft.ifft(spec, axis=3), n=n_theta, axis=2)
+
+
+class TestBinTransforms:
+    @pytest.mark.parametrize("n_theta,n_z", [(8, 4), (10, 10), (40, 16)])
+    def test_matrices_match_fft(self, n_theta, n_z):
+        n = 5
+        tf = BinTransforms(n_theta, n_z)
+        rng = np.random.default_rng(n_theta + n_z)
+        rhs = rng.standard_normal((3, n, n_theta, n_z))
+        want = _fft_columns(rhs)
+        got = tf.columns(rhs)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # random columns: the inverse must drop the imaginary parts of the
+        # azimuthal DC and Nyquist bins, as irfft does, and the unused
+        # mirror columns of zeta = 0 and Nyquist
+        x = rng.standard_normal((want.shape[0], 4 * n, 4))
+        want = _fft_fields(x, n_theta, n_z)
+        got = tf.fields(x)
+        assert got.shape == (4, n, n_theta, n_z)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestGuards:
