@@ -15,7 +15,9 @@ round trip, so a step takes every periodic transform and derivative as
 one: the bin solve's theta and z transforms are real matrices built from
 ``np.fft`` on the identity (``BinTransforms``), and the quadratic terms'
 theta and z derivatives are ``spectral_symbol`` on the identity.  The bin
-solve's intermediate stages live in buffers its cache keeps.
+solve's intermediate stages live in buffers its cache keeps.  The bin
+operators are built by block elimination of each bin's saddle-point
+system, from ``n_r x n_r`` blocks only (``OracleOpCache``).
 
 Resolution is deliberately capped; this solver exists for desk-scale
 cross-checks, not production runs.
@@ -234,7 +236,7 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _bin_operator(A: np.ndarray, W: np.ndarray, rng, label: str) -> np.ndarray:
-    """Solve one bin block, probe it and return its map ``A^{-1} W``.
+    """Solve one dense bin block, probe it and return its map ``A^{-1} W``.
 
     Two random probes share the map's solve: a solution on all 4n
     unknowns must be recovered from its image, and a velocity right-hand
@@ -255,6 +257,38 @@ def _bin_operator(A: np.ndarray, W: np.ndarray, rng, label: str) -> np.ndarray:
     return op
 
 
+def _solve_bins(a: np.ndarray, b: np.ndarray, labels: list[str]) -> np.ndarray:
+    """``lu_solve`` of blocks stacked one bin per leading index; an
+    exactly zero pivot is a ``SingularBinError`` naming its bin."""
+    try:
+        return lu_solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        zero = (np.linalg.det(a) == 0.0).reshape(len(labels), -1).any(axis=1)
+        raise SingularBinError(
+            f"zero pivot in oracle bin {labels[np.argmax(zero)]}") from exc
+
+
+def _physical(v: np.ndarray) -> np.ndarray:
+    """Velocity rows ``(bins, 3, n, ...)`` in the rows ``(a, b, z)`` of
+    ``OracleOpCache`` as ``(u_r, u_th', u_z')``, ``(bins, 3n, ...)``."""
+    return np.concatenate([0.5 * (v[:, 0] + v[:, 1]),
+                           0.5 * (v[:, 0] - v[:, 1]), v[:, 2]], axis=1)
+
+
+def _apply_blocks(H: np.ndarray, G: np.ndarray, div: np.ndarray,
+                  z1: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``A v`` of stacked coupled bins, block by block.
+
+    ``v`` holds ``(u_r, u_th', u_z', p)`` as ``(bins, 4n)``; ``H`` and
+    ``G`` are the momentum and gradient blocks of the rows ``(a, b, z)``
+    and ``div`` the divergence of ``(a, b)`` (see ``OracleOpCache``)."""
+    ur, uth, uz, p = np.split(v[..., None], 4, axis=1)
+    abz = np.stack([ur + uth, ur - uth, uz], axis=1)
+    y = H @ abz + G @ p[:, None]
+    d = 0.5 * (div @ abz[:, :2]).sum(axis=1) - z1[:, None, None] * uz
+    return np.concatenate([_physical(y), d], axis=1)[..., 0]
+
+
 class OracleOpCache:
     """Real operator stacks of the per-bin implicit solves, reused across steps.
 
@@ -265,16 +299,30 @@ class OracleOpCache:
 
     Every bin block is exactly real under the diagonal similarity
     ``(u_th, u_z) = i (u_th', u_z')`` with the azimuthal and axial momentum
-    rows scaled by ``-i``, so the blocks are assembled in that real form.
-    Each is solved once against the velocity columns and a probe, which
-    gives its real ``4n x 3n`` map from the velocity right-hand sides to
-    ``(u_r, u_th', u_z', p)``; no factorization is kept.  The block at
-    ``-zeta`` is the one at ``zeta`` with the signs of the ``u_z'`` row and
-    column flipped, so only the bins with ``zeta >= 0`` are stored: a table
-    is one ``(n_theta/2 + 1)(n_z/2 + 1) x 4n x 3n`` stack per
-    ``(dt, diffusion)``, and ``_solve_all_bins`` applies each map to its
-    mirror bin too.  ``transforms`` holds the transform matrices of those
-    solves and their buffers, one set that both tables share.
+    rows scaled by ``-i``; it is the saddle-point system ``[M G; D 0]`` on
+    ``(u, p)``, with no-slip rows in ``M`` and ``G``.  The swirl coupling
+    of ``u_r`` and ``u_th'`` is symmetric, so ``M`` splits into three
+    ``n x n`` Helmholtz blocks on ``a = u_r + u_th'``, ``b = u_r - u_th'``
+    and ``u_z'``.  A coupled bin is solved by block elimination: the
+    Helmholtz blocks are solved against ``G``, the velocity columns ``W``
+    and a probe, and the ``n x n`` Schur complement ``S = D M^-1 G`` gives
+    the pressure.  The bins with neither a first-order azimuthal nor a
+    vertical symbol have a singular ``S`` and are solved densely in their
+    decoupled form.  Both routes probe every bin twice (``_bin_operator``)
+    and keep no factorization; the coupled bins are done one azimuthal
+    index at a time, so the temporaries stay small.
+
+    The implicit step's table holds each bin's real ``4n x 3n`` map from
+    the velocity right-hand sides to ``(u_r, u_th', u_z', p)``.  The
+    projection (no diffusion, ``dt = 1``) has ``M = I``, so its table holds
+    only the ``n x 3n`` pressure map ``S^-1 D W`` and ``_solve_all_bins``
+    recovers the velocity as ``W f - G p``.  The block at ``-zeta`` is the
+    one at ``zeta`` with the signs of the ``u_z'`` row and column flipped,
+    so only the bins with ``zeta >= 0`` are stored: a table is one
+    ``(n_theta/2 + 1)(n_z/2 + 1) x rows x 3n`` stack per ``(dt,
+    diffusion)``, and ``_solve_all_bins`` applies each map to its mirror
+    bin too.  ``transforms`` holds the transform matrices of those solves
+    and their buffers, one set that both tables share.
     """
 
     def __init__(self, grid: CylGrid, n_theta: int, nu: float):
@@ -290,47 +338,45 @@ class OracleOpCache:
         self._zeta1 = spectral_symbol(grid.n_z, grid.L_z, 1).imag
         self._zeta2 = -spectral_symbol(grid.n_z, grid.L_z, 2).real
         self._lap0 = grid.D_r @ grid.D_r + (1.0 / grid.r)[:, None] * grid.D_r
+        # the gradient G with its no-slip rows zeroed: D_r, and per stored
+        # bin the diagonals m1 / r and zeta1 of the u_th' and u_z' rows
+        self._wall = wall = np.r_[np.ones(grid.n_r - 1), 0.0]
+        self._dr_wall = wall[:, None] * grid.D_r
+        diag = np.empty((self._m1.size, self._zeta1.size, 2, grid.n_r, 1))
+        diag[:, :, 0, :, 0] = self._m1[:, None, None] * (wall / grid.r)
+        diag[:, :, 1, :, 0] = self._zeta1[:, None] * wall
+        self._grad_diag = diag.reshape(-1, 2, grid.n_r, 1)
         self.transforms = BinTransforms(n_theta, grid.n_z)
 
     def factors(self, dt: float, diffusion: bool = True) -> np.ndarray:
+        """The step table ``(bins, 4n, 3n)``, or with ``diffusion`` off the
+        projection's pressure map ``(bins, n, 3n)``, which needs ``dt = 1``."""
+        if not diffusion and dt != 1.0:
+            raise ValueError("the projection table is built at dt = 1 only")
         key = (float(dt), bool(diffusion))
         if key not in self._tables:
             self._tables[key] = self._build(float(dt), bool(diffusion))
         return self._tables[key]
 
-    def _helmholtz(self, m2: float, z2: float, s: float,
-                   idt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Axial and perpendicular Helmholtz blocks ``I/dt - s lap``."""
-        g = self.grid
-        lap = (self._lap0 - np.diag(m2 / g.r**2)
-               - self.nu**2 * z2 * np.eye(g.n_r))
-        h_z = idt * np.eye(g.n_r) - s * lap
-        return h_z, h_z + np.diag(s / g.r**2)
-
-    def _coupled_block(self, m1: float, m2: float, z1: float, z2: float,
-                       s: float, idt: float) -> np.ndarray:
+    def _momentum_blocks(self, m1: float, m2: float, z2: np.ndarray,
+                         s: float, idt: float) -> np.ndarray:
+        """Helmholtz blocks ``I/dt - s lap`` of the rows ``(a, b, z)``,
+        ``(bins, 3, n, n)`` over the squared vertical symbols ``z2``, with
+        the swirl coupling folded into ``a`` and ``b`` and each no-slip
+        row an identity row."""
         g = self.grid
         n = g.n_r
-        rinv = np.diag(1.0 / g.r)
-        couple = -2.0 * m1 * s * np.diag(1.0 / g.r**2)
-        h_z, h_perp = self._helmholtz(m2, z2, s, idt)
-        A = np.zeros((4 * n, 4 * n))
-        A[:n, :n] = h_perp
-        A[n:2 * n, n:2 * n] = h_perp
-        A[:n, n:2 * n] = couple
-        A[n:2 * n, :n] = couple
-        A[2 * n:3 * n, 2 * n:3 * n] = h_z
-        A[:n, 3 * n:] = g.D_r
-        A[n:2 * n, 3 * n:] = m1 * rinv
-        A[2 * n:3 * n, 3 * n:] = z1 * np.eye(n)
-        A[3 * n:, :n] = g.D_r + rinv
-        A[3 * n:, n:2 * n] = -m1 * rinv
-        A[3 * n:, 2 * n:3 * n] = -z1 * np.eye(n)
-        for blk in range(3):
-            i = blk * n + n - 1
-            A[i, :] = 0.0
-            A[i, i] = 1.0
-        return A
+        idx = np.arange(n)
+        H = np.empty((len(z2), 3, n, n))
+        H[:, 2] = -s * self._lap0
+        H[:, 2, idx, idx] += idt + s * (m2 / g.r**2
+                                        + self.nu**2 * z2[:, None])
+        H[:, :2] = H[:, 2:]
+        H[:, 0, idx, idx] += s * (1.0 - 2.0 * m1) / g.r**2
+        H[:, 1, idx, idx] += s * (1.0 + 2.0 * m1) / g.r**2
+        H[..., -1, :] = 0.0
+        H[..., -1, -1] = 1.0
+        return H
 
     def _decoupled_block(self, m2: float, z2: float, s: float,
                          idt: float) -> np.ndarray:
@@ -345,10 +391,8 @@ class OracleOpCache:
         """
         g = self.grid
         n = g.n_r
-        h_z, h_th = self._helmholtz(m2, z2, s, idt)
-        for h in (h_th, h_z):
-            h[-1, :] = 0.0
-            h[-1, -1] = 1.0
+        h_th, _, h_z = self._momentum_blocks(0.0, m2, np.array([z2]), s,
+                                             idt)[0]
         # pressure primitive: radial momentum rows except at the wall,
         # where a quadrature-weight gauge row pins the additive constant
         P = g.D_r.copy()
@@ -360,24 +404,119 @@ class OracleOpCache:
         A[3 * n:, :n] = np.eye(n)
         return A
 
+    def _eliminate(self, m: int, zbins: np.ndarray, s: float, idt: float,
+                   rng, rows: int) -> np.ndarray:
+        """Probed maps ``(bins, rows, 3n)`` of the coupled bins ``(m,
+        zbins)`` by block elimination: all ``4n`` rows, or the ``n``
+        pressure rows of a projection (``M = I``).
+
+        One solve of ``M`` takes ``[W, A x]`` in the rows ``(a, b, z)`` and
+        one of ``S`` takes ``[I, D M^-1 A x]`` less the probe's divergence
+        rows, so the full-row probe shares the maps' solves as in
+        ``_bin_operator``.  Both probes apply ``A`` block by block, the map
+        probe to the velocity ``W b - G P b`` of a pressure map.  The stages
+        live in the transforms' workspace, so the returned maps are
+        overwritten by the next call.
+        """
+        g = self.grid
+        n, c = g.n_r, len(zbins)
+        idx = np.arange(n)
+        labels = [f"(m={m}, zbin={zi})" for zi in zbins]
+        m1, z1 = self._m1[m], self._zeta1[zbins]
+        G, Y, Z, K, op = self.transforms.workspace.arrays(
+            *(((c,) + shape, float) for shape in (
+                (3, n, n), (3, n, 2 * n + 1), (2, n, 2 * n + 1), (n, 3 * n),
+                (rows, 3 * n))))
+        pmap = op[:, -n:]
+        H = self._momentum_blocks(m1, self._m2[m], self._zeta2[zbins], s, idt)
+        grad = self._grad_diag.reshape(self._m1.size, -1, 2, n)[m, zbins]
+        G.fill(0.0)
+        G[:, :2] = self._dr_wall
+        G[:, 0, idx, idx] += grad[:, 0]
+        G[:, 1, idx, idx] -= grad[:, 0]
+        G[:, 2, idx, idx] = grad[:, 1]
+        div = np.stack([g.D_r + np.diag((1.0 - m1) / g.r),
+                        g.D_r + np.diag((1.0 + m1) / g.r)])
+        blocks = (H, G, div, z1)
+        x = rng.standard_normal((c, 4 * n))
+        y = _apply_blocks(*blocks, x)
+        # Y = M^-1 [G, W, A x] in the rows (a, b, z); M^-1 G = (M^-1 W) G,
+        # as the no-slip rows of G are zero
+        rhs = Y[..., n:]
+        rhs.fill(0.0)
+        rhs[:, :, idx, idx] = self._wall
+        ur, uth, uz = np.split(y[:, :3 * n], 3, axis=1)
+        rhs[..., -1] = np.stack([ur + uth, ur - uth, uz], axis=1)
+        if not (s == 0.0 and idt == 1.0):  # else M = I: a projection
+            rhs[...] = _solve_bins(H, rhs, labels)
+        np.matmul(Y[..., n:2 * n], G, out=Y[..., :n])
+        # D Y from the halves of the a and b rows: S, the W columns of
+        # D M^-1 W (of f_r + f_th, f_r - f_th and f_z) and the probe's
+        np.matmul(div, Y[:, :2], out=Z)
+        Z *= 0.5
+        zY = z1[:, None, None] * Y[:, 2]
+        rhs = np.zeros((c, n, n + 1))
+        rhs[:, idx, idx] = 1.0
+        rhs[..., -1] = Z[:, 0, :, -1] + Z[:, 1, :, -1] - zY[..., -1] \
+            - y[:, 3 * n:]
+        sinv = _solve_bins(Z[:, 0, :, :n] + Z[:, 1, :, :n] - zY[..., :n],
+                           rhs, labels)
+        za, zb = Z[:, 0, :, n:2 * n], Z[:, 1, :, n:2 * n]
+        np.concatenate([za + zb, za - zb, -zY[..., n:2 * n]], axis=-1, out=K)
+        np.matmul(sinv[..., :n], K, out=pmap)
+        # velocity rows: Y's rows become (u_r, u_th', u_z'), so its W
+        # columns hold the blocks rr, rt and M_z^-1 of M^-1 W = [[rr, rt, 0],
+        # [rt, rr, 0], [0, 0, M_z^-1]], and u = M^-1 [W, A x] - X [P, p]
+        Y[:, :2] = _physical(Y)[:, :2 * n].reshape(c, 2, n, -1)
+        X = Y[..., :n].reshape(c, 3 * n, n)
+        p_x = sinv[..., -1:]
+        got_x = np.concatenate([Y[..., -1].reshape(c, 3 * n, 1) - X @ p_x,
+                                p_x], axis=1)[..., 0]
+        if rows > n:
+            u = np.matmul(X, pmap, out=op[:, :3 * n])
+            np.negative(u, out=u)
+            u = u.reshape(c, 3, n, 3 * n)
+            for (i, j), blk in (((0, 0), 0), ((0, 1), 1), ((1, 0), 1),
+                                ((1, 1), 0), ((2, 2), 2)):
+                u[:, i, :, j * n:(j + 1) * n] += Y[:, blk, :, n:2 * n]
+        b = rng.standard_normal((c, 3 * n, 1))
+        wb = np.tile(self._wall, 3)[:, None] * b
+        got = op @ b
+        if rows == n:  # the velocity W b - G P b of a pressure map
+            got = np.concatenate([wb - _physical(G @ got[:, None]), got],
+                                 axis=1)
+        res = _apply_blocks(*blocks, got[..., 0])
+        res[:, :3 * n] -= wb[..., 0]
+        row_err = np.abs(got_x - x).max(axis=1) / np.abs(x).max(axis=1)
+        map_err = np.abs(res).max(axis=1) / np.abs(wb).max(axis=(1, 2))
+        bad = np.flatnonzero(~(np.maximum(row_err, map_err) <= 1e-6))
+        if bad.size:
+            i = bad[0]
+            raise SingularBinError(
+                f"oracle bin operator {labels[i]} is singular: full-row "
+                f"probe {row_err[i]:.1e}, map probe {map_err[i]:.1e}")
+        return op
+
     def _build(self, dt: float, diffusion: bool) -> np.ndarray:
-        """Operators of the bins with ``zeta >= 0``, azimuthal bin major;
-        the bins with ``zeta < 0`` are not stored (see the class
-        docstring)."""
+        """Maps of the bins with ``zeta >= 0``, azimuthal bin major: all
+        ``4n`` rows, or the ``n`` pressure rows with diffusion off; the
+        bins with ``zeta < 0`` are not stored (see the class docstring)."""
         n = self.grid.n_r
-        W = _velocity_columns(n)
-        rng = np.random.default_rng(1)
+        rows = 4 * n if diffusion else n
         s = 1.0 if diffusion else 0.0
         idt = 1.0 / dt
-        ops = np.empty((self._m1.size, self._zeta1.size, 4 * n, 3 * n))
+        W = _velocity_columns(n)
+        rng = np.random.default_rng(1)
+        ops = np.empty((self._m1.size, self._zeta1.size, rows, 3 * n))
         for m, (m1, m2) in enumerate(zip(self._m1, self._m2)):
-            for zi, (z1, z2) in enumerate(zip(self._zeta1, self._zeta2)):
-                if m1 == 0.0 and z1 == 0.0:
-                    A = self._decoupled_block(m2, z2, s, idt)
-                else:
-                    A = self._coupled_block(m1, m2, z1, z2, s, idt)
-                ops[m, zi] = _bin_operator(A, W, rng, f"(m={m}, zbin={zi})")
-        return ops.reshape(-1, 4 * n, 3 * n)
+            coupled = (m1 != 0.0) | (self._zeta1 != 0.0)
+            zbins = np.flatnonzero(coupled)
+            ops[m, zbins] = self._eliminate(m, zbins, s, idt, rng, rows)
+            for zi in np.flatnonzero(~coupled):
+                A = self._decoupled_block(m2, self._zeta2[zi], s, idt)
+                ops[m, zi] = _bin_operator(A, W, rng,
+                                           f"(m={m}, zbin={zi})")[-rows:]
+        return ops.reshape(-1, rows, 3 * n)
 
 
 def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
@@ -486,24 +625,40 @@ class BinTransforms:
 
 
 def _solve_all_bins(table: np.ndarray, rhs: np.ndarray,
-                    transforms: BinTransforms) -> np.ndarray:
+                    cache: OracleOpCache) -> np.ndarray:
     """Implicit solve of every Fourier bin at once.
 
     ``rhs`` stacks the physical velocity right-hand sides as
     ``(3, n_r, n_theta, n_z)``; the return value, a fresh array, stacks
     the physical ``(u_r, u_th, u_z, p)`` as ``(4, n_r, n_theta, n_z)``.
-    ``table`` holds the bins with ``zeta >= 0`` only.  Each stored bin
-    ``zeta`` takes two complex columns in one product: its own right-hand
-    side, and that of its mirror bin ``n_z - zeta`` with the ``u_z'``
-    block negated, whose solution comes back with its ``u_z'`` rows
-    negated.  The bins ``zeta = 0`` and Nyquist are their own mirrors, so
-    their second column is zero.  ``transforms`` maps to and from those
-    columns in its buffers, and the product lands in its second buffer.
+    ``table`` is one of ``cache``'s and holds the bins with ``zeta >= 0``
+    only.  Each stored bin ``zeta`` takes two complex columns in one
+    product: its own right-hand side, and that of its mirror bin ``n_z -
+    zeta`` with the ``u_z'`` block negated, whose solution comes back with
+    its ``u_z'`` rows negated.  The bins ``zeta = 0`` and Nyquist are their
+    own mirrors, so their second column is zero.  A pressure map (``n``
+    rows) gives ``p``, and the velocity is ``W f - G p`` from ``cache``'s
+    wall-zeroed ``D_r`` and per-bin diagonals ``m1 / r`` and ``zeta1``.
+    ``cache.transforms`` maps to and from those columns in its buffers,
+    and the product lands in its second buffer.
     """
+    transforms = cache.transforms
+    bins, n = len(table), rhs.shape[1]
     cols = transforms.columns(rhs)
-    second = transforms.buffers(rhs.shape[1])[1]
-    x = np.matmul(table, cols, out=_head(second, *table.shape[:2], 4))
-    return transforms.fields(x)
+    first, second = transforms.buffers(n)
+    x = _head(second, bins, 4 * n, 4)
+    if table.shape[1] == 4 * n:
+        np.matmul(table, cols, out=x)
+    else:
+        x = x.reshape(bins, 4, n, 4)
+        x[:, :3] = cols.reshape(bins, 3, n, 4)
+        p = np.matmul(table, cols, out=x[:, 3])
+        # G p in the first buffer, which the columns no longer need
+        x[:, 0] -= np.matmul(cache._dr_wall, p, out=_head(first, bins, n, 4))
+        x[:, 1:3] -= np.multiply(cache._grad_diag, p[:, None],
+                                 out=_head(first, bins, 2, n, 4))
+        x[:, :3, -1] = 0.0
+    return transforms.fields(x.reshape(bins, 4 * n, 4))
 
 
 def check_cfl(full: FullField, dt: float, safety: float = 0.9) -> float:
@@ -543,8 +698,7 @@ def oracle_step(full: FullField, params: Params, dt: float,
     idt = 1.0 / dt
 
     # implicit viscous solve with pressure
-    mid_v = _solve_all_bins(step_table, _velocity(full) * idt,
-                            cache.transforms)
+    mid_v = _solve_all_bins(step_table, _velocity(full) * idt, cache)
     mid = FullField(g, full.theta, *mid_v[:3], full.P, full.t)
 
     # explicit advection, then projection back to the divergence-free
@@ -552,6 +706,6 @@ def oracle_step(full: FullField, params: Params, dt: float,
     star = nonlinear_term(mid)
     star *= dt
     star += mid_v[:3]
-    proj = _solve_all_bins(proj_table, star, cache.transforms)
+    proj = _solve_all_bins(proj_table, star, cache)
     return FullField(g, full.theta, *proj[:3], mid_v[3] + idt * proj[3],
                      full.t + dt)

@@ -5,8 +5,8 @@ removed one is listed under ``missing`` and its per-layer metrics silently
 drop out of the benchmark result.  This runs the tracer on a small
 ``simulate`` and checks that every per-layer metric ``BENCHMARK.json``
 declares is measured, and that the quadratic term is traced on every call;
-and on a small ``oracle-compare``, that every oracle step, bin factorization
-and bin solve is traced.
+and on a small ``oracle-compare``, that every oracle step, the table build,
+its dense LUs and the bin solves are traced.
 """
 
 import json
@@ -80,12 +80,13 @@ def test_traced_simulate_reports_every_layer_metric(tmp_path):
 
 
 def test_traced_oracle_compare_reports_the_bin_layers(tmp_path):
-    # one factorization per stored bin (zeta >= 0) of each of the two
-    # tables, and the bin solves traced: a solve moved into a helper the
-    # tracer does not wrap would read 0 s
+    # only the decoupled bins, (m, zeta) with m and zeta each 0 or Nyquist,
+    # take a dense LU; the others are built by block elimination.  That is
+    # four per table, for the step and the projection.  The build and the
+    # bin solves are traced: a solve moved into a helper the tracer does
+    # not wrap would read 0 s
     metrics = _traced(tmp_path, "oracle-compare", ORACLE_CONFIG)["metrics"]
-    n_theta, n_z = 28, 8
     assert metrics["oracle.step_calls"] == 2
-    assert metrics["oracle.lu_factors"] == \
-        2 * (n_theta // 2 + 1) * (n_z // 2 + 1)
+    assert metrics["oracle.lu_factors"] == 2 * 4
+    assert metrics["oracle.factor_s"] > 0.0
     assert metrics["oracle.bin_solve_s"] > 0.0

@@ -1,6 +1,8 @@
 """Full-cylinder reference solver: transforms, audits, and step comparison."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from cylmode.grid import build_grid, spectral_derivative
 from cylmode.state import ModeState, Params, make_random_divfree_state
 from cylmode.nonlinear import assemble_quadratic_rhs
 from cylmode.stepper import StepConfig, run
+import cylmode.oracle
 from cylmode.oracle import (
     BinTransforms,
     CFLViolationError,
@@ -29,6 +32,7 @@ from cylmode.oracle import (
     _solve_all_bins,
     _velocity_columns,
 )
+from oracle_reference import coupled_block, dense_table
 from quadratic_reference import nonlinear_term_projection
 
 N_THETA = 36  # multiple of 2 K N = 18, alias-free for quadratic products
@@ -289,8 +293,7 @@ class TestBinOperators:
         cache = OracleOpCache(grid, n_theta, nu)
         rhs = np.random.default_rng(7).standard_normal(
             (3, grid.n_r, n_theta, grid.n_z))
-        got = _solve_all_bins(cache.factors(dt, diffusion), rhs,
-                              cache.transforms)
+        got = _solve_all_bins(cache.factors(dt, diffusion), rhs, cache)
         c = np.fft.fft(np.fft.rfft(rhs, axis=2), axis=3)
         m = np.arange(n_theta // 2 + 1)
         m1 = np.where(m == n_theta // 2, 0.0, m)
@@ -310,14 +313,14 @@ class TestBinOperators:
         # both tables share the cache's buffers; a result must not live there
         rhs = np.random.default_rng(3).standard_normal(
             (3, grid.n_r, N_THETA, grid.n_z))
-        step = _solve_all_bins(cache.factors(1e-3), rhs, cache.transforms)
+        step = _solve_all_bins(cache.factors(1e-3), rhs, cache)
         kept = step.copy()
         proj = _solve_all_bins(cache.factors(1.0, diffusion=False), 2.0 * rhs,
-                               cache.transforms)
+                               cache)
         assert np.array_equal(step, kept)
         assert not np.shares_memory(step, proj)
         assert np.array_equal(
-            _solve_all_bins(cache.factors(1e-3), rhs, cache.transforms), kept)
+            _solve_all_bins(cache.factors(1e-3), rhs, cache), kept)
 
     def test_table_is_one_real_stack(self, grid, cache):
         ops = cache.factors(1e-3)
@@ -328,24 +331,55 @@ class TestBinOperators:
         assert ops.shape == (bins, 4 * n, 3 * n)
         assert ops.nbytes == bins * 4 * n * 3 * n * 8
         assert cache.factors(1e-3) is ops
+        # the projection keeps only its pressure map
+        proj = cache.factors(1.0, diffusion=False)
+        assert proj.dtype == np.float64
+        assert proj.shape == (bins, n, 3 * n)
+        assert proj.nbytes == bins * n * 3 * n * 8
+
+    def test_projection_is_built_at_unit_step_only(self, grid, cache):
+        # its velocity is W f - G p, the solve with M = I
+        with pytest.raises(ValueError):
+            cache.factors(1e-3, diffusion=False)
 
     def test_singular_bin_rejected(self, grid, cache):
         # the coupled form of the (m, zeta) = (0, 0) bin leaves the pressure
-        # constant free; the build uses the decoupled form there instead
+        # constant free, so its Schur complement is singular; the build
+        # uses the decoupled form there instead
         n = grid.n_r
-        A = cache._coupled_block(0.0, 0.0, 0.0, 0.0, 1.0, 1e3)
-        with pytest.raises(SingularBinError):
-            _bin_operator(A, _velocity_columns(n), np.random.default_rng(0),
-                          "probe")
+        for s, idt in ((1.0, 1e3), (0.0, 1.0)):
+            with pytest.raises(SingularBinError,
+                               match=re.escape("bin operator (m=0, zbin=0)")):
+                cache._eliminate(0, np.array([0]), s, idt,
+                                 np.random.default_rng(0), 4 * n)
         A = cache._decoupled_block(0.0, 0.0, 1.0, 1e3)
         op = _bin_operator(A, _velocity_columns(n), np.random.default_rng(0),
                            "probe")
         assert np.abs(op[:n]).max() == 0.0  # radial velocity pinned to zero
 
+    def test_map_probe_checks_the_formed_map(self, grid, monkeypatch):
+        # a pressure map off by one part in 1e5 still solves the full-row
+        # probe, whose pressure comes out of the same solve unskewed, and
+        # must fail the map probe
+        solve = cylmode.oracle.lu_solve
+
+        def skewed(a, b):
+            x = solve(a, b)
+            x[..., :-1] *= 1.0 + 1e-5
+            return x
+
+        OracleOpCache(grid, N_THETA, 1.0).factors(1.0, diffusion=False)
+        monkeypatch.setattr(cylmode.oracle, "lu_solve", skewed)
+        with pytest.raises(SingularBinError) as info:
+            OracleOpCache(grid, N_THETA, 1.0).factors(1.0, diffusion=False)
+        row, map_ = re.search(r"full-row probe (\S+), map probe (\S+)$",
+                              str(info.value)).groups()
+        assert float(row) <= 1e-6 < float(map_)
+
     def test_zero_pivot_is_a_labelled_singular_bin(self, grid, cache):
         # an exactly zero column stops the LU itself before any probe runs
         n = grid.n_r
-        A = cache._coupled_block(1.0, 1.0, 1.0, 1.0, 1.0, 1e3)
+        A = coupled_block(cache, 1.0, 1.0, 1.0, 1.0, 1.0, 1e3)
         A[:, 0] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(A, np.ones(A.shape[0]))
@@ -353,6 +387,58 @@ class TestBinOperators:
                            match="zero pivot in oracle bin zeroed"):
             _bin_operator(A, _velocity_columns(n), np.random.default_rng(0),
                           "zeroed")
+
+    def test_zero_pivot_in_the_elimination_names_its_bin(self, grid, cache,
+                                                         monkeypatch):
+        # an exactly singular Helmholtz block of one bin in a stack
+        def singular_blocks(*args):
+            H = OracleOpCache._momentum_blocks(cache, *args)
+            H[2, 0, :, 0] = 0.0
+            return H
+
+        monkeypatch.setattr(cache, "_momentum_blocks", singular_blocks)
+        with pytest.raises(SingularBinError,
+                           match=re.escape("zero pivot in oracle bin "
+                                           "(m=1, zbin=2)")):
+            cache._eliminate(1, np.arange(4), 1.0, 1e3,
+                             np.random.default_rng(0), 4 * grid.n_r)
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("n_r,n_theta,n_z",
+                             [(10, 8, 4), (10, 12, 10), (24, 40, 16)])
+    def test_tables_match_dense_bin_solves(self, n_r, n_theta, n_z):
+        # both tables' solves against one dense solve per bin
+        grid = build_grid(n_r=n_r, n_z=n_z, L_z=2.0 * np.pi)
+        cache = OracleOpCache(grid, n_theta, 0.7)
+        rhs = np.random.default_rng(n_theta).standard_normal(
+            (3, n_r, n_theta, n_z))
+        for dt, diffusion in ((1e-3, True), (1.0, False)):
+            got = _solve_all_bins(cache.factors(dt, diffusion), rhs, cache)
+            want = _solve_all_bins(dense_table(cache, dt, diffusion), rhs,
+                                   cache)
+            for a, b in zip(got, want):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_build_peak_memory(self):
+        # the tables are built one azimuthal index (n_z/2 + 1 bins) at a
+        # time: the traced peak stays under the tables' own bytes plus four
+        # (bins, 4n, 4n + 1) stacks of that chunk
+        grid = build_grid(n_r=24, n_z=16, L_z=2.0 * np.pi)
+        n, chunk = grid.n_r, grid.n_z // 2 + 1
+        OracleOpCache(build_grid(n_r=6, n_z=4, L_z=1.0), 8, 1.0).factors(
+            1e-3)  # first calls: lazy imports are not the build's memory
+        cache = OracleOpCache(grid, 40, 1.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tables = [cache.factors(1e-3), cache.factors(1.0, False)]
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        bound = sum(t.nbytes for t in tables) + 4 * chunk * 4 * n * (
+            4 * n + 1) * 8
+        assert peak <= bound, (peak, bound)
 
 
 def _fft_columns(rhs):
