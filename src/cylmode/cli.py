@@ -13,12 +13,12 @@ ranges have one home, a rule function of the module that uses them:
 ``inequalities.scan_problems``, ``oracle.n_theta_problems`` and
 ``stokes.linear_flow_problems``.  The library constructors raise from the
 same functions, so a config that validates is not refused by the
-library.  Every report but
-``decay-report``'s carries ``invariants_held``.  A solver error (CFL
-violation, failed divergence cleanup, singular operator or bin) still
-leaves the command's report, with a ``failure`` entry and
-``invariants_held`` false; an error raised in a time loop adds the 1-based
-``step`` it stopped at and the time ``t`` that step started from.
+library.  Every report but ``decay-report``'s carries ``invariants_held``.
+A solver error (CFL violation, a step's divergence residual above
+``div_tol``, singular operator or bin) still leaves the command's report,
+with a ``failure`` entry and ``invariants_held`` false; an error raised in
+a time loop adds the 1-based ``step`` it stopped at and the time ``t``
+that step started from.
 """
 
 from __future__ import annotations
@@ -419,7 +419,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
               "energy": point.energy, "smallness": point.smallness,
               "decay": point.decay.to_json_dict(),
               "run": {"n_steps": result.n_steps, "aborted": result.aborted,
-                      "reason": result.reason, "cleanups": result.cleanups,
+                      "reason": result.reason,
                       "final_time": result.state.t,
                       "snapshots": point.history.n_snapshots,
                       # informational: where the point's time and memory

@@ -70,11 +70,6 @@ class FullField:
     def velocity(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.ur, self.uth, self.uz)
 
-    def copy(self) -> "FullField":
-        return FullField(self.grid, self.theta, self.ur.copy(),
-                         self.uth.copy(), self.uz.copy(), self.P.copy(),
-                         self.t)
-
 
 def n_theta_problems(n_theta: int) -> list[str]:
     """Every violated range of the oracle's azimuthal node count."""

@@ -3,7 +3,8 @@
 Quadratic terms are evaluated explicitly (first order, or extrapolated to
 second order), the coupled viscous/pressure part is solved implicitly per
 harmonic, and every step lands exactly on the no-slip boundary and the
-discrete divergence constraint up to a configured tolerance.  Per-step
+discrete divergence constraint up to a configured tolerance; a step that
+misses it raises, and nothing re-projects its output.  Per-step
 energy budgets decompose the discrete energy identity into dissipation
 channels, nonlinear transfer, and pressure work, with the scheme-induced
 remainder reported as an imbalance instead of silently dropped.
@@ -30,8 +31,7 @@ from .grid import THETA_FULL, THETA_HALF, CFLViolationError, CylGrid, \
     raise_problems
 from .state import (InitProfile, ModeState, Params, divergence_residual,
                     save_checkpoint)
-from .stokes import SingularOperatorError, StokesOpCache, project_divfree, \
-    stokes_step
+from .stokes import SingularOperatorError, StokesOpCache, stokes_step
 from .nonlinear import assemble_quadratic_rhs, flux_identity_residual
 
 SCHEME_EULER = "imex_euler"
@@ -43,7 +43,8 @@ BUDGET_COLUMNS = ("t", "k", "energy", "dissipation_r", "dissipation_z",
 
 
 class DivergenceCleanupError(RuntimeError):
-    """Projection cleanup was needed too many steps in a row."""
+    """A step's divergence residual exceeded ``div_tol``; the step's output
+    is not repaired."""
 
 
 #: the errors a step can stop a run with; :func:`run` marks where
@@ -100,8 +101,6 @@ class StepSession:
     prev_rhs: np.ndarray | None = None
     measures: ModeMeasures | None = None
     step_count: int = 0
-    cleanup_streak: int = 0
-    cleanups_total: int = 0
     workspace: StepWorkspace = field(default_factory=StepWorkspace)
 
 
@@ -155,11 +154,11 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
     ``forcing``, if given, is called with the time the step lands on and
     must return a ``(K+1, 6, n_r, n_z)`` array of explicit external forces
     in the slot layout of ``ModeState.u``.  The CFL estimate is refreshed
-    every 10 steps.  If the post-step divergence residual exceeds
-    ``cfg.div_tol`` the state is re-projected once; more than 3
-    consecutive steps needing cleanup raise.  The quadratic term reads the
-    radial derivatives of ``session.measures``, the pass over ``state``
-    that the step before (or ``run``) left there.
+    every 10 steps.  A post-step divergence residual above ``cfg.div_tol``
+    raises ``DivergenceCleanupError`` at once; the output is never
+    re-projected.  The quadratic term reads the radial derivatives of
+    ``session.measures``, the pass over ``state`` that the step before (or
+    ``run``) left there.
     """
     if session is None:
         session = make_session(state)
@@ -201,24 +200,10 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
             k * p.N)
 
     meas = measure_state(new, ws=ws)
-    res = meas.divergence_residual()
-    if float(res.max()) > cfg.div_tol:
-        for k in range(p.K + 1):
-            new.u[k] = project_divfree(session.cache, new.u[k], k * p.N)[0]
-        session.cleanup_streak += 1
-        session.cleanups_total += 1
-        if session.cleanup_streak > 3:
-            raise DivergenceCleanupError(
-                "divergence cleanup required more than 3 consecutive steps; "
-                f"residual reached {float(res.max()):.3e}")
-        meas = measure_state(new, ws=ws)
-        res = meas.divergence_residual()
-        if float(res.max()) > cfg.div_tol:
-            raise DivergenceCleanupError(
-                f"projection cleanup left residual {float(res.max()):.3e} "
-                f"above div_tol {cfg.div_tol:g}")
-    else:
-        session.cleanup_streak = 0
+    res = float(meas.divergence_residual().max())
+    if res > cfg.div_tol:
+        raise DivergenceCleanupError(
+            f"divergence residual {res:.3e} above div_tol {cfg.div_tol:g}")
 
     session.prev_state = state
     session.prev_rhs = quad
@@ -307,7 +292,6 @@ class RunResult:
     aborted: bool = False
     reason: str = ""
     failure_time: float | None = None
-    cleanups: int = 0
 
 
 def mark_failure(exc: Exception, step: int, t: float) -> None:
@@ -364,8 +348,8 @@ def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
     if aborted_at is not None:
         return RunResult(state, aborted_at, aborted=True,
                          reason="kinetic energy grew past 10x its initial value",
-                         failure_time=state.t, cleanups=session.cleanups_total)
-    return RunResult(state, n_steps, cleanups=session.cleanups_total)
+                         failure_time=state.t)
+    return RunResult(state, n_steps)
 
 
 # -- linear-flow checks --------------------------------------------------------

@@ -13,8 +13,11 @@ with ``kap`` the effective azimuthal wavenumber (``k N`` inside the
 nonlinear solver, plain ``k`` for single-wavenumber verification runs).
 The sine family ``(v_r, u_th, v_z, Q)`` satisfies the same system under
 ``(a, b, c, p) = (v_r, -u_th, v_z, Q)`` with forcing ``(g_r, -f_th, g_z)``,
-so one operator serves both.  The mean mode is the ``kap = 0`` case, where
-the azimuthal block decouples.  The per-mode, per-wavenumber decoupling is
+so one operator serves both.  The mean mode is the ``kap = 0`` case of
+the same two-family solve: there the azimuthal ``b`` block decouples
+exactly from ``(a, c, p)``, so the mean's ``(u_r, u_z, P)`` ride in the
+cosine family and its ``u_th`` in the sine family, whose other slots and
+``Q`` stay exactly zero.  The per-mode, per-wavenumber decoupling is
 that of Lopez, Marques & Shen, J. Comput. Phys. 176 (2002).
 
 Momentum equations are collocated at interior nodes, the wall rows impose
@@ -50,8 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import (P, UR, UTH, UZ, ModeMeasures, energy_ledger,
-                          measure_modes, mode_energy)
+from .diagnostics import (UTH, ModeMeasures, energy_ledger, measure_modes,
+                          mode_energy)
 from .grid import CylGrid, THETA_HALF, raise_problems, spectral_symbol
 from .state import Params, make_initial_state
 
@@ -258,16 +261,14 @@ def stokes_step(cache: StokesOpCache, u: np.ndarray, forcing, dt: float,
     ``(I/dt + A) w_new + grad p = w/dt + f`` with the mode divergence
     constraint on ``w_new``, each forcing slot forcing that field's own
     momentum equation.  ``k_eff`` is the effective azimuthal wavenumber;
-    ``k_eff = 0`` is the mean, which reads slots ``(ur, uth, uz)`` only.
-    Returns the new slots and the ``(P, Q)`` pressures.
+    ``k_eff = 0`` is the mean, whose sine slots ``(vr, vth, vz)`` must be
+    zero in ``u`` and ``forcing``, as ``ModeState`` keeps them.  At
+    ``kap = 0`` the ``b`` rows and columns of every block decouple
+    exactly, so the mean's ``(ur, uz, P)`` come from the cosine family,
+    its ``uth`` from the sine family, and its sine slots and ``Q`` stay
+    exactly zero.  Returns the new slots and the ``(P, Q)`` pressures.
     """
     w = u / dt + (0.0 if forcing is None else forcing)
-    if k_eff == 0:
-        # one family (u_r, u_th, u_z, P): for k = 0 the slot b = u_th
-        x, = _solve_family(cache, k_eff, dt, diffusion, w[None, [UR, UTH, UZ]])
-        new, press = np.zeros_like(w), np.zeros((2,) + w.shape[1:])
-        new[[UR, UTH, UZ]], press[P] = x[:3], x[3]
-        return new, press
     # cosine family (u_r, v_th, u_z, P) and sine family via
     # (v_r, -u_th, v_z, Q) with forcing (g_r, -f_th, g_z): one solve
     w[UTH] *= -1.0

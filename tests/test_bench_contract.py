@@ -4,7 +4,8 @@
 removed one is listed under ``missing`` and its per-layer metrics silently
 drop out of the benchmark result.  This runs the tracer on a small
 ``simulate`` and checks that every per-layer metric ``BENCHMARK.json``
-declares is measured, and that the quadratic term is traced on every call;
+declares is measured, that the quadratic term is traced on every call and
+that a step makes one Stokes solve per harmonic and no re-projection;
 and on a small ``oracle-compare``, that every oracle step, the table build,
 its dense LUs and the bin solves are traced.
 """
@@ -77,6 +78,12 @@ def test_traced_simulate_reports_every_layer_metric(tmp_path):
     metrics = result["metrics"]
     assert metrics["stepper.steps"] == 2
     assert metrics["nonlinear.quadratic_calls"] == metrics["stepper.steps"] + 1
+    # one Stokes solve per harmonic per step, the mean's included, and no
+    # re-projection: a second solve path or a cleanup inside a step would
+    # read more
+    K = 2  # CONFIG's [params] K
+    assert metrics["stokes.solve_calls"] == (K + 1) * metrics["stepper.steps"]
+    assert metrics["stokes.cleanup_calls"] == 0
 
 
 def test_traced_oracle_compare_reports_the_bin_layers(tmp_path):

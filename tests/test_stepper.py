@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import cylmode.stepper
-from cylmode.diagnostics import UR, UTH, UZ, VR, VTH, VZ, ModeMeasures
+import cylmode.stokes
+from cylmode.diagnostics import Q, UR, UTH, UZ, VR, VTH, VZ, ModeMeasures
 from cylmode.grid import build_grid, THETA_FULL, THETA_HALF
 from cylmode.state import (
     ModeState,
@@ -103,6 +104,21 @@ class TestBasics:
         st = _rand_state(grid, p, seed=3)
         res = run(st, StepConfig(dt=1e-3, t_end=5e-3))
         assert float(divergence_residual(res.state).max()) < 1e-12
+
+    @pytest.mark.parametrize("scheme", STEP_SCHEMES)
+    def test_mean_sine_slots_stay_exactly_zero(self, grid, scheme):
+        # the mean is stepped by the two-family solve at kappa = 0; its
+        # b rows decouple exactly, so nothing may leak into its sine slots
+        p = _params()
+        st = _rand_state(grid, p, seed=4)
+        assert all(np.abs(st.u[0, s]).max() > 0.0 for s in (UR, UTH, UZ))
+        snaps = []
+        run(st, StepConfig(dt=1e-3, t_end=4e-3, scheme=scheme),
+            RunSinks(on_snapshot=lambda state, _: snaps.append(state)))
+        assert len(snaps) == 5
+        for state in snaps:
+            assert np.all(state.u[0, [VR, VTH, VZ]] == 0.0)
+            assert np.all(state.p[0, Q] == 0.0)
 
 
 class TestVerticalViscosity:
@@ -390,12 +406,31 @@ class TestGuards:
         saved = load_checkpoint(path, params=p)
         assert saved.t == pytest.approx(res.failure_time)
 
-    def test_impossible_div_tol_raises(self, grid):
+    def test_impossible_div_tol_raises(self, grid, monkeypatch):
+        # the first step over div_tol stops the run: its output is never
+        # re-projected
         p = _params()
         st = _rand_state(grid, p, seed=3)
         cfg = StepConfig(dt=1e-3, t_end=1.0, div_tol=1e-18)
-        with pytest.raises(DivergenceCleanupError):
+        projections = []
+        project = cylmode.stokes.project_divfree
+
+        def counted(*args, **kwargs):
+            projections.append(1)
+            return project(*args, **kwargs)
+
+        # the stepper's own name too, should it import one again
+        monkeypatch.setattr(cylmode.stokes, "project_divfree", counted)
+        monkeypatch.setattr(cylmode.stepper, "project_divfree", counted,
+                            raising=False)
+        text = r"divergence residual \d\.\d{3}e[-+]\d+ above div_tol 1e-18"
+        with pytest.raises(DivergenceCleanupError, match=text):
             step(st, cfg)
+        with pytest.raises(DivergenceCleanupError, match=text) as info:
+            run(st, cfg)
+        assert info.value.step == 1
+        assert info.value.t == 0.0
+        assert projections == []
 
     def test_checkpoint_schedule(self, grid, tmp_path):
         p = _params()

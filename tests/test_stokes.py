@@ -91,18 +91,32 @@ class TestBlockAssembly:
 
 
 class TestStackedOperators:
-    @pytest.mark.parametrize("kappa", [0, 4])
+    @pytest.mark.parametrize("kappa, mean_step",
+                             [(0, False), (4, False), (0, True)],
+                             ids=["0", "4", "mean"])
     @pytest.mark.parametrize("diffusion", [True, False])
     def test_matches_dense_complex_solve(self, grid_cheb, rng, kappa,
-                                         diffusion):
+                                         mean_step, diffusion):
         # every bin of the real stacked route against a dense solve of the
-        # physical complex block (the decoupled block on mean-DC bins)
+        # physical complex block (the decoupled block on mean-DC bins).
+        # The mean step solves both families at kappa = 0, its u_th riding
+        # in the sine family: the b rows decouple exactly, so its sine
+        # slots and Q must come back exactly zero
         g = grid_cheb
         n = g.n_r
         nu, dt = 1.0, (1e-3 if diffusion else 1.0)
         cache = StokesOpCache(g, nu)
         rhs = rng.standard_normal((1, 3, n, g.n_z))
-        got = _solve_family(cache, kappa, dt, diffusion, rhs)[0]
+        if mean_step:
+            u = np.zeros((6, n, g.n_z))
+            u[[UR, UTH, UZ]] = rhs[0]
+            rhs = u[None, [UR, UTH, UZ]] / dt
+            new, press = stokes_step(cache, u, None, dt, 0, diffusion)
+            for zero in (new[VR], new[VTH], new[VZ], press[Q]):
+                assert np.all(zero == 0.0)
+            got = (new[UR], new[UTH], new[UZ], press[P])
+        else:
+            got = _solve_family(cache, kappa, dt, diffusion, rhs)[0]
         rh = np.fft.rfft(rhs[0], axis=-1)
         zeta1, zeta2 = _zeta_tables(g)
         want = np.zeros((4, n, zeta1.size), dtype=complex)
