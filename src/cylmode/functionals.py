@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .diagnostics import UR, UTH, ModeMeasures, measure_state
-from .grid import CylGrid
+from .grid import CylGrid, median
 from .state import InitProfile, ModeState, Params
 
 REPORT_SCHEMA = "cylmode-report-v1"
@@ -392,7 +392,7 @@ def decay_report(history: EnergyHistory, params: Params) -> DecayReport:
                  "L_z": history.grid.L_z} if history.grid else None,
         "horizon": history.times[-1],
         "snapshots": history.n_snapshots,
-        "snapshot_dt_median": float(np.median(dts)),
+        "snapshot_dt_median": median(dts),
         "truncation_leakage": (sup0[K] / sup0[1] if sup0[1] > 0.0 else 0.0),
         "cascade": bool(cascade),
         "vertical_domain": "periodic surrogate",

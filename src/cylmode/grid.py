@@ -73,6 +73,18 @@ def spectral_derivative(a: np.ndarray, period: float, order: int,
     return np.fft.irfft(ahat, n=n, axis=axis)
 
 
+def median(values) -> float:
+    """``np.median`` of ``values``, bitwise: the middle entry of the sorted
+    values, or the mean of the two middle ones; NaN when any entry is NaN.
+    ``np.median`` imports ``numpy.ma`` on its first call, which costs a
+    command about 15 ms."""
+    a = np.sort(np.asarray(values, dtype=float), axis=None)
+    if a.size == 0 or np.isnan(a[-1]):
+        return math.nan
+    h = a.size // 2
+    return float(a[h] if a.size % 2 else (a[h - 1] + a[h]) / 2.0)
+
+
 def radial_nodes(n_r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Radial nodes ``r``, their ``r dr`` quadrature weights ``w_r`` and the
     collocation derivative matrix ``D_r``.

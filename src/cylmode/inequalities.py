@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import radial_nodes, raise_problems, spectral_derivative
+from .grid import median, radial_nodes, raise_problems, spectral_derivative
 
 __all__ = [
     "DiskGrid",
@@ -705,7 +705,7 @@ def constant_scan(family: str | None, check: str, trials: int, seed: int, *,
         "trials": int(trials),
         "seed": int(seed),
         "max_ratio": max_c,
-        "median_ratio": float(np.median(coarse)),
+        "median_ratio": median(coarse),
         "refinement_delta": float(delta),
     }
     if vertical:

@@ -30,14 +30,19 @@ the same discretization.
 
 Every block is exactly real under the diagonal similarity ``c = i c'``
 with the axial momentum row scaled by ``-i``: ``i zeta`` becomes ``zeta``
-in that row and ``-zeta`` in the divergence row.  The blocks are assembled
-in that real form, row-equilibrated and solved once at build time against
-the three velocity right-hand sides (wall rows dropped) and a random probe,
-so a singular operator fails loudly instead of being regularized.  The
-cache keeps only the resulting real ``4n x 3n`` maps to ``(a, b, c', p)``,
-one ``(bins, 4n, 3n)`` stack per ``(kap, dt, diffusion)``, and a solve is
-one vertical FFT, one batched ``matmul`` with real and imaginary parts
-(and the cosine and sine families) as columns, and one inverse FFT.
+in that row and ``-zeta`` in the divergence row.  The blocks are built
+once, in that real form, into their maps from the three velocity
+right-hand sides (wall rows dropped) to ``(a, b, c', p)``.  The coupled
+bins of one ``kap`` are built together by block elimination: the
+``(a, b)`` momentum block decouples into ``a + b`` and ``a - b``, and the
+pressure follows from an ``n x n`` Schur complement (Benzi, Golub &
+Liesen, Acta Numerica 14, 2005).  The mean's decoupled bins and every bin
+of a projection are row-equilibrated and solved densely instead.  Random
+probes check every map, so a singular operator fails loudly instead of
+being regularized.  The cache keeps only the real ``4n x 3n`` maps, one
+``(bins, 4n, 3n)`` stack per ``(kap, dt, diffusion)``, and a solve is one
+vertical FFT, one batched ``matmul`` with real and imaginary parts (and
+the cosine and sine families) as columns, and one inverse FFT.
 
 ``stokes_evolve`` is the one single-harmonic time loop: it measures every
 snapshot with its pressure and closes the backward-Euler energy identity
@@ -81,15 +86,38 @@ def _zeta_tables(grid: CylGrid) -> tuple[np.ndarray, np.ndarray]:
             -spectral_symbol(grid.n_z, grid.L_z, 2).real)
 
 
-def _helmholtz(grid: CylGrid, pot: np.ndarray, dt: float, s: float) -> np.ndarray:
-    """``I/dt - s (D^2 + D/r) + diag(s pot)`` on the radial nodes."""
+def _radial_laplacian(grid: CylGrid) -> np.ndarray:
+    """``D^2 + D/r`` on the radial nodes."""
     D = grid.D_r
-    lap = D @ D + (1.0 / grid.r)[:, None] * D
-    return np.eye(grid.n_r) / dt - s * lap + np.diag(s * pot)
+    return D @ D + (1.0 / grid.r)[:, None] * D
+
+
+def _potentials(grid: CylGrid, kappa: int, nu: float,
+                zeta2: np.ndarray) -> np.ndarray:
+    """The potentials of the ``(u_r, v_th)`` and ``u_z`` Helmholtz blocks of
+    every bin, ``(bins, 2, n)``."""
+    r = grid.r
+    nz2 = nu**2 * np.asarray(zeta2, dtype=float)[:, None]
+    return np.stack([(1.0 + kappa**2) / r**2 + nz2, kappa**2 / r**2 + nz2],
+                    axis=1)
+
+
+def _momentum_blocks(lap: np.ndarray, pot: np.ndarray, dt: float,
+                     s: float) -> np.ndarray:
+    """``I/dt - s lap + diag(s pot)``, one block per row of ``pot``
+    ``(..., n)``, with the wall row set to no-slip."""
+    n = lap.shape[0]
+    H = np.broadcast_to(-s * lap, pot.shape + (n,)).copy()
+    idx = np.arange(n)
+    H[..., idx, idx] = (1.0 / dt - s * np.diag(lap)) + s * pot
+    H[..., -1, :] = 0.0
+    H[..., -1, -1] = 1.0
+    return H
 
 
 def _real_block(grid: CylGrid, kappa: int, nu: float, zeta1: float,
-                zeta2: float, dt: float, diffusion: bool) -> np.ndarray:
+                zeta2: float, dt: float, diffusion: bool,
+                lap: np.ndarray | None = None) -> np.ndarray:
     """One (harmonic, vertical wavenumber) block in its real form."""
     n = grid.n_r
     r = grid.r
@@ -98,18 +126,21 @@ def _real_block(grid: CylGrid, kappa: int, nu: float, zeta1: float,
     A = np.zeros((4 * n, 4 * n))
     eye = np.eye(n)
     s = 1.0 if diffusion else 0.0
-    blk_a = _helmholtz(grid, (1.0 + kappa**2) / r**2 + nu**2 * zeta2, dt, s)
+    if lap is None:
+        lap = _radial_laplacian(grid)
+    h_ab, h_c = _momentum_blocks(
+        lap, _potentials(grid, kappa, nu, [zeta2]), dt, s)[0]
     couple = np.diag(s * 2.0 * kappa / r**2)
 
     sl_a, sl_b, sl_c, sl_p = (slice(0, n), slice(n, 2 * n),
                               slice(2 * n, 3 * n), slice(3 * n, 4 * n))
-    A[sl_a, sl_a] = blk_a
+    A[sl_a, sl_a] = h_ab
     A[sl_a, sl_b] = couple
     A[sl_a, sl_p] = D
-    A[sl_b, sl_b] = blk_a
+    A[sl_b, sl_b] = h_ab
     A[sl_b, sl_a] = couple
     A[sl_b, sl_p] = -np.diag(kappa / r)
-    A[sl_c, sl_c] = _helmholtz(grid, kappa**2 / r**2 + nu**2 * zeta2, dt, s)
+    A[sl_c, sl_c] = h_c
     A[sl_c, sl_p] = zeta1 * eye
     # wall rows: no-slip
     for sl in (sl_a, sl_b, sl_c):
@@ -127,7 +158,7 @@ def _real_block(grid: CylGrid, kappa: int, nu: float, zeta1: float,
 
 
 def _mean_dc_block(grid: CylGrid, nu: float, zeta2: float, dt: float,
-                   diffusion: bool) -> np.ndarray:
+                   diffusion: bool, lap: np.ndarray | None = None) -> np.ndarray:
     """Decoupled block of the doubly degenerate bin (kappa = 0 and no
     first-order vertical coupling), in the coupled block's row and column
     layout.
@@ -147,11 +178,10 @@ def _mean_dc_block(grid: CylGrid, nu: float, zeta2: float, dt: float,
     ib = n - 1
     r = grid.r
     s = 1.0 if diffusion else 0.0
-    hb = _helmholtz(grid, 1.0 / r**2 + nu**2 * zeta2, dt, s)
-    hc = _helmholtz(grid, np.full(n, nu**2 * zeta2), dt, s)
-    for H in (hb, hc):
-        H[ib, :] = 0.0
-        H[ib, ib] = 1.0
+    if lap is None:
+        lap = _radial_laplacian(grid)
+    hb, hc = _momentum_blocks(lap, np.stack([1.0 / r**2 + nu**2 * zeta2,
+                                             np.full(n, nu**2 * zeta2)]), dt, s)
     P = grid.D_r.copy()
     P[ib, :] = grid.w_r  # zero-mean pressure gauge
     A = np.zeros((4 * n, 4 * n))
@@ -202,31 +232,186 @@ def _factor_checked(A: np.ndarray, rng, label: str) -> np.ndarray:
     return op
 
 
+def _solve_bins(a: np.ndarray, b: np.ndarray, labels: list[str]) -> np.ndarray:
+    """``a^{-1} b`` for stacks whose leading axis runs over the bins of
+    ``labels``; an exactly singular matrix names its bin."""
+    try:
+        return lu_solve(a, b)
+    except np.linalg.LinAlgError:
+        for ai, bi, label in zip(a, b, labels):
+            try:
+                lu_solve(ai, bi)
+            except np.linalg.LinAlgError as exc:
+                raise SingularOperatorError(
+                    f"zero pivot in Stokes block {label}") from exc
+        raise
+
+
+def _eliminate(grid: CylGrid, lap: np.ndarray, kappa: int, nu: float,
+               zeta1: np.ndarray, zeta2: np.ndarray, dt: float, rng,
+               out: np.ndarray) -> None:
+    """Write the maps ``A^{-1} W`` of the coupled bins ``(zeta1, zeta2)``
+    of one ``kappa`` into ``out`` ``(bins, 4n, 3n)`` by block elimination.
+
+    A block is ``[[M, G], [Dv, 0]]``: momentum rows ``M``, the pressure
+    gradient ``G`` (zero on the wall rows) and the divergence ``Dv``.  The
+    ``(a, b)`` part of ``M`` is ``[[H, C], [C, H]]`` with a diagonal ``C``,
+    so ``a + b`` and ``a - b`` decouple on ``H + C`` and ``H - C``; those and
+    the axial block are inverted in one stacked solve.  With the ``n x n``
+    Schur complement ``S = Dv M^-1 G``, solved in a second one, the
+    pressure rows are ``P = S^-1 Dv M^-1 W`` and the velocity rows
+    ``M^-1 W - (M^-1 G) P``.  The blocks of ``M^-1 W`` wait in the pressure
+    rows of ``out``, so the build's temporaries stay within about eleven
+    ``n x n`` blocks per bin beside the table.
+
+    Two random probes per bin, as in :func:`_factor_checked`: ``x`` on all
+    ``4n`` unknowns is recovered from ``A x``, which rides as one more
+    column through both solves, and the map ``op`` must give
+    ``A (op b) = W b``.  Both apply ``A`` from its definition, not from
+    the inverted blocks.
+    """
+    n, r = grid.n_r, grid.r
+    bins = zeta1.size
+    idx = np.arange(n)
+    labels = [f"kappa={kappa}, zeta={z}" for z in zeta1]
+    pot = _potentials(grid, kappa, nu, zeta2)
+    wall = np.ones(n)
+    wall[-1] = 0.0  # zero on the no-slip rows
+    couple = wall * 2.0 * kappa / r**2
+    kr = kappa / r
+    grad = wall[:, None] * grid.D_r
+    grad_pm = (grad - np.diag(wall * kr), grad + np.diag(wall * kr))
+    div = grid.D_r + np.diag(1.0 / r)
+    div_pm = (div + np.diag(kr), div - np.diag(kr))
+    z1 = zeta1[:, None, None]
+
+    def helm(j, f):
+        """The momentum Helmholtz block ``j`` of every bin on ``f``."""
+        h = f / dt - lap @ f + pot[:, j, :, None] * f
+        h[:, -1] = f[:, -1]
+        return h
+
+    def apply(v):
+        """``A v`` for ``v`` of shape ``(bins, 4n, columns)``."""
+        a, b, c, p = np.split(v, 4, axis=1)
+        pw = wall[:, None] * p
+        return np.concatenate([
+            helm(0, a) + couple[:, None] * b + grad @ p,
+            helm(0, b) + couple[:, None] * a - kr[:, None] * pw,
+            helm(1, c) + z1 * pw,
+            div @ a + kr[:, None] * b - z1 * c], axis=1)
+
+    x = rng.standard_normal((bins, 4 * n, 1))
+    ya, yb, yc, yd = np.split(apply(x)[..., 0], 4, axis=1)
+    # X = [H + C, H - C, H_c]^-1 [I, A x] on the rows (a + b, a - b, c)
+    M = _momentum_blocks(lap, pot[:, [0, 0, 1]], dt, 1.0)
+    M[:, 0, idx, idx] += couple
+    M[:, 1, idx, idx] -= couple
+    rhs = np.zeros((bins, 3, n, n + 1))
+    rhs[:, :, idx, idx] = 1.0
+    rhs[..., n] = np.stack([ya + yb, ya - yb, yc], axis=1)
+    X = _solve_bins(M, rhs, labels)
+    del M, rhs
+    X[..., n - 1] = 0.0  # the no-slip rows of W: X[..., :n] is M^-1 W
+    # M^-1 G on the rows (a, b, c); G's wall rows are zero
+    gs, gd = (X[:, i, :, :n] @ grad_pm[i] for i in (0, 1))
+    MG = np.empty((bins, 3 * n, n))
+    np.add(gs, gd, out=MG[:, :n])
+    np.subtract(gs, gd, out=MG[:, n:2 * n])
+    MG[:, :2 * n] *= 0.5
+    np.multiply(z1, X[:, 2, :, :n], out=MG[:, 2 * n:])
+    del gs, gd
+    S = div @ MG[:, :n] + kr[:, None] * MG[:, n:2 * n] - z1 * MG[:, 2 * n:]
+    # Dv on (a, b) is (D_a + K) (a + b) / 2 + (D_a - K) (a - b) / 2
+    U, V = (div_pm[i] @ X[:, i] for i in (0, 1))
+    # X's rows to (a, b, c): its W columns are then the blocks rr, rt, H_c^-1
+    # of M^-1 W = [[rr, rt, 0], [rt, rr, 0], [0, 0, H_c^-1]], kept in the
+    # pressure rows of out until the pressure map is known
+    X[:, 1] -= X[:, 0]
+    X[:, 1] *= -0.5
+    X[:, 0] -= X[:, 1]
+    mw = out[:, 3 * n:].reshape(bins, n, 3, n)
+    mw[...] = X[..., :n].transpose(0, 2, 1, 3)
+    mx = X[..., n].reshape(bins, 3 * n, 1).copy()
+    del X
+    # S [P, p] = Dv M^-1 [W, A x] - [0, (A x)_div]
+    rhs = np.empty((bins, n, 3 * n + 1))
+    np.add(U, V, out=rhs[..., :n + 1])
+    rhs[..., :n + 1] *= 0.5
+    rhs[..., -1] = rhs[..., n] - zeta1[:, None] * mx[:, 2 * n:, 0] - yd
+    np.subtract(U[..., :n], V[..., :n], out=rhs[..., n:2 * n])
+    rhs[..., n:2 * n] *= 0.5
+    np.multiply(-z1, mw[:, :, 2], out=rhs[..., 2 * n:3 * n])
+    del U, V
+    Y = _solve_bins(S, rhs, labels)
+    del S, rhs
+    u = np.matmul(MG, Y[..., :3 * n], out=out[:, :3 * n])
+    np.negative(u, out=u)
+    for rows, cols, blk in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0),
+                            (2, 2, 2)):
+        u[:, rows * n:(rows + 1) * n, cols * n:(cols + 1) * n] += mw[:, :, blk]
+    out[:, 3 * n:] = Y[..., :3 * n]
+    # probes: x from A x, and A (op b) = W b
+    p_x = Y[..., 3 * n:]
+    got = np.concatenate([mx - MG @ p_x, p_x], axis=1)
+    err = np.abs(got - x).max(axis=(1, 2)) / np.abs(x).max(axis=(1, 2))
+    b = rng.standard_normal((bins, 3 * n, 1)) * np.tile(wall, 3)[:, None]
+    wb = np.concatenate([b, np.zeros((bins, n, 1))], axis=1)
+    res = np.abs(apply(out @ b) - wb).max(axis=(1, 2)) \
+        / np.abs(wb).max(axis=(1, 2))
+    bad = np.flatnonzero(~(np.maximum(err, res) <= 1e-6))
+    if bad.size:
+        i = bad[0]
+        raise SingularOperatorError(
+            f"singular Stokes block {labels[i]}: probe residual "
+            f"{max(err[i], res[i]):.2e}")
+
+
 class StokesOpCache:
     """Real bin operator stacks ``(bins, 4n, 3n)``, keyed by
-    (kappa, dt, diffusion)."""
+    (kappa, dt, diffusion).
+
+    The coupled bins of a step's table are built together by
+    :func:`_eliminate`; the mean's decoupled bins (``kappa = 0`` with no
+    first-order vertical coupling) and every bin of a projection
+    (``diffusion=False``) are solved densely by :func:`_factor_checked`.
+    """
 
     def __init__(self, grid: CylGrid, nu: float):
         self.grid = grid
         self.nu = float(nu)
         self._table: dict[tuple, np.ndarray] = {}
         self._rng = np.random.default_rng(1234)
+        self._lap = _radial_laplacian(grid)
+        self._zeta1, self._zeta2 = _zeta_tables(grid)
 
     def factors(self, kappa: int, dt: float, diffusion: bool = True) -> np.ndarray:
         key = (int(kappa), float(dt), bool(diffusion))
         if key in self._table:
             return self._table[key]
-        zeta1, zeta2 = _zeta_tables(self.grid)
-        ops = []
-        for z1, z2 in zip(zeta1, zeta2):
+        g, zeta1, zeta2 = self.grid, self._zeta1, self._zeta2
+        out = np.empty((zeta1.size, 4 * g.n_r, 3 * g.n_r))
+        dense = np.full(zeta1.size, not diffusion)
+        if kappa == 0:
+            dense |= zeta1 == 0.0
+        if not dense.all():
+            # zeta1 vanishes only on the first bin and the Nyquist bin, so
+            # the coupled bins are one slice
+            coupled = np.flatnonzero(~dense)
+            sl = slice(coupled[0], coupled[-1] + 1)
+            _eliminate(g, self._lap, kappa, self.nu, zeta1[sl], zeta2[sl], dt,
+                       self._rng, out[sl])
+        for i in np.flatnonzero(dense):
+            z1, z2 = zeta1[i], zeta2[i]
             if kappa == 0 and z1 == 0.0:
-                A = _mean_dc_block(self.grid, self.nu, z2, dt, diffusion)
+                A = _mean_dc_block(g, self.nu, z2, dt, diffusion, self._lap)
                 label = f"mean-dc, zeta^2={z2}"
             else:
-                A = _real_block(self.grid, kappa, self.nu, z1, z2, dt, diffusion)
+                A = _real_block(g, kappa, self.nu, z1, z2, dt, diffusion,
+                                self._lap)
                 label = f"kappa={kappa}, zeta={z1}"
-            ops.append(_factor_checked(A, self._rng, label))
-        self._table[key] = out = np.stack(ops)
+            out[i] = _factor_checked(A, self._rng, label)
+        self._table[key] = out
         return out
 
 

@@ -84,6 +84,11 @@ def test_traced_simulate_reports_every_layer_metric(tmp_path):
     K = 2  # CONFIG's [params] K
     assert metrics["stokes.solve_calls"] == (K + 1) * metrics["stepper.steps"]
     assert metrics["stokes.cleanup_calls"] == 0
+    # only the mean's decoupled bins, zeta = 0 and Nyquist, take a dense
+    # LU; the others are built by block elimination.  The build is traced:
+    # a table built in a helper the tracer does not wrap would read 0 s
+    assert metrics["stokes.lu_factors"] == 2
+    assert metrics["stokes.factor_s"] > 0.0
 
 
 def test_traced_oracle_compare_reports_the_bin_layers(tmp_path):

@@ -764,3 +764,23 @@ class TestEntryPoint:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_commands_load_no_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma, about 15 ms of a command's start-up;
+        # the reports take their medians from grid.median instead
+        sim = _write(tmp_path, _small(), "sim.ini")
+        scan = _write(tmp_path, {"scan": {
+            "check": "anisotropic", "trials": 8, "seed": 3}}, "scan.ini")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from cylmode.cli import main\n"
+             f"assert main(['simulate', '--config', {sim!r}, '--out', "
+             f"{str(tmp_path / 'sim')!r}, '--quiet']) == 0\n"
+             f"assert main(['inequality-scan', '--config', {scan!r}, '--out', "
+             f"{str(tmp_path / 'scan')!r}, '--quiet']) == 0\n"
+             "print('numpy.ma' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

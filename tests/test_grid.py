@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from cylmode import build_grid
-from cylmode.grid import radial_nodes, spectral_derivative, spectral_symbol
+from cylmode.grid import (median, radial_nodes, spectral_derivative,
+                           spectral_symbol)
 from cylmode.inequalities import build_disk_grid
 from cylmode.oracle import OracleOpCache
 from cylmode.stokes import _zeta_tables
@@ -145,6 +146,24 @@ class TestRadialNodes:
             np.testing.assert_array_equal(grid.r, r)
             np.testing.assert_array_equal(grid.w_r, w_r)
             np.testing.assert_array_equal(grid.D_r, D_r)
+
+
+class TestMedian:
+    @pytest.mark.parametrize("values", [
+        [2.5], [3.0, -1.0], [5.0, 1.0, 3.0], [0.1, 0.2, 0.7, 0.3],
+        [1.0, 2.0, 2.0, 2.0, 1.0, 1.0], [4.0, 4.0, 4.0],
+        [np.inf, 1.0, 2.0], [-np.inf, np.inf], [np.inf, np.inf, 1.0, 2.0],
+        [-np.inf, -np.inf, 0.0], [1e308, 1.7e308], [-0.0, 0.0, -0.0],
+        [np.nan], [1.0, np.nan, 2.0], [np.nan, np.inf, -np.inf, 0.0],
+    ] + [list(np.random.default_rng(m).standard_normal(m))
+         for m in range(1, 12)])
+    def test_is_bitwise_np_median(self, values):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.median(np.array(values))
+            got = median(values)
+        assert type(got) is float
+        np.testing.assert_array_equal(got, want)
+        assert np.signbit(got) == np.signbit(want)
 
 
 class TestValidation:

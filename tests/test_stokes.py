@@ -6,6 +6,8 @@ apply the explicit discrete operators to the solver output, closing the
 loop between the assembled blocks and the grid's derivative convention.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,13 +16,16 @@ from scipy.special import j0, j1, jn_zeros
 import cylmode.stokes
 
 from cylmode.diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ, measure_modes
+from cylmode.grid import build_grid
 from cylmode.state import Params
 from cylmode.stepper import mode_invariance_check
 from cylmode.stokes import (
     SingularOperatorError,
     StokesOpCache,
+    _eliminate,
     _factor_checked,
     _mean_dc_block,
+    _radial_laplacian,
     _real_block,
     _solve_family,
     _zeta_tables,
@@ -88,6 +93,81 @@ class TestBlockAssembly:
         f1 = cache.factors(4, 1e-3)
         f2 = cache.factors(4, 1e-3)
         assert f1 is f2
+
+
+class TestEliminatedTables:
+    """The coupled bins are built by block elimination; the per-bin dense
+    route (``_real_block`` and ``_factor_checked``, ``_mean_dc_block`` on the
+    mean's decoupled bins) is the reference."""
+
+    @pytest.mark.parametrize("dt", [2.5e-3, 1.0])
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    @pytest.mark.parametrize("n_r, n_z", [(12, 8), (16, 16), (32, 32)])
+    def test_tables_match_the_dense_route(self, n_r, n_z, nu, dt):
+        # kappa > 0 covers the bins with zeta1 = 0 (zeta = 0 and Nyquist),
+        # where u_z decouples; kappa = 0 the mean's bins with zeta1 != 0
+        g = build_grid(n_r, n_z, 2.0 * np.pi)
+        zeta1, zeta2 = _zeta_tables(g)
+        rng = np.random.default_rng(5)
+        cache = StokesOpCache(g, nu)
+        for kappa in (0, 1, 8, 32):
+            table = cache.factors(kappa, dt)
+            dense = np.stack([
+                _factor_checked(
+                    _mean_dc_block(g, nu, z2, dt, True) if kappa == 0
+                    and z1 == 0.0 else _real_block(g, kappa, nu, z1, z2, dt,
+                                                   True), rng, "reference")
+                for z1, z2 in zip(zeta1, zeta2)])
+            assert np.abs(table - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_singular_schur_complement_names_its_bin(self, grid_cheb):
+        # the coupled form of the mean's (0, 0) bin carries a spurious
+        # pressure mode (test_naive_mean_dc_block_is_singular), so its Schur
+        # complement is singular; planted beside a regular bin, it is the
+        # one the error names
+        g = grid_cheb
+        n = g.n_r
+        out = np.empty((2, 4 * n, 3 * n))
+        with pytest.raises(SingularOperatorError,
+                           match=r"kappa=0, zeta=0\.0\b"):
+            _eliminate(g, _radial_laplacian(g), 0, 1.0, np.array([1.0, 0.0]),
+                       np.array([1.0, 0.0]), 1e-3, np.random.default_rng(0),
+                       out)
+
+    def test_map_probe_checks_the_eliminated_map(self, grid_cheb,
+                                                 monkeypatch):
+        # a pressure map off by one part in 1e5 leaves the full-row probe,
+        # which rides in the Schur solve's last column, exact; the map
+        # probe A (op b) = W b must still reject it
+        n = grid_cheb.n_r
+        solve = cylmode.stokes.lu_solve
+
+        def skewed(a, b):
+            x = solve(a, b)
+            if b.shape[-1] == 3 * n + 1:  # the Schur complement's solve
+                x[..., :-1] *= 1.0 + 1e-5
+            return x
+
+        StokesOpCache(grid_cheb, 1.0).factors(4, 1e-3)
+        monkeypatch.setattr(cylmode.stokes, "lu_solve", skewed)
+        with pytest.raises(SingularOperatorError, match="probe residual"):
+            StokesOpCache(grid_cheb, 1.0).factors(4, 1e-3)
+
+    def test_build_memory_stays_near_the_table(self):
+        # the build's temporaries peak at no more than 2 MB beside the
+        # table at 32 x 32, one kappa (about 1.6 MB here); stacking per-bin
+        # maps, or assembling every dense 4n x 4n block at once (2.2 MB),
+        # would exceed it
+        cache = StokesOpCache(build_grid(32, 32, 2.0 * np.pi), 1.0)
+        cache.factors(8, 1.0)  # first-call allocations of numpy and LAPACK
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table = cache.factors(8, 2.5e-3)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + 2_000_000
 
 
 class TestStackedOperators:
