@@ -37,7 +37,7 @@ from .functionals import (
     compute_D,
     compute_E,
     decay_report,
-    decay_weights,
+    harmonic_weight,
     load_history,
     save_history,
     smallness_check,
@@ -133,7 +133,7 @@ __all__ = [
     "accumulate",
     "compute_E",
     "compute_D",
-    "decay_weights",
+    "harmonic_weight",
     "decay_report",
     "smallness_check",
     "save_history",

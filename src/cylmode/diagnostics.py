@@ -191,21 +191,21 @@ class ModeMeasures:
         """Pieces of the discrete mode energy identity, theta folded in.
 
         ``grad`` is ``||dr u||^2 + nu^2 ||dz u||^2``; ``pot`` the weighted
-        ``1/r`` terms (``(ur, uth) / r`` for the mean, ``kap^2 ||u/r||^2``
-        plus the four swirl-coupled slots otherwise); ``cross`` is
-        ``4 kap (<vr/r, uth/r> - <ur/r, vth/r>)``; ``dissipation`` the
+        ``1/r`` terms ``kap^2 ||u/r||^2`` plus the four swirl-coupled slots;
+        ``cross`` is ``4 kap (<vr/r, uth/r> - <ur/r, vth/r>)``; at
+        ``kap = 0`` the mean's zero sine slots leave ``pot`` its
+        ``(ur, uth) / r`` pair and ``cross`` zero.  ``dissipation`` is the
         coercive part ``grad`` plus the mean's ``pot`` or
-        ``(kap - 1)^2 ||u/r||^2``.  The identity reads
-        ``grad + pot - cross``.
+        ``(kap - 1)^2 ||u/r||^2``, which differ at ``kap = 0`` by
+        ``||uz/r||^2``.  The identity reads ``grad + pot - cross``.
         """
         over = self.over_r[0]
         total = over.sum(axis=-1)
         pair = over[:, UR] + over[:, UTH]
         kap = self.k_eff
         grad = self.dr_sq[0] + nu**2 * self.dz_sq[0]
-        pot = np.where(self.mean, pair,
-                       kap**2 * total + pair + over[:, VTH] + over[:, VR])
-        cross = np.where(self.mean, 0.0, 4.0 * kap * self.cross)
+        pot = kap**2 * total + pair + over[:, VTH] + over[:, VR]
+        cross = 4.0 * kap * self.cross
         diss = grad + np.where(self.mean, pair, (kap - 1.0) ** 2 * total)
         theta = self.theta
         return {"grad": theta * grad, "pot": theta * pot,

@@ -1,4 +1,4 @@
-"""Weighted energy functionals, decay weights, and diagnostic reports.
+"""Weighted energy functionals, decay envelopes, and diagnostic reports.
 
 All coefficient-tuple norms here use the meridian measure ``r dr dz`` (no
 azimuthal factor): the mean triple and the six-tuples of the harmonics are
@@ -7,9 +7,11 @@ quantities are tracked on snapshot times only: ``EnergyHistory`` keeps one
 per-harmonic row of each diagnostics form per snapshot, and running sups,
 trapezoid time integrals and their step-size error estimate are computed
 from those rows when read.  ``compute_E`` and ``compute_D`` are one
-weighted formula with two choices of gradient channel and harmonic weight.
-``DecayReport.to_json_dict`` is the decay report's JSON body; the command
-line adds the config echo and writes it.
+weighted formula with two choices of gradient channel and harmonic weight;
+``harmonic_weight`` is the one home of those weights, and the decay report
+predicts each harmonic's envelope from them.  ``DecayReport.to_json_dict``
+is the decay report's JSON body; the command line adds the config echo and
+writes it.
 """
 
 from __future__ import annotations
@@ -211,76 +213,65 @@ def _require(history: EnergyHistory, j: int) -> None:
         raise ValueError(f"derivative order j = {j} out of range")
 
 
+def harmonic_weight(params: Params, k: int, j: int,
+                    anisotropic: bool) -> float:
+    """The weight w_k of harmonic k in the order-j functional.
+
+    The mean block (k = 0) is N^(2(1/4 - eta)) in both regimes.  A
+    harmonic k >= 1 weighs k^2 N^(2 eta (k-2)) in the isotropic functional
+    E and k^(2 sigma (m-j)) N^(2 min{eta (k-2), (1/2 - eta - delta)(m-j)})
+    in the anisotropic functional D, whose N-power stops growing past the
+    k at which the ``min`` switches.  The decay report's envelope is
+    w_k^(-1/2), up to a constant.
+    """
+    N, eta = params.N, params.eta
+    if k == 0:
+        return N ** (2.0 * (0.25 - eta))
+    if not anisotropic:
+        return k**2 * N ** (2.0 * eta * (k - 2))
+    m, sigma, delta = params.m, params.sigma, params.delta
+    return (k ** (2.0 * sigma * (m - j))
+            * N ** (2.0 * min(eta * (k - 2), (0.5 - eta - delta) * (m - j))))
+
+
 def _weighted(history: EnergyHistory, j: int, params: Params, idx,
-              gradient: str, weight):
-    """Mean block N^(2(1/4 - eta)) (sup + gradient integral + axis-pair
-    integral) plus the sup over k >= 1 of ``weight(k)`` times (sup +
-    gradient integral + (k^2 N^2 / 2) times the 1/r integral), at one
-    snapshot index ``idx`` (a float) or at each of a sequence (an array)."""
+              anisotropic: bool):
+    """The mean block's weight times (sup + gradient integral + axis-pair
+    integral) plus the sup over k >= 1 of w_k times (sup + gradient
+    integral + (k^2 N^2 / 2) times the 1/r integral), with the weights of
+    :func:`harmonic_weight`, at one snapshot index ``idx`` (a float) or at
+    each of a sequence (an array).  The gradient is the radial derivative
+    alone in the anisotropic regime and the full (r, z) gradient
+    otherwise."""
     _require(history, j)
     N = params.N
     at = np.asarray(idx)
     # harmonic first, so that row k holds harmonic k at every index asked
     sup = history.sups("inst")[at, j].T
-    grad = history.integrals(gradient)[at, j].T
+    grad = history.integrals("dr" if anisotropic else "grad")[at, j].T
     over_r = history.integrals("over_r")[at, j].T
     mean = sup[0] + grad[0] + history.integrals("axis_pair")[at, j]
-    total = N ** (2.0 * (0.25 - params.eta)) * mean
+    total = harmonic_weight(params, 0, j, anisotropic) * mean
     best = 0.0
     for k in range(1, params.K + 1):
         block = sup[k] + grad[k] + 0.5 * (k * N) ** 2 * over_r[k]
-        best = np.maximum(best, weight(k) * block)
+        best = np.maximum(best, harmonic_weight(params, k, j, anisotropic)
+                          * block)
     value = total + best
     return float(value) if at.ndim == 0 else value
 
 
 def compute_E(history: EnergyHistory, j: int, params: Params, idx=-1):
-    """Isotropic-regime weighted functional at snapshot(s) ``idx``.
-
-    Gradient channel: the full (r, z) gradient.  Harmonic weight:
-    k^2 N^(2 eta (k-2)).
-    """
-    N, eta = params.N, params.eta
-    return _weighted(history, j, params, idx, "grad",
-                     lambda k: k**2 * N ** (2.0 * eta * (k - 2)))
+    """Isotropic-regime weighted functional at snapshot(s) ``idx``: the
+    full (r, z) gradient and the isotropic :func:`harmonic_weight`."""
+    return _weighted(history, j, params, idx, anisotropic=False)
 
 
 def compute_D(history: EnergyHistory, j: int, params: Params, idx=-1):
-    """Anisotropic-regime weighted functional at snapshot(s) ``idx``.
-
-    Gradient channel: the radial derivative only (no vertical smoothing).
-    Harmonic weight: k^(2 sigma (m-j)) N^(2 min{eta (k-2),
-    (1/2 - eta - delta)(m-j)}).
-    """
-    N, eta, delta = params.N, params.eta, params.delta
-    m, sigma = params.m, params.sigma
-    return _weighted(
-        history, j, params, idx, "dr",
-        lambda k: k ** (2.0 * sigma * (m - j))
-        * N ** (2.0 * min(eta * (k - 2), (0.5 - eta - delta) * (m - j))))
-
-
-# -- decay weights ---------------------------------------------------------------
-
-@dataclass
-class DecayWeights:
-    """The rate-cap thresholds of the per-harmonic decay envelopes."""
-
-    A: dict[int, float]
-
-
-def decay_weights(params: Params) -> DecayWeights:
-    """A_j, the harmonic index beyond which the exponential-in-k decay
-    saturates (infinite when eta = 0, since the rate never saturates
-    without azimuthal gain)."""
-    eta, delta, m = params.eta, params.delta, params.m
-    A = {}
-    for j in (0, 1):
-        if eta == 0.0:
-            A[j] = math.inf
-        else:
-            A[j] = math.floor((0.5 - eta - delta) * (m - j) / eta) + 2
-    return DecayWeights(A)
+    """Anisotropic-regime weighted functional at snapshot(s) ``idx``: the
+    radial derivative only (no vertical smoothing) and the anisotropic
+    :func:`harmonic_weight`."""
+    return _weighted(history, j, params, idx, anisotropic=True)
 
 
 # -- decay report ----------------------------------------------------------------
@@ -328,18 +319,20 @@ def _fit_decay_rate(sups: dict[int, float], rel_floor: float = 1e-13):
 def decay_report(history: EnergyHistory, params: Params) -> DecayReport:
     """Measured per-harmonic sups against the predicted decay envelopes.
 
-    The reference amplitude is inferred from the first snapshot of
-    harmonic 1 (initial data scaled by N^delta rides that harmonic), so
-    bounds and ratios are only reported when that mode starts nonzero.
-    The prediction constant is calibrated on k = 1, making ratio_1 = 1 by
-    construction; ratios are recorded, not asserted.
+    Harmonic k is predicted to decay like w_k^(-1/2), the weight of
+    :func:`harmonic_weight` in the functional of the run's regime (D when
+    ``nu = 0``, E otherwise), calibrated on k = 1:
+    ``bound_k = sup_1 sqrt(w_1 / w_k)``, so ratio_1 = 1 by construction.
+    Initial data rides harmonic 1, so bounds are only reported when that
+    mode starts nonzero; the mean's reference is the first snapshot of
+    harmonic 1 times ``sqrt(w_1 / w_0)``.  Ratios are recorded, not
+    asserted.
     """
     if history.n_snapshots == 0:
         raise ValueError("history is empty")
     N, eta, delta = params.N, params.eta, params.delta
     m, sigma = params.m, params.sigma
     K = history.K
-    weights = decay_weights(params)
     anisotropic = params.nu == 0.0
 
     first = history.values("inst")[0]
@@ -349,38 +342,22 @@ def decay_report(history: EnergyHistory, params: Params) -> DecayReport:
     ratios = {}
     sup0 = {}
     for j in range(min(history.j_max, 1) + 1):
-        # reference amplitude per derivative order
-        alpha_norm = math.sqrt(first[j, 1]) / N**delta
+        w = [harmonic_weight(params, k, j, anisotropic) for k in range(K + 1)]
         sups = {k: math.sqrt(sup[j, k]) for k in range(1, K + 1)}
         if j == 0:
             sup0 = sups
-        calib = None
-        if alpha_norm > 0.0:
-            # both envelope families evaluate to N^delta at k = 1
-            calib = sups[1] / (N**delta * alpha_norm)
+        started = first[j, 1] > 0.0
         for k in range(1, K + 1):
-            if anisotropic:
-                if k <= weights.A[j]:
-                    envelope = (k ** (-sigma * (m - j))
-                                * N ** (-eta * (k - 1) + delta))
-                else:
-                    envelope = (k ** (-sigma * (m - j))
-                                * N ** (-(0.5 - eta - delta) * (m - j)
-                                        - eta + delta))
-            else:
-                envelope = k ** (-1.0) * N ** (-eta * (k - 1) + delta)
-            bound = (calib * envelope * alpha_norm
-                     if calib is not None else None)
+            bound = sups[1] * math.sqrt(w[1] / w[k]) if started else None
             ratio = (sups[k] / bound if bound else 0.0)
             per_mode.append({"k": k, "j": j, "sup_norm": sups[k],
                              "bound": bound, "ratio": ratio})
-        mean_sup = math.sqrt(sup[j, 0])
-        mean_ref = N ** (-0.25 + delta) * alpha_norm
-        ratios[f"mean_mode_j{j}"] = (mean_sup / mean_ref
+        mean_ref = math.sqrt(first[j, 1] * w[1] / w[0])
+        ratios[f"mean_mode_j{j}"] = (math.sqrt(sup[j, 0]) / mean_ref
                                      if mean_ref > 0.0 else 0.0)
         fitted[f"rate_j{j}"] = _fit_decay_rate(sups)
-    envelope_ok = all(
-        sup0[k + 1] <= 1.1 * sup0[k] + 1e-14 for k in range(1, K))
+    # relative per harmonic, as each harmonic keeps its own accuracy
+    envelope_ok = all(sup0[k + 1] <= 1.1 * sup0[k] for k in range(1, K))
     finite = all(math.isfinite(row["ratio"]) for row in per_mode)
     cascade = any(sup0[k] > 1e-14 * max(sup0[1], 1e-300)
                   for k in range(2, K + 1))
@@ -421,11 +398,10 @@ def smallness_check(profile: InitProfile, params: Params) -> tuple[dict, bool]:
     high-order vertical sum with its own N-power.
     """
     N, delta, eta, m = params.N, params.delta, params.eta, params.m
-    n0 = profile.norm_dz(0)
-    n1 = profile.norm_dz(1)
-    geo = math.sqrt(n0) * math.sqrt(n1)
+    norms = profile.norms_dz(m + 1).tolist()
+    geo = math.sqrt(norms[0]) * math.sqrt(norms[1])
     lhs_ns = (N ** -(0.25 - delta) + N ** -(0.5 - delta - eta)) * geo
-    high = sum(profile.norm_dz(j) for j in range(m + 2))
+    high = sum(norms)
     lhs_ans_sum = (N ** -(0.25 - delta) + N ** (-(1.0 - eta) / m)) * high
     lhs_ans_geo = N ** -(0.5 - delta - eta) * geo
     values = {"ns": lhs_ns, "ans_sum": lhs_ans_sum, "ans_geo": lhs_ans_geo}

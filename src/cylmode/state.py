@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (P, UR, UTH, UZ, VR, VTH, VZ, measure_state,
-                          mode_energy)
-from .grid import CylGrid, build_grid, raise_problems, THETA_FULL
+from .diagnostics import (P, UR, UTH, UZ, VR, VTH, VZ, measure_modes,
+                          measure_state, mode_energy)
+from .grid import CylGrid, build_grid, raise_problems
 
 CHECKPOINT_MAGIC = b"CYLMODE1"
 
@@ -125,11 +125,13 @@ class InitProfile:
     def fields(self) -> tuple[np.ndarray, ...]:
         return (self.a_r, self.a_th, self.a_z, self.b_r, self.b_th, self.b_z)
 
-    def norm_dz(self, j: int) -> float:
-        """L2 norm over the solid cylinder of the j-th vertical derivative."""
-        g = self.grid
-        s = sum(g.quad(g.dz_pow(f, j) ** 2) for f in self.fields())
-        return math.sqrt(THETA_FULL * s)
+    def norms_dz(self, j_max: int) -> np.ndarray:
+        """L2 norms over the solid cylinder of the vertical derivatives of
+        order j = 0..j_max, from one diagnostics pass over the six
+        components taken as a mean row (``theta = 2 pi``)."""
+        ms = measure_modes(self.grid, np.stack(self.fields())[None], [0.0],
+                           j_max=j_max)
+        return np.sqrt(ms.theta * ms.inst[:, 0])
 
     def scaled(self, factor: float) -> "InitProfile":
         return InitProfile(self.grid, *(factor * f for f in self.fields()))
@@ -283,6 +285,7 @@ def make_random_divfree_state(grid: CylGrid, params: Params, seed: int = 0,
 
     state = ModeState.zeros(grid, params)
     col = np.newaxis
+    families = ((UR, VTH, UZ, 1.0), (VR, UTH, VZ, -1.0))
     for k in range(params.K + 1):
         m = state.u[k]
         if k == 0:
@@ -297,29 +300,22 @@ def make_random_divfree_state(grid: CylGrid, params: Params, seed: int = 0,
             m[UTH] += prof()[:, col]
             continue
         kN = k * params.N
+        # the cosine and sine families differ only in the swirl sign
         for n in range(1, n_h + 1):
-            f, F = harm(n)
-            psi, chi = prof(), prof(with_r=False)
-            m[UR] += psi[:, col] * f[col, :]
-            m[VTH] += (r * chi)[:, col] * f[col, :]
-            xi = D @ psi + psi / r + kN * chi
-            m[UZ] += xi[:, col] * F[col, :]
-            f2, F2 = harm(n)
-            psi2, chi2 = prof(), prof(with_r=False)
-            m[VR] += psi2[:, col] * f2[col, :]
-            m[UTH] += (r * chi2)[:, col] * f2[col, :]
-            xi2 = D @ psi2 + psi2 / r - kN * chi2
-            m[VZ] += xi2[:, col] * F2[col, :]
+            for rad, th, ax, sign in families:
+                f, F = harm(n)
+                psi, chi = prof(), prof(with_r=False)
+                m[rad] += psi[:, col] * f[col, :]
+                m[th] += (r * chi)[:, col] * f[col, :]
+                xi = D @ psi + psi / r + sign * kN * chi
+                m[ax] += xi[:, col] * F[col, :]
         # z-independent content: the azimuthal component absorbs the
         # radial divergence, the axial component is free
-        psi = prof()
-        m[UR] += psi[:, col]
-        m[VTH] += (-r * (D @ psi + psi / r) / kN)[:, col]
-        m[UZ] += prof()[:, col]
-        psi2 = prof()
-        m[VR] += psi2[:, col]
-        m[UTH] += (r * (D @ psi2 + psi2 / r) / kN)[:, col]
-        m[VZ] += prof()[:, col]
+        for rad, th, ax, sign in families:
+            psi = prof()
+            m[rad] += psi[:, col]
+            m[th] += (-sign * r * (D @ psi + psi / r) / kN)[:, col]
+            m[ax] += prof()[:, col]
     peak = np.abs(state.u).max()
     if peak > 0.0:
         state.u *= amplitude / peak

@@ -60,7 +60,7 @@ import numpy as np
 
 from .diagnostics import (UTH, ModeMeasures, energy_ledger, measure_modes,
                           mode_energy)
-from .grid import CylGrid, THETA_HALF, raise_problems, spectral_symbol
+from .grid import CylGrid, raise_problems, spectral_symbol
 from .state import Params, make_initial_state
 
 
@@ -579,13 +579,14 @@ def linear_flow_uL(profile, params: Params, dt: float, n_steps: int,
         np.array([read(m) for m in hist.measures])
         for read in (lambda m: m.inst[:, 0], lambda m: m.dr_sq[:, 0],
                      lambda m: m.over_r[:, 0].sum(axis=-1)))
-    sup_sq = THETA_HALF * inst.max(axis=0)
+    theta = hist.measures[0].theta[0]
+    sup_sq = theta * inst.max(axis=0)
     # right-endpoint sums over the steps
-    int_dr = (dt * THETA_HALF * dr_sq[1:]).sum(axis=0)
-    int_over_r = (dt * THETA_HALF * over_r[1:]).sum(axis=0)
+    int_dr = (dt * theta * dr_sq[1:]).sum(axis=0)
+    int_over_r = (dt * theta * over_r[1:]).sum(axis=0)
     ident_max = float(np.max(np.abs(hist.identity_residual) / np.maximum(
         hist.energy[:-1] / dt, 1e-300), initial=0.0))
-    prof_sq = np.array([profile.norm_dz(j) ** 2 for j in range(j_max + 1)])
+    prof_sq = profile.norms_dz(j_max) ** 2
     fac = float(N) ** (2.0 * params.delta) * prof_sq
     return {
         "N": N,

@@ -262,7 +262,7 @@ def test_criterion_09_mean_mode_scaling(grid48):
     # grows: fitted exponent of N at most -0.15
     base = Params(nu=1.0, N=8, delta=0.0, eta=0.25, K=3)
     profile = poloidal_profile(grid48, 0.3)
-    alpha = profile.norm_dz(0)
+    alpha = profile.norms_dz(0)[0]
 
     def mean_sup(N):
         params = Params(nu=1.0, N=N, delta=0.0, eta=0.25, K=base.K)

@@ -1,4 +1,4 @@
-"""Weighted functionals, decay weights, reports, and smallness gates."""
+"""Weighted functionals, harmonic weights, reports, and smallness gates."""
 
 import json
 import math
@@ -292,17 +292,105 @@ class TestWeightedFunctionals:
         assert F.compute_E(hist2, 0, p) <= 2.0 * e00
 
 
-class TestDecayWeights:
+class TestHarmonicWeight:
+    @staticmethod
+    def _n_exponents(p, j, ks):
+        # the N-power of the anisotropic weight, its k-power divided out
+        return np.array([
+            math.log(F.harmonic_weight(p, k, j, anisotropic=True)
+                     / k ** (2.0 * p.sigma * (p.m - j))) / math.log(p.N)
+            for k in ks])
+
     def test_spot_values(self):
+        # the N-exponent grows by 2 eta per harmonic through A_j =
+        # floor((1/2 - eta - delta)(m - j) / eta) + 2, then stays flat
         p = _params(N=4, eta=0.25, delta=0.0, m=3, sigma=0.4)
-        w = F.decay_weights(p)
-        assert w.A[0] == 5  # floor(0.25 * 3 / 0.25) + 2
-        assert w.A[1] == 4
+        ks = range(1, 11)
+        for j, A in ((0, 5), (1, 4)):
+            steps = np.diff(self._n_exponents(p, j, ks))
+            assert steps[:A - 1] == pytest.approx(2.0 * p.eta, abs=1e-12)
+            assert steps[A - 1:] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_azimuthal_gain_never_saturates(self):
         p = _params(eta=0.0)
-        w = F.decay_weights(p)
-        assert w.A[0] == math.inf and w.A[1] == math.inf
+        for j in (0, 1):
+            assert np.all(self._n_exponents(p, j, range(1, 200)) == 0.0)
+
+
+def _parent_envelope_bound(params, j, k, sup_1, first_1):
+    """The closed-form decay bound with its saturation index A_j, as the
+    decay report wrote it before predicting from the harmonic weight."""
+    N, eta, delta = params.N, params.eta, params.delta
+    m, sigma = params.m, params.sigma
+    A = (math.inf if eta == 0.0
+         else math.floor((0.5 - eta - delta) * (m - j) / eta) + 2)
+    alpha_norm = math.sqrt(first_1) / N**delta
+    calib = sup_1 / (N**delta * alpha_norm)
+    if params.nu != 0.0:
+        envelope = k ** (-1.0) * N ** (-eta * (k - 1) + delta)
+    elif k <= A:
+        envelope = k ** (-sigma * (m - j)) * N ** (-eta * (k - 1) + delta)
+    else:
+        envelope = (k ** (-sigma * (m - j))
+                    * N ** (-(0.5 - eta - delta) * (m - j) - eta + delta))
+    return calib * envelope * alpha_norm
+
+
+def _two_snapshot_history(p, first, last):
+    hist = F.EnergyHistory()
+    hist.K, hist.N = p.K, p.N
+    zero = np.zeros_like(first)
+    for t, inst in ((0.0, first), (1.0, last)):
+        hist.append(t, inst, zero, zero, zero, [0.0, 0.0])
+    return hist
+
+
+class TestDecayBound:
+    CASES = [dict(nu=0.0, N=4, eta=0.25, delta=0.0, m=3, sigma=0.4),
+             dict(nu=0.0, N=3, eta=0.2, delta=0.1, m=4, sigma=0.3),
+             dict(nu=0.0, N=8, eta=0.0, delta=0.1, m=6, sigma=0.2),
+             dict(nu=1.0, N=4, eta=0.2, delta=0.1, m=3, sigma=0.4),
+             dict(nu=1.0, N=16, eta=0.0, delta=0.0, m=3, sigma=0.4)]
+
+    @staticmethod
+    def _report(case):
+        p = _params(K=10, **case)
+        k = np.arange(p.K + 1)
+        first = np.array([np.exp(-1.3 * k), 2.0 * np.exp(-1.1 * k)])
+        last = np.array([0.5 + np.exp(-1.7 * k), 3.0 * np.exp(-0.9 * k)])
+        hist = _two_snapshot_history(p, first, last)
+        return p, first, np.maximum(first, last), F.decay_report(hist, p)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bound_matches_closed_form_envelope(self, case):
+        p, first, sup, rep = self._report(case)
+        for row in rep.per_mode:
+            j, k = row["j"], row["k"]
+            want = _parent_envelope_bound(p, j, k, math.sqrt(sup[j, 1]),
+                                          first[j, 1])
+            assert row["bound"] == pytest.approx(want, rel=1e-13, abs=0.0)
+            if k == 1:
+                assert row["ratio"] == 1.0
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_mean_mode_reference(self, case):
+        p, first, sup, rep = self._report(case)
+        for j in (0, 1):
+            want = (math.sqrt(sup[j, 0])
+                    / (p.N ** -0.25 * math.sqrt(first[j, 1])))
+            assert rep.ratios[f"mean_mode_j{j}"] == pytest.approx(
+                want, rel=1e-13, abs=0.0)
+
+    def test_monotone_envelope_sees_a_rise_far_below_harmonic_one(self):
+        # sup_3 = 1e-20 rising to sup_4 = 1e-18 is a rise, however small
+        # both are next to sup_1
+        p = _params(K=4)
+        inst = np.array([[0.0, 1.0, 1e-10, 1e-40, 1e-36]] * 2)
+        hist = _two_snapshot_history(p, inst, inst)
+        assert not F.decay_report(hist, p).pass_flags["monotone_envelope"]
+        inst[:, 4] = 1e-41
+        hist = _two_snapshot_history(p, inst, inst)
+        assert F.decay_report(hist, p).pass_flags["monotone_envelope"]
 
 
 class TestDecayReport:

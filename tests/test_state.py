@@ -1,5 +1,6 @@
 """Mode state containers, initial data, divergence checks, checkpoints."""
 
+import math
 import os
 import struct
 
@@ -8,6 +9,7 @@ import pytest
 
 import cylmode.state
 from cylmode.diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
+from cylmode.grid import THETA_FULL, build_grid
 from cylmode.state import (
     Params,
     ModeState,
@@ -86,8 +88,19 @@ class TestProfile:
     def test_vertical_norms_monotone_in_derivatives(self, grid_cheb):
         prof = _profile(grid_cheb)
         # single vertical harmonics: each d/dz multiplies norms by <= 2 here
-        n0, n1 = prof.norm_dz(0), prof.norm_dz(1)
+        n0, n1 = prof.norms_dz(1)
         assert 0.0 < n1 <= 2.0 * n0 + 1e-12
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_norms_dz_match_fft_quadrature(self, n):
+        g = build_grid(n, n, 2.0 * np.pi)
+        prof = _profile(g)
+        got = prof.norms_dz(4)
+        for j in range(5):
+            # the FFT-and-quadrature form, one field at a time
+            s = sum(g.quad(g.dz_pow(f, j) ** 2) for f in prof.fields())
+            assert got[j] == pytest.approx(math.sqrt(THETA_FULL * s),
+                                           rel=1e-11, abs=0.0)
 
 
 class TestInitialState:
