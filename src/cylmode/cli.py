@@ -136,7 +136,6 @@ class ExperimentConfig:
 
     mode: str = _key("run", "mode", "ns")
     out_dir: str = _key("run", "out_dir", "out")
-    compare_N: int = _key("run", "compare_N", 0)
     seed: int = _key("run", "seed", 0)
 
     scan_check: str = _key("scan", "check", "anisotropic")
@@ -261,14 +260,10 @@ def validate_config(cfg: ExperimentConfig,
         bad.append("[profile] z_waves must be >= 1")
     if cfg.mode not in RUN_MODES:
         bad.append(f"[run] mode must be one of {RUN_MODES}")
-    if cfg.compare_N != 0 and cfg.compare_N < 2:
-        bad.append("[run] compare_N must be 0 (off) or an integer >= 2")
     if cfg.seed < 0:
         bad.append("[run] seed must be >= 0")
     if command == "linear-flow":
         bad += _in_section("params", linear_flow_problems(cfg.N))
-    if command == "linear-flow" and 0 < cfg.compare_N < 3:
-        bad.append("linear-flow requires [run] compare_N >= 3 when set")
     if command == "inequality-scan":
         bad += _in_section("scan", scan_problems(
             cfg.scan_check, cfg.scan_family or None, cfg.scan_trials,
@@ -426,26 +421,6 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
                       # traffic went, not an invariant
                       "step_wall_s": step_wall_s,
                       "minor_page_faults": faults}}
-
-    if cfg.compare_N:
-        alt = dataclasses.replace(cfg, N=cfg.compare_N, compare_N=0)
-        _, alt_state = _initial_data(alt, grid, alt.params())
-        alt_point = simulate_point(profile, alt_state, step_cfg)
-        # both runs keep the same harmonics, so their rows pair up in order
-        rows = [{"k": b["k"], "j": b["j"],
-                 "sup_base": b["sup_norm"], "sup_alt": r["sup_norm"],
-                 "measured_ratio": (r["sup_norm"] / b["sup_norm"]
-                                    if b["sup_norm"] else 0.0),
-                 "predicted_ratio": (r["bound"] / b["bound"]
-                                     if b["bound"] and r["bound"] else 0.0)}
-                for b, r in zip(point.decay.per_mode,
-                                alt_point.decay.per_mode)]
-        summary = {**_report_base("simulate", cfg),
-                   "comparison": {"N_base": cfg.N, "N_alt": cfg.compare_N,
-                                  "per_mode": rows}}
-        _write_json(summary, out_dir / "n_scaling_summary.json")
-        report["n_scaling_summary"] = str(out_dir / "n_scaling_summary.json")
-
     _write_json(report, out_dir / REPORT_FILES["simulate"])
     _say(quiet, _check_line("divergence", inv["divergence_ok"],
                             inv["divergence_residual"], cfg.div_tol))
@@ -544,33 +519,21 @@ def cmd_linear_flow(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     profile, _ = _initial_data(cfg, grid, params)
     n_steps = int(round(cfg.t_end / cfg.dt))
     flow = linear_flow_uL(profile, params, cfg.dt, n_steps)
-    report = {**_report_base("linear-flow", cfg), "linear_flow": flow}
-
-    if cfg.compare_N:
-        alt_params = dataclasses.replace(params, N=cfg.compare_N)
-        alt = linear_flow_uL(profile, alt_params, cfg.dt, n_steps)
-        base, other = np.array(flow["ratio_sup"]), np.array(alt["ratio_sup"])
-        # NaN-propagating: a NaN ratio on either side reads as NaN drift
-        kept = ~(base <= 0.0)
-        drift = float(np.max(np.abs(other[kept] / base[kept] - 1.0),
-                             initial=0.0))
-        report["comparison"] = {"N_base": cfg.N, "N_alt": cfg.compare_N,
-                                "ratio_sup_alt": alt["ratio_sup"],
-                                "ratio_sup_drift": drift}
-
     finite = all(math.isfinite(v) for v in flow["ratio_sup"] + flow["ratio_dr"]
                  + flow["ratio_over_r"])
     ident_ok = flow["identity_residual_max"] <= IDENTITY_TOL
-    report["invariants"] = {"ratios_finite": finite,
-                            "identity_ok": ident_ok,
-                            "identity_residual": flow["identity_residual_max"]}
-    report["invariants_held"] = finite and ident_ok
+    ok = finite and ident_ok
+    report = {**_report_base("linear-flow", cfg), "linear_flow": flow,
+              "invariants": {"ratios_finite": finite, "identity_ok": ident_ok,
+                             "identity_residual":
+                                 flow["identity_residual_max"]},
+              "invariants_held": ok}
     _write_json(report, out_dir / REPORT_FILES["linear-flow"])
     _say(quiet, _check_line("energy identity", ident_ok,
                             flow["identity_residual_max"], IDENTITY_TOL))
     _say(quiet, f"sup ratio j=0: {flow['ratio_sup'][0]:.4f}; "
                 f"report: {out_dir / REPORT_FILES['linear-flow']}")
-    return 0 if report["invariants_held"] else 1
+    return 0 if ok else 1
 
 
 # -- inequality-scan -----------------------------------------------------------
@@ -662,7 +625,10 @@ def cmd_decay_report(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ConfigError([f"[history] cannot load {cfg.history_path!r}: "
                            f"{exc}"]) from exc
-    rep = decay_report(history, cfg.params())
+    try:
+        rep = decay_report(history, cfg.params())
+    except ValueError as exc:  # an empty history, or another N or K
+        raise ConfigError([f"[history] {cfg.history_path!r}: {exc}"]) from exc
     _write_json(_decay_json_dict(rep, cfg),
                 out_dir / REPORT_FILES["decay-report"])
     _say(quiet, f"modes: {len(rep.per_mode)}, flags: {rep.pass_flags}; "

@@ -17,12 +17,12 @@ leading one keeps its own relative accuracy.
 The vertical matrices are ``CylGrid.dz_pow`` and ``CylGrid.dz`` applied to
 the identity, so they follow the grid's Nyquist rule (``grid`` module
 docstring); the ``dz`` of an order-j field carries the first-order symbol
-on top of order j's.  Order 0 is the field itself and ``dz^j`` of an odd
-order is the same matrix as ``dz dz^(j-1)``, so only the distinct
-matrices are applied: two products for ``j_max = 1``, one for
-``j_max = 0``.  At the grid sizes used here a product with a dense
-``n_z x n_z`` matrix is several times faster than an rfft / irfft round
-trip over the stack.
+on top of order j's.  Order 0 is the field itself, ``dz dz^j`` is built
+only for the orders ``j <= 1`` whose vertical gradient a reader reads, and
+``dz^1`` is the same matrix as ``dz dz^0``, so only the distinct matrices
+are applied: ``j_max + 1`` products.  At the grid sizes used here a
+product with a dense ``n_z x n_z`` matrix is several times faster than an
+rfft / irfft round trip over the stack.
 
 A pass over a whole state can fill its stacks in a ``StepWorkspace``, the
 scratch memory that one trajectory's steps share with the quadratic
@@ -102,17 +102,18 @@ def _rows(rows: list[int]):
 @functools.lru_cache(maxsize=8)
 def _vertical_operators(n: int, L_z: float, j_max: int):
     """The distinct matrices that right-multiply a field on ``n`` vertical
-    nodes to give ``dz^j`` and ``dz dz^j`` for j = 0..j_max, and where each
-    of those lands in the product stack ``[f, f @ ops[0], f @ ops[1],
-    ...]``: ``dz^j f`` is row ``val_rows[j]`` and ``dz dz^j f`` row
-    ``dz_rows[j]``.
+    nodes to give ``dz^j`` for j = 0..j_max and ``dz dz^j`` for
+    j <= min(j_max, 1), the only orders whose vertical gradient is read,
+    and where each of those lands in the product stack ``[f, f @ ops[0],
+    f @ ops[1], ...]``: ``dz^j f`` is row ``val_rows[j]`` and ``dz dz^j f``
+    row ``dz_rows[j]``.
 
     The matrices are the grid's spectral symbols applied to the identity
     (read-only): ``dz^j`` multiplies by ``spectral_symbol(.., j)`` and
     ``dz dz^j`` by that times the first-order symbol.  Order 0 is row 0,
-    the field itself, and equal multipliers share a row: ``dz dz^j`` of an
-    even j is ``dz^(j+1)``.  The rows are a slice when consecutive, as for
-    ``j_max <= 1``.
+    the field itself, and equal multipliers share a row: ``dz dz^0`` is
+    ``dz^1``.  So ``j_max = 0, 1, 2, 3, 4`` take 1, 2, 3, 4, 5 products.
+    The rows are a slice when consecutive, as for ``j_max <= 1``.
     """
     vals = [spectral_symbol(n, L_z, j) for j in range(j_max + 1)]
     dz = spectral_symbol(n, L_z, 1)
@@ -126,7 +127,7 @@ def _vertical_operators(n: int, L_z: float, j_max: int):
         return len(mults) - 1
 
     val_rows = [row(mult) for mult in vals]
-    dz_rows = [row(dz * mult) for mult in vals]
+    dz_rows = [row(dz * mult) for mult in vals[:2]]
     ops = np.fft.irfft(np.fft.rfft(np.eye(n)) * np.array(mults[1:])[:, None],
                        n=n)
     ops.flags.writeable = False
@@ -138,8 +139,9 @@ class ModeMeasures:
     """Quadratic forms of M harmonics from one derivative pass.
 
     Arrays indexed ``[j, i]`` hold vertical derivative order
-    ``j = 0..j_max`` of harmonic row i; the others are order 0.  With
-    ``f_j = dz^j f`` and sums over the velocity slots of a row:
+    ``j = 0..j_max`` of harmonic row i, except ``dz_sq``, which holds only
+    ``j <= min(j_max, 1)``; the others are order 0.  With ``f_j = dz^j f``
+    and sums over the velocity slots of a row:
 
     - ``inst``: ``sum quad(f_j^2)``; ``dr_sq``/``dz_sq``: the same of
       ``dr f_j``/``dz f_j``; ``over_r``: ``quad((f_j / r)^2)`` per slot;

@@ -32,27 +32,27 @@ REPORT_SCHEMA = "cylmode-report-v1"
 
 # -- history accumulation ------------------------------------------------------
 
-#: the stored rows of a snapshot: ``(j_max+1, K+1)`` per-harmonic forms and
-#: the mean's ``(j_max+1,)`` axis pair
+#: the stored rows of a snapshot: ``(2, K+1)`` per-harmonic forms and the
+#: mean's ``(2,)`` axis pair, one row per vertical order j <= 1
 CHANNELS = ("inst", "grad", "dr", "over_r", "axis_pair")
 
 
 class EnergyHistory:
     """Running norms of a mode trajectory feeding the weighted functionals.
 
-    Each snapshot stores, per vertical-derivative order j <= j_max and
+    Each snapshot stores, per vertical-derivative order j <= ``j_max`` and
     harmonic k, the instantaneous squared norm (``inst``), the (r, z)
     gradient (``grad``), the radial derivative alone (``dr``) and the
     1/r-weighted norm (``over_r``), plus the mean's axis-sensitive
-    component pair (``axis_pair``, one value per j).  Running trapezoid
-    integrals, running sups and the integration error estimate are taken
-    from the stored rows when read.
+    component pair (``axis_pair``, one value per j).  ``j_max`` is 1, the
+    highest order the functionals and the decay report read.  Running
+    trapezoid integrals, running sups and the integration error estimate
+    are taken from the stored rows when read.
     """
 
-    def __init__(self, j_max: int = 1):
-        if j_max < 1:
-            raise ValueError("j_max must be at least 1")
-        self.j_max = int(j_max)
+    j_max = 1
+
+    def __init__(self):
         self.times: list[float] = []
         self.grid: CylGrid | None = None
         self.K: int | None = None
@@ -75,8 +75,8 @@ class EnergyHistory:
             self._rows[name].append(np.array(row, dtype=float))
 
     def values(self, name: str) -> np.ndarray:
-        """A channel's rows stacked over snapshots: ``(snapshots, j_max+1,
-        K+1)``, or ``(snapshots, j_max+1)`` for ``axis_pair``."""
+        """A channel's rows stacked over snapshots: ``(snapshots, 2, K+1)``,
+        or ``(snapshots, 2)`` for ``axis_pair``."""
         return np.array(self._rows[name])
 
     def integrals(self, name: str) -> np.ndarray:
@@ -184,7 +184,10 @@ def load_history(path: str) -> EnergyHistory:
     """
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
-        hist = EnergyHistory(j_max=meta["j_max"])
+        if meta["j_max"] != EnergyHistory.j_max:
+            raise ValueError(f"history has vertical order j_max = "
+                             f"{meta['j_max']}, not {EnergyHistory.j_max}")
+        hist = EnergyHistory()
         hist.K = meta["K"]
         hist.N = meta["N"]
         gmeta = meta.get("grid")
@@ -209,7 +212,7 @@ def load_history(path: str) -> EnergyHistory:
 def _require(history: EnergyHistory, j: int) -> None:
     if history.n_snapshots == 0:
         raise ValueError("history is empty")
-    if not 0 <= j <= min(history.j_max, 1):
+    if not 0 <= j <= history.j_max:
         raise ValueError(f"derivative order j = {j} out of range")
 
 
@@ -297,7 +300,12 @@ class DecayReport:
         }
 
 
-def _fit_decay_rate(sups: dict[int, float], rel_floor: float = 1e-13):
+#: harmonics below this fraction of the largest fitted one are left out of
+#: the decay-rate fit
+FIT_REL_FLOOR = 1e-13
+
+
+def _fit_decay_rate(sups: dict[int, float]):
     """Log-linear decay rate in k from harmonics k >= 2.
 
     Each harmonic is carried in its own arrays, so a steep cascade stays
@@ -308,7 +316,7 @@ def _fit_decay_rate(sups: dict[int, float], rel_floor: float = 1e-13):
     tail = {k: v for k, v in sups.items() if k >= 2 and v > 0.0}
     if not tail:
         return None
-    floor = rel_floor * max(tail.values())
+    floor = FIT_REL_FLOOR * max(tail.values())
     ks = [k for k in sorted(tail) if tail[k] > floor]
     if len(ks) < 3:
         return None
@@ -326,10 +334,15 @@ def decay_report(history: EnergyHistory, params: Params) -> DecayReport:
     Initial data rides harmonic 1, so bounds are only reported when that
     mode starts nonzero; the mean's reference is the first snapshot of
     harmonic 1 times ``sqrt(w_1 / w_0)``.  Ratios are recorded, not
-    asserted.
+    asserted.  An empty history, or one written at another ``N`` or ``K``
+    than ``params``, raises ``ValueError``.
     """
     if history.n_snapshots == 0:
         raise ValueError("history is empty")
+    if (history.N, history.K) != (params.N, params.K):
+        raise ValueError(
+            f"history was written at N = {history.N}, K = {history.K}; "
+            f"the parameters give N = {params.N}, K = {params.K}")
     N, eta, delta = params.N, params.eta, params.delta
     m, sigma = params.m, params.sigma
     K = history.K
@@ -341,7 +354,7 @@ def decay_report(history: EnergyHistory, params: Params) -> DecayReport:
     fitted = {}
     ratios = {}
     sup0 = {}
-    for j in range(min(history.j_max, 1) + 1):
+    for j in range(history.j_max + 1):
         w = [harmonic_weight(params, k, j, anisotropic) for k in range(K + 1)]
         sups = {k: math.sqrt(sup[j, k]) for k in range(1, K + 1)}
         if j == 0:

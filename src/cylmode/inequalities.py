@@ -394,8 +394,7 @@ def _vertical_quotient(sup: np.ndarray, l2_sq: np.ndarray,
     return np.divide(sup, rhs, out=np.zeros_like(sup), where=rhs > 0.0)
 
 
-def vertical_sup_ratio(values: np.ndarray, period: float,
-                       enforce_zero_mean: bool = True) -> float:
+def vertical_sup_ratio(values: np.ndarray, period: float) -> float:
     """Sup-over-z interpolation quotient, per radius row, then the largest.
 
     For each row f_i the quotient is
@@ -404,9 +403,9 @@ def vertical_sup_ratio(values: np.ndarray, period: float,
 
     with L2 norms over one period.  This is the zero-mean periodic analogue
     of the whole-line sup estimate (the package models the unbounded
-    direction by a long periodic cell); rows whose z-mean exceeds 1e-12 of
-    the peak are rejected while enforcement is on.  Input may be a single
-    row (n_z,) or a stack (n_rows, n_z).
+    direction by a long periodic cell); a row whose z-mean exceeds 1e-12 of
+    the peak raises ``ValueError``.  Input may be a single row (n_z,) or a
+    stack (n_rows, n_z).
     """
     v = np.atleast_2d(np.asarray(values, dtype=float))
     n_z = v.shape[1]
@@ -414,8 +413,7 @@ def vertical_sup_ratio(values: np.ndarray, period: float,
     peak = float(np.max(np.abs(v)))
     if peak == 0.0:
         return 0.0
-    if enforce_zero_mean:
-        _require_zero_z_mean(v, peak)
+    _require_zero_z_mean(v, peak)
     dz = spectral_derivative(v, period, 1)
     dw = period / n_z
     ratios = _vertical_quotient(np.max(np.abs(v), axis=1),

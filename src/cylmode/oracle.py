@@ -53,22 +53,19 @@ class SingularBinError(RuntimeError):
 
 @dataclass
 class FullField:
-    """Primitive-variable fields on the (n_r, n_theta, n_z) tensor grid."""
+    """Primitive-variable fields on the (n_r, n_theta, n_z) tensor grid:
+    the velocity ``u`` as one ``(3, n_r, n_theta, n_z)`` array of
+    ``(u_r, u_theta, u_z)`` and the pressure ``P``."""
 
     grid: CylGrid
     theta: np.ndarray
-    ur: np.ndarray
-    uth: np.ndarray
-    uz: np.ndarray
+    u: np.ndarray
     P: np.ndarray
     t: float = 0.0
 
     @property
     def n_theta(self) -> int:
         return self.theta.size
-
-    def velocity(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.ur, self.uth, self.uz)
 
 
 def n_theta_problems(n_theta: int) -> list[str]:
@@ -84,8 +81,7 @@ def build_full_field(grid: CylGrid, n_theta: int) -> FullField:
     raise_problems(n_theta_problems(n_theta))
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     shape = (grid.n_r, n_theta, grid.n_z)
-    return FullField(grid, theta, np.zeros(shape), np.zeros(shape),
-                     np.zeros(shape), np.zeros(shape))
+    return FullField(grid, theta, np.zeros((3,) + shape), np.zeros(shape))
 
 
 # -- quadrature and norms over the cylinder ------------------------------------
@@ -99,9 +95,8 @@ def quad3(full: FullField, a: np.ndarray) -> float:
 
 def relative_l2(a: FullField, b: FullField) -> float:
     """``||a - b|| / ||b||`` in velocity L2 over the cylinder."""
-    diff = sum(quad3(a, (fa - fb) ** 2)
-               for fa, fb in zip(a.velocity(), b.velocity()))
-    ref = sum(quad3(b, fb * fb) for fb in b.velocity())
+    diff = sum(quad3(a, (fa - fb) ** 2) for fa, fb in zip(a.u, b.u))
+    ref = sum(quad3(b, fb * fb) for fb in b.u)
     if ref == 0.0:
         return math.sqrt(max(diff, 0.0))
     return math.sqrt(max(diff, 0.0) / ref)
@@ -116,12 +111,12 @@ def _check_resolution(n_theta: int, params: Params) -> None:
             f"{params.K} * {params.N}")
 
 
-def _component_rows(state: ModeState) -> dict[str, tuple[np.ndarray, ...]]:
-    """Physical component -> its cosine and sine rows in ``state``, each a
-    writable ``(K+1, n_r, n_z)`` view."""
+def _component_rows(state: ModeState) -> list[tuple[np.ndarray, ...]]:
+    """The cosine and sine rows in ``state`` of u_r, u_theta, u_z and the
+    pressure, in that order, each a writable ``(K+1, n_r, n_z)`` view."""
     u, p = state.u, state.p
-    return {"ur": (u[:, UR], u[:, VR]), "uth": (u[:, UTH], u[:, VTH]),
-            "uz": (u[:, UZ], u[:, VZ]), "P": (p[:, P], p[:, Q])}
+    return [(u[:, UR], u[:, VR]), (u[:, UTH], u[:, VTH]),
+            (u[:, UZ], u[:, VZ]), (p[:, P], p[:, Q])]
 
 
 def project_to_modes(full: FullField, params: Params) -> ModeState:
@@ -138,8 +133,8 @@ def project_to_modes(full: FullField, params: Params) -> ModeState:
     st = ModeState.zeros(full.grid, params, t=full.t)
     m = params.N * np.arange(1, params.K + 1)
     two = 2.0 / n_theta
-    for name, (cos, sin) in _component_rows(st).items():
-        spec = np.fft.rfft(getattr(full, name), axis=1)
+    for field, (cos, sin) in zip((*full.u, full.P), _component_rows(st)):
+        spec = np.fft.rfft(field, axis=1)
         cos[0] = spec[:, 0, :].real / n_theta
         cos[1:] = np.moveaxis(two * spec[:, m, :].real, 1, 0)
         sin[1:] = np.moveaxis(-two * spec[:, m, :].imag, 1, 0)
@@ -154,12 +149,12 @@ def reconstruct_to_full(state: ModeState, n_theta: int) -> FullField:
     ang = np.outer(state.params.N * np.arange(1, state.params.K + 1),
                    full.theta)[:, None, :, None]
     c, s = np.cos(ang), np.sin(ang)
-    terms = np.empty((state.params.K + 1,) + full.ur.shape)
-    for name, (cos, sin) in _component_rows(state).items():
+    terms = np.empty((state.params.K + 1,) + full.P.shape)
+    for field, (cos, sin) in zip((*full.u, full.P), _component_rows(state)):
         terms[0] = cos[0, :, None, :]
         terms[1:] = cos[1:, :, None, :] * c + sin[1:, :, None, :] * s
         # summed over the first axis in order: the mean, then k = 1..K
-        setattr(full, name, terms.sum(axis=0))
+        terms.sum(axis=0, out=field)
     return full
 
 
@@ -176,18 +171,6 @@ def _derivative_matrix(n: int, period: float) -> np.ndarray:
     return op
 
 
-def _velocity(full: FullField) -> np.ndarray:
-    """The velocity as one ``(3, n_r, n_theta, n_z)`` array: the first rows
-    of the array a solve returned when the components are still its views,
-    else a stacked copy."""
-    u = full.ur.base
-    if u is not None and u.ndim == 4 and len(u) >= 3 and all(
-            f.base is u and f.__array_interface__ == u[i].__array_interface__
-            for i, f in enumerate(full.velocity())):
-        return u[:3]
-    return np.stack(full.velocity())
-
-
 def nonlinear_term(full: FullField) -> np.ndarray:
     """Advection and curvature terms of the momentum equations, pointwise.
 
@@ -200,7 +183,7 @@ def nonlinear_term(full: FullField) -> np.ndarray:
     dense matrix: ``D_r``, and the spectral theta and z derivatives.
     """
     g = full.grid
-    u = _velocity(full)
+    u = full.u
     ur, uth, uz = u
     uth_over_r = uth / g.r[:, None, None]
     adv = np.matmul(g.D_r, u.reshape(3, g.n_r, -1)).reshape(u.shape)
@@ -663,10 +646,11 @@ def check_cfl(full: FullField, dt: float, safety: float = 0.9) -> float:
     dz = g.L_z / g.n_z
     dtheta = 2.0 * math.pi / full.n_theta
     r = g.r[:, None, None]
+    ur, uth, uz = full.u
     cfl = dt * max(
-        np.abs(full.ur).max() / dr_min,
-        np.abs(full.uz).max() / dz,
-        float((np.abs(full.uth) / (r * dtheta)).max()),
+        np.abs(ur).max() / dr_min,
+        np.abs(uz).max() / dz,
+        float((np.abs(uth) / (r * dtheta)).max()),
     )
     if cfl > safety:
         raise CFLViolationError(
@@ -693,8 +677,8 @@ def oracle_step(full: FullField, params: Params, dt: float,
     idt = 1.0 / dt
 
     # implicit viscous solve with pressure
-    mid_v = _solve_all_bins(step_table, _velocity(full) * idt, cache)
-    mid = FullField(g, full.theta, *mid_v[:3], full.P, full.t)
+    mid_v = _solve_all_bins(step_table, full.u * idt, cache)
+    mid = FullField(g, full.theta, mid_v[:3], full.P, full.t)
 
     # explicit advection, then projection back to the divergence-free
     # constraint
@@ -702,5 +686,5 @@ def oracle_step(full: FullField, params: Params, dt: float,
     star *= dt
     star += mid_v[:3]
     proj = _solve_all_bins(proj_table, star, cache)
-    return FullField(g, full.theta, *proj[:3], mid_v[3] + idt * proj[3],
+    return FullField(g, full.theta, proj[:3], mid_v[3] + idt * proj[3],
                      full.t + dt)

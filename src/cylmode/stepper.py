@@ -427,7 +427,7 @@ def simulate_point(profile: InitProfile, state0: ModeState, cfg: StepConfig,
     """
     params = state0.params
     smallness_values, smallness_ok = smallness_check(profile, params)
-    history = EnergyHistory(j_max=1)
+    history = EnergyHistory()
     energies = []
 
     def on_snapshot(st: ModeState, measures: ModeMeasures) -> None:

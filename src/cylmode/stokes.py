@@ -555,23 +555,20 @@ def linear_flow_problems(N: int) -> list[str]:
     return [] if N >= 3 else ["linear flow requires N >= 3"]
 
 
-def linear_flow_uL(profile, params: Params, dt: float, n_steps: int,
-                   j_max: int | None = None) -> dict:
+def linear_flow_uL(profile, params: Params, dt: float, n_steps: int) -> dict:
     """Evolve the purely horizontal single-harmonic linear flow.
 
     The linear flow damps the base harmonic N with the horizontal operator
     only (no vertical viscosity at any nu), so it is the ``nu = 0`` Stokes
     evolution at ``k_eff = N`` of the mode-1 scaled data; ``N`` is in the
     range of :func:`linear_flow_problems`.  Reports, per vertical
-    derivative order j, the supremum of ``||dz^j u_L||^2``, the
+    derivative order j = 0..m, the supremum of ``||dz^j u_L||^2``, the
     dissipation integrals and their ratios to ``N^{2 delta} ||dz^j
     alpha||^2``, plus the worst discrete energy identity residual relative
     to the pre-step energy per unit time.
     """
     raise_problems(linear_flow_problems(params.N))
-    if j_max is None:
-        j_max = params.m
-    N = params.N
+    N, j_max = params.N, params.m
     hist = stokes_evolve(StokesOpCache(profile.grid, 0.0),
                          make_initial_state(profile, params).u[1], dt,
                          n_steps, N, j_max)

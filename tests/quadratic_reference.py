@@ -299,7 +299,7 @@ def nonlinear_term_projection(full: FullField, params: Params,
     oracle for the convolution-based assembly.
     """
     _check_resolution(full.n_theta, params)
-    out = np.zeros((6,) + full.ur.shape[::2])
+    out = np.zeros((6,) + full.P.shape[::2])
     n_theta = full.n_theta
     two = 2.0 / n_theta
     for f, cos, sin in zip(nonlinear_term(full), (UR, UTH, UZ), (VR, VTH, VZ)):

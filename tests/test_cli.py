@@ -132,6 +132,7 @@ class TestConfigGrammar:
         ("reports", "decay", "true"),
         ("reports", "mixed", "false"),
         ("run", "snapshot_every", "2"),
+        ("run", "compare_N", "8"),
     ])
     def test_removed_keys_exit_2(self, tmp_path, capsys, section, key, value):
         out = tmp_path / "out"
@@ -367,24 +368,6 @@ class TestSimulate:
         rep = json.loads((out / "simulate_report.json").read_text())
         assert rep["decay"]["metadata"]["cascade"] is True
 
-    def test_paired_n_scaling_summary(self, tmp_path):
-        out = tmp_path / "out"
-        path = _write(tmp_path, _small(run={"mode": "ns", "compare_N": 8}))
-        rc = cli.main(["simulate", "--config", path, "--out", str(out),
-                       "--quiet"])
-        assert rc == 0
-        summ = json.loads((out / "n_scaling_summary.json").read_text())
-        comp = summ["comparison"]
-        assert comp["N_base"] == 4 and comp["N_alt"] == 8
-        rows = comp["per_mode"]
-        assert {(r["k"], r["j"]) for r in rows} >= {(1, 0), (2, 0)}
-        for r in rows:
-            assert r["measured_ratio"] >= 0.0
-        # calibration pins the k = 1 prediction to the measurement
-        k1 = next(r for r in rows if r["k"] == 1 and r["j"] == 0)
-        assert k1["measured_ratio"] == pytest.approx(k1["predicted_ratio"],
-                                                     rel=1e-12)
-
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         env_out = tmp_path / "env_out"
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(env_out))
@@ -497,8 +480,7 @@ class TestLinearFlowCommand:
     def test_ratios_and_identity(self, tmp_path):
         out = tmp_path / "out"
         path = _write(tmp_path, _small(
-            params={"N": 4, "eta": 0.2, "K": 2, "delta": 0.1},
-            run={"compare_N": 8}))
+            params={"N": 4, "eta": 0.2, "K": 2, "delta": 0.1}))
         rc = cli.main(["linear-flow", "--config", path, "--out", str(out),
                        "--quiet"])
         assert rc == 0
@@ -508,28 +490,6 @@ class TestLinearFlowCommand:
         assert all(math.isfinite(v) and v >= 0.0 for v in flow["ratio_sup"])
         assert rep["invariants"]["identity_ok"]
         assert rep["invariants_held"] is True
-        assert rep["comparison"]["N_alt"] == 8
-        assert math.isfinite(rep["comparison"]["ratio_sup_drift"])
-
-    def test_nan_ratio_reads_as_nan_drift(self, tmp_path, monkeypatch):
-        # a NaN ratio in the compare_N run is not zero drift
-        real = cli.linear_flow_uL
-
-        def nan_alt(profile, params, dt, n_steps):
-            flow = real(profile, params, dt, n_steps)
-            if params.N == 8:
-                flow["ratio_sup"][1] = math.nan
-            return flow
-
-        monkeypatch.setattr(cli, "linear_flow_uL", nan_alt)
-        out = tmp_path / "out"
-        path = _write(tmp_path, _small(
-            params={"N": 4, "eta": 0.2, "K": 2, "delta": 0.1},
-            run={"compare_N": 8}))
-        cli.main(["linear-flow", "--config", path, "--out", str(out),
-                  "--quiet"])
-        rep = json.loads((out / "linear_flow_report.json").read_text())
-        assert math.isnan(rep["comparison"]["ratio_sup_drift"])
 
     def test_requires_three_fold_symmetry(self, tmp_path, capsys):
         path = _write(tmp_path, _small(params={"N": 2, "eta": 0.2, "K": 2}))
@@ -546,15 +506,6 @@ class TestLinearFlowCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"config error: [params] {text}"
             for text in stokes.linear_flow_problems(2)]
-        assert not out.exists()
-
-    def test_compare_n_needs_three_fold_symmetry(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        path = _write(tmp_path, _small(run={"compare_N": 2}))
-        rc = cli.main(["linear-flow", "--config", path, "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: linear-flow requires [run] compare_N >= 3 when set"]
         assert not out.exists()
 
 
@@ -657,6 +608,47 @@ class TestDecayReportCommand:
         assert err.startswith("input error: [history] ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def _refused(self, tmp_path, capsys, history: str, **params) -> str:
+        """The stderr of a decay-report of ``history`` that exits 2 and
+        writes no report."""
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(params=params,
+                                       history={"path": history}),
+                      name="report.ini")
+        rc = cli.main(["decay-report", "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: [history] ")
+        assert "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    def test_history_of_another_run_exits_2(self, tmp_path, capsys):
+        # a history written at N = 8, K = 3 is not reported at N = 4, K = 2
+        out = tmp_path / "sim_out"
+        path = _write(tmp_path, _small(params={"N": 8, "K": 3}))
+        assert cli.main(["simulate", "--config", path, "--out", str(out),
+                         "--quiet"]) == 0
+        err = self._refused(tmp_path, capsys, str(out / "history.npz"),
+                            N=4, K=2)
+        assert "N = 8, K = 3" in err and "N = 4, K = 2" in err
+
+    def test_empty_history_exits_2(self, tmp_path, capsys):
+        empty = str(tmp_path / "empty.npz")
+        functionals.save_history(functionals.EnergyHistory(), empty)
+        assert "history is empty" in self._refused(tmp_path, capsys, empty)
+
+    def test_history_of_another_order_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sim_out"
+        assert cli.main(["simulate", "--config", _write(tmp_path, _small()),
+                         "--out", str(out), "--quiet"]) == 0
+        with np.load(out / "history.npz") as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays.pop("meta")))
+        other = str(tmp_path / "j2.npz")
+        np.savez(other, meta=json.dumps({**meta, "j_max": 2}), **arrays)
+        assert "j_max = 2" in self._refused(tmp_path, capsys, other)
 
 
 class TestSolverFailures:

@@ -89,8 +89,8 @@ def _scalar_series(hist):
 def test_history_channels_match_reference(grid, K, cascade):
     states = [_random_state(grid, K, cascade, seed=s, t=0.1 * s)
               for s in range(3)]
-    got = F.EnergyHistory(j_max=1)
-    want = F.EnergyHistory(j_max=1)
+    got = F.EnergyHistory()
+    want = F.EnergyHistory()
     for st in states:
         F.accumulate(got, st)
         ref.reference_accumulate(want, state_view(st))
@@ -185,16 +185,18 @@ def test_mode_readers_match_reference(grid, K, cascade):
 
 def _every_vertical_operator(n, L_z, j_max):
     """The pass's vertical operators with no product shared: one matrix
-    for each of ``dz^j`` and ``dz dz^j``, j = 0..j_max, the identity
-    included, laid out like ``diagnostics._vertical_operators``."""
+    for each ``dz^j``, j = 0..j_max, and each ``dz dz^j``, j <= min(j_max,
+    1), the identity included, laid out like
+    ``diagnostics._vertical_operators``."""
     ik = 1j * (2.0 * np.pi / L_z) * np.arange(n // 2 + 1)
-    orders = list(range(j_max + 1)) + list(range(1, j_max + 2))
+    n_dz = min(j_max, 1) + 1
+    orders = list(range(j_max + 1)) + list(range(1, n_dz + 1))
     mult = np.array([ik**o for o in orders])
-    drop = [o % 2 == 1 for o in orders[:j_max + 1]] + [True] * (j_max + 1)
+    drop = [o % 2 == 1 for o in orders[:j_max + 1]] + [True] * n_dz
     mult[np.array(drop), -1] = 0.0
     ops = np.fft.irfft(np.fft.rfft(np.eye(n)) * mult[:, None], n=n)
     ops[0] = np.eye(n)
-    return ops, slice(1, j_max + 2), slice(j_max + 2, 2 * j_max + 3)
+    return ops, slice(1, j_max + 2), slice(j_max + 2, j_max + 2 + n_dz)
 
 
 @pytest.mark.parametrize("j_max", [0, 1, 2, 3])
@@ -203,12 +205,12 @@ def test_distinct_vertical_products_match_every_product(grid, monkeypatch,
                                                         j_max, pressure):
     # the pass applies each distinct vertical matrix once and reads order 0
     # from the field itself; it must equal the pass that applies all
-    # 2 (j_max + 1) matrices, identity included
+    # j_max + 2 + min(j_max, 1) matrices, identity included
     st = _random_state(grid, 4, False, seed=9)
     k_eff = st.params.N * np.arange(len(st.u))
     p = st.p if pressure else None
     ops = diagnostics._vertical_operators(grid.n_z, grid.L_z, j_max)[0]
-    assert len(ops) == {0: 1, 1: 2, 2: 4, 3: 5}[j_max]
+    assert len(ops) == {0: 1, 1: 2, 2: 3, 3: 4}[j_max]
     got = measure_modes(grid, st.u, k_eff, p, j_max, StepWorkspace())
     monkeypatch.setattr(diagnostics, "_vertical_operators",
                         _every_vertical_operator)
@@ -245,7 +247,7 @@ def test_one_step_grid_calls_do_not_grow_with_K(grid, monkeypatch, tmp_path,
     # derivative order: hundreds per step at these K
     p = Params(nu=1.0, N=3, delta=0.1, eta=0.2, K=K)
     st = make_random_divfree_state(grid, p, seed=1, amplitude=1e-3)
-    history = F.EnergyHistory(j_max=1)
+    history = F.EnergyHistory()
     budgets = tmp_path / "budgets.csv"
     counts = _count_grid_calls(monkeypatch)
     res = run(st, StepConfig(dt=1e-3, t_end=1e-3),

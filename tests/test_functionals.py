@@ -40,7 +40,7 @@ def _accumulate_run(grid, p, seed=3, n_steps=5, dt=1e-3, nonlinear=True,
                     state=None):
     st = state if state is not None else make_random_divfree_state(
         grid, p, seed=seed, amplitude=1e-2)
-    hist = F.EnergyHistory(j_max=1)
+    hist = F.EnergyHistory()
     F.accumulate(hist, st)
     sink_hist = hist
 
@@ -166,6 +166,17 @@ class TestAccumulate:
         assert estimate > 0.0
         assert json.loads(str(arrays["meta"]))["error_estimate"] == estimate
         assert hist.error_estimate == estimate
+
+    def test_refuses_history_of_another_order(self, grid, tmp_path):
+        path = str(tmp_path / "hist.npz")
+        F.save_history(_accumulate_run(grid, _params(), n_steps=2), path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        assert meta["j_max"] == F.EnergyHistory.j_max == 1
+        np.savez(path, meta=json.dumps({**meta, "j_max": 2}), **arrays)
+        with pytest.raises(ValueError, match="j_max = 2"):
+            F.load_history(path)
 
     def test_loads_history_with_mixed_and_powers_meta(self, grid, tmp_path):
         # histories written with the mixed-norm switch in place carry
@@ -447,6 +458,12 @@ class TestDecayReport:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             F.decay_report(F.EnergyHistory(), _params())
+
+    @pytest.mark.parametrize("over", [{"N": 4}, {"K": 2}])
+    def test_history_of_other_parameters_rejected(self, grid, over):
+        hist = _accumulate_run(grid, _params(), n_steps=2)
+        with pytest.raises(ValueError, match="N = 3, K = 3"):
+            F.decay_report(hist, _params(**over))
 
 
 class TestSmallness:

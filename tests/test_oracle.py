@@ -59,7 +59,7 @@ def _rand_state(grid, p, seed, amplitude=1e-2, **kw):
 
 def full_l2(full):
     """L2 norm of the velocity over the solid cylinder."""
-    s = sum(quad3(full, f * f) for f in full.velocity())
+    s = sum(quad3(full, f * f) for f in full.u)
     return math.sqrt(max(s, 0.0))
 
 
@@ -72,8 +72,8 @@ def full_divergence(full):
     """Pointwise three-dimensional divergence in cylinder coordinates."""
     g = full.grid
     r = g.r[:, None, None]
-    return (g.dr(full.ur) + full.ur / r + _dth(full.uth) / r
-            + g.dz(full.uz))
+    ur, uth, uz = full.u
+    return g.dr(ur) + ur / r + _dth(uth) / r + g.dz(uz)
 
 
 class TestTransforms:
@@ -97,12 +97,11 @@ class TestTransforms:
         p = _params()
         full = build_full_field(grid, N_THETA)
         rng = np.random.default_rng(3)
-        prof = rng.standard_normal(full.ur.shape[::2])
+        prof = rng.standard_normal(full.P.shape[::2])
         # azimuthal wavenumbers 1 and 4 are not multiples of N = 3
         for m in (1, 4):
             ang = np.cos(m * full.theta)[None, :, None]
-            full.ur = full.ur + prof[:, None, :] * ang
-            full.uth = full.uth + prof[:, None, :] * ang
+            full.u[:2] += prof[:, None, :] * ang
         st = project_to_modes(full, p)
         assert st.total_l2_sq() < 1e-28  # transform rounding only
 
@@ -128,20 +127,22 @@ class TestTransforms:
         st.p[:, P] = np.random.default_rng(8).standard_normal(st.p[:, P].shape)
         st.p[1:, Q] = np.random.default_rng(9).standard_normal(st.p[1:, Q].shape)
         full = reconstruct_to_full(st, N_THETA)
-        rows = {"ur": (UR, VR), "uth": (UTH, VTH), "uz": (UZ, VZ)}
-        for name, (cs, sn) in {**rows, "P": (P, Q)}.items():
-            arr = st.p if name == "P" else st.u
-            want = np.zeros_like(full.ur)
+        # each physical field, whether it is the pressure, and its slots
+        rows = ((full.u[0], False, UR, VR), (full.u[1], False, UTH, VTH),
+                (full.u[2], False, UZ, VZ), (full.P, True, P, Q))
+        for got, pressure, cs, sn in rows:
+            arr = st.p if pressure else st.u
+            want = np.zeros_like(full.P)
             want += arr[0, cs][:, None, :]
             for k in range(1, p.K + 1):
                 ang = k * p.N * full.theta
                 want += (arr[k, cs][:, None, :] * np.cos(ang)[None, :, None]
                          + arr[k, sn][:, None, :] * np.sin(ang)[None, :, None])
-            np.testing.assert_array_equal(getattr(full, name), want)
+            np.testing.assert_array_equal(got, want)
         back = project_to_modes(full, p)
-        for name, (cs, sn) in {**rows, "P": (P, Q)}.items():
-            arr = back.p if name == "P" else back.u
-            spec = np.fft.rfft(getattr(full, name), axis=1)
+        for field, pressure, cs, sn in rows:
+            arr = back.p if pressure else back.u
+            spec = np.fft.rfft(field, axis=1)
             np.testing.assert_array_equal(arr[0, cs],
                                           spec[:, 0, :].real / N_THETA)
             for k in range(1, p.K + 1):
@@ -217,8 +218,7 @@ class TestOracleStep:
             full = oracle_step(full, p, dt, cache=cache)
         ref = reconstruct_to_full(mode_final, N_THETA)
         return math.sqrt(sum(quad3(full, (a - b) ** 2)
-                             for a, b in zip(full.velocity(),
-                                             ref.velocity())))
+                             for a, b in zip(full.u, ref.u)))
 
     def test_gap_shrinks_linearly_in_dt(self, grid, cache):
         # both integrators are consistent, so their disagreement at fixed
@@ -500,19 +500,19 @@ class TestGuards:
 
     def test_cfl_check_raises(self, grid):
         full = build_full_field(grid, N_THETA)
-        full.ur = full.ur + 1.0
+        full.u[0] += 1.0
         with pytest.raises(CFLViolationError):
             check_cfl(full, dt=1.0)
 
     def test_cfl_number_returned(self, grid):
         full = build_full_field(grid, N_THETA)
-        full.ur = full.ur + 1e-3
+        full.u[0] += 1e-3
         cfl = check_cfl(full, dt=1e-3)
         assert 0.0 < cfl < 0.9
 
     def test_step_checks_cfl(self, grid, cache):
         p = _params()
         full = build_full_field(grid, N_THETA)
-        full.ur = full.ur + 1.0
+        full.u[0] += 1.0
         with pytest.raises(CFLViolationError):
             oracle_step(full, p, 1.0, cache=cache)

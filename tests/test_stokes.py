@@ -458,7 +458,8 @@ class TestLinearFlow:
         from cylmode.state import make_profile_divfree
         prof = make_profile_divfree(g, a_r, a_z, b_r, np.zeros_like(a_r))
         p = Params(nu=1.0, N=6, delta=0.1, eta=0.25, K=3)
-        rep = linear_flow_uL(prof, p, dt=2e-3, n_steps=30, j_max=2)
+        rep = linear_flow_uL(prof, p, dt=2e-3, n_steps=30)
+        assert rep["j"] == list(range(p.m + 1))
         assert rep["identity_residual_max"] < 1e-8
         for key in ("ratio_sup", "ratio_dr", "ratio_over_r"):
             vals = np.array(rep[key])
