@@ -29,68 +29,36 @@ Subpackage layout:
 - ``cli``           command-line entry points
 """
 
-from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ
-from .functionals import (
-    DecayReport,
-    EnergyHistory,
-    accumulate,
-    compute_D,
-    compute_E,
-    decay_report,
-    harmonic_weight,
-    load_history,
-    save_history,
-    smallness_check,
-)
-from .grid import CylGrid, build_grid
-from .inequalities import (
-    DiskGrid,
-    TestFunction2D,
-    angular_poincare_ratio,
-    anisotropic_ratio,
-    build_disk_grid,
-    constant_scan,
-    disk_function,
-    isotropic_ratio,
-    pointwise_weight_ok,
-    radial_disk_function,
-    radial_quartic_ratio,
-    radial_ratio,
-    separable_disk_function,
-    vertical_sup_ratio,
-)
-from .nonlinear import assemble_quadratic_rhs, flux_identity_residual
-from .oracle import (
-    FullField,
-    OracleOpCache,
-    build_full_field,
-    oracle_step,
-    project_to_modes,
-    reconstruct_to_full,
-    relative_l2,
-)
-from .state import (
-    Params,
-    InitProfile,
-    ModeState,
-    make_profile_divfree,
-    make_initial_state,
-    make_random_divfree_state,
-    divergence_residual,
-    poloidal_profile,
-    save_checkpoint,
-    load_checkpoint,
-)
-from .stepper import (PointResult, RunResult, RunSinks, StepConfig,
-                      mode_invariance_check, run, simulate_point)
-from .stokes import (
-    StokesOpCache,
-    apply_viscous_operator,
-    linear_flow_uL,
-    mode_energy,
-    stokes_evolve,
-    stokes_step,
-)
+import importlib
+
+# the defining module of every name in __all__; a name is imported from it
+# on first use, so that a process loads only the modules it runs
+_HOMES = {
+    "diagnostics": ("P", "Q", "UR", "UTH", "UZ", "VR", "VTH", "VZ",
+                    "mode_energy"),
+    "functionals": ("DecayReport", "EnergyHistory", "accumulate", "compute_D",
+                    "compute_E", "decay_report", "harmonic_weight",
+                    "load_history", "save_history", "smallness_check"),
+    "grid": ("CylGrid", "build_grid"),
+    "inequalities": ("DiskGrid", "TestFunction2D", "angular_poincare_ratio",
+                     "anisotropic_ratio", "build_disk_grid", "constant_scan",
+                     "disk_function", "isotropic_ratio",
+                     "pointwise_weight_ok", "radial_disk_function",
+                     "radial_quartic_ratio", "radial_ratio",
+                     "separable_disk_function", "vertical_sup_ratio"),
+    "nonlinear": ("assemble_quadratic_rhs", "flux_identity_residual"),
+    "oracle": ("FullField", "OracleOpCache", "build_full_field", "oracle_step",
+               "project_to_modes", "reconstruct_to_full", "relative_l2"),
+    "state": ("Params", "InitProfile", "ModeState", "make_profile_divfree",
+              "make_initial_state", "make_random_divfree_state",
+              "divergence_residual", "poloidal_profile", "save_checkpoint",
+              "load_checkpoint"),
+    "stepper": ("PointResult", "RunResult", "RunSinks", "StepConfig",
+                "mode_invariance_check", "run", "simulate_point"),
+    "stokes": ("StokesOpCache", "apply_viscous_operator", "linear_flow_uL",
+               "stokes_evolve", "stokes_step"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __all__ = [
     "UR",
@@ -162,3 +130,16 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import an exported name from its module on first use (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -19,6 +19,14 @@ A solver error (CFL violation, a step's divergence residual above
 with a ``failure`` entry and ``invariants_held`` false; an error raised in
 a time loop adds the 1-based ``step`` it stopped at and the time ``t``
 that step started from.
+
+At module level this file imports only what parsing, validation and
+dispatch need (the standard library, numpy and ``grid``); each command
+imports the modules it runs in its own body.  So ``inequality-scan`` loads
+``cli``, ``grid`` and ``inequalities`` only, ``simulate`` loads neither
+``oracle`` nor ``inequalities``, and ``oracle-compare`` does not load
+``inequalities``.  A process compiles every module it imports when no
+bytecode is cached.
 """
 
 from __future__ import annotations
@@ -36,28 +44,16 @@ import time
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .functionals import (
-    REPORT_SCHEMA,
-    DecayReport,
-    decay_report,
-    load_history,
-    save_history,
-)
-from .grid import build_grid, grid_problems
-from .inequalities import POINCARE_BOUND, constant_scan, scan_problems
-from .oracle import FullField, OracleOpCache, SingularBinError, \
-    n_theta_problems, oracle_step, reconstruct_to_full, relative_l2
-from .state import Params, divergence_residual, make_initial_state, \
-    make_profile_divfree, make_random_divfree_state, param_problems, \
-    poloidal_profile
-from .stepper import FLUX_TOL, MONOTONE_SLACK, SCHEME_EULER, STEP_ERRORS, \
-    RunSinks, StepConfig, energy_growth, mark_failure, \
-    mode_invariance_check, run, simulate_point, step_problems
-from .stokes import StokesOpCache, apply_viscous_operator, \
-    linear_flow_problems, linear_flow_uL, stokes_evolve, stokes_step
+from .grid import REPORT_SCHEMA, build_grid, grid_problems
+
+if TYPE_CHECKING:
+    from .functionals import DecayReport
+    from .oracle import FullField
+    from .state import Params
 
 RUN_MODES = ("ns", "ans", "stokes_only")
 PROFILE_FAMILIES = ("poloidal", "file")
@@ -78,8 +74,14 @@ REPORT_FILES = {
     "decay-report": "decay_report.json",
 }
 
-# solver failures that stop a command with a failure report and exit 1
-SOLVER_ERRORS = STEP_ERRORS + (SingularBinError,)
+
+def _solver_errors() -> tuple[type[Exception], ...]:
+    """The solver failures that stop a command with a failure report and
+    exit 1.  Built only when an exception is caught, so that a command
+    loads no solver module it does not run."""
+    from .oracle import SingularBinError
+    from .stepper import STEP_ERRORS
+    return STEP_ERRORS + (SingularBinError,)
 
 
 class ConfigError(ValueError):
@@ -124,7 +126,7 @@ class ExperimentConfig:
 
     dt: float = _key("step", "dt", 1e-3)
     t_end: float = _key("step", "t_end", 0.1)
-    step_scheme: str = _key("step", "scheme", SCHEME_EULER)
+    step_scheme: str = _key("step", "scheme", "imex_euler")
     cfl_safety: float = _key("step", "cfl_safety", 0.9)
     div_tol: float = _key("step", "div_tol", 1e-9)
     budget_every: int = _key("step", "budget_every", 1)
@@ -163,6 +165,7 @@ class ExperimentConfig:
         return out
 
     def params(self) -> Params:
+        from .state import Params
         return Params(nu=self.nu, N=self.N, delta=self.delta, eta=self.eta,
                       K=self.K, m=self.m, sigma=self.sigma,
                       small_eps=self.small_eps)
@@ -222,7 +225,7 @@ def parse_config(text: str, command: str | None = None) -> ExperimentConfig:
         problems.append("[params] nu must be 0 in mode 'ans' (or omit it)")
 
     cfg = ExperimentConfig(**values)  # type: ignore[arg-type]
-    problems.extend(validate_config(cfg, command))
+    problems.extend(validate_config(cfg, command, set(parser.sections())))
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -235,21 +238,45 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
     return parse_config(p.read_text(encoding="utf-8"), command)
 
 
+# the commands that read [params] and [step]
+_READERS = {
+    "params": ("simulate", "stokes-test", "linear-flow", "oracle-compare",
+               "decay-report"),
+    "step": ("simulate", "linear-flow", "oracle-compare"),
+}
+
+
 def _in_section(section: str, problems: list[str]) -> list[str]:
     return [f"[{section}] {problem}" for problem in problems]
 
 
-def validate_config(cfg: ExperimentConfig,
-                    command: str | None = None) -> list[str]:
+def validate_config(cfg: ExperimentConfig, command: str | None = None,
+                    sections: set[str] | None = None) -> list[str]:
     """Every violated constraint, cross-field ones included; only rules no
-    library rule function owns are written here."""
-    bad = _in_section("params", param_problems(
-        cfg.nu, cfg.N, cfg.delta, cfg.eta, cfg.K, cfg.m, cfg.sigma,
-        cfg.small_eps))
+    library rule function owns are written here.
+
+    ``sections`` names the sections the INI sets (None: all of them).  The
+    ``[params]`` and ``[step]`` rules run when the command reads that
+    section or the INI sets it.  Every default is valid, so a section the
+    INI does not set cannot fail them; skipping them there spares
+    ``inequality-scan`` loading ``state`` and ``stepper``.
+    """
+    def checked(section: str) -> bool:
+        return (command is None or sections is None or section in sections
+                or command in _READERS[section])
+
+    bad = []
+    if checked("params"):
+        from .state import param_problems
+        bad += _in_section("params", param_problems(
+            cfg.nu, cfg.N, cfg.delta, cfg.eta, cfg.K, cfg.m, cfg.sigma,
+            cfg.small_eps))
     bad += _in_section("grid", grid_problems(cfg.n_r, cfg.n_z, cfg.L_z))
-    bad += _in_section("step", step_problems(
-        cfg.dt, cfg.t_end, cfg.step_scheme, cfg.cfl_safety, cfg.div_tol,
-        cfg.budget_every))
+    if checked("step"):
+        from .stepper import step_problems
+        bad += _in_section("step", step_problems(
+            cfg.dt, cfg.t_end, cfg.step_scheme, cfg.cfl_safety, cfg.div_tol,
+            cfg.budget_every))
     if cfg.profile_family not in PROFILE_FAMILIES:
         bad.append(f"[profile] family must be one of {PROFILE_FAMILIES}")
     if cfg.profile_family == "file" and not cfg.profile_path:
@@ -263,8 +290,10 @@ def validate_config(cfg: ExperimentConfig,
     if cfg.seed < 0:
         bad.append("[run] seed must be >= 0")
     if command == "linear-flow":
+        from .stokes import linear_flow_problems
         bad += _in_section("params", linear_flow_problems(cfg.N))
     if command == "inequality-scan":
+        from .inequalities import scan_problems
         bad += _in_section("scan", scan_problems(
             cfg.scan_check, cfg.scan_family or None, cfg.scan_trials,
             cfg.scan_p, cfg.scan_n_r, cfg.scan_n_theta, cfg.scan_n_z,
@@ -272,6 +301,8 @@ def validate_config(cfg: ExperimentConfig,
         if cfg.scan_seed < 0:
             bad.append("[scan] seed is mandatory (a non-negative integer)")
     if command == "oracle-compare":
+        from .oracle import n_theta_problems
+        from .stepper import SCHEME_EULER, step_problems
         need = 3 * cfg.K * cfg.N
         if cfg.oracle_n_theta <= need:
             bad.append(
@@ -346,6 +377,8 @@ def _initial_data(cfg: ExperimentConfig, grid, params: Params):
     A profile the solver cannot start from (a component that does not
     vanish at the wall) is an input error, not a solver failure.
     """
+    from .state import make_initial_state, make_profile_divfree, \
+        poloidal_profile
     components = (_file_components(cfg, grid)
                   if cfg.profile_family == "file" else None)
     try:
@@ -390,6 +423,9 @@ def _decay_json_dict(rep: DecayReport, cfg: ExperimentConfig) -> dict:
 # -- simulate ------------------------------------------------------------------
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
+    from .functionals import save_history
+    from .stepper import FLUX_TOL, MONOTONE_SLACK, RunSinks, StepConfig, \
+        simulate_point
     grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
     profile, state = _initial_data(cfg, grid, cfg.params())
     step_cfg = StepConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.step_scheme,
@@ -446,6 +482,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 # -- stokes-test ---------------------------------------------------------------
 
 def cmd_stokes_test(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
+    from .state import divergence_residual, make_random_divfree_state
+    from .stepper import MONOTONE_SLACK, energy_growth, mode_invariance_check
+    from .stokes import StokesOpCache, apply_viscous_operator, \
+        stokes_evolve, stokes_step
     grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
     checks: dict[str, dict] = {}
 
@@ -514,6 +554,7 @@ def cmd_stokes_test(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 # -- linear-flow ---------------------------------------------------------------
 
 def cmd_linear_flow(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
+    from .stokes import linear_flow_uL
     grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
     params = cfg.params()
     profile, _ = _initial_data(cfg, grid, params)
@@ -540,6 +581,7 @@ def cmd_linear_flow(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 
 def cmd_inequality_scan(cfg: ExperimentConfig, out_dir: Path,
                         quiet: bool) -> int:
+    from .inequalities import POINCARE_BOUND, constant_scan
     scan = constant_scan(cfg.scan_family or None, cfg.scan_check,
                          cfg.scan_trials, cfg.scan_seed, p=cfg.scan_p,
                          n_r=cfg.scan_n_r, n_theta=cfg.scan_n_theta,
@@ -566,13 +608,15 @@ def _oracle_trajectory(cfg: ExperimentConfig, grid, params: Params,
                        state) -> FullField:
     """The oracle's steps from ``state``; its operator tables are freed on
     return, before the mode loop runs."""
+    from .oracle import OracleOpCache, oracle_step, reconstruct_to_full
+    from .stepper import mark_failure
     full = reconstruct_to_full(state, cfg.oracle_n_theta)
     cache = OracleOpCache(grid, cfg.oracle_n_theta, params.nu)
     for n in range(1, cfg.oracle_steps + 1):
         try:
             full = oracle_step(full, params, cfg.oracle_dt, cache,
                                cfl_safety=cfg.cfl_safety)
-        except SOLVER_ERRORS as exc:
+        except _solver_errors() as exc:
             mark_failure(exc, n, full.t)
             raise
     return full
@@ -580,6 +624,8 @@ def _oracle_trajectory(cfg: ExperimentConfig, grid, params: Params,
 
 def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
                        quiet: bool) -> int:
+    from .oracle import reconstruct_to_full, relative_l2
+    from .stepper import SCHEME_EULER, StepConfig, run
     grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
     params = cfg.params()
     _, state = _initial_data(cfg, grid, params)
@@ -620,6 +666,7 @@ def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
 # -- decay-report --------------------------------------------------------------
 
 def cmd_decay_report(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
+    from .functionals import decay_report, load_history
     try:
         history = load_history(cfg.history_path)
     except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
@@ -689,7 +736,7 @@ def main(argv=None) -> int:
         for line in exc.problems:
             print(f"input error: {line}", file=sys.stderr)
         return 2
-    except SOLVER_ERRORS as exc:
+    except _solver_errors() as exc:
         failure = {"type": type(exc).__name__, "message": str(exc)}
         where = ""
         if hasattr(exc, "step"):

@@ -24,10 +24,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .diagnostics import UR, UTH, ModeMeasures, measure_state
-from .grid import CylGrid, median
+from .grid import REPORT_SCHEMA, CylGrid, median
 from .state import InitProfile, ModeState, Params
-
-REPORT_SCHEMA = "cylmode-report-v1"
 
 
 # -- history accumulation ------------------------------------------------------
@@ -35,6 +33,10 @@ REPORT_SCHEMA = "cylmode-report-v1"
 #: the stored rows of a snapshot: ``(2, K+1)`` per-harmonic forms and the
 #: mean's ``(2,)`` axis pair, one row per vertical order j <= 1
 CHANNELS = ("inst", "grad", "dr", "over_r", "axis_pair")
+
+#: the parameters beside N and K that a history records and the decay
+#: report must be given again
+REGIME_KEYS = ("nu", "eta", "delta", "m", "sigma")
 
 
 class EnergyHistory:
@@ -47,7 +49,8 @@ class EnergyHistory:
     component pair (``axis_pair``, one value per j).  ``j_max`` is 1, the
     highest order the functionals and the decay report read.  Running
     trapezoid integrals, running sups and the integration error estimate
-    are taken from the stored rows when read.
+    are taken from the stored rows when read.  ``regime`` holds the
+    run's ``REGIME_KEYS`` values, or None for a file written without them.
     """
 
     j_max = 1
@@ -57,6 +60,7 @@ class EnergyHistory:
         self.grid: CylGrid | None = None
         self.K: int | None = None
         self.N: int | None = None
+        self.regime: dict | None = None
         self._rows: dict[str, list] = {name: [] for name in CHANNELS}
         # (snapshot count, error estimate) of the last evaluation
         self._estimate = (0, 0.0)
@@ -128,6 +132,10 @@ def _members(history: EnergyHistory):
                 yield f"axis_pair_{j}", "axis_pair", (..., j)
 
 
+def _regime(params: Params) -> dict:
+    return {key: getattr(params, key) for key in REGIME_KEYS}
+
+
 def accumulate(history: EnergyHistory, state: ModeState,
                measures: ModeMeasures | None = None) -> EnergyHistory:
     """Append one snapshot of ``state`` to ``history``.
@@ -139,6 +147,7 @@ def accumulate(history: EnergyHistory, state: ModeState,
     p = state.params
     if history.grid is None:
         history.grid, history.K, history.N = g, p.K, p.N
+        history.regime = _regime(p)
     elif history.grid is not g or history.K != p.K:
         raise ValueError("history bound to a different grid or truncation")
     ms = measures
@@ -164,6 +173,7 @@ def save_history(history: EnergyHistory, path: str) -> None:
         "grid": ({"n_r": g.n_r, "n_z": g.n_z, "L_z": g.L_z}
                  if g is not None else None),
         "error_estimate": history.error_estimate,
+        **(history.regime or {}),
     }
     arrays = {"times": np.asarray(history.times)}
     if history.times:
@@ -179,8 +189,9 @@ def load_history(path: str) -> EnergyHistory:
     """Read a history written by :func:`save_history`.
 
     The rows are rebuilt from the stored ``v_<name>`` arrays; integrals
-    and the error estimate are recomputed from them.  Other members and
-    meta keys (older files carry ``mixed`` and ``powers``) are ignored.
+    and the error estimate are recomputed from them.  A file without the
+    ``REGIME_KEYS`` in its meta loads with ``regime`` None.  Other members
+    and meta keys (older files carry ``mixed`` and ``powers``) are ignored.
     """
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
@@ -190,6 +201,8 @@ def load_history(path: str) -> EnergyHistory:
         hist = EnergyHistory()
         hist.K = meta["K"]
         hist.N = meta["N"]
+        if all(key in meta for key in REGIME_KEYS):
+            hist.regime = {key: meta[key] for key in REGIME_KEYS}
         gmeta = meta.get("grid")
         if gmeta is not None:
             # dimensions only; a loaded history reports, it does not resume
@@ -335,7 +348,8 @@ def decay_report(history: EnergyHistory, params: Params) -> DecayReport:
     mode starts nonzero; the mean's reference is the first snapshot of
     harmonic 1 times ``sqrt(w_1 / w_0)``.  Ratios are recorded, not
     asserted.  An empty history, or one written at another ``N`` or ``K``
-    than ``params``, raises ``ValueError``.
+    than ``params`` or at other recorded ``REGIME_KEYS`` values, raises
+    ``ValueError``.
     """
     if history.n_snapshots == 0:
         raise ValueError("history is empty")
@@ -343,6 +357,15 @@ def decay_report(history: EnergyHistory, params: Params) -> DecayReport:
         raise ValueError(
             f"history was written at N = {history.N}, K = {history.K}; "
             f"the parameters give N = {params.N}, K = {params.K}")
+    given = _regime(params)
+    keys = [key for key in REGIME_KEYS
+            if history.regime and history.regime[key] != given[key]]
+    if keys:
+        raise ValueError(
+            "history was written at "
+            + ", ".join(f"{key} = {history.regime[key]}" for key in keys)
+            + "; the parameters give "
+            + ", ".join(f"{key} = {given[key]}" for key in keys))
     N, eta, delta = params.N, params.eta, params.delta
     m, sigma = params.m, params.sigma
     K = history.K

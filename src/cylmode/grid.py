@@ -171,6 +171,10 @@ class CylGrid:
         return float(self.w_r @ a.sum(axis=1)) * self.dz_weight
 
 
+#: schema tag of every JSON report the package writes
+REPORT_SCHEMA = "cylmode-report-v1"
+
+
 def raise_problems(problems: list[str]) -> None:
     """Raise the problems a rule function found as one ``ValueError``; the
     CLI prints the same texts, one a line, under their section."""

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cylmode import cli, functionals, stepper, stokes
+from cylmode import cli, functionals, oracle, stepper, stokes
 from cylmode.grid import CFLViolationError
 from cylmode.oracle import SingularBinError
 from cylmode.stepper import DivergenceCleanupError, StepConfig, simulate_point
@@ -79,6 +79,8 @@ class TestConfigGrammar:
     def test_defaults_parse_clean(self):
         cfg = parse_config("")
         assert cfg.N == 8 and cfg.mode == "ns" and cfg.nu == 1.0
+        # written out in cli, which does not load stepper to parse
+        assert cfg.step_scheme == stepper.SCHEME_EULER
 
     def test_each_field_declares_its_key_once(self):
         fields = dataclasses.fields(ExperimentConfig)
@@ -459,7 +461,8 @@ class TestStokesTestCommand:
             return (np.full_like(u, np.nan),
                     np.full((2,) + u.shape[1:], np.nan))
 
-        for module in (stokes, stepper, cli):
+        # the commands import stokes_step from stokes when they run
+        for module in (stokes, stepper):
             monkeypatch.setattr(module, "stokes_step", nan_step)
         path = _write(tmp_path, _small())
         out = tmp_path / "out"
@@ -538,6 +541,22 @@ class TestInequalityScanCommand:
         assert rc == 2
         assert "seed" in capsys.readouterr().err
 
+    # a scan reads neither [params] nor [step]; an INI that sets them is
+    # still checked against their rules
+    @pytest.mark.parametrize("over,line", [
+        ({"params": {"N": 1}}, "[params] N must be an integer >= 2, got 1"),
+        ({"step": {"dt": -1}}, "[step] dt must be positive"),
+    ], ids=["params", "step"])
+    def test_unread_section_is_still_validated(self, tmp_path, capsys, over,
+                                               line):
+        out = tmp_path / "out"
+        path = _write(tmp_path, {"scan": {"check": "anisotropic", "trials": 4,
+                                          "seed": 3}, **over})
+        rc = cli.main(["inequality-scan", "--config", path, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not out.exists()
+
 
 class TestOracleCompareCommand:
     def test_mode_solver_tracks_reference(self, tmp_path):
@@ -609,12 +628,11 @@ class TestDecayReportCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def _refused(self, tmp_path, capsys, history: str, **params) -> str:
-        """The stderr of a decay-report of ``history`` that exits 2 and
-        writes no report."""
+    def _refused(self, tmp_path, capsys, history: str, **over) -> str:
+        """The stderr of a decay-report of ``history``, with the config
+        sections ``over`` changed, that exits 2 and writes no report."""
         out = tmp_path / "out"
-        path = _write(tmp_path, _small(params=params,
-                                       history={"path": history}),
+        path = _write(tmp_path, _small(history={"path": history}, **over),
                       name="report.ini")
         rc = cli.main(["decay-report", "--config", path, "--out", str(out)])
         assert rc == 2
@@ -631,7 +649,7 @@ class TestDecayReportCommand:
         assert cli.main(["simulate", "--config", path, "--out", str(out),
                          "--quiet"]) == 0
         err = self._refused(tmp_path, capsys, str(out / "history.npz"),
-                            N=4, K=2)
+                            params={"N": 4, "K": 2})
         assert "N = 8, K = 3" in err and "N = 4, K = 2" in err
 
     def test_empty_history_exits_2(self, tmp_path, capsys):
@@ -650,18 +668,46 @@ class TestDecayReportCommand:
         np.savez(other, meta=json.dumps({**meta, "j_max": 2}), **arrays)
         assert "j_max = 2" in self._refused(tmp_path, capsys, other)
 
+    def test_history_of_another_regime_exits_2(self, tmp_path, capsys):
+        # an ns history is not reported with the D-regime bounds of ans
+        out = tmp_path / "sim_out"
+        assert cli.main(["simulate", "--config", _write(tmp_path, _small()),
+                         "--out", str(out), "--quiet"]) == 0
+        history = out / "history.npz"
+        with np.load(history) as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays.pop("meta")))
+        assert {key: meta[key] for key in functionals.REGIME_KEYS} == {
+            "nu": 1.0, "eta": 0.2, "delta": 0.0, "m": 3, "sigma": 0.4}
+        err = self._refused(tmp_path, capsys, str(history),
+                            run={"mode": "ans"})
+        assert err.endswith("history was written at nu = 1.0; the "
+                            "parameters give nu = 0.0\n")
+        # a file written without the keys is reported as asked, as before
+        old = str(tmp_path / "old.npz")
+        np.savez(old, meta=json.dumps(
+            {k: v for k, v in meta.items()
+             if k not in functionals.REGIME_KEYS}), **arrays)
+        path = _write(tmp_path, _small(run={"mode": "ans"},
+                                       history={"path": old}), name="old.ini")
+        rc = cli.main(["decay-report", "--config", path,
+                       "--out", str(tmp_path / "old_out"), "--quiet"])
+        assert rc == 0
+
 
 class TestSolverFailures:
     """A solver error leaves the command's report and exits 1."""
 
     # simulate runs through stepper.simulate_point, which calls stepper.run;
-    # an error from inside a time loop also carries its step and time
+    # an error from inside a time loop also carries its step and time.  The
+    # commands import their solver functions when they run, so a patch of
+    # the defining module reaches them
     CASES = [
         ("simulate", stepper, "run", CFLViolationError, {}),
         ("simulate", stepper, "run", DivergenceCleanupError, {}),
-        ("stokes-test", cli, "mode_invariance_check", SingularOperatorError,
-         {}),
-        ("oracle-compare", cli, "oracle_step", SingularBinError,
+        ("stokes-test", stepper, "mode_invariance_check",
+         SingularOperatorError, {}),
+        ("oracle-compare", oracle, "oracle_step", SingularBinError,
          {"step": 1, "t": 0.0}),
     ]
 
@@ -695,7 +741,7 @@ class TestSolverFailures:
     # the real step, failing on its third call
     IN_LOOP = [
         ("simulate", stepper, "step", CFLViolationError, 0.002),
-        ("oracle-compare", cli, "oracle_step", SingularBinError, 0.001),
+        ("oracle-compare", oracle, "oracle_step", SingularBinError, 0.001),
     ]
 
     @pytest.mark.parametrize("command,module,target,error,dt", IN_LOOP,
@@ -751,28 +797,60 @@ class TestEntryPoint:
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, cylmode, cylmode.cli; print(sorted(m for m in "
-             "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+             "import importlib, pkgutil, sys, cylmode\n"
+             "for m in pkgutil.iter_modules(cylmode.__path__):\n"
+             "    importlib.import_module(f'cylmode.{m.name}')\n"
+             "print(sorted(m for m in sys.modules if m == 'scipy' or "
+             "m.startswith('scipy.')))"],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_commands_load_no_numpy_ma(self, tmp_path):
-        # np.median imports numpy.ma, about 15 ms of a command's start-up;
-        # the reports take their medians from grid.median instead
-        sim = _write(tmp_path, _small(), "sim.ini")
-        scan = _write(tmp_path, {"scan": {
-            "check": "anisotropic", "trials": 8, "seed": 3}}, "scan.ini")
+    # A process compiles every module it imports when no bytecode is
+    # cached, so each command loads only the package modules it runs: the
+    # modules it loads exactly (or None), and those it must not load.  No
+    # command loads numpy.ma, which np.median imports on its first call
+    # (about 15 ms); the reports take their medians from grid.median.
+    STARTUP = [
+        ("inequality-scan", {"cylmode", "cylmode.cli", "cylmode.grid",
+                             "cylmode.inequalities"}, set()),
+        ("simulate", None, {"cylmode.oracle", "cylmode.inequalities"}),
+        ("oracle-compare", None, {"cylmode.inequalities"}),
+        ("stokes-test", None, set()),
+        ("linear-flow", None, set()),
+        ("decay-report", None, set()),
+    ]
+
+    @pytest.mark.parametrize("command,exact,absent", STARTUP,
+                             ids=[c[0] for c in STARTUP])
+    def test_command_loads_only_what_it_runs(self, tmp_path, command, exact,
+                                             absent):
+        sections = _small(oracle={"n_theta": 28, "n_steps": 2, "dt": 0.001})
+        if command == "inequality-scan":
+            sections = {"scan": {"check": "anisotropic", "trials": 8,
+                                 "seed": 3}}
+        elif command == "decay-report":
+            history = tmp_path / "sim"
+            assert cli.main(["simulate", "--config", _write(tmp_path, _small()),
+                             "--out", str(history), "--quiet"]) == 0
+            sections["history"] = {"path": str(history / "history.npz")}
+        path = _write(tmp_path, sections, "startup.ini")
+        args = [command, "--config", path, "--out", str(tmp_path / "out"),
+                "--quiet"]
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys\n"
+             "import json, sys\n"
              "from cylmode.cli import main\n"
-             f"assert main(['simulate', '--config', {sim!r}, '--out', "
-             f"{str(tmp_path / 'sim')!r}, '--quiet']) == 0\n"
-             f"assert main(['inequality-scan', '--config', {scan!r}, '--out', "
-             f"{str(tmp_path / 'scan')!r}, '--quiet']) == 0\n"
-             "print('numpy.ma' in sys.modules)"],
+             f"code = main({args!r})\n"
+             "print(json.dumps([code, sorted(m for m in sys.modules if m == "
+             "'cylmode' or m.startswith('cylmode.')), "
+             "'numpy.ma' in sys.modules]))"],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        code, modules, numpy_ma = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        if exact is not None:
+            assert set(modules) == exact
+        assert absent.isdisjoint(modules)
+        assert numpy_ma is False
