@@ -11,10 +11,13 @@ with one-sided complex coefficients ``c_0 = X_0`` and
 becomes a convolution over harmonics.  The curvature terms are folded
 into the azimuthal gradient row, which reads ``(d_th u_r - u_th) / r``
 and ``(d_th u_th + u_r) / r`` with ``d_th = i kN``, so the advecting
-factor is u itself.  Each harmonic k <= K is summed directly over the
-pairs p + q = k with |p|, |q| <= K, so a harmonic only ever receives its
-own products: exact zeros stay zeros and the relative accuracy of a
-harmonic does not depend on the size of the others.
+factor is u itself.  The gradient is stacked direction first, so
+``grad[a]`` is the r, th or z row of every harmonic and component.  Each
+harmonic k <= K is summed directly over the pairs p + q = k with |p|, |q|
+<= K, by one multiply-accumulate of ``u_p``'s a-component with ``grad[a]``
+per offset p and direction a, so a harmonic only ever receives its own
+products: exact zeros stay zeros and the relative accuracy of a harmonic
+does not depend on the size of the others.
 
 Everything here is plain advective form on collocation nodes; no
 rotational or skew-symmetrized rewriting is applied.  The global energy
@@ -57,16 +60,19 @@ def assemble_quadratic_rhs(state: ModeState, dr_u: np.ndarray | None = None,
     from its diagnostics pass, taken here when not given; the scratch
     arrays live in ``ws`` when given.  Returns a fresh ``(K+1, 6, n_r,
     n_z)`` array in the slot layout of ``ModeState.u``; the mean's sine
-    slots are zero.
+    slots are zero.  Each harmonic sums only its own pairs, one
+    multiply-accumulate per offset and direction of the direction-major
+    gradient stack.
     """
     g = state.grid
     K, N = state.params.K, state.params.N
     fields = (g.n_r, g.n_z)
-    # axes (k, cos/sin, component r/th/z, r, z) and, two-sided, (k, component)
+    # axes (k, cos/sin, component r/th/z, r, z), two-sided (k, component)
+    # and, for the gradient, (direction r/th/z, k, component)
     X, dX, u, grad, out, term = (ws or StepWorkspace()).arrays(
         ((K + 1, 2, 3) + fields, float), ((K + 1, 2, 3) + fields, float),
         ((2 * K + 1, 3) + fields, complex),
-        ((2 * K + 1, 3, 3) + fields, complex),
+        ((3, 2 * K + 1, 3) + fields, complex),
         ((K + 1, 3) + fields, complex), ((K + 1, 3) + fields, complex))
     np.take(state.u, _FAMILIES, axis=1, out=X, mode="clip")
     if dr_u is None:
@@ -75,9 +81,9 @@ def assemble_quadratic_rhs(state: ModeState, dr_u: np.ndarray | None = None,
         np.take(dr_u, _FAMILIES, axis=1, out=dX, mode="clip")
     _two_sided(X, u)
     # gradient rows along r, th, z; the th row is (d_th u + curvature) / r
-    _two_sided(dX, grad[:, 0])
-    _two_sided(g.dz(X), grad[:, 2])
-    th = grad[:, 1]
+    _two_sided(dX, grad[0])
+    _two_sided(g.dz(X), grad[2])
+    th = grad[1]
     np.multiply(1j * N * np.arange(-K, K + 1)[:, None, None, None], u,
                 out=th)
     th[:, 0] -= u[:, 1]
@@ -90,9 +96,9 @@ def assemble_quadratic_rhs(state: ModeState, dr_u: np.ndarray | None = None,
     out.fill(0.0)
     for p in range(-K, K + 1):
         n = K + 1 + min(p, 0)  # targets k = 0..n-1, partners q = k - p
-        np.einsum("arz,kairz->kirz", u[K + p], grad[K - p:K - p + n],
-                  out=term[:n])
-        out[:n] -= term[:n]
+        for a in range(3):  # - u_a d_a u, one direction's row at a time
+            np.multiply(u[K + p, a], grad[a, K - p:K - p + n], out=term[:n])
+            out[:n] -= term[:n]
     out[1:] *= 2.0
     rhs = np.empty_like(state.u)
     rhs[:, _FAMILIES[0]] = out.real

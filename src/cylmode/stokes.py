@@ -200,7 +200,32 @@ def _velocity_columns(n: int) -> np.ndarray:
     return W
 
 
-def _factor_checked(A: np.ndarray, rng, label: str) -> np.ndarray:
+class _Probes:
+    """Random sign vectors from a splitmix64 stream (Steele, Lea & Flood,
+    OOPSLA 2014): well mixed and fixed by the seed, without loading
+    ``numpy.random``.  A probe residual is measured against the probe's
+    largest entry, and among vectors of a given largest entry a sign
+    vector carries the most weight, so it reads a faulty map's residual
+    two to three times as large as normal draws do."""
+
+    def __init__(self, seed: int):
+        self._state = np.uint64(seed)
+
+    def signs(self, shape) -> np.ndarray:
+        """The next entries of the stream as +-1.0, in ``shape``."""
+        size = int(np.prod(shape))
+        z = self._state + np.arange(1, size + 1, dtype=np.uint64) \
+            * np.uint64(0x9E3779B97F4A7C15)
+        self._state = z[-1]
+        z ^= z >> 30
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
+        return (1.0 - 2.0 * (z >> 63)).reshape(shape)
+
+
+def _factor_checked(A: np.ndarray, probes: _Probes, label: str) -> np.ndarray:
     """Row-equilibrate, solve and probe one dense block; return its
     velocity-to-solution map ``A^{-1} W`` (4n x 3n).
 
@@ -216,13 +241,13 @@ def _factor_checked(A: np.ndarray, rng, label: str) -> np.ndarray:
     As = scale[:, None] * A
     lu = lu_factor(As)
     W = _velocity_columns(A.shape[0] // 4)
-    probe = rng.standard_normal(A.shape[0])
+    probe = probes.signs(A.shape[0])
     try:
         sol = lu_solve(lu, np.column_stack([scale[:, None] * W, probe]))
     except np.linalg.LinAlgError as exc:
         raise SingularOperatorError(f"zero pivot in Stokes block {label}") from exc
     op = sol[:, :-1]
-    b = rng.standard_normal(W.shape[1])
+    b = probes.signs(W.shape[1])
     res = max(np.abs(As @ sol[:, -1] - probe).max() / np.abs(probe).max(),
               np.abs(As @ (op @ b) - scale * (W @ b)).max()
               / np.abs(scale * (W @ b)).max())
@@ -248,8 +273,8 @@ def _solve_bins(a: np.ndarray, b: np.ndarray, labels: list[str]) -> np.ndarray:
 
 
 def _eliminate(grid: CylGrid, lap: np.ndarray, kappa: int, nu: float,
-               zeta1: np.ndarray, zeta2: np.ndarray, dt: float, rng,
-               out: np.ndarray) -> None:
+               zeta1: np.ndarray, zeta2: np.ndarray, dt: float,
+               probes: _Probes, out: np.ndarray) -> None:
     """Write the maps ``A^{-1} W`` of the coupled bins ``(zeta1, zeta2)``
     of one ``kappa`` into ``out`` ``(bins, 4n, 3n)`` by block elimination.
 
@@ -301,7 +326,7 @@ def _eliminate(grid: CylGrid, lap: np.ndarray, kappa: int, nu: float,
             helm(1, c) + z1 * pw,
             div @ a + kr[:, None] * b - z1 * c], axis=1)
 
-    x = rng.standard_normal((bins, 4 * n, 1))
+    x = probes.signs((bins, 4 * n, 1))
     ya, yb, yc, yd = np.split(apply(x)[..., 0], 4, axis=1)
     # X = [H + C, H - C, H_c]^-1 [I, A x] on the rows (a + b, a - b, c)
     M = _momentum_blocks(lap, pot[:, [0, 0, 1]], dt, 1.0)
@@ -355,7 +380,7 @@ def _eliminate(grid: CylGrid, lap: np.ndarray, kappa: int, nu: float,
     p_x = Y[..., 3 * n:]
     got = np.concatenate([mx - MG @ p_x, p_x], axis=1)
     err = np.abs(got - x).max(axis=(1, 2)) / np.abs(x).max(axis=(1, 2))
-    b = rng.standard_normal((bins, 3 * n, 1)) * np.tile(wall, 3)[:, None]
+    b = probes.signs((bins, 3 * n, 1)) * np.tile(wall, 3)[:, None]
     wb = np.concatenate([b, np.zeros((bins, n, 1))], axis=1)
     res = np.abs(apply(out @ b) - wb).max(axis=(1, 2)) \
         / np.abs(wb).max(axis=(1, 2))
@@ -381,7 +406,7 @@ class StokesOpCache:
         self.grid = grid
         self.nu = float(nu)
         self._table: dict[tuple, np.ndarray] = {}
-        self._rng = np.random.default_rng(1234)
+        self._probes = _Probes(1234)
         self._lap = _radial_laplacian(grid)
         self._zeta1, self._zeta2 = _zeta_tables(grid)
 
@@ -400,7 +425,7 @@ class StokesOpCache:
             coupled = np.flatnonzero(~dense)
             sl = slice(coupled[0], coupled[-1] + 1)
             _eliminate(g, self._lap, kappa, self.nu, zeta1[sl], zeta2[sl], dt,
-                       self._rng, out[sl])
+                       self._probes, out[sl])
         for i in np.flatnonzero(dense):
             z1, z2 = zeta1[i], zeta2[i]
             if kappa == 0 and z1 == 0.0:
@@ -410,7 +435,7 @@ class StokesOpCache:
                 A = _real_block(g, kappa, self.nu, z1, z2, dt, diffusion,
                                 self._lap)
                 label = f"kappa={kappa}, zeta={z1}"
-            out[i] = _factor_checked(A, self._rng, label)
+            out[i] = _factor_checked(A, self._probes, label)
         self._table[key] = out
         return out
 

@@ -204,8 +204,9 @@ class TestStructure:
     def test_rhs_assembly_composition(self, grid_cheb):
         # the kernel against the hand-expanded mean source, mean couplings,
         # mean transport and triads, harmonic by harmonic: cascading states
-        # span 1e-4**K, so a global tolerance would hide a wrong harmonic
-        for K in (4, 12):
+        # span 1e-4**K, so a global tolerance would hide a wrong harmonic;
+        # K = 2 is the shortest pair loop Params allows, K = 24 a long one
+        for K in (2, 4, 12, 24):
             p = _params(K=K)
             for cascade in (1.0, 1e-4):
                 u = make_random_divfree_state(grid_cheb, p, seed=41)

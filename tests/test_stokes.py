@@ -22,6 +22,7 @@ from cylmode.stepper import mode_invariance_check
 from cylmode.stokes import (
     SingularOperatorError,
     StokesOpCache,
+    _Probes,
     _eliminate,
     _factor_checked,
     _mean_dc_block,
@@ -65,13 +66,33 @@ def _rand_mode(g, k, rng):
     return m
 
 
+def _splitmix64_signs(seed: int, size: int) -> list[float]:
+    """Reference stream: splitmix64 in Python integers, top bit to a sign."""
+    mask, state, signs = 2**64 - 1, seed, []
+    for _ in range(size):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        signs.append(-1.0 if (z ^ (z >> 31)) >> 63 else 1.0)
+    return signs
+
+
+def test_probes_are_the_splitmix64_stream():
+    # numpy's uint64 arithmetic wraps like the reference; the stream
+    # continues across calls, whatever their shapes
+    probes = _Probes(1234)
+    got = np.concatenate([probes.signs(5).ravel(),
+                          probes.signs((2, 3, 1)).ravel()])
+    assert got.tolist() == _splitmix64_signs(1234, 11)
+
+
 class TestBlockAssembly:
     def test_naive_mean_dc_block_is_singular(self, grid_cheb):
         # with pressure on the full node set the doubly degenerate block
         # carries a spurious pressure mode; the cache must not use it
         A = assemble_block(grid_cheb, 0, 1.0, 0.0, 0.0, 1e-3, True)
         with pytest.raises(SingularOperatorError):
-            _factor_checked(A, np.random.default_rng(0), "probe")
+            _factor_checked(A, _Probes(0), "probe")
 
     def test_zero_pivot_is_a_labelled_singular_block(self, grid_cheb):
         # an exactly zero column stops the LU itself before any probe runs
@@ -81,7 +102,7 @@ class TestBlockAssembly:
             np.linalg.solve(A, np.ones(A.shape[0]))
         with pytest.raises(SingularOperatorError,
                            match="zero pivot in Stokes block zeroed"):
-            _factor_checked(A, np.random.default_rng(0), "zeroed")
+            _factor_checked(A, _Probes(0), "zeroed")
 
     def test_coupled_blocks_well_conditioned(self, grid_cheb):
         cache = StokesOpCache(grid_cheb, 1.0)
@@ -108,7 +129,7 @@ class TestEliminatedTables:
         # where u_z decouples; kappa = 0 the mean's bins with zeta1 != 0
         g = build_grid(n_r, n_z, 2.0 * np.pi)
         zeta1, zeta2 = _zeta_tables(g)
-        rng = np.random.default_rng(5)
+        probes = _Probes(5)
         cache = StokesOpCache(g, nu)
         for kappa in (0, 1, 8, 32):
             table = cache.factors(kappa, dt)
@@ -116,7 +137,7 @@ class TestEliminatedTables:
                 _factor_checked(
                     _mean_dc_block(g, nu, z2, dt, True) if kappa == 0
                     and z1 == 0.0 else _real_block(g, kappa, nu, z1, z2, dt,
-                                                   True), rng, "reference")
+                                                   True), probes, "reference")
                 for z1, z2 in zip(zeta1, zeta2)])
             assert np.abs(table - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -131,8 +152,7 @@ class TestEliminatedTables:
         with pytest.raises(SingularOperatorError,
                            match=r"kappa=0, zeta=0\.0\b"):
             _eliminate(g, _radial_laplacian(g), 0, 1.0, np.array([1.0, 0.0]),
-                       np.array([1.0, 0.0]), 1e-3, np.random.default_rng(0),
-                       out)
+                       np.array([1.0, 0.0]), 1e-3, _Probes(0), out)
 
     def test_map_probe_checks_the_eliminated_map(self, grid_cheb,
                                                  monkeypatch):
@@ -244,10 +264,10 @@ class TestStackedOperators:
             return x
 
         A = assemble_block(grid_cheb, 4, 1.0, 1.0, 1.0, 1e-3, True)
-        _factor_checked(A, np.random.default_rng(0), "probe")
+        _factor_checked(A, _Probes(0), "probe")
         monkeypatch.setattr(cylmode.stokes, "lu_solve", skewed)
         with pytest.raises(SingularOperatorError, match="probe residual"):
-            _factor_checked(A, np.random.default_rng(0), "probe")
+            _factor_checked(A, _Probes(0), "probe")
 
     def test_stack_is_real_and_shaped(self, grid_cheb):
         cache = StokesOpCache(grid_cheb, 1.0)
