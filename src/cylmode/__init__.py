@@ -31,7 +31,7 @@ Subpackage layout:
 
 import importlib
 
-# the defining module of every name in __all__; a name is imported from it
+# the defining module of every exported name; a name is imported from it
 # on first use, so that a process loads only the modules it runs
 _HOMES = {
     "diagnostics": ("P", "Q", "UR", "UTH", "UZ", "VR", "VTH", "VZ",
@@ -60,74 +60,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "UR",
-    "VTH",
-    "UZ",
-    "VR",
-    "UTH",
-    "VZ",
-    "P",
-    "Q",
-    "CylGrid",
-    "build_grid",
-    "Params",
-    "InitProfile",
-    "ModeState",
-    "make_profile_divfree",
-    "make_initial_state",
-    "make_random_divfree_state",
-    "divergence_residual",
-    "poloidal_profile",
-    "save_checkpoint",
-    "load_checkpoint",
-    "StokesOpCache",
-    "stokes_step",
-    "stokes_evolve",
-    "mode_energy",
-    "mode_invariance_check",
-    "apply_viscous_operator",
-    "linear_flow_uL",
-    "assemble_quadratic_rhs",
-    "flux_identity_residual",
-    "StepConfig",
-    "RunSinks",
-    "RunResult",
-    "run",
-    "PointResult",
-    "simulate_point",
-    "EnergyHistory",
-    "DecayReport",
-    "accumulate",
-    "compute_E",
-    "compute_D",
-    "harmonic_weight",
-    "decay_report",
-    "smallness_check",
-    "save_history",
-    "load_history",
-    "DiskGrid",
-    "TestFunction2D",
-    "build_disk_grid",
-    "disk_function",
-    "separable_disk_function",
-    "radial_disk_function",
-    "isotropic_ratio",
-    "anisotropic_ratio",
-    "radial_quartic_ratio",
-    "radial_ratio",
-    "angular_poincare_ratio",
-    "pointwise_weight_ok",
-    "vertical_sup_ratio",
-    "constant_scan",
-    "FullField",
-    "OracleOpCache",
-    "build_full_field",
-    "project_to_modes",
-    "reconstruct_to_full",
-    "oracle_step",
-    "relative_l2",
-]
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
 

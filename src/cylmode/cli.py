@@ -393,23 +393,35 @@ def _initial_data(cfg: ExperimentConfig, grid, params: Params):
 
 def _file_components(cfg: ExperimentConfig, grid) -> list[np.ndarray]:
     """The four free components ``a_r, a_z, b_r, b_z`` of the npz profile
-    file, amplitude applied."""
+    file, amplitude applied.  A file that is not an npz archive of finite
+    arrays is an input error."""
     path = Path(cfg.profile_path)
     if not path.is_file():
         raise ConfigError([f"profile file not found: {cfg.profile_path}"])
-    with np.load(path) as data:
-        missing = [k for k in ("a_r", "a_z", "b_r", "b_z") if k not in data]
-        if missing:
-            raise ConfigError(
-                [f"profile file lacks arrays {missing}; expected a_r, a_z, "
-                 "b_r, b_z of shape (n_r, n_z)"])
-        arrs = [np.asarray(data[k], dtype=float)
-                for k in ("a_r", "a_z", "b_r", "b_z")]
+    keys = ("a_r", "a_z", "b_r", "b_z")
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        with data:
+            arrs = {k: np.asarray(data[k], dtype=float)
+                    for k in keys if k in data}
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError([f"[profile] cannot load {cfg.profile_path!r}: "
+                           f"{exc}"]) from exc
+    missing = [k for k in keys if k not in arrs]
+    if missing:
+        raise ConfigError(
+            [f"profile file lacks arrays {missing}; expected a_r, a_z, "
+             "b_r, b_z of shape (n_r, n_z)"])
     want = (grid.n_r, grid.n_z)
-    if any(a.shape != want for a in arrs):
+    if any(a.shape != want for a in arrs.values()):
         raise ConfigError(
             [f"profile arrays must have shape {want} to match the grid"])
-    return [cfg.amplitude * a for a in arrs]
+    if not all(np.isfinite(a).all() for a in arrs.values()):
+        raise ConfigError([f"[profile] {cfg.profile_path!r} holds non-finite "
+                           "values"])
+    return [cfg.amplitude * arrs[k] for k in keys]
 
 
 def _decay_json_dict(rep: DecayReport, cfg: ExperimentConfig) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from .nonlinear import assemble_quadratic_rhs, flux_identity_residual
 SCHEME_EULER = "imex_euler"
 SCHEME_BDF2 = "imex_bdf2"
 STEP_SCHEMES = (SCHEME_EULER, SCHEME_BDF2)
-
-BUDGET_COLUMNS = ("t", "k", "energy", "dissipation_r", "dissipation_z",
-                  "weighted_r", "transfer", "pressure_work", "imbalance")
 
 
 class DivergenceCleanupError(RuntimeError):
@@ -213,8 +210,7 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
 
 # -- energy budgets -----------------------------------------------------------
 
-@dataclass
-class BudgetRow:
+class BudgetRow(NamedTuple):
     t: float
     k: int
     energy: float
@@ -225,10 +221,8 @@ class BudgetRow:
     pressure_work: float
     imbalance: float
 
-    def as_tuple(self):
-        return (self.t, self.k, self.energy, self.dissipation_r,
-                self.dissipation_z, self.weighted_r, self.transfer,
-                self.pressure_work, self.imbalance)
+
+BUDGET_COLUMNS = BudgetRow._fields
 
 
 def energy_budget(state_before: ModeState, state_after: ModeState,
@@ -264,9 +258,7 @@ def write_budget_header(path: str) -> None:
 
 def append_budget_rows(path: str, rows: list[BudgetRow]) -> None:
     with open(path, "a", newline="") as fh:
-        w = csv.writer(fh)
-        for row in rows:
-            w.writerow(row.as_tuple())
+        csv.writer(fh).writerows(rows)
 
 
 # -- trajectory driver ----------------------------------------------------------

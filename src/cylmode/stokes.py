@@ -21,12 +21,13 @@ cosine family and its ``u_th`` in the sine family, whose other slots and
 that of Lopez, Marques & Shen, J. Comput. Phys. 176 (2002).
 
 Momentum equations are collocated at interior nodes, the wall rows impose
-the no-slip condition, and the divergence is collocated at every node; at
-``kap = zeta = 0`` the wall divergence row is replaced by a zero-mean
-pressure gauge.  The ``i zeta`` and ``zeta^2`` tables are the parts of the
-grid's spectral symbols, under the Nyquist rule the ``grid`` module
-docstring states, so the solver and the explicit operators see one and
-the same discretization.
+the no-slip condition, and the divergence is collocated at every node.
+The mean's bins with no first-order vertical coupling (``zeta = 0`` and
+Nyquist) decouple instead, with a zero-mean pressure gauge.  The
+``i zeta`` and ``zeta^2`` tables are the parts of the grid's spectral
+symbols, under the Nyquist rule the ``grid`` module docstring states, so
+the solver and the explicit operators see one and the same
+discretization.
 
 Every block is exactly real under the diagonal similarity ``c = i c'``
 with the axial momentum row scaled by ``-i``: ``i zeta`` becomes ``zeta``
@@ -36,10 +37,11 @@ right-hand sides (wall rows dropped) to ``(a, b, c', p)``.  The coupled
 bins of one ``kap`` are built together by block elimination: the
 ``(a, b)`` momentum block decouples into ``a + b`` and ``a - b``, and the
 pressure follows from an ``n x n`` Schur complement (Benzi, Golub &
-Liesen, Acta Numerica 14, 2005).  The mean's decoupled bins and every bin
-of a projection are row-equilibrated and solved densely instead.  Random
-probes check every map, so a singular operator fails loudly instead of
-being regularized.  The cache keeps only the real ``4n x 3n`` maps, one
+Liesen, Acta Numerica 14, 2005).  A projection is the same elimination
+with the diffusion weight set to zero, so its momentum blocks are
+``I/dt``.  Only the mean's decoupled bins are row-equilibrated and
+solved densely.  Random probes check every map, so a singular operator
+fails loudly instead of being regularized.  The cache keeps only the real ``4n x 3n`` maps, one
 ``(bins, 4n, 3n)`` stack per ``(kap, dt, diffusion)``, and a solve is one
 vertical FFT, one batched ``matmul`` with real and imaginary parts (and
 the cosine and sine families) as columns, and one inverse FFT.
@@ -115,50 +117,8 @@ def _momentum_blocks(lap: np.ndarray, pot: np.ndarray, dt: float,
     return H
 
 
-def _real_block(grid: CylGrid, kappa: int, nu: float, zeta1: float,
-                zeta2: float, dt: float, diffusion: bool,
-                lap: np.ndarray | None = None) -> np.ndarray:
-    """One (harmonic, vertical wavenumber) block in its real form."""
-    n = grid.n_r
-    r = grid.r
-    D = grid.D_r
-    ib = n - 1  # wall node r = 1
-    A = np.zeros((4 * n, 4 * n))
-    eye = np.eye(n)
-    s = 1.0 if diffusion else 0.0
-    if lap is None:
-        lap = _radial_laplacian(grid)
-    h_ab, h_c = _momentum_blocks(
-        lap, _potentials(grid, kappa, nu, [zeta2]), dt, s)[0]
-    couple = np.diag(s * 2.0 * kappa / r**2)
-
-    sl_a, sl_b, sl_c, sl_p = (slice(0, n), slice(n, 2 * n),
-                              slice(2 * n, 3 * n), slice(3 * n, 4 * n))
-    A[sl_a, sl_a] = h_ab
-    A[sl_a, sl_b] = couple
-    A[sl_a, sl_p] = D
-    A[sl_b, sl_b] = h_ab
-    A[sl_b, sl_a] = couple
-    A[sl_b, sl_p] = -np.diag(kappa / r)
-    A[sl_c, sl_c] = h_c
-    A[sl_c, sl_p] = zeta1 * eye
-    # wall rows: no-slip
-    for sl in (sl_a, sl_b, sl_c):
-        A[sl, :][ib, :] = 0.0
-        A[sl, sl][ib, ib] = 1.0
-    # divergence rows
-    A[sl_p, sl_a] = D + np.diag(1.0 / r)
-    A[sl_p, sl_b] = np.diag(kappa / r)
-    A[sl_p, sl_c] = -zeta1 * eye
-    if kappa == 0 and zeta1 == 0.0:
-        # pressure defined up to a constant: zero-mean gauge at the wall row
-        A[sl_p, :][ib, :] = 0.0
-        A[sl_p, sl_p][ib, :] = grid.w_r
-    return A
-
-
-def _mean_dc_block(grid: CylGrid, nu: float, zeta2: float, dt: float,
-                   diffusion: bool, lap: np.ndarray | None = None) -> np.ndarray:
+def _mean_dc_block(grid: CylGrid, lap: np.ndarray, nu: float, zeta2: float,
+                   dt: float, s: float) -> np.ndarray:
     """Decoupled block of the doubly degenerate bin (kappa = 0 and no
     first-order vertical coupling), in the coupled block's row and column
     layout.
@@ -172,18 +132,13 @@ def _mean_dc_block(grid: CylGrid, nu: float, zeta2: float, dt: float,
     balance (gauge-fixed to zero quadrature mean), and the remaining two
     components are plain Dirichlet Helmholtz solves.  The radial momentum
     rows therefore act on the pressure and the divergence rows pin the
-    radial component to zero.
+    radial component to zero.  ``s`` weighs the diffusion, as in
+    :func:`_eliminate`.
     """
     n = grid.n_r
-    ib = n - 1
-    r = grid.r
-    s = 1.0 if diffusion else 0.0
-    if lap is None:
-        lap = _radial_laplacian(grid)
-    hb, hc = _momentum_blocks(lap, np.stack([1.0 / r**2 + nu**2 * zeta2,
-                                             np.full(n, nu**2 * zeta2)]), dt, s)
+    hb, hc = _momentum_blocks(lap, _potentials(grid, 0, nu, [zeta2])[0], dt, s)
     P = grid.D_r.copy()
-    P[ib, :] = grid.w_r  # zero-mean pressure gauge
+    P[-1, :] = grid.w_r  # zero-mean pressure gauge
     A = np.zeros((4 * n, 4 * n))
     A[:n, 3 * n:] = P
     A[n:2 * n, n:2 * n] = hb
@@ -273,10 +228,12 @@ def _solve_bins(a: np.ndarray, b: np.ndarray, labels: list[str]) -> np.ndarray:
 
 
 def _eliminate(grid: CylGrid, lap: np.ndarray, kappa: int, nu: float,
-               zeta1: np.ndarray, zeta2: np.ndarray, dt: float,
+               zeta1: np.ndarray, zeta2: np.ndarray, dt: float, s: float,
                probes: _Probes, out: np.ndarray) -> None:
     """Write the maps ``A^{-1} W`` of the coupled bins ``(zeta1, zeta2)``
     of one ``kappa`` into ``out`` ``(bins, 4n, 3n)`` by block elimination.
+    The diffusion weight ``s`` scales the Laplacian, the potentials and
+    the swirl coupling: 1 for a step, 0 for a projection.
 
     A block is ``[[M, G], [Dv, 0]]``: momentum rows ``M``, the pressure
     gradient ``G`` (zero on the wall rows) and the divergence ``Dv``.  The
@@ -302,7 +259,8 @@ def _eliminate(grid: CylGrid, lap: np.ndarray, kappa: int, nu: float,
     pot = _potentials(grid, kappa, nu, zeta2)
     wall = np.ones(n)
     wall[-1] = 0.0  # zero on the no-slip rows
-    couple = wall * 2.0 * kappa / r**2
+    couple = s * wall * 2.0 * kappa / r**2
+    lap_s, pot_s = s * lap, s * pot
     kr = kappa / r
     grad = wall[:, None] * grid.D_r
     grad_pm = (grad - np.diag(wall * kr), grad + np.diag(wall * kr))
@@ -312,7 +270,7 @@ def _eliminate(grid: CylGrid, lap: np.ndarray, kappa: int, nu: float,
 
     def helm(j, f):
         """The momentum Helmholtz block ``j`` of every bin on ``f``."""
-        h = f / dt - lap @ f + pot[:, j, :, None] * f
+        h = f / dt - lap_s @ f + pot_s[:, j, :, None] * f
         h[:, -1] = f[:, -1]
         return h
 
@@ -329,7 +287,7 @@ def _eliminate(grid: CylGrid, lap: np.ndarray, kappa: int, nu: float,
     x = probes.signs((bins, 4 * n, 1))
     ya, yb, yc, yd = np.split(apply(x)[..., 0], 4, axis=1)
     # X = [H + C, H - C, H_c]^-1 [I, A x] on the rows (a + b, a - b, c)
-    M = _momentum_blocks(lap, pot[:, [0, 0, 1]], dt, 1.0)
+    M = _momentum_blocks(lap, pot[:, [0, 0, 1]], dt, s)
     M[:, 0, idx, idx] += couple
     M[:, 1, idx, idx] -= couple
     rhs = np.zeros((bins, 3, n, n + 1))
@@ -396,10 +354,10 @@ class StokesOpCache:
     """Real bin operator stacks ``(bins, 4n, 3n)``, keyed by
     (kappa, dt, diffusion).
 
-    The coupled bins of a step's table are built together by
-    :func:`_eliminate`; the mean's decoupled bins (``kappa = 0`` with no
-    first-order vertical coupling) and every bin of a projection
-    (``diffusion=False``) are solved densely by :func:`_factor_checked`.
+    The coupled bins of a table, a step's or a projection's, are built
+    together by :func:`_eliminate`; only the mean's decoupled bins
+    (``kappa = 0`` with no first-order vertical coupling) are solved
+    densely by :func:`_factor_checked`.
     """
 
     def __init__(self, grid: CylGrid, nu: float):
@@ -415,27 +373,18 @@ class StokesOpCache:
         if key in self._table:
             return self._table[key]
         g, zeta1, zeta2 = self.grid, self._zeta1, self._zeta2
+        s = 1.0 if diffusion else 0.0
         out = np.empty((zeta1.size, 4 * g.n_r, 3 * g.n_r))
-        dense = np.full(zeta1.size, not diffusion)
+        # zeta1 vanishes only on the first bin and the Nyquist bin (n_z is
+        # even), where the mean's bins decouple
+        sl = slice(1, -1) if kappa == 0 else slice(None)
+        _eliminate(g, self._lap, kappa, self.nu, zeta1[sl], zeta2[sl], dt, s,
+                   self._probes, out[sl])
         if kappa == 0:
-            dense |= zeta1 == 0.0
-        if not dense.all():
-            # zeta1 vanishes only on the first bin and the Nyquist bin, so
-            # the coupled bins are one slice
-            coupled = np.flatnonzero(~dense)
-            sl = slice(coupled[0], coupled[-1] + 1)
-            _eliminate(g, self._lap, kappa, self.nu, zeta1[sl], zeta2[sl], dt,
-                       self._probes, out[sl])
-        for i in np.flatnonzero(dense):
-            z1, z2 = zeta1[i], zeta2[i]
-            if kappa == 0 and z1 == 0.0:
-                A = _mean_dc_block(g, self.nu, z2, dt, diffusion, self._lap)
-                label = f"mean-dc, zeta^2={z2}"
-            else:
-                A = _real_block(g, kappa, self.nu, z1, z2, dt, diffusion,
-                                self._lap)
-                label = f"kappa={kappa}, zeta={z1}"
-            out[i] = _factor_checked(A, self._probes, label)
+            for i in (0, -1):
+                out[i] = _factor_checked(
+                    _mean_dc_block(g, self._lap, self.nu, zeta2[i], dt, s),
+                    self._probes, f"mean-dc, zeta^2={zeta2[i]}")
         self._table[key] = out
         return out
 

@@ -60,6 +60,12 @@ def _small(**over) -> dict:
     return base
 
 
+def _save_npy(path: Path, arr: np.ndarray) -> None:
+    """``arr`` in the ``.npy`` format under ``path``, whatever its suffix."""
+    with path.open("wb") as fh:
+        np.save(fh, arr)
+
+
 def _write(tmp_path: Path, sections: dict, name: str = "exp.ini") -> str:
     path = tmp_path / name
     path.write_text(_ini(sections))
@@ -434,6 +440,28 @@ class TestProfileInputErrors:
         assert "Traceback" not in err
         assert not (out / cli.REPORT_FILES[command]).exists()
         assert not out.exists()
+
+    @pytest.mark.parametrize("write", [
+        lambda p: p.write_bytes(b"not an npz file"),
+        lambda p: _save_npy(p, np.zeros((16, 16))),
+        lambda p: np.savez(p, a_r=np.full((16, 16), np.nan),
+                           **{k: np.zeros((16, 16))
+                              for k in ("a_z", "b_r", "b_z")}),
+    ], ids=["text", "npy", "nan"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, write):
+        # a file that is not an npz archive of finite arrays is refused
+        # before any step, not a traceback or a report of nan residuals
+        bad = tmp_path / "profile.npz"
+        write(bad)
+        out = tmp_path / "out"
+        path = _write(tmp_path, _small(profile={"family": "file",
+                                                "path": str(bad)}))
+        rc = cli.main(["simulate", "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: [profile] ")
+        assert "Traceback" not in err
+        assert not (out / cli.REPORT_FILES["simulate"]).exists()
 
 
 class TestStokesTestCommand:

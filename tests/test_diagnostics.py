@@ -152,10 +152,10 @@ def test_budget_columns_match_reference(grid, K, cascade):
     assert len(got) == len(want) == K + 1
     for k, (g_row, w_row) in enumerate(zip(got, want)):
         e_old = ref.reference_mode_energy(grid, ModeView(k, before.u[k]))
-        cols = w_row.as_tuple()[2:]
+        cols = w_row[2:]
         scale = max(abs(e_old), *(abs(c) for c in cols))
-        assert g_row.as_tuple()[:2] == w_row.as_tuple()[:2]
-        np.testing.assert_allclose(g_row.as_tuple()[2:], cols,
+        assert g_row[:2] == w_row[:2]
+        np.testing.assert_allclose(g_row[2:], cols,
                                    rtol=0, atol=TOL * scale,
                                    err_msg=f"harmonic {k}")
 

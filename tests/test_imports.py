@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in it, and every parameter
-of its functions is read.
+"""Every name a package module imports is used in it, every parameter of
+its functions is read, and every module-level function and class is used
+by the package.
 
 No linter ships with the package's dependencies, so these are small
 ``ast`` checks: a module's imported names (``from __future__`` aside) must
@@ -7,7 +8,9 @@ each appear as a name in its code, and each parameter of a function or
 lambda must be loaded somewhere in its body, nested functions included.
 A method's receiver (``self``, ``cls``) and names starting with ``_`` are
 exempt: no caller passes a value for them.  ``__init__.py`` re-exports and is
-skipped.
+skipped.  A module-level function or class must be named somewhere in the
+package outside its own definition, or be exported, so that code only the
+tests call lives with the tests.
 """
 
 import ast
@@ -87,3 +90,66 @@ def test_check_sees_an_unread_parameter():
            "h = lambda x, y: x\n")
     assert unread_parameters(src) == ["f(b) (line 1)", "f(d) (line 1)",
                                       "<lambda>(y) (line 6)"]
+
+
+# kept for the benchmark's wrap of the projection and its
+# ``stokes.cleanup_calls`` metric, until those are dropped (ROADMAP item 12)
+UNUSED_ALLOWED = {"stokes.project_divfree"}
+
+
+def named_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The names ``tree`` refers to, by name, attribute or import, outside
+    the subtree ``skip``."""
+    names, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unused_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of every module-level function and class of
+    ``sources`` (module to source) that no module names outside its own
+    definition."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    named = {module: named_names(tree) for module, tree in trees.items()}
+    unused = []
+    for module, tree in trees.items():
+        others = set().union(*(n for m, n in named.items() if m != module))
+        unused += [f"{module.removesuffix('.py')}.{node.name}"
+                   for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.ClassDef))
+                   and node.name not in others
+                   and node.name not in named_names(tree, node)]
+    return sorted(unused)
+
+
+def test_every_definition_is_used_or_exported():
+    unused = unused_definitions(
+        {module: (PACKAGE / module).read_text() for module in MODULES})
+    assert [name for name in unused if name.split(".")[1] not in cylmode._HOME
+            and name not in UNUSED_ALLOWED] == []
+    # an allowance whose name gets a caller, or leaves, goes too
+    assert UNUSED_ALLOWED <= set(unused)
+
+
+def test_check_sees_an_unused_definition():
+    sources = {"a.py": ("def f():\n"
+                        "    return f()\n"
+                        "def g():\n"
+                        "    return h\n"
+                        "class C:\n"
+                        "    pass\n"),
+               "b.py": ("from .a import C\n"
+                        "def h():\n"
+                        "    return C\n")}
+    assert unused_definitions(sources) == ["a.f", "a.g"]

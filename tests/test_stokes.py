@@ -27,7 +27,6 @@ from cylmode.stokes import (
     _factor_checked,
     _mean_dc_block,
     _radial_laplacian,
-    _real_block,
     _solve_family,
     _zeta_tables,
     stokes_step,
@@ -36,6 +35,7 @@ from cylmode.stokes import (
     linear_flow_problems,
     linear_flow_uL,
 )
+from stokes_reference import _real_block
 
 
 def assemble_block(grid, kappa, nu, zeta1, zeta2, dt, diffusion=True):
@@ -117,29 +117,51 @@ class TestBlockAssembly:
 
 
 class TestEliminatedTables:
-    """The coupled bins are built by block elimination; the per-bin dense
-    route (``_real_block`` and ``_factor_checked``, ``_mean_dc_block`` on the
-    mean's decoupled bins) is the reference."""
+    """The coupled bins of a step and of a projection are built by block
+    elimination; the per-bin dense route (``stokes_reference._real_block``
+    and ``_factor_checked``, ``_mean_dc_block`` on the mean's decoupled
+    bins) is the reference."""
 
-    @pytest.mark.parametrize("dt", [2.5e-3, 1.0])
+    @pytest.mark.parametrize("dt, diffusion",
+                             [(2.5e-3, True), (1.0, True), (1.0, False)],
+                             ids=["0.0025", "1.0", "projection"])
     @pytest.mark.parametrize("nu", [0.0, 1.0])
     @pytest.mark.parametrize("n_r, n_z", [(12, 8), (16, 16), (32, 32)])
-    def test_tables_match_the_dense_route(self, n_r, n_z, nu, dt):
+    def test_tables_match_the_dense_route(self, n_r, n_z, nu, dt, diffusion):
         # kappa > 0 covers the bins with zeta1 = 0 (zeta = 0 and Nyquist),
         # where u_z decouples; kappa = 0 the mean's bins with zeta1 != 0
         g = build_grid(n_r, n_z, 2.0 * np.pi)
+        lap = _radial_laplacian(g)
         zeta1, zeta2 = _zeta_tables(g)
         probes = _Probes(5)
         cache = StokesOpCache(g, nu)
         for kappa in (0, 1, 8, 32):
-            table = cache.factors(kappa, dt)
+            table = cache.factors(kappa, dt, diffusion)
             dense = np.stack([
                 _factor_checked(
-                    _mean_dc_block(g, nu, z2, dt, True) if kappa == 0
-                    and z1 == 0.0 else _real_block(g, kappa, nu, z1, z2, dt,
-                                                   True), probes, "reference")
+                    _mean_dc_block(g, lap, nu, z2, dt, float(diffusion))
+                    if kappa == 0 and z1 == 0.0
+                    else _real_block(g, kappa, nu, z1, z2, dt, diffusion),
+                    probes, "reference")
                 for z1, z2 in zip(zeta1, zeta2)])
             assert np.abs(table - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("kappa, factors", [(0, 2), (1, 0), (8, 0)])
+    def test_projection_factors_only_the_mean_dc_bins(self, grid_cheb,
+                                                      monkeypatch, kappa,
+                                                      factors):
+        # a projection's coupled bins take the step's elimination; only
+        # the mean's zeta = 0 and Nyquist bins are factored densely
+        calls = []
+        factor = cylmode.stokes.lu_factor
+
+        def counted(a):
+            calls.append(a)
+            return factor(a)
+
+        monkeypatch.setattr(cylmode.stokes, "lu_factor", counted)
+        StokesOpCache(grid_cheb, 1.0).factors(kappa, 1.0, diffusion=False)
+        assert len(calls) == factors
 
     def test_singular_schur_complement_names_its_bin(self, grid_cheb):
         # the coupled form of the mean's (0, 0) bin carries a spurious
@@ -152,7 +174,7 @@ class TestEliminatedTables:
         with pytest.raises(SingularOperatorError,
                            match=r"kappa=0, zeta=0\.0\b"):
             _eliminate(g, _radial_laplacian(g), 0, 1.0, np.array([1.0, 0.0]),
-                       np.array([1.0, 0.0]), 1e-3, _Probes(0), out)
+                       np.array([1.0, 0.0]), 1e-3, 1.0, _Probes(0), out)
 
     def test_map_probe_checks_the_eliminated_map(self, grid_cheb,
                                                  monkeypatch):
@@ -223,7 +245,8 @@ class TestStackedOperators:
         dc_bins = 0
         for mz, (z1, z2) in enumerate(zip(zeta1, zeta2)):
             if kappa == 0 and z1 == 0.0:
-                A = _mean_dc_block(g, nu, z2, dt, diffusion)
+                A = _mean_dc_block(g, _radial_laplacian(g), nu, z2, dt,
+                                   float(diffusion))
                 dc_bins += 1
             else:
                 A = assemble_block(g, kappa, nu, z1, z2, dt, diffusion)
