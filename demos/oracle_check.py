@@ -43,7 +43,7 @@ def main():
         state = make_initial_state(profile, params)
         full = reconstruct_to_full(state, args.n_theta)
         for _ in range(steps):
-            full = oracle_step(full, params, dt, cache)
+            full = oracle_step(full, dt, cache)
         result = run(state, StepConfig(dt=dt, t_end=steps * dt,
                                        nonlinear=True))
         return relative_l2(full, reconstruct_to_full(result.state,

@@ -14,11 +14,11 @@ ranges have one home, a rule function of the module that uses them:
 ``stokes.linear_flow_problems``.  The library constructors raise from the
 same functions, so a config that validates is not refused by the
 library.  Every report but ``decay-report``'s carries ``invariants_held``.
-A solver error (CFL violation, a step's divergence residual above
-``div_tol``, singular operator or bin) still leaves the command's report,
-with a ``failure`` entry and ``invariants_held`` false; an error raised in
-a time loop adds the 1-based ``step`` it stopped at and the time ``t``
-that step started from.
+A ``grid.SolverError`` (CFL violation past ``grid.CFL_SAFETY``, a step's
+divergence residual above ``stepper.DIV_TOL``, singular operator or bin)
+still leaves the command's report, with a ``failure`` entry and
+``invariants_held`` false; an error raised in a time loop adds the
+1-based ``step`` it stopped at and the time ``t`` that step started from.
 
 At module level this file imports only what parsing, validation and
 dispatch need (the standard library, numpy and ``grid``); each command
@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import REPORT_SCHEMA, build_grid, grid_problems
+from .grid import REPORT_SCHEMA, SolverError, build_grid, grid_problems
 
 if TYPE_CHECKING:
     from .functionals import DecayReport
@@ -73,15 +73,6 @@ REPORT_FILES = {
     "oracle-compare": "oracle_compare.json",
     "decay-report": "decay_report.json",
 }
-
-
-def _solver_errors() -> tuple[type[Exception], ...]:
-    """The solver failures that stop a command with a failure report and
-    exit 1.  Built only when an exception is caught, so that a command
-    loads no solver module it does not run."""
-    from .oracle import SingularBinError
-    from .stepper import STEP_ERRORS
-    return STEP_ERRORS + (SingularBinError,)
 
 
 class ConfigError(ValueError):
@@ -127,8 +118,6 @@ class ExperimentConfig:
     dt: float = _key("step", "dt", 1e-3)
     t_end: float = _key("step", "t_end", 0.1)
     step_scheme: str = _key("step", "scheme", "imex_euler")
-    cfl_safety: float = _key("step", "cfl_safety", 0.9)
-    div_tol: float = _key("step", "div_tol", 1e-9)
     budget_every: int = _key("step", "budget_every", 1)
 
     profile_family: str = _key("profile", "family", "poloidal")
@@ -242,7 +231,7 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
 _READERS = {
     "params": ("simulate", "stokes-test", "linear-flow", "oracle-compare",
                "decay-report"),
-    "step": ("simulate", "linear-flow", "oracle-compare"),
+    "step": ("simulate", "linear-flow"),
 }
 
 
@@ -275,8 +264,7 @@ def validate_config(cfg: ExperimentConfig, command: str | None = None,
     if checked("step"):
         from .stepper import step_problems
         bad += _in_section("step", step_problems(
-            cfg.dt, cfg.t_end, cfg.step_scheme, cfg.cfl_safety, cfg.div_tol,
-            cfg.budget_every))
+            cfg.dt, cfg.t_end, cfg.step_scheme, cfg.budget_every))
     if cfg.profile_family not in PROFILE_FAMILIES:
         bad.append(f"[profile] family must be one of {PROFILE_FAMILIES}")
     if cfg.profile_family == "file" and not cfg.profile_path:
@@ -311,15 +299,13 @@ def validate_config(cfg: ExperimentConfig, command: str | None = None,
         bad += _in_section("oracle", n_theta_problems(cfg.oracle_n_theta))
         if cfg.oracle_steps < 1:
             bad.append("[oracle] n_steps must be >= 1")
-        # the rule of the mode loop's StepConfig, for its dt and its
-        # t_end = n_steps * dt; its other settings are [step]'s
+        # the rule of the mode loop's StepConfig, whose t_end is n_steps * dt
         bad += _in_section("oracle", [
             problem + (" (t_end = n_steps * dt)"
                        if problem.startswith("t_end") else "")
             for problem in step_problems(
                 cfg.oracle_dt, cfg.oracle_steps * cfg.oracle_dt,
-                SCHEME_EULER, cfg.cfl_safety, cfg.div_tol, 1)
-            if problem.startswith(("dt", "t_end"))])
+                SCHEME_EULER, 1)])
         if not cfg.oracle_tol > 0.0:
             bad.append("[oracle] tol must be positive")
     if command == "decay-report" and not cfg.history_path:
@@ -436,12 +422,11 @@ def _decay_json_dict(rep: DecayReport, cfg: ExperimentConfig) -> dict:
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     from .functionals import save_history
-    from .stepper import FLUX_TOL, MONOTONE_SLACK, RunSinks, StepConfig, \
-        simulate_point
+    from .stepper import DIV_TOL, FLUX_TOL, MONOTONE_SLACK, RunSinks, \
+        StepConfig, simulate_point
     grid = build_grid(cfg.n_r, cfg.n_z, cfg.L_z)
     profile, state = _initial_data(cfg, grid, cfg.params())
     step_cfg = StepConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.step_scheme,
-                          cfl_safety=cfg.cfl_safety, div_tol=cfg.div_tol,
                           budget_every=cfg.budget_every,
                           nonlinear=cfg.mode in ("ns", "ans"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -471,7 +456,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
                       "minor_page_faults": faults}}
     _write_json(report, out_dir / REPORT_FILES["simulate"])
     _say(quiet, _check_line("divergence", inv["divergence_ok"],
-                            inv["divergence_residual"], cfg.div_tol))
+                            inv["divergence_residual"], DIV_TOL))
     if "flux_ok" in inv:
         _say(quiet, _check_line("quadratic flux", inv["flux_ok"],
                                 inv["flux_residual"], FLUX_TOL))
@@ -626,9 +611,8 @@ def _oracle_trajectory(cfg: ExperimentConfig, grid, params: Params,
     cache = OracleOpCache(grid, cfg.oracle_n_theta, params.nu)
     for n in range(1, cfg.oracle_steps + 1):
         try:
-            full = oracle_step(full, params, cfg.oracle_dt, cache,
-                               cfl_safety=cfg.cfl_safety)
-        except _solver_errors() as exc:
+            full = oracle_step(full, cfg.oracle_dt, cache)
+        except SolverError as exc:
             mark_failure(exc, n, full.t)
             raise
     return full
@@ -649,8 +633,7 @@ def cmd_oracle_compare(cfg: ExperimentConfig, out_dir: Path,
 
     step_cfg = StepConfig(dt=cfg.oracle_dt,
                           t_end=cfg.oracle_steps * cfg.oracle_dt,
-                          scheme=SCHEME_EULER, cfl_safety=cfg.cfl_safety,
-                          div_tol=cfg.div_tol, nonlinear=True)
+                          scheme=SCHEME_EULER, nonlinear=True)
     start = time.perf_counter()
     result = run(state, step_cfg)
     mode_wall_s = time.perf_counter() - start
@@ -748,7 +731,7 @@ def main(argv=None) -> int:
         for line in exc.problems:
             print(f"input error: {line}", file=sys.stderr)
         return 2
-    except _solver_errors() as exc:
+    except SolverError as exc:
         failure = {"type": type(exc).__name__, "message": str(exc)}
         where = ""
         if hasattr(exc, "step"):

@@ -192,8 +192,12 @@ def load_history(path: str) -> EnergyHistory:
     and the error estimate are recomputed from them.  A file without the
     ``REGIME_KEYS`` in its meta loads with ``regime`` None.  Other members
     and meta keys (older files carry ``mixed`` and ``powers``) are ignored.
+    A file that is not an npz archive raises ``ValueError``.
     """
-    with np.load(path, allow_pickle=False) as data:
+    data = np.load(path, allow_pickle=False)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("not an npz archive")
+    with data:
         meta = json.loads(str(data["meta"]))
         if meta["j_max"] != EnergyHistory.j_max:
             raise ValueError(f"history has vertical order j_max = "

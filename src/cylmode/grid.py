@@ -126,12 +126,17 @@ def radial_nodes(n_r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r, w_r, D
 
 
-class CFLViolationError(RuntimeError):
-    """Explicit advection would outrun the grid at the current dt.
+#: share of the advective stability limit a step may use, in both solvers
+CFL_SAFETY = 0.9
 
-    Raised by the harmonic stepper and the full-grid oracle alike; defined
-    here because the grid is the only module both routes import.
-    """
+
+class SolverError(RuntimeError):
+    """A solver stopped a run, so the command reports it and exits 1; here
+    because the grid is the only module both solver routes import."""
+
+
+class CFLViolationError(SolverError):
+    """Explicit advection would outrun the grid at the current dt."""
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import P, Q, UR, UTH, UZ, VR, VTH, VZ, StepWorkspace
-from .grid import (CFLViolationError, CylGrid, THETA_FULL, raise_problems,
-                   spectral_symbol)
+from .grid import (CFL_SAFETY, CFLViolationError, CylGrid, SolverError,
+                   THETA_FULL, raise_problems, spectral_symbol)
 from .state import ModeState, Params
 from .stokes import _velocity_columns
 
@@ -45,7 +45,7 @@ class UnresolvedWavenumberError(ValueError):
     """The azimuthal grid cannot represent a requested harmonic."""
 
 
-class SingularBinError(RuntimeError):
+class SingularBinError(SolverError):
     """A Fourier-bin block is singular: a zero pivot or a failed probe."""
 
 
@@ -639,8 +639,9 @@ def _solve_all_bins(table: np.ndarray, rhs: np.ndarray,
     return transforms.fields(x.reshape(bins, 4 * n, 4))
 
 
-def check_cfl(full: FullField, dt: float, safety: float = 0.9) -> float:
-    """Advective CFL number of one explicit substep; raises on violation."""
+def check_cfl(full: FullField, dt: float) -> float:
+    """Advective CFL number of one explicit substep; raises when it exceeds
+    ``grid.CFL_SAFETY``."""
     g = full.grid
     dr_min = min(float(g.r[0]), float(np.diff(g.r).min()))
     dz = g.L_z / g.n_z
@@ -652,16 +653,14 @@ def check_cfl(full: FullField, dt: float, safety: float = 0.9) -> float:
         np.abs(uz).max() / dz,
         float((np.abs(uth) / (r * dtheta)).max()),
     )
-    if cfl > safety:
+    if cfl > CFL_SAFETY:
         raise CFLViolationError(
-            f"advective CFL {cfl:.3g} exceeds safety factor {safety}")
+            f"advective CFL {cfl:.3g} exceeds safety factor {CFL_SAFETY}")
     return cfl
 
 
-def oracle_step(full: FullField, params: Params, dt: float,
-                cache: OracleOpCache | None = None,
-                cfl_safety: float = 0.9) -> FullField:
-    """One splitting step of the full system.
+def oracle_step(full: FullField, dt: float, cache: OracleOpCache) -> FullField:
+    """One splitting step of the full system with ``cache``'s bin tables.
 
     Substeps: implicit viscous/pressure solve, explicit advection update,
     then a pressure projection back onto the divergence-free constraint.
@@ -669,9 +668,7 @@ def oracle_step(full: FullField, params: Params, dt: float,
     stepper so that time-discretization differences shrink linearly in dt.
     """
     g = full.grid
-    if cache is None:
-        cache = OracleOpCache(g, full.n_theta, params.nu)
-    check_cfl(full, dt, cfl_safety)
+    check_cfl(full, dt)
     step_table = cache.factors(dt, diffusion=True)
     proj_table = cache.factors(1.0, diffusion=False)
     idt = 1.0 / dt

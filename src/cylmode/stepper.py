@@ -3,11 +3,11 @@
 Quadratic terms are evaluated explicitly (first order, or extrapolated to
 second order), the coupled viscous/pressure part is solved implicitly per
 harmonic, and every step lands exactly on the no-slip boundary and the
-discrete divergence constraint up to a configured tolerance; a step that
-misses it raises, and nothing re-projects its output.  Per-step
-energy budgets decompose the discrete energy identity into dissipation
-channels, nonlinear transfer, and pressure work, with the scheme-induced
-remainder reported as an imbalance instead of silently dropped.
+discrete divergence constraint up to ``DIV_TOL``; a step that misses it
+raises, and nothing re-projects its output.  Per-step energy budgets
+decompose the discrete energy identity into dissipation channels,
+nonlinear transfer, and pressure work, with the scheme-induced remainder
+reported as an imbalance instead of silently dropped.
 ``simulate_point`` runs one trajectory and measures it: invariants,
 smallness gate, weighted functionals and decay report.
 ``mode_invariance_check`` runs the linear flow through the same ``step``.
@@ -27,48 +27,45 @@ from .diagnostics import (UR, UTH, UZ, VR, VTH, VZ, ModeMeasures,
                           measure_state)
 from .functionals import (DecayReport, EnergyHistory, accumulate, compute_D,
                           compute_E, decay_report, smallness_check)
-from .grid import CFLViolationError, CylGrid, raise_problems
+from .grid import (CFL_SAFETY, CFLViolationError, CylGrid, SolverError,
+                   raise_problems)
 from .state import (InitProfile, ModeState, Params, divergence_residual,
                     save_checkpoint)
-from .stokes import SingularOperatorError, StokesOpCache, stokes_step
+from .stokes import StokesOpCache, stokes_step
 from .nonlinear import assemble_quadratic_rhs, flux_identity_residual
 
 SCHEME_EULER = "imex_euler"
 SCHEME_BDF2 = "imex_bdf2"
 STEP_SCHEMES = (SCHEME_EULER, SCHEME_BDF2)
 
+#: largest divergence residual a step may leave
+DIV_TOL = 1e-9
 
-class DivergenceCleanupError(RuntimeError):
-    """A step's divergence residual exceeded ``div_tol``; the step's output
+
+class DivergenceCleanupError(SolverError):
+    """A step's divergence residual exceeded ``DIV_TOL``; the step's output
     is not repaired."""
-
-
-#: the errors a step can stop a run with; :func:`run` marks where
-STEP_ERRORS = (CFLViolationError, DivergenceCleanupError,
-               SingularOperatorError)
 
 
 @dataclass
 class StepConfig:
     """Time integration settings; the ranges are those of
-    :func:`step_problems`."""
+    :func:`step_problems`.  The CFL guard's factor and the divergence limit
+    are constants, ``grid.CFL_SAFETY`` and ``DIV_TOL``."""
 
     dt: float
     t_end: float
     scheme: str = SCHEME_EULER
-    cfl_safety: float = 0.9
-    div_tol: float = 1e-9
     budget_every: int = 1
     nonlinear: bool = True
 
     def __post_init__(self):
         raise_problems(step_problems(self.dt, self.t_end, self.scheme,
-                                     self.cfl_safety, self.div_tol,
                                      self.budget_every))
 
 
-def step_problems(dt: float, t_end: float, scheme: str, cfl_safety: float,
-                  div_tol: float, budget_every: int) -> list[str]:
+def step_problems(dt: float, t_end: float, scheme: str,
+                  budget_every: int) -> list[str]:
     """Every violated range of the time-integration settings."""
     return [text for ok, text in (
         (dt > 0.0, "dt must be positive"),
@@ -77,8 +74,6 @@ def step_problems(dt: float, t_end: float, scheme: str, cfl_safety: float,
         (not (dt > 0.0 and 0.0 <= t_end < math.inf) or t_end / dt < math.inf,
          "t_end / dt must be finite"),
         (scheme in STEP_SCHEMES, f"scheme must be one of {STEP_SCHEMES}"),
-        (0.0 < cfl_safety <= 1.0, "cfl_safety must lie in (0, 1]"),
-        (div_tol > 0.0, "div_tol must be positive"),
         (budget_every >= 1, "budget_every must be >= 1")) if not ok]
 
 
@@ -135,10 +130,10 @@ def cfl_limit(state: ModeState) -> tuple[float, int]:
 
 def _check_cfl(state: ModeState, cfg: StepConfig) -> None:
     dt_max, limiting = cfl_limit(state)
-    if cfg.dt > cfg.cfl_safety * dt_max:
+    if cfg.dt > CFL_SAFETY * dt_max:
         raise CFLViolationError(
             f"dt = {cfg.dt:g} exceeds cfl_safety * dt_max = "
-            f"{cfg.cfl_safety * dt_max:g} (limiting harmonic k = {limiting})")
+            f"{CFL_SAFETY * dt_max:g} (limiting harmonic k = {limiting})")
 
 
 # -- single step ---------------------------------------------------------------
@@ -150,7 +145,7 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
     ``forcing``, if given, is called with the time the step lands on and
     must return a ``(K+1, 6, n_r, n_z)`` array of explicit external forces
     in the slot layout of ``ModeState.u``.  The CFL estimate is refreshed
-    every 10 steps.  A post-step divergence residual above ``cfg.div_tol``
+    every 10 steps.  A post-step divergence residual above ``DIV_TOL``
     raises ``DivergenceCleanupError`` at once; the output is never
     re-projected.  The quadratic term reads the radial derivatives of
     ``session.measures``, the pass over ``state`` that the step before (or
@@ -197,9 +192,9 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
 
     meas = measure_state(new, ws=ws)
     res = float(meas.divergence_residual().max())
-    if res > cfg.div_tol:
+    if res > DIV_TOL:
         raise DivergenceCleanupError(
-            f"divergence residual {res:.3e} above div_tol {cfg.div_tol:g}")
+            f"divergence residual {res:.3e} above div_tol {DIV_TOL:g}")
 
     session.prev_state = state
     session.prev_rhs = quad
@@ -298,7 +293,7 @@ def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
     The checkpoint, if a path is given, is written once: from the final
     state, from the state an abort stopped at, or, when a step raises,
     from the last good state before the error propagates.  A
-    ``STEP_ERRORS`` error raised in the step loop carries where it stopped
+    ``SolverError`` raised in the step loop carries where it stopped
     (:func:`mark_failure`).  Runs abort with a flagged result when kinetic
     energy exceeds 10x its initial value.
     """
@@ -330,7 +325,7 @@ def run(state0: ModeState, cfg: StepConfig, sinks: RunSinks | None = None,
             if e0 > 0.0 and meas.total_l2_sq() > 10.0 * e0:
                 aborted_at = n
                 break
-    except STEP_ERRORS as exc:
+    except SolverError as exc:
         mark_failure(exc, n, state.t)
         raise
     finally:
@@ -433,7 +428,7 @@ def simulate_point(profile: InitProfile, state0: ModeState, cfg: StepConfig,
     invariants = {
         "completed": not result.aborted,
         "divergence_residual": div,
-        "divergence_ok": div <= cfg.div_tol,
+        "divergence_ok": div <= DIV_TOL,
     }
     if cfg.nonlinear:
         flux = flux_identity_residual(result.state)

@@ -62,12 +62,12 @@ import numpy as np
 
 from .diagnostics import (UTH, ModeMeasures, energy_ledger, measure_modes,
                           mode_energy)
-from .grid import CylGrid, raise_problems, spectral_symbol
+from .grid import CylGrid, SolverError, raise_problems, spectral_symbol
 from .state import Params, make_initial_state
 
 
-class SingularOperatorError(RuntimeError):
-    pass
+class SingularOperatorError(SolverError):
+    """A Stokes block is singular: a zero row or pivot, or a failed probe."""
 
 
 def lu_factor(a: np.ndarray) -> np.ndarray:

@@ -111,7 +111,7 @@ def test_criterion_03_divergence_preservation(grid48):
         nonlocal worst
         worst = max(worst, float(np.max(divergence_residual(st))))
 
-    cfg = StepConfig(dt=2.5e-3, t_end=0.05, div_tol=1e-9)
+    cfg = StepConfig(dt=2.5e-3, t_end=0.05)
     result = run(state, cfg, sinks=RunSinks(on_snapshot=watch))
     ok = (not result.aborted) and worst <= 1e-9
     _verdict(3, "divergence preservation", ok,
@@ -179,7 +179,7 @@ def test_criterion_06_reference_trajectory_agreement():
         state = make_initial_state(profile, params)
         full = reconstruct_to_full(state, n_theta)
         for _ in range(steps):
-            full = oracle_step(full, params, dt_run, cache)
+            full = oracle_step(full, dt_run, cache)
         cfg = StepConfig(dt=dt_run, t_end=steps * dt_run, nonlinear=True)
         result = run(state, cfg)
         return relative_l2(full, reconstruct_to_full(result.state, n_theta))

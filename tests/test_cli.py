@@ -7,9 +7,11 @@ and the cross-command determinism of the decay report.
 """
 
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -18,8 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cylmode
 from cylmode import cli, functionals, oracle, stepper, stokes
-from cylmode.grid import CFLViolationError
+from cylmode.grid import CFLViolationError, SolverError
 from cylmode.oracle import SingularBinError
 from cylmode.stepper import DivergenceCleanupError, StepConfig, simulate_point
 from cylmode.stokes import SingularOperatorError
@@ -99,6 +102,26 @@ class TestConfigGrammar:
                 assert getattr(cfg, f.name) == f.metadata["default"]
         assert validate_config(cfg) == []
 
+    def test_readme_grammar_lists_every_key(self):
+        # the keys of the README's grammar block, each section's comment
+        # joined over its lines, are exactly those the parser declares
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"### Config grammar\n.*?```ini\n(.*?)```", text,
+                          re.S).group(1)
+        comments: dict[str, str] = {}
+        for line in block.splitlines():
+            head = re.match(r"\[(\w+)\]", line)
+            if head:
+                section = head.group(1)
+            comments[section] = (comments.get(section, "") + " "
+                                 + line.split("#", 1)[1])
+        documented = {(section, key.strip())
+                      for section, comment in comments.items()
+                      for key in re.sub(r"\([^)]*\)", "", comment).split(",")}
+        declared = {(f.metadata["section"], f.metadata["key"])
+                    for f in dataclasses.fields(ExperimentConfig)}
+        assert documented == declared
+
     def test_unknown_section_and_key_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[nosuch]\nx = 1\n\n[params]\nbogus = 2\n")
@@ -141,6 +164,8 @@ class TestConfigGrammar:
         ("reports", "mixed", "false"),
         ("run", "snapshot_every", "2"),
         ("run", "compare_N", "8"),
+        ("step", "cfl_safety", "0.9"),
+        ("step", "div_tol", "1e-9"),
     ])
     def test_removed_keys_exit_2(self, tmp_path, capsys, section, key, value):
         out = tmp_path / "out"
@@ -344,7 +369,6 @@ class TestSimulate:
         profile, state = cli._initial_data(cfg, grid, cfg.params())
         point = simulate_point(profile, state, StepConfig(
             dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.step_scheme,
-            cfl_safety=cfg.cfl_safety, div_tol=cfg.div_tol,
             budget_every=cfg.budget_every, nonlinear=True))
         assert point.energy == rep["energy"]
         assert point.invariants == rep["invariants"]
@@ -643,7 +667,8 @@ class TestDecayReportCommand:
         lambda p: p.write_bytes(b"not an npz file"),
         lambda p: p.write_bytes(b"PK\x03\x04 truncated"),
         lambda p: np.savez(p, times=np.zeros(2)),
-    ], ids=["text", "truncated_zip", "no_meta"])
+        lambda p: _save_npy(p, np.zeros(2)),
+    ], ids=["text", "truncated_zip", "no_meta", "npy"])
     def test_unreadable_history_exits_2(self, tmp_path, capsys, write):
         bad = tmp_path / "bad.npz"
         write(bad)
@@ -726,6 +751,20 @@ class TestDecayReportCommand:
 class TestSolverFailures:
     """A solver error leaves the command's report and exits 1."""
 
+    def test_solver_error_family(self):
+        # the failures that leave a report are exactly these four, so a new
+        # solver error cannot skip the report and no other error joins it
+        for module in pkgutil.iter_modules(cylmode.__path__):
+            importlib.import_module(f"cylmode.{module.name}")
+        family, todo = set(), [SolverError]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                if sub.__module__.startswith("cylmode."):
+                    family.add(sub)
+                    todo.append(sub)
+        assert family == {CFLViolationError, DivergenceCleanupError,
+                          SingularOperatorError, SingularBinError}
+
     # simulate runs through stepper.simulate_point, which calls stepper.run;
     # an error from inside a time loop also carries its step and time.  The
     # commands import their solver functions when they run, so a patch of
@@ -766,14 +805,17 @@ class TestSolverFailures:
         assert rep["schema"] == "cylmode-report-v1"
         assert rep["code_version"] == cli._code_version()
 
-    # the real step, failing on its third call
+    # the real step, failing on its third call with each error a step can
+    # raise
     IN_LOOP = [
         ("simulate", stepper, "step", CFLViolationError, 0.002),
+        ("simulate", stepper, "step", DivergenceCleanupError, 0.002),
+        ("simulate", stepper, "step", SingularOperatorError, 0.002),
         ("oracle-compare", oracle, "oracle_step", SingularBinError, 0.001),
     ]
 
     @pytest.mark.parametrize("command,module,target,error,dt", IN_LOOP,
-                             ids=[c[0] for c in IN_LOOP])
+                             ids=[c[3].__name__ for c in IN_LOOP])
     def test_failure_carries_step_and_time(self, tmp_path, monkeypatch,
                                            capsys, command, module, target,
                                            error, dt):

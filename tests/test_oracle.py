@@ -181,9 +181,8 @@ class TestNonlinearAudit:
 
 class TestOracleStep:
     def test_zero_stays_zero(self, grid, cache):
-        p = _params()
         full = build_full_field(grid, N_THETA)
-        out = oracle_step(full, p, 1e-3, cache=cache)
+        out = oracle_step(full, 1e-3, cache=cache)
         assert full_l2(out) == 0.0
         assert out.t == pytest.approx(1e-3)
 
@@ -193,7 +192,7 @@ class TestOracleStep:
         src = _rand_state(grid, p, seed=6)
         st.u[0] = src.u[0]
         full = reconstruct_to_full(st, N_THETA)
-        out = oracle_step(full, p, 1e-3, cache=cache)
+        out = oracle_step(full, 1e-3, cache=cache)
         back = project_to_modes(out, p)
         for k in range(1, p.K + 1):
             assert back.mode_l2_sq(k) < 1e-26
@@ -205,7 +204,7 @@ class TestOracleStep:
         mode_final = run(st, StepConfig(dt=dt, t_end=n_steps * dt)).state
         full = reconstruct_to_full(st, N_THETA)
         for _ in range(n_steps):
-            full = oracle_step(full, p, dt, cache=cache)
+            full = oracle_step(full, dt, cache=cache)
         ref = reconstruct_to_full(mode_final, N_THETA)
         assert relative_l2(full, ref) < 1e-2
 
@@ -215,7 +214,7 @@ class TestOracleStep:
         mode_final = run(st, StepConfig(dt=dt, t_end=n_steps * dt)).state
         full = reconstruct_to_full(st, N_THETA)
         for _ in range(n_steps):
-            full = oracle_step(full, p, dt, cache=cache)
+            full = oracle_step(full, dt, cache=cache)
         ref = reconstruct_to_full(mode_final, N_THETA)
         return math.sqrt(sum(quad3(full, (a - b) ** 2)
                              for a, b in zip(full.u, ref.u)))
@@ -511,8 +510,7 @@ class TestGuards:
         assert 0.0 < cfl < 0.9
 
     def test_step_checks_cfl(self, grid, cache):
-        p = _params()
         full = build_full_field(grid, N_THETA)
         full.u[0] += 1.0
         with pytest.raises(CFLViolationError):
-            oracle_step(full, p, 1.0, cache=cache)
+            oracle_step(full, 1.0, cache=cache)

@@ -83,8 +83,6 @@ class TestBasics:
             StepConfig(dt=0.1, t_end=-1.0)
         with pytest.raises(ValueError):
             StepConfig(dt=0.1, t_end=1.0, scheme="rk4")
-        with pytest.raises(ValueError):
-            StepConfig(dt=0.1, t_end=1.0, cfl_safety=0.0)
 
     def test_viscous_solve_stable_at_huge_dt(self, grid):
         # no CFL constraint without explicit advection; energy must fall
@@ -411,7 +409,8 @@ class TestGuards:
         # re-projected
         p = _params()
         st = _rand_state(grid, p, seed=3)
-        cfg = StepConfig(dt=1e-3, t_end=1.0, div_tol=1e-18)
+        monkeypatch.setattr(cylmode.stepper, "DIV_TOL", 1e-18)
+        cfg = StepConfig(dt=1e-3, t_end=1.0)
         projections = []
         project = cylmode.stokes.project_divfree
 
