@@ -24,11 +24,12 @@ Each quotient's norm combination is written once (``_quotient`` and
 ``_vertical_quotient``) and acts on arrays of norms.  The single-function
 checkers feed it norms taken from point values; ``constant_scan`` feeds it
 a whole chunk of trials at a time.  The scan stores each chunk's draws as
-a coefficient tensor over the basis (1 - r^2) r^d x cos/sin(m theta),
-takes point values by two table products (needed only for the L^p norm,
-the sup and the node-wise checks) and every L2-type factor as a Gram
-quadratic form of the coefficients, which is the same quadrature without
-the point values.
+a coefficient tensor over the basis (1 - r^2) r^d x cos/sin(m theta) and
+takes point values by two table products.  They serve only the sup, the
+wall trace and the L^p norm: the node-wise weight check reads the sup, the
+per-radius angular means are the radial rows times the trig table's node
+means, and every L2-type factor is a Gram quadratic form of the
+coefficients, which is the same quadrature without the point values.
 
 The vertical checker replaces the whole-line interpolation estimate by its
 zero-mean periodic analogue, consistent with the periodic vertical cell
@@ -157,17 +158,16 @@ def _relative(x: np.ndarray, peak: np.ndarray) -> np.ndarray:
     return np.divide(x, peak, out=np.zeros(np.shape(x)), where=peak > 0.0)
 
 
-def _angular_mean(values: np.ndarray) -> np.ndarray:
-    """Largest per-radius angular mean magnitude."""
-    return np.abs(values.mean(axis=-1)).max(axis=-1)
+def _angular_mean(means: np.ndarray) -> np.ndarray:
+    """Largest per-radius angular mean magnitude, from the row means."""
+    return np.abs(means).max(axis=-1)
 
 
-def _angular_variation(values: np.ndarray) -> np.ndarray:
-    """Largest deviation from the per-radius angular mean."""
-    mean = values.mean(axis=-1)
+def _angular_variation(values: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Largest deviation from the per-radius angular means ``means``."""
     # rounding is monotone, so the largest deviations sit at the row extremes
-    return np.maximum(values.max(axis=-1) - mean,
-                      mean - values.min(axis=-1)).max(axis=-1)
+    return np.maximum(values.max(axis=-1) - means,
+                      means - values.min(axis=-1)).max(axis=-1)
 
 
 def _require_zero_trace(values: np.ndarray, peak: np.ndarray) -> None:
@@ -176,13 +176,15 @@ def _require_zero_trace(values: np.ndarray, peak: np.ndarray) -> None:
         raise ValueError("trial function must vanish at the wall r = 1")
 
 
-def _weight_ok(magnitudes: np.ndarray) -> bool:
-    """Node-wise |f| <= |f / r| from |f|.
+def _weight_ok(peak: np.ndarray) -> bool:
+    """Node-wise |f| <= |f / r| from each function's peak max |f|.
 
     Every node has 0 < r <= 1, so the bound holds at each finite value and
-    fails only where a value is NaN or infinite; that is what is checked.
+    fails only where a value is NaN or infinite.  The max and min behind a
+    peak carry every NaN and infinity, so a finite peak is exactly the
+    node-wise check.
     """
-    return bool(np.isfinite(magnitudes).all())
+    return bool(np.isfinite(peak).all())
 
 
 # checks whose hypotheses need a zero angular mean, or radial input
@@ -190,13 +192,15 @@ _ZERO_MEAN_CHECKS = ("anisotropic", "angular_poincare")
 _RADIAL_CHECKS = ("radial_quartic", "radial")
 
 
-def _require_hypotheses(check: str, values: np.ndarray,
+def _require_hypotheses(check: str, values: np.ndarray, means: np.ndarray,
                         peak: np.ndarray) -> None:
+    """Raise unless the check's angular hypothesis holds; ``means`` are the
+    per-radius angular means of ``values``, however the caller took them."""
     if check in _ZERO_MEAN_CHECKS and np.any(
-            _relative(_angular_mean(values), peak) > ANGULAR_MEAN_TOL):
+            _relative(_angular_mean(means), peak) > ANGULAR_MEAN_TOL):
         raise ValueError("zero angular mean required for this checker")
-    if check in _RADIAL_CHECKS and np.any(
-            _relative(_angular_variation(values), peak) > ANGULAR_MEAN_TOL):
+    if check in _RADIAL_CHECKS and np.any(_relative(
+            _angular_variation(values, means), peak) > ANGULAR_MEAN_TOL):
         raise ValueError("radial input required: values vary with the angle")
 
 
@@ -305,7 +309,7 @@ def _quotient(check: str, n: _Norms, p: float | None) -> np.ndarray:
 def _point_quotient(f: TestFunction2D, check: str, p: float | None) -> float:
     """One check on one function, every norm taken from point values."""
     g, v = f.grid, f.values
-    _require_hypotheses(check, v, f.peak)
+    _require_hypotheses(check, v, v.mean(axis=-1), f.peak)
     fields = (v, g.dr(v), g.dtheta(v) / g.r[:, None], v / g.r[:, None])
     sq = [np.asarray(g.quad(x * x)) for x in fields]
     lp = g.lp_norm(v, p) if p is not None else 0.0
@@ -371,7 +375,7 @@ def angular_poincare_ratio(f: TestFunction2D) -> float:
 
 def pointwise_weight_ok(f: TestFunction2D) -> bool:
     """Node-wise check that |f| <= |f / r|; exact on the disk since r <= 1."""
-    return _weight_ok(np.abs(f.values))
+    return _weight_ok(np.asarray(f.peak))
 
 
 def _z_grid_problems(n_z: int, period: float) -> list[str]:
@@ -539,19 +543,22 @@ class _DiskBasis(NamedTuple):
     """Basis tables and Gram matrices of one scan grid.
 
     ``radial`` holds (1 - r^2) r^d, d = 0..10, on the nodes and ``trig``
-    the rows cos/sin(m theta), m = 0..8.  ``forms`` pairs radial and angular
-    Gram matrices, G = T W T^T in the grid's own quadrature, for ||f||_2^2,
-    ||d_r f||_2^2, ||d_theta f / r||_2^2 and ||f / r||_2^2 in that order.
-    ``work`` holds two point-value buffers for a full chunk, reused by
-    every chunk: fresh megabyte-sized temporaries per chunk cost more in
-    page faults than the arithmetic on them.
+    the rows cos/sin(m theta), m = 0..8; ``trig_mean`` is each row's mean
+    over the angle nodes, aliasing included, so that ``radial @ c`` times
+    it is the per-radius node mean of the point values.  ``forms`` pairs
+    radial and angular Gram matrices, G = T W T^T in the grid's own
+    quadrature, for ||f||_2^2, ||d_r f||_2^2, ||d_theta f / r||_2^2 and
+    ||f / r||_2^2 in that order.  ``work`` is the point-value buffer of a
+    full chunk, reused by every chunk: fresh megabyte-sized temporaries per
+    chunk cost more in page faults than the arithmetic on them.
     """
 
     grid: DiskGrid
-    radial: np.ndarray   # (n_r, 11)
-    trig: np.ndarray     # (18, n_theta)
+    radial: np.ndarray     # (n_r, 11)
+    trig: np.ndarray       # (18, n_theta)
+    trig_mean: np.ndarray  # (18,)
     forms: tuple[tuple[np.ndarray, np.ndarray], ...]
-    work: np.ndarray     # (2, chunk, n_r, n_theta)
+    work: np.ndarray       # (chunk, n_r, n_theta)
 
 
 def _disk_basis(grid: DiskGrid, chunk: int) -> _DiskBasis:
@@ -571,9 +578,10 @@ def _disk_basis(grid: DiskGrid, chunk: int) -> _DiskBasis:
     # the grid's own spectral derivative, exact below the Nyquist mode
     g_dt = gram(grid.dtheta(trig).T, grid.d_theta)
     return _DiskBasis(grid=grid, radial=radial, trig=trig,
+                      trig_mean=trig.mean(axis=1),
                       forms=((g_r, g_t), (g_dr, g_t), (g_over_r, g_dt),
                              (g_over_r, g_t)),
-                      work=np.empty((2, chunk, grid.n_r, grid.n_theta)))
+                      work=np.empty((chunk, grid.n_r, grid.n_theta)))
 
 
 def _gram_form(c: np.ndarray, g_left: np.ndarray,
@@ -584,21 +592,29 @@ def _gram_form(c: np.ndarray, g_left: np.ndarray,
 
 def _disk_chunk(basis: _DiskBasis, c: np.ndarray, check: str,
                 p: float | None) -> tuple[np.ndarray, bool]:
-    """Quotients and the node-wise weight check for a chunk on one grid."""
+    """Quotients and the node-wise weight check for a chunk on one grid.
+
+    The point values serve only the sup, the wall trace and the L^p norm,
+    so after the product that writes them they are read by max/min and, for
+    p other than 2, once more for |v|^p in place and its angular sums.
+    """
     g = basis.grid
-    v, scratch = basis.work[:, :len(c)]
-    np.matmul(basis.radial @ c, basis.trig, out=v)   # (trials, n_r, n_theta)
+    v = basis.work[:len(c)]
+    rows = basis.radial @ c                          # (trials, n_r, 18)
+    np.matmul(rows, basis.trig, out=v)               # (trials, n_r, n_theta)
     peak = np.maximum(v.max(axis=(1, 2)), -v.min(axis=(1, 2)))
     _require_zero_trace(v, peak)
-    _require_hypotheses(check, v, peak)
-    mag = np.abs(v, out=v)
-    weight_ok = _weight_ok(mag)
+    _require_hypotheses(check, v, rows @ basis.trig_mean, peak)
     lp = np.zeros(len(c))
     if p is not None and p != 2.0:
-        lp = _abs_pow(mag, p, out=scratch).sum(axis=2) @ g.w_r
+        if p == 4.0:
+            np.multiply(v, v, out=v)
+            lp = np.einsum("tij,tij->ti", v, v) @ g.w_r
+        else:
+            lp = _abs_pow(v, p, out=v).sum(axis=2) @ g.w_r
         lp = (lp * g.d_theta) ** (1.0 / p)
     sq = [_gram_form(c, *pair) for pair in basis.forms]
-    return _quotient(check, _Norms(peak, lp, *sq), p), weight_ok
+    return _quotient(check, _Norms(peak, lp, *sq), p), _weight_ok(peak)
 
 
 class _ZBasis(NamedTuple):

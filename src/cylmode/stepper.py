@@ -132,7 +132,7 @@ def _check_cfl(state: ModeState, cfg: StepConfig) -> None:
     dt_max, limiting = cfl_limit(state)
     if cfg.dt > CFL_SAFETY * dt_max:
         raise CFLViolationError(
-            f"dt = {cfg.dt:g} exceeds cfl_safety * dt_max = "
+            f"dt = {cfg.dt:g} exceeds CFL_SAFETY * dt_max = "
             f"{CFL_SAFETY * dt_max:g} (limiting harmonic k = {limiting})")
 
 
@@ -194,7 +194,7 @@ def step(state: ModeState, cfg: StepConfig, session: StepSession | None = None,
     res = float(meas.divergence_residual().max())
     if res > DIV_TOL:
         raise DivergenceCleanupError(
-            f"divergence residual {res:.3e} above div_tol {DIV_TOL:g}")
+            f"divergence residual {res:.3e} above DIV_TOL {DIV_TOL:g}")
 
     session.prev_state = state
     session.prev_rhs = quad

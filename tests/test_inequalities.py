@@ -27,13 +27,16 @@ def disk_fine():
 def _angular_mean_relative(f):
     """Largest per-radius angular mean, relative to the peak, as the
     checkers' zero-mean precondition measures it."""
-    return float(ineq._relative(ineq._angular_mean(f.values), f.peak))
+    means = f.values.mean(axis=-1)
+    return float(ineq._relative(ineq._angular_mean(means), f.peak))
 
 
 def _angular_variation_relative(f):
     """Largest deviation from the per-radius angular mean, relative, as
     the checkers' radial precondition measures it."""
-    return float(ineq._relative(ineq._angular_variation(f.values), f.peak))
+    means = f.values.mean(axis=-1)
+    return float(ineq._relative(ineq._angular_variation(f.values, means),
+                                f.peak))
 
 
 def _rand_fn(grid, rng, min_mode=1, n_terms=3):
@@ -546,6 +549,38 @@ class TestScanKeepsPerTrialChecks:
         self._inject(monkeypatch, 36, (np.array([1.0, 0.0]), 2, "sin"))
         self._raises_like_reference("radial input", None, "radial", 37, 7)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_coefficient_fails_the_weight_check(self, monkeypatch,
+                                                           bad):
+        # the batched route reads the weight check off the peak alone
+        self._inject(monkeypatch, 23, (np.array([bad, 1.0]), 3, "cos"))
+        per_trial = scan_reference.constant_scan(None, "anisotropic", 37, 7,
+                                                 p=4.0)
+        batched = ineq.constant_scan(None, "anisotropic", 37, 7, p=4.0)
+        assert per_trial["pointwise_weight_ok"] is False
+        assert batched["pointwise_weight_ok"] is False
+        assert math.isfinite(batched["max_ratio"])
+        assert batched["max_ratio"] == pytest.approx(per_trial["max_ratio"],
+                                                     rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("size,raises", ((1e-10, True), (1e-14, False)))
+    def test_small_mode_zero_term(self, monkeypatch, size, raises):
+        # the batched route takes the angular means from the coefficients,
+        # so it must draw the zero-mean line where the point values do
+        self._inject(monkeypatch, 23, (np.array([size]), 0, "cos"))
+        args = (None, "anisotropic", 37, 7)
+        if raises:
+            self._raises_like_reference("zero angular mean", *args, p=4.0)
+        else:
+            _assert_same_scan(ineq.constant_scan(*args, p=4.0),
+                              scan_reference.constant_scan(*args, p=4.0))
+
+    def test_aliased_angular_mean_in_anisotropic_scan(self):
+        # on 8 angle nodes cos(8 theta) samples as the constant 1
+        self._raises_like_reference("zero angular mean", None, "anisotropic",
+                                    37, 7, p=4.0, n_r=12, n_theta=8)
+
     def test_aliased_z_mean_in_vertical_scan(self):
         # on 4 z nodes cos(4 z) and cos(8 z) sample as constants
         self._raises_like_reference("z-mean", None, "vertical", 37, 7, n_z=4)
@@ -571,4 +606,4 @@ def test_scan_memory_stays_chunk_sized():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8e6
+    assert peak <= 2.5e6

@@ -2,6 +2,7 @@
 workspace, and guard rails."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import cylmode.stepper
 import cylmode.stokes
 from cylmode.diagnostics import Q, UR, UTH, UZ, VR, VTH, VZ, ModeMeasures
-from cylmode.grid import build_grid, THETA_FULL, THETA_HALF
+from cylmode.grid import CFL_SAFETY, build_grid, THETA_FULL, THETA_HALF
 from cylmode.state import (
     ModeState,
     Params,
@@ -352,7 +353,11 @@ class TestGuards:
         st = _rand_state(grid, p, seed=3, amplitude=50.0)
         dt_max, limiting = cfl_limit(st)
         assert dt_max < 1e-2
-        with pytest.raises(CFLViolationError, match="limiting harmonic"):
+        # the safety factor is the constant CFL_SAFETY, not a config key
+        text = re.escape(f"dt = 0.01 exceeds CFL_SAFETY * dt_max = "
+                         f"{CFL_SAFETY * dt_max:g} (limiting harmonic "
+                         f"k = {limiting})")
+        with pytest.raises(CFLViolationError, match=text):
             step(st, StepConfig(dt=1e-2, t_end=1.0))
 
     def test_cfl_limit_matches_per_harmonic_loop(self, grid):
@@ -405,7 +410,7 @@ class TestGuards:
         assert saved.t == pytest.approx(res.failure_time)
 
     def test_impossible_div_tol_raises(self, grid, monkeypatch):
-        # the first step over div_tol stops the run: its output is never
+        # the first step over DIV_TOL stops the run: its output is never
         # re-projected
         p = _params()
         st = _rand_state(grid, p, seed=3)
@@ -422,7 +427,7 @@ class TestGuards:
         monkeypatch.setattr(cylmode.stokes, "project_divfree", counted)
         monkeypatch.setattr(cylmode.stepper, "project_divfree", counted,
                             raising=False)
-        text = r"divergence residual \d\.\d{3}e[-+]\d+ above div_tol 1e-18"
+        text = r"divergence residual \d\.\d{3}e[-+]\d+ above DIV_TOL 1e-18"
         with pytest.raises(DivergenceCleanupError, match=text):
             step(st, cfg)
         with pytest.raises(DivergenceCleanupError, match=text) as info:
