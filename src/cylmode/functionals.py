@@ -4,14 +4,14 @@ All coefficient-tuple norms here use the meridian measure ``r dr dz`` (no
 azimuthal factor): the mean triple and the six-tuples of the harmonics are
 treated as plain vector functions on the (r, z) strip.  Time-dependent
 quantities are tracked on snapshot times only: ``EnergyHistory`` keeps one
-per-harmonic row of each diagnostics form per snapshot, and running sups,
-trapezoid time integrals and their step-size error estimate are computed
-from those rows when read.  ``compute_E`` and ``compute_D`` are one
-weighted formula with two choices of gradient channel and harmonic weight;
-``harmonic_weight`` is the one home of those weights, and the decay report
-predicts each harmonic's envelope from them.  ``DecayReport.to_json_dict``
-is the decay report's JSON body; the command line adds the config echo and
-writes it.
+per-harmonic row of each diagnostics form per snapshot (``history.npz``
+holds them, one array per channel), and running sups and trapezoid time
+integrals are computed from those rows when read.  ``compute_E`` and
+``compute_D`` are one weighted formula with two choices of gradient
+channel and harmonic weight; ``harmonic_weight`` is the one home of those
+weights, and the decay report predicts each harmonic's envelope from them.
+``DecayReport.to_json_dict`` is the decay report's JSON body; the command
+line adds the config echo and writes it.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class EnergyHistory:
     1/r-weighted norm (``over_r``), plus the mean's axis-sensitive
     component pair (``axis_pair``, one value per j).  ``j_max`` is 1, the
     highest order the functionals and the decay report read.  Running
-    trapezoid integrals, running sups and the integration error estimate
-    are taken from the stored rows when read.  ``regime`` holds the
+    trapezoid integrals and running sups are taken from the stored rows
+    when read; nothing else is kept.  ``regime`` holds the
     run's ``REGIME_KEYS`` values, or None for a file written without them.
     """
 
@@ -62,8 +62,6 @@ class EnergyHistory:
         self.N: int | None = None
         self.regime: dict | None = None
         self._rows: dict[str, list] = {name: [] for name in CHANNELS}
-        # (snapshot count, error estimate) of the last evaluation
-        self._estimate = (0, 0.0)
 
     @property
     def n_snapshots(self) -> int:
@@ -94,42 +92,6 @@ class EnergyHistory:
     def sups(self, name: str) -> np.ndarray:
         """Running sups of a channel over snapshots."""
         return np.maximum.accumulate(self.values(name), axis=0)
-
-    @property
-    def error_estimate(self) -> float:
-        """Trapezoid step error ``|second difference| dt / 12`` summed
-        over the scalar channels in ``history.npz`` order, then over
-        snapshots.  Evaluated once per snapshot count, so a run's decay
-        report and its saved history share one evaluation."""
-        if self._estimate[0] != self.n_snapshots:
-            self._estimate = (self.n_snapshots, self._error_estimate())
-        return self._estimate[1]
-
-    def _error_estimate(self) -> float:
-        if self.n_snapshots < 3:
-            return 0.0
-        vals = {name: self.values(name) for name in CHANNELS}
-        v = np.stack([vals[name][at] for _, name, at in _members(self)],
-                     axis=1)
-        dt = np.diff(self.times)[1:, None]
-        terms = np.abs(v[2:] - 2.0 * v[1:-1] + v[:-2]) * dt / 12.0
-        # add.accumulate adds strictly left to right; np.sum adds pairwise
-        per_snapshot = np.add.accumulate(terms, axis=1)[:, -1]
-        return float(np.add.accumulate(per_snapshot)[-1])
-
-
-def _members(history: EnergyHistory):
-    """``(name, channel, index)`` of every scalar channel, in
-    ``history.npz`` member order: harmonic k, then order j, then
-    ``inst_<j>_<k>``, ``grad``, ``dr``, ``over_r`` and, for the mean,
-    ``axis_pair_<j>``.  ``index`` picks its series out of the channel's
-    stacked rows."""
-    for k in range(history.K + 1):
-        for j in range(history.j_max + 1):
-            for name in CHANNELS[:4]:
-                yield f"{name}_{j}_{k}", name, (..., j, k)
-            if k == 0:
-                yield f"axis_pair_{j}", "axis_pair", (..., j)
 
 
 def _regime(params: Params) -> dict:
@@ -163,36 +125,29 @@ def accumulate(history: EnergyHistory, state: ModeState,
 # -- persistence ----------------------------------------------------------------
 
 def save_history(history: EnergyHistory, path: str) -> None:
-    """Write ``times``, then for every scalar channel its values
-    ``v_<name>`` and running integral ``i_<name>``."""
+    """Write ``meta`` (``j_max``, ``K``, ``N``, ``grid`` and the
+    ``REGIME_KEYS``), ``times``, and each of ``CHANNELS`` as its
+    :meth:`EnergyHistory.values` array under its own name.  Integrals and
+    sups are not stored; a loaded history recomputes them."""
     g = history.grid
-    meta = {
-        "j_max": history.j_max,
-        "K": history.K,
-        "N": history.N,
-        "grid": ({"n_r": g.n_r, "n_z": g.n_z, "L_z": g.L_z}
-                 if g is not None else None),
-        "error_estimate": history.error_estimate,
-        **(history.regime or {}),
-    }
-    arrays = {"times": np.asarray(history.times)}
-    if history.times:
-        vals = {name: history.values(name) for name in CHANNELS}
-        ints = {name: history.integrals(name) for name in CHANNELS}
-        for member, name, at in _members(history):
-            arrays[f"v_{member}"] = vals[name][at]
-            arrays[f"i_{member}"] = ints[name][at]
-    np.savez(path, meta=json.dumps(meta), **arrays)
+    meta = {"j_max": history.j_max, "K": history.K, "N": history.N,
+            "grid": ({"n_r": g.n_r, "n_z": g.n_z, "L_z": g.L_z}
+                     if g is not None else None),
+            **(history.regime or {})}
+    np.savez(path, meta=json.dumps(meta), times=np.asarray(history.times),
+             **{name: history.values(name) for name in CHANNELS})
 
 
 def load_history(path: str) -> EnergyHistory:
     """Read a history written by :func:`save_history`.
 
-    The rows are rebuilt from the stored ``v_<name>`` arrays; integrals
-    and the error estimate are recomputed from them.  A file without the
-    ``REGIME_KEYS`` in its meta loads with ``regime`` None.  Other members
-    and meta keys (older files carry ``mixed`` and ``powers``) are ignored.
-    A file that is not an npz archive raises ``ValueError``.
+    The rows are the stored channel arrays, so ``values``, ``integrals``
+    and ``sups`` equal the saved history's bit for bit.  A file without
+    the ``REGIME_KEYS`` in its meta loads with ``regime`` None; other meta
+    keys and members are ignored.  A file that is not an npz archive, that
+    lacks a channel (as every file in the older one-member-per-scalar
+    layout does), or whose channel shapes disagree with ``times`` and
+    ``meta.K`` raises ``ValueError``.
     """
     data = np.load(path, allow_pickle=False)
     if not isinstance(data, np.lib.npyio.NpzFile):
@@ -202,6 +157,9 @@ def load_history(path: str) -> EnergyHistory:
         if meta["j_max"] != EnergyHistory.j_max:
             raise ValueError(f"history has vertical order j_max = "
                              f"{meta['j_max']}, not {EnergyHistory.j_max}")
+        missing = [name for name in CHANNELS if name not in data.files]
+        if missing:
+            raise ValueError(f"history lacks channels {', '.join(missing)}")
         hist = EnergyHistory()
         hist.K = meta["K"]
         hist.N = meta["N"]
@@ -214,11 +172,13 @@ def load_history(path: str) -> EnergyHistory:
         times = data["times"].tolist()
         if not times:
             return hist
-        shape = (len(times), hist.j_max + 1, hist.K + 1)
-        rows = {name: np.zeros(shape) for name in CHANNELS}
-        rows["axis_pair"] = np.zeros(shape[:2])
-        for member, name, at in _members(hist):
-            rows[name][at] = data[f"v_{member}"]
+        rows = {name: data[name] for name in CHANNELS}
+    shape = (len(times), hist.j_max + 1, hist.K + 1)
+    for name, v in rows.items():
+        want = shape[:2] if name == "axis_pair" else shape
+        if v.shape != want:
+            raise ValueError(f"channel {name} has shape {v.shape}; times "
+                             f"and K = {hist.K} give {want}")
     for i, t in enumerate(times):
         hist.append(t, *(rows[name][i] for name in CHANNELS))
     return hist
@@ -413,7 +373,6 @@ def decay_report(history: EnergyHistory, params: Params) -> DecayReport:
         "truncation_leakage": (sup0[K] / sup0[1] if sup0[1] > 0.0 else 0.0),
         "cascade": bool(cascade),
         "vertical_domain": "periodic surrogate",
-        "integration_error_estimate": history.error_estimate,
     }
     return DecayReport(
         params={"N": N, "K": params.K, "nu": params.nu, "delta": delta,

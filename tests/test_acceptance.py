@@ -268,7 +268,7 @@ def test_criterion_09_mean_mode_scaling(grid48):
         params = Params(nu=1.0, N=N, delta=0.0, eta=0.25, K=base.K)
         state = make_initial_state(profile, params)
         history = EnergyHistory()
-        cfg = StepConfig(dt=2.5e-3, t_end=0.5, budget_every=5,
+        cfg = StepConfig(dt=2.5e-3, t_end=0.5, budget_every=1,
                          nonlinear=True)
         result = run(state, cfg, sinks=RunSinks(on_snapshot=lambda st, ms:
                                                 accumulate(history, st, ms)))

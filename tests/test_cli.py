@@ -296,28 +296,6 @@ class TestSimulate:
                          "decay_report.json"):
             assert (out / artifact).is_file()
 
-    def test_error_estimate_evaluated_once(self, tmp_path, monkeypatch):
-        # the decay report and the saved history share one evaluation
-        calls = []
-        original = functionals.EnergyHistory._error_estimate
-
-        def counted(history):
-            calls.append(history.n_snapshots)
-            return original(history)
-
-        monkeypatch.setattr(functionals.EnergyHistory, "_error_estimate",
-                            counted)
-        out = tmp_path / "out"
-        path = _write(tmp_path, _small())
-        assert cli.main(["simulate", "--config", path, "--out", str(out),
-                         "--quiet"]) == 0
-        assert calls == [6]
-        rep = json.loads((out / "decay_report.json").read_text())
-        with np.load(out / "history.npz") as data:
-            meta = json.loads(str(data["meta"]))
-        estimate = rep["metadata"]["integration_error_estimate"]
-        assert estimate == meta["error_estimate"] > 0.0
-
     def test_t_end_zero_reports_initial_functionals(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = _write(tmp_path, _small(step={"dt": 0.002, "t_end": 0.0},
@@ -720,6 +698,33 @@ class TestDecayReportCommand:
         other = str(tmp_path / "j2.npz")
         np.savez(other, meta=json.dumps({**meta, "j_max": 2}), **arrays)
         assert "j_max = 2" in self._refused(tmp_path, capsys, other)
+
+    def test_per_scalar_history_exits_2(self, tmp_path, capsys):
+        # a file in the older layout, one member per scalar series with its
+        # running integral beside it, holds none of the channel arrays
+        out = tmp_path / "sim_out"
+        assert cli.main(["simulate", "--config", _write(tmp_path, _small()),
+                         "--out", str(out), "--quiet"]) == 0
+        with np.load(out / "history.npz") as data:
+            meta = json.loads(str(data["meta"]))
+        hist = functionals.load_history(str(out / "history.npz"))
+        old = {"meta": json.dumps({**meta, "error_estimate": 1e-6}),
+               "times": np.asarray(hist.times)}
+        for k in range(hist.K + 1):
+            for j in range(hist.j_max + 1):
+                series = [(f"{name}_{j}_{k}", name, (..., j, k))
+                          for name in functionals.CHANNELS[:4]]
+                if k == 0:
+                    series.append((f"axis_pair_{j}", "axis_pair", (..., j)))
+                for member, name, at in series:
+                    old[f"v_{member}"] = hist.values(name)[at]
+                    old[f"i_{member}"] = hist.integrals(name)[at]
+        path = str(tmp_path / "per_scalar.npz")
+        np.savez(path, **old)
+        err = self._refused(tmp_path, capsys, path)
+        assert err.count("\n") == 1
+        assert err.endswith("history lacks channels inst, grad, dr, over_r, "
+                            "axis_pair\n")
 
     def test_history_of_another_regime_exits_2(self, tmp_path, capsys):
         # an ns history is not reported with the D-regime bounds of ans

@@ -63,7 +63,6 @@ class TestAccumulate:
             F.accumulate(hist, st)
         assert F.compute_E(hist, 0, p) == 0.0
         assert F.compute_D(hist, 1, p) == 0.0
-        assert hist.error_estimate == 0.0
 
     def test_constant_state_linear_integrals(self, grid):
         p = _params()
@@ -99,7 +98,6 @@ class TestAccumulate:
         want = exact_factor * hist.values("inst")[0, 0, 1]
         # trapezoid error is second order in the snapshot spacing
         assert got == pytest.approx(want, rel=3.0 * dt**2)
-        assert abs(got - want) <= 2.0 * hist.error_estimate
 
     def test_non_monotone_time_rejected(self, grid):
         p = _params()
@@ -123,49 +121,48 @@ class TestAccumulate:
         F.save_history(hist, path)
         loaded = F.load_history(path)
         assert loaded.times == hist.times
-        assert loaded.error_estimate == hist.error_estimate
+        for name in F.CHANNELS:
+            for read in ("values", "integrals", "sups"):
+                assert np.array_equal(getattr(loaded, read)(name),
+                                      getattr(hist, read)(name)), (name, read)
         for j in (0, 1):
             assert F.compute_E(loaded, j, p) == F.compute_E(hist, j, p)
             assert F.compute_D(loaded, j, p) == F.compute_D(hist, j, p)
 
-    def test_saved_history_matches_scalar_loop(self, grid, tmp_path):
-        # the file holds one series per scalar channel in a fixed order,
-        # and its integrals and error estimate are the running sums taken
-        # one scalar at a time in that order
+    def test_saved_history_layout(self, grid, tmp_path):
+        # the file holds meta, times and one array per channel, each the
+        # channel's stacked rows; no integral or estimate is stored
         p = _params()
         hist = _accumulate_run(grid, p, n_steps=6)
         path = str(tmp_path / "hist.npz")
         F.save_history(hist, path)
-        names = []
-        for k in range(p.K + 1):
-            for j in (0, 1):
-                names += [f"{c}_{j}_{k}" for c in ("inst", "grad", "dr",
-                                                    "over_r")]
-                if k == 0:
-                    names.append(f"axis_pair_{j}")
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
-        assert list(arrays) == ["meta", "times"] + [
-            f"{x}_{name}" for name in names for x in ("v", "i")]
-        times = arrays["times"].tolist()
-        values = {name: arrays[f"v_{name}"].tolist() for name in names}
-        integrals = {name: [0.0] for name in names}
-        estimate = 0.0
-        for i in range(1, len(times)):
-            dt = times[i] - times[i - 1]
-            err = 0.0
-            for name in names:
-                v = values[name]
-                integrals[name].append(integrals[name][-1]
-                                       + 0.5 * dt * (v[i] + v[i - 1]))
-                if i >= 2:
-                    err += abs(v[i] - 2.0 * v[i - 1] + v[i - 2]) * dt / 12.0
-            estimate += err
-        for name in names:
-            assert arrays[f"i_{name}"].tolist() == integrals[name], name
-        assert estimate > 0.0
-        assert json.loads(str(arrays["meta"]))["error_estimate"] == estimate
-        assert hist.error_estimate == estimate
+        assert sorted(arrays) == sorted(("meta", "times") + F.CHANNELS)
+        assert arrays["times"].tolist() == hist.times
+        for name in F.CHANNELS:
+            assert np.array_equal(arrays[name], hist.values(name)), name
+        assert arrays["inst"].shape == (7, 2, p.K + 1)
+        assert arrays["axis_pair"].shape == (7, 2)
+        meta = json.loads(str(arrays["meta"]))
+        assert sorted(meta) == sorted(("j_max", "K", "N", "grid")
+                                      + F.REGIME_KEYS)
+
+    @pytest.mark.parametrize("name,cut,shape", [
+        ("grad", np.s_[:-1], r"\(3, 2, 4\)"),
+        ("over_r", np.s_[..., :-1], r"\(4, 2, 3\)"),
+    ], ids=["shorter_than_times", "another_K"])
+    def test_refuses_channel_of_wrong_shape(self, grid, tmp_path, name, cut,
+                                            shape):
+        path = str(tmp_path / "hist.npz")
+        F.save_history(_accumulate_run(grid, _params(), n_steps=3), path)
+        with np.load(path) as data:
+            arrays = {member: data[member] for member in data.files}
+        arrays[name] = arrays[name][cut]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=rf"channel {name} has shape "
+                           rf"{shape}; times and K = 3 give \(4, 2, 4\)"):
+            F.load_history(path)
 
     def test_refuses_history_of_another_order(self, grid, tmp_path):
         path = str(tmp_path / "hist.npz")
@@ -189,8 +186,7 @@ class TestAccumulate:
             arrays = {name: data[name] for name in data.files}
         meta = json.loads(str(arrays.pop("meta")))
         meta["mixed"] = False
-        meta["powers"] = {name[2:]: 1.0 for name in arrays
-                          if name.startswith("v_")}
+        meta["powers"] = {name: 1.0 for name in F.CHANNELS}
         np.savez(path, meta=json.dumps(meta), **arrays)
         loaded = F.load_history(path)
         for name in F.CHANNELS:
